@@ -231,8 +231,9 @@ def _supervise(
     errors, and catch ok-looking rows poisoned with non-finite floats.
     Plan: an engine fault trips the breakers of every supervised family
     still on a fast engine.  Execute: if any breaker transitioned, the
-    suspect points re-run once under the now-degraded engines (fresh
-    worker processes inherit the pinned environment).  Rows that are
+    suspect points re-run once under the now-degraded engines (the
+    rerun is a new :func:`run_points` call, so its worker pool is forked
+    after the trip and inherits the pinned environment).  Rows that are
     still NaN-poisoned afterwards become failures — a poisoned row must
     never reach the results or the checkpoint.
     """
@@ -469,8 +470,9 @@ def sweep(
 
     ``values`` may be any iterable — a list, ``range``, numpy array, or
     generator; it is materialized once up front.  ``n_jobs`` > 1 fans
-    the points out over worker processes (``-1`` uses every core;
-    ``fn`` must then be picklable, i.e. module-level).  When ``seed``
+    the points out over a pool of forked worker processes (``-1`` uses
+    every core; ``fn`` reaches the workers through fork, and each row
+    must be picklable to come back).  When ``seed``
     is given, ``fn`` is called as ``fn(value, child_seed)`` where
     ``child_seed`` is a per-point ``SeedSequence`` spawned from the
     parent — deterministic for a given seed at any worker count.
@@ -479,7 +481,7 @@ def sweep(
     timed-out point becomes an error row and the sweep completes;
     ``retries`` re-attempts each failing point with ``retry_backoff *
     2**k`` sleeps; ``timeout`` bounds one attempt's wall-clock seconds
-    (forces process isolation, so ``fn`` must be picklable).
+    (forces process isolation, so each row must be picklable).
     ``checkpoint`` names a JSONL file for interrupt/resume.
     """
     values = list(values)

@@ -8,8 +8,9 @@ harness, organized as the paper's §3.3 MAPE loop:
   circuit breakers over the three engine seams (via the shared
   :mod:`.engines` registry), deterministic degradation to the reference
   object engines, deadline propagation, and a memory-budget guard;
-* fault-tolerant execution — per-point process isolation with bounded
-  retry and wall-time budgets (:mod:`.executor`);
+* fault-tolerant execution — a per-call pool of forked worker
+  processes that retires any worker whose point fails, hangs or dies,
+  with bounded retry and wall-time budgets (:mod:`.executor`);
 * crash-safe persistence — atomic fsync'd JSONL checkpoint/resume with
   corrupt-line quarantine (:mod:`.checkpoint`);
 * validation — a deterministic chaos harness (:mod:`.chaos`) that turns

@@ -13,22 +13,27 @@ Two execution paths share the same outcome contract:
 
 * **in-process** — ``n_jobs == 1`` and no timeout: points run serially
   in the caller's process (closures allowed, zero fork overhead);
-* **subprocess** — parallel or time-budgeted points each run in their
-  own ``multiprocessing.Process``; a timeout terminates just that
-  process, so one hung point cannot wedge the run (pool executors
-  cannot reclaim a hung worker, which is why this layer forks one
-  process per point instead).
+* **worker pool** — parallel or time-budgeted points run in a pool of
+  at most ``min(n_jobs, len(tasks))`` forked worker processes that
+  lives for one :func:`run_points` call.  Tasks, ``worker`` and ``fn``
+  are inherited through fork; only a task index crosses the pipe
+  inward, and the ``("ok", …)`` / ``("err", …)`` result comes back.
+  Points of one call may share a worker process, as they share the
+  caller's process on the inline path.  A worker is retired — and a
+  fresh one forked in its place when work remains — after any non-ok
+  outcome: an exception, an unpicklable result, death, or a timeout.
+  So a hung or crashed point costs one process, never the run, and a
+  retry never runs in the process that failed.
 
-The subprocess loop is *event-driven*: instead of polling every few
-milliseconds it blocks in :func:`multiprocessing.connection.wait` on
-every live result pipe and process sentinel, waking only when a result
-arrives, a child dies, a per-attempt deadline expires, or a backed-off
+The pool loop is *event-driven*: it blocks in
+:func:`multiprocessing.connection.wait` on every busy worker's pipe and
+process sentinel, waking only when a result arrives, a worker dies, a
+per-attempt deadline expires, or — while a slot is free — a backed-off
 retry becomes eligible.  Idle waiting therefore costs ~0 CPU, and a
-finished point is harvested as soon as the kernel signals it rather
-than at the next poll tick.  Reaping a timed-out child is bounded too:
-``terminate()`` (SIGTERM) is given ``term_grace`` seconds to work, then
-escalates to ``kill()`` (SIGKILL) — a child that blocks or ignores
-SIGTERM can no longer wedge the run.
+finished point is harvested as soon as the kernel signals it.  Reaping
+a timed-out worker is bounded too: ``terminate()`` (SIGTERM) is given
+``term_grace`` seconds to work, then escalates to ``kill()`` (SIGKILL)
+— a worker that blocks or ignores SIGTERM cannot wedge the run.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import time
 import traceback as tb_module
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Sequence
 
@@ -49,6 +54,7 @@ _IDLE_TICK_S = 0.5  # defensive cap on one wait(); sentinel wakeups make
 #                     a full tick rare (it only bounds damage if a pipe
 #                     or sentinel is ever missed, never the hot path)
 _TERM_GRACE_S = 5.0  # default SIGTERM -> SIGKILL escalation grace
+_STOP = None  # the message that ends an idle worker's loop
 
 
 @dataclass(frozen=True)
@@ -112,10 +118,10 @@ def run_points(
 
     Outcomes come back in task order.  ``retries`` is the number of
     *re*-attempts after the first failure; ``timeout`` bounds each
-    attempt's wall time (requires subprocess isolation, which is chosen
-    automatically); ``term_grace`` bounds how long a timed-out child may
-    ignore SIGTERM before it is SIGKILLed.  ``n_jobs == -1`` uses every
-    core.
+    attempt's wall time (requires worker-process isolation, which is
+    chosen automatically); ``term_grace`` bounds how long a timed-out
+    worker may ignore SIGTERM before it is SIGKILLed.  ``n_jobs == -1``
+    uses every core.
     """
     if retries < 0:
         raise ConfigurationError(f"retries must be >= 0, got {retries}")
@@ -189,12 +195,12 @@ def _run_inline(worker, fn, task, retries, backoff, tr) -> PointOutcome:
 
 
 def _send_guarded(conn, payload) -> "BaseException | None":
-    """Ship one payload to the parent; returns the send failure, if any.
+    """Send one payload; returns the send failure, if any.
 
-    An :class:`OSError`/:class:`EOFError` means the parent already
-    reaped this attempt and closed its read end (a timeout race, not an
-    error) — the caller must exit cleanly.  Any other exception means
-    the payload itself cannot cross the pipe (unpicklable).
+    An :class:`OSError`/:class:`EOFError` means the other end is gone
+    (the parent reaped this attempt, or a worker died) — a race, not an
+    error.  Any other exception means the payload itself cannot cross
+    the pipe (unpicklable).
     """
     try:
         conn.send(payload)
@@ -204,45 +210,66 @@ def _send_guarded(conn, payload) -> "BaseException | None":
 
 
 def _orphaned(exc: "BaseException | None") -> bool:
-    """Whether a send failure means the parent is gone (pipe closed)."""
+    """Whether a send failure means the other end is gone (pipe closed)."""
     return isinstance(exc, (OSError, EOFError))
 
 
-def _child_main(conn, worker, fn, value, seed) -> None:
-    """Subprocess entry: ship (status, payload) back through the pipe.
+def _serve(conn, worker, fn, task: PointTask) -> bool:
+    """Run one task in a worker and ship (status, payload) to the parent.
 
-    Every send is guarded: if the parent has already reaped this attempt
-    (e.g. the per-point deadline expired just as the work finished), the
-    write end sees a broken pipe — the child must then exit *cleanly*
-    rather than die with an unhandled ``BrokenPipeError``, because its
-    nonzero exit would be observed by nothing and its traceback would
-    pollute stderr of an otherwise healthy run.
+    Returns True iff an ``ok`` result reached the pipe — the only
+    outcome after which the worker takes another task.  Every send is
+    guarded: if the parent already reaped this attempt (its deadline
+    expired just as the work finished) or died, the send sees a broken
+    pipe and the worker must exit *cleanly* rather than die with an
+    unhandled ``BrokenPipeError`` whose traceback would pollute stderr
+    of an otherwise healthy run.
     """
     try:
-        result = worker(fn, value, seed)
+        result = worker(fn, task.value, task.seed)
     except BaseException as exc:
         formatted = tb_module.format_exc()
         sent = _send_guarded(conn, ("err", _describe(exc), exc, formatted))
         if sent is not None and not _orphaned(sent):
             # exception object not picklable: resend without it
             _send_guarded(conn, ("err", _describe(exc), None, formatted))
-    else:
-        sent = _send_guarded(conn, ("ok", result))
-        if sent is not None and not _orphaned(sent):
-            formatted = "".join(
-                tb_module.format_exception(
-                    type(sent), sent, sent.__traceback__
-                )
-            )
-            _send_guarded(
-                conn,
-                (
-                    "err",
-                    f"result not picklable: {_describe(sent)}",
-                    None,
-                    formatted,
-                ),
-            )
+        return False
+    sent = _send_guarded(conn, ("ok", result))
+    if sent is not None and not _orphaned(sent):
+        formatted = "".join(
+            tb_module.format_exception(type(sent), sent, sent.__traceback__)
+        )
+        _send_guarded(
+            conn,
+            ("err", f"result not picklable: {_describe(sent)}", None,
+             formatted),
+        )
+    return sent is None
+
+
+def _worker_main(conn, inherited, worker, fn, tasks) -> None:
+    """Pool worker entry: run task indices from ``conn`` until told to stop.
+
+    ``tasks`` maps each task index to its :class:`PointTask`; it reaches
+    the worker through fork, so only the index crosses the pipe inward.
+    ``inherited`` are the parent-side pipe ends this process got through
+    fork — its own and those of the siblings forked before it.  They are
+    closed first: otherwise a sibling's parent end stays open in this
+    process, and neither the parent's death nor its close ever reaches
+    that sibling as EOF.  The loop ends on the stop message, on EOF (the
+    parent is gone), or after any non-ok outcome (the parent retires
+    this worker).
+    """
+    for end in inherited:
+        end.close()
+    try:
+        while True:
+            try:
+                index = conn.recv()
+            except (EOFError, OSError):
+                return  # the parent is gone
+            if index is _STOP or not _serve(conn, worker, fn, tasks[index]):
+                return
     finally:
         try:
             conn.close()
@@ -251,21 +278,23 @@ def _child_main(conn, worker, fn, value, seed) -> None:
 
 
 @dataclass
-class _Running:
-    attempt: _Attempt
+class _Worker:
+    """One pool worker as the parent sees it."""
+
     process: mp.process.BaseProcess
-    conn: Any
-    started: float
-    deadline: float | None
+    conn: Any  # the parent's end of the duplex pipe
+    attempt: _Attempt | None = None  # in flight; None while idle
+    started: float = 0.0
+    deadline: float | None = None
 
 
 def _reap(proc: mp.process.BaseProcess, term_grace: float) -> None:
-    """Stop one child with bounded patience: SIGTERM, wait, SIGKILL.
+    """Stop one worker with bounded patience: SIGTERM, wait, SIGKILL.
 
-    ``terminate()`` alone is a request the child may ignore (a worker
-    that installed a SIG_IGN handler, or is stuck in uninterruptible
-    I/O); an unbounded ``join()`` after it would wedge the whole run on
-    such a child.  So the join is bounded by ``term_grace`` seconds and
+    ``terminate()`` alone is a request the worker may ignore (one that
+    installed a SIG_IGN handler, or is stuck in uninterruptible I/O);
+    an unbounded ``join()`` after it would wedge the whole run on such
+    a worker.  So the join is bounded by ``term_grace`` seconds and
     escalates to ``kill()`` — SIGKILL cannot be caught or ignored.
     """
     proc.terminate()
@@ -275,24 +304,29 @@ def _reap(proc: mp.process.BaseProcess, term_grace: float) -> None:
         proc.join(term_grace)
 
 
-def _receive(run: _Running, elapsed: float) -> PointOutcome:
-    """Harvest one attempt whose pipe is readable (result or EOF)."""
-    att = run.attempt
-    try:
-        payload = run.conn.recv()
-    except EOFError:
-        # write end closed with nothing sent: the child died before it
-        # could report (segfault, os._exit, kill)
-        run.process.join()
-        payload = (
-            "err",
+def _died(w: _Worker, elapsed: float) -> PointOutcome:
+    w.process.join()
+    return PointOutcome(
+        index=w.attempt.task.index,
+        ok=False,
+        error=(
             "worker process died without a result "
-            f"(exitcode {run.process.exitcode})",
-            None,
-            None,
-        )
-    run.conn.close()
-    run.process.join()
+            f"(exitcode {w.process.exitcode})"
+        ),
+        attempts=w.attempt.attempt,
+        elapsed_s=elapsed,
+    )
+
+
+def _receive(w: _Worker, elapsed: float) -> PointOutcome:
+    """Read one attempt's result from a readable pipe (result or EOF)."""
+    att = w.attempt
+    try:
+        payload = w.conn.recv()
+    except EOFError:
+        # write end closed with nothing sent: the worker died before it
+        # could report (segfault, os._exit, kill)
+        return _died(w, elapsed)
     if payload[0] == "ok":
         return PointOutcome(
             index=att.task.index,
@@ -314,66 +348,55 @@ def _receive(run: _Running, elapsed: float) -> PointOutcome:
 
 
 def _harvest(
-    run: _Running,
+    w: _Worker,
     now: float,
     timeout: float | None,
     term_grace: float,
     tr,
 ) -> PointOutcome | None:
-    """Resolve one in-flight attempt, or return None if still running.
+    """Resolve one busy worker's attempt, or return None if still running.
 
     Ordering is pinned *poll-before-deadline*: a result that is already
     in the pipe when the deadline check runs is harvested as ``ok`` even
     if the deadline has technically passed — the work is done and paid
     for, and discarding it would make outcomes depend on scheduler
-    latency rather than on the worker.
+    latency rather than on the worker.  A timed-out worker is reaped
+    here; the caller retires every worker whose outcome is not ok.
     """
-    att = run.attempt
-    elapsed = now - run.started
-    if run.conn.poll():
-        return _receive(run, elapsed)
-    if not run.process.is_alive():
+    elapsed = now - w.started
+    if w.conn.poll():
+        return _receive(w, elapsed)
+    if not w.process.is_alive():
         # the result may have raced the liveness check: look again
-        if run.conn.poll():
-            return _receive(run, elapsed)
-        run.process.join()
-        exitcode = run.process.exitcode
-        run.conn.close()
-        return PointOutcome(
-            index=att.task.index,
-            ok=False,
-            error=(
-                "worker process died without a result "
-                f"(exitcode {exitcode})"
-            ),
-            traceback=None,
-            attempts=att.attempt,
-            elapsed_s=elapsed,
-        )
-    if run.deadline is not None and now > run.deadline:
-        _reap(run.process, term_grace)
-        run.conn.close()
+        if w.conn.poll():
+            return _receive(w, elapsed)
+        return _died(w, elapsed)
+    if w.deadline is not None and now > w.deadline:
+        _reap(w.process, term_grace)
         tr.count("executor.timeouts")
         return PointOutcome(
-            index=att.task.index,
+            index=w.attempt.task.index,
             ok=False,
             error=f"timed out after {timeout}s",
-            traceback=None,
-            attempts=att.attempt,
+            attempts=w.attempt.attempt,
             elapsed_s=elapsed,
         )
     return None
 
 
 def _next_wakeup(
-    queue: list[_Attempt], running: list[_Running], now: float
-) -> float | None:
-    """Seconds until the next scheduled event (deadline or retry
-    eligibility), capped at the defensive idle tick; None when nothing
-    is scheduled (pipe/sentinel readiness is then the only wake source).
+    queue: list[_Attempt], busy: list[_Worker], now: float, slot_free: bool
+) -> float:
+    """Seconds until the next scheduled event, capped at the idle tick.
+
+    Deadlines always count.  A queued attempt's retry eligibility counts
+    only while a slot is free: with every slot busy an eligible attempt
+    cannot start anyway, and counting it would make the wait return at
+    once — a busy-poll on the cores the workers need.
     """
-    ticks = [r.deadline - now for r in running if r.deadline is not None]
-    ticks.extend(a.eligible_at - now for a in queue)
+    ticks = [w.deadline - now for w in busy if w.deadline is not None]
+    if slot_free:
+        ticks.extend(a.eligible_at - now for a in queue)
     if not ticks:
         return _IDLE_TICK_S
     return min(max(min(ticks), 0.0), _IDLE_TICK_S)
@@ -382,35 +405,55 @@ def _next_wakeup(
 def _run_isolated(
     worker, fn, tasks, workers, retries, backoff, timeout, term_grace, tr
 ) -> list[PointOutcome]:
-    """One process per attempt, at most ``workers`` in flight."""
-    ctx = mp.get_context()
+    """A pool of at most ``min(workers, len(tasks))`` forked workers."""
+    ctx = mp.get_context("fork")
+    by_index = {task.index: task for task in tasks}
+    slots = min(workers, len(tasks))
     queue: list[_Attempt] = [_Attempt(task) for task in tasks]
-    running: list[_Running] = []
+    pool: list[_Worker] = []
     outcomes: dict[int, PointOutcome] = {}
 
-    def launch(att: _Attempt) -> None:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
+    def spawn() -> _Worker:
+        parent_end, child_end = ctx.Pipe()
+        inherited = [w.conn for w in pool] + [parent_end]
         proc = ctx.Process(
-            target=_child_main,
-            args=(child_conn, worker, fn, att.task.value, att.task.seed),
+            target=_worker_main,
+            args=(child_end, inherited, worker, fn, by_index),
             daemon=True,
         )
         proc.start()
-        child_conn.close()  # parent keeps only the read end
-        now = time.monotonic()
-        running.append(
-            _Running(
-                attempt=att,
-                process=proc,
-                conn=parent_conn,
-                started=now,
-                deadline=None if timeout is None else now + timeout,
-            )
-        )
+        child_end.close()  # parent keeps only its own end
+        tr.count("executor.spawns")
+        w = _Worker(process=proc, conn=parent_end)
+        pool.append(w)
+        return w
 
-    def settle(run: _Running, outcome: PointOutcome) -> None:
+    def retire(w: _Worker) -> None:
+        """Drop one worker and wait for it to exit: it exits by itself
+        after a non-ok outcome or the stop message, else it is reaped."""
+        pool.remove(w)
+        w.conn.close()
+        w.process.join(term_grace)
+        if w.process.is_alive():
+            _reap(w.process, term_grace)
+
+    def dispatch(att: _Attempt) -> None:
+        w = next((w for w in pool if w.attempt is None), None)
+        if w is not None and \
+                _send_guarded(w.conn, att.task.index) is not None:
+            retire(w)  # died while idle: not this point's fault
+            w = None
+        if w is None:
+            w = spawn()
+            # a failed send to a fresh worker surfaces as its death
+            _send_guarded(w.conn, att.task.index)
+        now = time.monotonic()
+        w.attempt = att
+        w.started = now
+        w.deadline = None if timeout is None else now + timeout
+
+    def settle(att: _Attempt, outcome: PointOutcome) -> None:
         """Final or retried resolution of one attempt."""
-        att = run.attempt
         if not outcome.ok and att.attempt <= retries:
             tr.count("executor.retries")
             queue.append(
@@ -424,33 +467,52 @@ def _run_isolated(
             return
         outcomes[att.task.index] = outcome
 
-    while queue or running:
-        now = time.monotonic()
-        # fill free slots with eligible attempts (in queue order)
-        ready = [a for a in queue if a.eligible_at <= now]
-        while ready and len(running) < workers:
-            att = ready.pop(0)
-            queue.remove(att)
-            launch(att)
-        # harvest finished / expired attempts
-        now = time.monotonic()
-        for run in list(running):
-            outcome = _harvest(run, now, timeout, term_grace, tr)
-            if outcome is not None:
-                running.remove(run)
-                settle(run, outcome)
-        if not (queue or running):
-            break
-        # block until a result pipe is readable, a child's sentinel
-        # fires (it exited), a deadline expires, or a retry becomes
-        # eligible — no polling, ~0 CPU while idle
-        wait_for = _next_wakeup(queue, running, time.monotonic())
-        waitables: list[Any] = [r.conn for r in running]
-        waitables.extend(r.process.sentinel for r in running)
-        tr.count("executor.wakeups")
-        if waitables:
-            mp_connection.wait(waitables, wait_for)
-        elif wait_for:  # everything is backed off; sleep to eligibility
-            time.sleep(wait_for)
+    def busy() -> list[_Worker]:
+        return [w for w in pool if w.attempt is not None]
+
+    try:
+        while True:
+            # fill free slots with eligible attempts (in queue order)
+            now = time.monotonic()
+            ready = [a for a in queue if a.eligible_at <= now]
+            for att in ready[: slots - len(busy())]:
+                queue.remove(att)
+                dispatch(att)
+            # harvest finished / expired attempts
+            now = time.monotonic()
+            for w in busy():
+                outcome = _harvest(w, now, timeout, term_grace, tr)
+                if outcome is None:
+                    continue
+                att, w.attempt = w.attempt, None
+                if not outcome.ok:
+                    retire(w)
+                settle(att, outcome)
+            running = busy()
+            if not (queue or running):
+                break
+            # block until a result pipe is readable, a worker's sentinel
+            # fires (it exited), a deadline expires, or — with a slot
+            # free — a retry becomes eligible: ~0 CPU while idle
+            wait_for = _next_wakeup(
+                queue, running, time.monotonic(), len(running) < slots
+            )
+            tr.count("executor.wakeups")
+            if running:
+                waitables: list[Any] = [w.conn for w in running]
+                waitables.extend(w.process.sentinel for w in running)
+                mp_connection.wait(waitables, wait_for)
+            else:  # everything is backed off; sleep to eligibility
+                time.sleep(wait_for)
+    finally:
+        # stop idle workers first so they all exit in parallel; a
+        # worker still busy here (the caller was interrupted) is reaped
+        for w in pool:
+            if w.attempt is None:
+                _send_guarded(w.conn, _STOP)
+            else:
+                _reap(w.process, term_grace)
+        for w in list(pool):
+            retire(w)
 
     return [outcomes[task.index] for task in tasks]

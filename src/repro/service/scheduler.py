@@ -218,7 +218,7 @@ class Scheduler:
         sup = supervisor_module.current()
         self._check_degraded(sup)
         affected = self._affected_jobs(items)
-        for job in affected:
+        for job in affected.values():
             job.mark_running()
         self._tr.count("service.chunks")
         if self.persistence:
@@ -260,6 +260,10 @@ class Scheduler:
                 followers = self._wanted.pop(item.fingerprint, [])
             if not followers:
                 continue  # cancelled mid-chunk; result discarded
+            # a twin that attached while the chunk ran is filled here
+            # too, so it joins the completion pass below
+            for job, _ in followers:
+                affected.setdefault(id(job), job)
             if outcome.ok:
                 self._resolve_ok(item, outcome.value, followers)
             else:
@@ -272,9 +276,9 @@ class Scheduler:
                         attempts=outcome.attempts,
                     )
         if self.degraded:
-            for job in affected:
+            for job in affected.values():
                 job.mark_degraded()
-        for job in affected:
+        for job in affected.values():
             self._tr.event("service.job.progress", **job.progress())
             if job.done:
                 self._tr.event(f"service.job.{job.state}", job=job.id)
@@ -310,11 +314,12 @@ class Scheduler:
                 source="executed" if pos == 0 else "dedup",
             )
 
-    def _affected_jobs(self, items: list[_WorkItem]) -> list[Job]:
-        """Distinct jobs waiting on any item of this chunk, stable order."""
+    def _affected_jobs(self, items: list[_WorkItem]) -> dict[int, Job]:
+        """Distinct jobs waiting on any item of this chunk, by ``id``, in
+        stable order."""
         seen: dict[int, Job] = {}
         with self._cond:
             for item in items:
                 for job, _ in self._wanted.get(item.fingerprint, ()):
                     seen.setdefault(id(job), job)
-        return list(seen.values())
+        return seen

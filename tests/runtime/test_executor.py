@@ -5,19 +5,23 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
 
+import repro
 from repro.errors import ConfigurationError, ExecutionError
 from repro.runtime import trace
 from repro.runtime.executor import (
     PointOutcome,
     PointTask,
     _Attempt,
-    _child_main,
     _harvest,
-    _Running,
+    _Worker,
+    _worker_main,
     run_points,
 )
 from repro.runtime.trace import Tracer
@@ -94,6 +98,46 @@ def slow_double(value):
 def slow_boom(value):
     time.sleep(0.5)
     raise ValueError("late boom")
+
+
+def pid_after_fault(value):
+    """The first attempt faults as ``value`` says; a retry returns its pid."""
+    marker = os.environ["REPRO_TEST_FLAKY_MARKER"] + f".{value}"
+    if not os.path.exists(marker):
+        with open(marker, "w") as fh:
+            fh.write(str(os.getpid()))
+        if value == "raise":
+            raise RuntimeError("first attempt")
+        if value == "exit":
+            os._exit(3)
+        time.sleep(60)  # "hang": the timeout retires this worker
+    return os.getpid()
+
+
+# a parent that is SIGKILLed mid-batch: each worker notes its pid, then
+# runs a 1 s point
+KILLED_PARENT = textwrap.dedent("""
+    import os, sys, time
+    from repro.runtime.executor import PointTask, run_points
+
+    def note_pid_and_sleep(fn, value, seed):
+        open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+        time.sleep(1.0)
+        return value
+
+    run_points(note_pid_and_sleep, None,
+               [PointTask(index=i, value=i) for i in range(4)],
+               n_jobs=2, timeout=60.0)
+""")
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs (an unreaped zombie counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 def tasks_for(values):
@@ -207,6 +251,98 @@ class TestIsolatedPath:
         assert tr.counters["executor.retries"] == 1
 
 
+class TestWorkerPool:
+    """One call forks at most ``n_jobs`` workers and reuses them; any
+    non-ok outcome retires its worker, so a retry runs elsewhere."""
+
+    def test_clean_batch_forks_at_most_n_jobs(self):
+        tr = Tracer()
+        outcomes = run_points(
+            call, double, tasks_for(list(range(8))), n_jobs=2, tracer=tr
+        )
+        assert [o.value for o in outcomes] == [v * 2 for v in range(8)]
+        assert tr.counters["executor.spawns"] <= 2
+
+    def test_pool_never_exceeds_task_count(self):
+        tr = Tracer()
+        run_points(call, double, tasks_for([1]), n_jobs=4, tracer=tr)
+        assert tr.counters["executor.spawns"] == 1
+
+    @pytest.mark.parametrize("fault", ["raise", "exit", "hang"])
+    def test_fault_replaces_worker_and_retry_runs_elsewhere(
+        self, fault, tmp_path, monkeypatch
+    ):
+        marker = tmp_path / "marker"
+        monkeypatch.setenv("REPRO_TEST_FLAKY_MARKER", str(marker))
+        tr = Tracer()
+        outcomes = run_points(
+            call,
+            pid_after_fault,
+            tasks_for([fault]),
+            n_jobs=2,
+            retries=1,
+            backoff=0.0,
+            timeout=1.0 if fault == "hang" else 30.0,
+            tracer=tr,
+        )
+        first_pid = int((tmp_path / f"marker.{fault}").read_text())
+        assert outcomes[0].ok and outcomes[0].attempts == 2
+        assert outcomes[0].value != first_pid
+        assert tr.counters["executor.spawns"] == 2  # retired + replaced
+
+
+class TestPipeHygiene:
+    """Every later-forked worker inherits its earlier siblings' parent
+    pipe ends; unless it closes them, closing (or losing) the parent end
+    never reaches those siblings as EOF."""
+
+    def test_idle_workers_stop_without_waiting_out_term_grace(self):
+        start = time.monotonic()
+        outcomes = run_points(
+            call,
+            double,
+            tasks_for([1, 2, 3, 4]),
+            n_jobs=2,
+            timeout=30.0,
+            term_grace=30.0,
+        )
+        assert [o.value for o in outcomes] == [2, 4, 6, 8]
+        assert time.monotonic() - start < 10  # a stuck join waits 30 s
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc"), reason="reads /proc/<pid>/stat"
+    )
+    def test_workers_do_not_outlive_a_killed_parent(self, tmp_path):
+        script = tmp_path / "parent.py"
+        script.write_text(KILLED_PARENT)
+        pids_dir = tmp_path / "pids"
+        pids_dir.mkdir()
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        parent = subprocess.Popen(
+            [sys.executable, str(script), str(pids_dir)], env=env
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while len(os.listdir(pids_dir)) < 2:
+                assert time.monotonic() < deadline, "workers never started"
+                assert parent.poll() is None, "parent exited early"
+                time.sleep(0.02)
+        finally:
+            parent.kill()  # mid-batch: both workers hold a 1 s point
+            parent.wait()
+        pids = [int(name) for name in os.listdir(pids_dir)]
+        deadline = time.monotonic() + 10  # one point plus a wide margin
+        while any(_alive(pid) for pid in pids) \
+                and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = [pid for pid in pids if _alive(pid)]
+        for pid in survivors:  # leave no stray worker behind a failure
+            os.kill(pid, signal.SIGKILL)
+        assert not survivors
+
+
 class TestBoundedReap:
     """Regression: a SIGTERM-blocking child must not wedge the run.
 
@@ -260,25 +396,27 @@ class TestBoundedReap:
 
 
 class TestOrphanedChild:
-    """Regression: a child whose parent already reaped it exits cleanly.
+    """Regression: a worker whose parent already reaped it exits cleanly.
 
     When a per-point deadline expires *just* as the work finishes, the
-    parent closes its read end before the child's final ``conn.send``.
-    The send then sees a broken pipe; unguarded, the child died with an
+    parent closes its end before the worker's final ``conn.send``.
+    The send then sees a broken pipe; unguarded, the worker died with an
     unhandled ``BrokenPipeError`` (nonzero exit + stderr traceback).
     """
 
     @staticmethod
     def _orphan(fn, value):
-        ctx = mp.get_context()
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
+        ctx = mp.get_context("fork")
+        parent_conn, child_conn = ctx.Pipe()
         proc = ctx.Process(
-            target=_child_main,
-            args=(child_conn, call, fn, value, None),
+            target=_worker_main,
+            args=(child_conn, [parent_conn], call, fn,
+                  {0: PointTask(index=0, value=value)}),
         )
         proc.start()
         child_conn.close()
-        # reap the attempt before the child can report (timeout race)
+        parent_conn.send(0)
+        # reap the attempt before the worker can report (timeout race)
         parent_conn.close()
         proc.join(30)
         return proc
@@ -312,6 +450,20 @@ class TestEventDrivenWait:
         # parent CPU is fork/pickle overhead only, not spinning
         assert cpu < 0.5
 
+    def test_full_slots_do_not_busy_poll(self):
+        """More points than workers: queued attempts wait for a slot
+        without turning the wait into a spin (was ~80 wakeups/point)."""
+        tr = Tracer()
+        cpu0 = time.process_time()
+        outcomes = run_points(
+            call, sleepy, tasks_for([0, 1, 2, 3]), n_jobs=2, timeout=30.0,
+            tracer=tr,
+        )
+        cpu = time.process_time() - cpu0
+        assert [o.value for o in outcomes] == [0, 2, 4, 6]
+        assert tr.counters["executor.wakeups"] <= 3 * 4
+        assert cpu < 0.5
+
     def test_backoff_only_wait_sleeps_to_eligibility(self):
         """With every attempt backed off (nothing running), the loop
         sleeps until retry eligibility instead of spinning."""
@@ -332,17 +484,25 @@ class TestEventDrivenWait:
         assert outcomes[0].attempts == 2
 
     def test_outcomes_match_inline_path(self):
-        """Fault-matrix equivalence: the wait-based subprocess loop
-        resolves the same outcomes as the serial in-process path."""
-        values = [1, 2, 3, 4]
-        inline = run_points(call, boom_at_3, tasks_for(values), n_jobs=1)
-        isolated = run_points(
-            call, boom_at_3, tasks_for(values), n_jobs=2
-        )
-        key = [(o.index, o.ok, o.value, o.error, o.attempts) for o in inline]
-        assert key == [
-            (o.index, o.ok, o.value, o.error, o.attempts) for o in isolated
-        ]
+        """Fault-matrix equivalence: the worker pool resolves the same
+        outcomes as the serial in-process path, with more points than
+        workers and with retries (each retry replaces a retired worker)."""
+
+        def key(outcomes):
+            return [
+                (o.index, o.ok, o.value, o.error, o.attempts)
+                for o in outcomes
+            ]
+
+        for values, retries in (([1, 2, 3, 4], 0), (list(range(8)), 2)):
+            kwargs = dict(retries=retries, backoff=0.0)
+            inline = run_points(
+                call, boom_at_3, tasks_for(values), n_jobs=1, **kwargs
+            )
+            isolated = run_points(
+                call, boom_at_3, tasks_for(values), n_jobs=2, **kwargs
+            )
+            assert key(inline) == key(isolated)
 
 
 class TestDeadlineResultRace:
@@ -350,28 +510,34 @@ class TestDeadlineResultRace:
     the time the deadline check runs is harvested as ``ok``."""
 
     def test_result_in_pipe_beats_expired_deadline(self):
-        ctx = mp.get_context()
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
+        ctx = mp.get_context("fork")
+        parent_conn, child_conn = ctx.Pipe()
+        task = PointTask(index=0, value=21)
         proc = ctx.Process(
-            target=_child_main, args=(child_conn, call, double, 21, None)
+            target=_worker_main,
+            args=(child_conn, [parent_conn], call, double, {0: task}),
         )
         proc.start()
         child_conn.close()
+        parent_conn.send(0)
         assert parent_conn.poll(30)  # the result has arrived …
         now = time.monotonic()
-        run = _Running(
-            attempt=_Attempt(PointTask(index=0, value=21)),
+        w = _Worker(
             process=proc,
             conn=parent_conn,
+            attempt=_Attempt(task),
             started=now - 10.0,
             deadline=now - 1.0,  # … and the deadline has passed
         )
         outcome = _harvest(
-            run, now, timeout=9.0, term_grace=5.0, tr=trace.NULL
+            w, now, timeout=9.0, term_grace=5.0, tr=trace.NULL
         )
         assert outcome is not None
         assert outcome.ok
         assert outcome.value == 42
+        parent_conn.close()  # EOF ends the worker's loop
+        proc.join(30)
+        assert proc.exitcode == 0
 
     def test_elapsed_is_per_attempt_not_cumulative(
         self, tmp_path, monkeypatch

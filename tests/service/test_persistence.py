@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -30,6 +31,18 @@ from repro.service.persistence import (
 def point_fn(x: int, y: int = 0, seed=None) -> dict:
     """Module-level (importable) deterministic point function."""
     return {"value": x * 10 + y}
+
+
+# gate for point functions that block mid-chunk until a test releases them
+_GATE_STARTED = threading.Event()
+_GATE_RELEASE = threading.Event()
+
+
+def gated_point_fn(x: int, seed=None) -> dict:
+    """Importable point function that holds its chunk open on the gate."""
+    _GATE_STARTED.set()
+    assert _GATE_RELEASE.wait(30), "gate never released"
+    return {"value": x * 10}
 
 
 def _job(job_id="job-000001", *, fn=point_fn, seed=7, points=None) -> Job:
@@ -352,6 +365,41 @@ class TestServiceRecovery:
                 assert job.wait(30) and job.state == DONE
             executed = svc.tracer.counters["service.points.executed"]
         assert executed == 2  # two unique points, two jobs: no doubling
+
+    def test_twin_attached_mid_chunk_is_journaled_completed(self, tmp_path):
+        """A follower that attaches after its chunk started running is
+        filled by that chunk and must get its own ``completed`` record,
+        or recovery re-admits the finished job."""
+        _GATE_STARTED.clear()
+        _GATE_RELEASE.clear()
+        try:
+            with ResilienceService(
+                workers=1, service_dir=str(tmp_path)
+            ) as svc:
+                first = svc.submit(
+                    "gated", gated_point_fn, grid={"x": [1]}, seed=4
+                )
+                assert _GATE_STARTED.wait(30)  # the chunk is running
+                twin = svc.submit(
+                    "gated", gated_point_fn, grid={"x": [1]}, seed=4
+                )
+                assert twin.progress()["deduped"] == 0  # still waiting
+                _GATE_RELEASE.set()
+                assert first.wait(30) and twin.wait(30)
+                assert twin.state == DONE
+                assert twin.progress()["deduped"] == 1
+        finally:
+            _GATE_RELEASE.set()
+        completed = [
+            json.loads(line)["job"]
+            for line in _read_lines(tmp_path / JOURNAL_NAME)
+            if '"completed"' in line
+        ]
+        assert sorted(completed) == [first.id, twin.id]
+        with ResilienceService(
+            workers=1, service_dir=str(tmp_path)
+        ) as svc:
+            assert svc.recovery["jobs"] == 0  # nothing re-admitted
 
     def test_cancelled_jobs_stay_cancelled_after_restart(self, tmp_path):
         with ResilienceService(
