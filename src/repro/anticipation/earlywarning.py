@@ -90,12 +90,32 @@ def rolling_autocorrelation(series: np.ndarray, window: int) -> np.ndarray:
     return _rolling_apply(x, window, _lag1)
 
 
+def _skewness(w: np.ndarray) -> float:
+    """Biased skewness ``m3 / m2**1.5`` of one window; 0.0 if it is flat.
+
+    Step for step the arithmetic :func:`scipy.stats.skew` does on a 1-D
+    array (mean, demeaned squares and cubes, its near-constant NaN
+    guard), so the values match it bit for bit.  Calling scipy itself
+    costs ~1 ms of argument handling per window, which dominated every
+    rolling analysis.
+    """
+    if not np.var(w) > 0:
+        return 0.0
+    mean = np.mean(w, keepdims=True)
+    d = w - mean
+    m2 = np.mean(d**2)
+    cubes = d**2
+    cubes *= d
+    m3 = np.mean(cubes)
+    if m2 <= (np.finfo(m2.dtype).eps * mean[0]) ** 2:
+        return float("nan")
+    return float(m3 / m2**1.5)
+
+
 def rolling_skewness(series: np.ndarray, window: int) -> np.ndarray:
     """Windowed skewness — flickering toward the alternative basin."""
     x = _check_series(series, window)
-    return _rolling_apply(
-        x, window, lambda w: float(stats.skew(w)) if np.var(w) > 0 else 0.0
-    )
+    return _rolling_apply(x, window, _skewness)
 
 
 def kendall_trend(indicator: np.ndarray) -> float:

@@ -304,8 +304,13 @@ def _reap(proc: mp.process.BaseProcess, term_grace: float) -> None:
         proc.join(term_grace)
 
 
-def _died(w: _Worker, elapsed: float) -> PointOutcome:
-    w.process.join()
+def _died(w: _Worker, elapsed: float, term_grace: float) -> PointOutcome:
+    """The outcome of a worker that closed its pipe or exited without a
+    result.  A worker whose pipe is closed but whose exit stalls (on a
+    lock inherited through fork, say) is reaped, not awaited."""
+    w.process.join(term_grace)
+    if w.process.is_alive():
+        _reap(w.process, term_grace)
     return PointOutcome(
         index=w.attempt.task.index,
         ok=False,
@@ -318,15 +323,15 @@ def _died(w: _Worker, elapsed: float) -> PointOutcome:
     )
 
 
-def _receive(w: _Worker, elapsed: float) -> PointOutcome:
+def _receive(w: _Worker, elapsed: float, term_grace: float) -> PointOutcome:
     """Read one attempt's result from a readable pipe (result or EOF)."""
     att = w.attempt
     try:
         payload = w.conn.recv()
-    except EOFError:
-        # write end closed with nothing sent: the worker died before it
-        # could report (segfault, os._exit, kill)
-        return _died(w, elapsed)
+    except (EOFError, OSError):
+        # write end closed with nothing (or half a message) sent: the
+        # worker died before it could report (segfault, os._exit, kill)
+        return _died(w, elapsed, term_grace)
     if payload[0] == "ok":
         return PointOutcome(
             index=att.task.index,
@@ -365,12 +370,12 @@ def _harvest(
     """
     elapsed = now - w.started
     if w.conn.poll():
-        return _receive(w, elapsed)
+        return _receive(w, elapsed, term_grace)
     if not w.process.is_alive():
         # the result may have raced the liveness check: look again
         if w.conn.poll():
-            return _receive(w, elapsed)
-        return _died(w, elapsed)
+            return _receive(w, elapsed, term_grace)
+        return _died(w, elapsed, term_grace)
     if w.deadline is not None and now > w.deadline:
         _reap(w.process, term_grace)
         tr.count("executor.timeouts")

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.anticipation.earlywarning import (
     compute_indicators,
@@ -53,6 +56,29 @@ class TestRollingStatistics:
         x = make_rng(4).normal(0, 1, 1000)
         sk = rolling_skewness(x, 200)
         assert abs(np.mean(sk)) < 0.3
+
+    def test_skewness_matches_scipy_bit_for_bit(self):
+        """The per-window kernel is scipy.stats.skew's arithmetic, not an
+        approximation: every window agrees exactly, flat windows are 0
+        and near-constant ones NaN, as with scipy."""
+        rng = make_rng(6)
+        windows = [
+            rng.normal(0, 1, 40),
+            rng.lognormal(0, 1, 25) * 1e6,
+            1e8 + rng.normal(0, 1e-8, 30),  # scipy's near-constant NaN
+            rng.integers(0, 3, 20).astype(float),
+            np.ones(10),
+        ]
+        for w in windows:
+            with warnings.catch_warnings():  # scipy flags the NaN case
+                warnings.simplefilter("ignore", RuntimeWarning)
+                expected = float(stats.skew(w)) if np.var(w) > 0 else 0.0
+            got = rolling_skewness(w, len(w))
+            assert np.array([expected]).tobytes() == got.tobytes()
+        x = ar1_series(0.9, 600, seed=7)
+        expected = [float(stats.skew(x[i:i + 50])) for i in range(551)]
+        assert np.array(expected).tobytes() == \
+            rolling_skewness(x, 50).tobytes()
 
     def test_window_validation(self):
         x = np.ones(20)

@@ -85,6 +85,14 @@ def ignore_sigterm_and_hang(value):
     return value
 
 
+def close_pipe_and_linger(conn):
+    """A worker whose pipe closes but whose exit stalls: SIGTERM is
+    ignored, the pipe end is closed, then it hangs."""
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    conn.close()
+    time.sleep(120)
+
+
 def sleepy(value):
     time.sleep(1.2)
     return value * 2
@@ -383,6 +391,37 @@ class TestBoundedReap:
         )
         assert [o.ok for o in outcomes] == [True, False, True]
         assert [o.value for o in outcomes if o.ok] == [0, 4]
+
+    def test_closed_pipe_with_stalled_exit_is_reaped(self):
+        """EOF on a worker's pipe whose process never exits (its exit
+        stuck on, say, a lock inherited through fork): the harvest reaps
+        it after ``term_grace`` instead of joining it forever."""
+        ctx = mp.get_context("fork")
+        parent_conn, child_conn = ctx.Pipe()
+        proc = ctx.Process(target=close_pipe_and_linger, args=(child_conn,))
+        proc.start()
+        child_conn.close()
+        try:
+            assert parent_conn.poll(30)  # EOF: the worker closed its end
+            now = time.monotonic()
+            w = _Worker(
+                process=proc,
+                conn=parent_conn,
+                attempt=_Attempt(PointTask(index=0, value=0)),
+                started=now,
+            )
+            outcome = _harvest(
+                w, now, timeout=None, term_grace=0.2, tr=trace.NULL
+            )
+            assert time.monotonic() - now < 10  # was: join() forever
+            assert outcome is not None and not outcome.ok
+            assert "died without a result" in outcome.error
+            assert not proc.is_alive()
+        finally:
+            if proc.is_alive():
+                proc.kill()
+                proc.join(30)
+            parent_conn.close()
 
     def test_term_grace_validated(self):
         with pytest.raises(ConfigurationError):
