@@ -17,8 +17,9 @@ benchmark itself, not just claimed.
 
 Engines cover the axis up to their practical envelope
 (:data:`SCALE_CAP`): the object engine's per-node Python structures
-stop at 10^4, the in-RAM array engine at 10^5, and the memory-mapped
-engine streams the full axis to 4·10^6 nodes.  ``smoke=True`` shrinks
+stop at 10^4, the ``array`` kind's in-RAM CSR at 10^5, and the ``mmap``
+kind — the same block-streamed kernels over a memory-mapped CSR —
+streams the full axis to 4·10^6 nodes.  ``smoke=True`` shrinks
 the axis (and caps) by ~three orders of magnitude so CI exercises every
 code path in seconds.
 

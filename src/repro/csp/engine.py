@@ -106,7 +106,7 @@ class BitCSPEngine(CSPEngine):
         self.max_bits = max_bits
 
     def try_compile(self, csp: CSP) -> Optional[CompiledBitCSP]:
-        budget = supervisor.current().csp_memory_budget()
+        budget = supervisor.current().memory_budget_bytes()
         if budget is not None:
             estimate = estimate_compile_bytes(csp)
             if estimate is not None and estimate > budget:
@@ -189,7 +189,7 @@ class TiledCSPEngine(CSPEngine):
         if n > self.max_bits:
             trace.current().count("csp.fallbacks")
             return None
-        budget = supervisor.current().csp_memory_budget()
+        budget = supervisor.current().memory_budget_bytes()
         if n <= self.bit_max_bits and self.block_bits is None:
             estimate = estimate_compile_bytes(csp)
             if estimate is None:

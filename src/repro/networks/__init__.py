@@ -20,7 +20,6 @@ from .cascades import (
 )
 from .engine import (
     ArrayNetworkEngine,
-    MmapNetworkEngine,
     NetworkEngine,
     ObjectNetworkEngine,
     make_network_engine,
@@ -37,12 +36,7 @@ from .generators import (
 )
 from .graph import Graph
 from .healing import NetworkRecoveryResult, NetworkRecoverySimulator
-from .mmapgraph import (
-    MmapGraph,
-    as_mmapgraph,
-    derive_chunk_elems,
-    estimate_graph_bytes,
-)
+from .mmapgraph import MmapGraph, derive_chunk_elems
 from .metrics import (
     assortativity,
     average_clustering,
@@ -61,14 +55,11 @@ __all__ = [
     "TargetedDegreeAttack",
     "make_attack",
     "ArrayNetworkEngine",
-    "MmapNetworkEngine",
     "NetworkEngine",
     "ObjectNetworkEngine",
     "make_network_engine",
     "MmapGraph",
-    "as_mmapgraph",
     "derive_chunk_elems",
-    "estimate_graph_bytes",
     "BetweennessAttack",
     "betweenness_centrality",
     "CascadeResult",

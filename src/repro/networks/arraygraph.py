@@ -1,4 +1,4 @@
-"""CSR array graph and vectorized network-resilience kernels.
+"""CSR array graph and the vectorized primitives of the network kernels.
 
 The §5.1 experiments (attack percolation, cascades, epidemics, healing)
 were first written over the dict-of-sets :class:`~repro.networks.graph.
@@ -7,25 +7,33 @@ scratch after every removal — O(n·(n+m)) per curve.  This module is the
 network analogue of :mod:`repro.agents.arrayengine`: the same models on
 a compressed-sparse-row adjacency (int32 ``indices``; ``indptr`` int32
 until ``2·m`` outgrows it, then int64 — see
-:data:`INT32_INDPTR_CAPACITY`) with whole-frontier array kernels:
+:data:`INT32_INDPTR_CAPACITY`) held in RAM, plus the array primitives
+the network engine builds on:
 
+* **ragged row gathers** (:func:`gather_rows`,
+  :func:`directed_edge_blocks`) — boolean state masks plus CSR row
+  gathers via ``np.repeat`` drive the frontier expansion of cascades
+  and epidemics;
+* **geometric-gap Bernoulli sampling** (:func:`bernoulli_indices`)
+  replacing per-edge Python RNG calls;
 * **union-find** (path halving + union by size) connected components
   over the CSR edge arrays, with a fully vectorized min-label
   pointer-jumping variant for one-shot component labelling;
-* **reverse Newman–Ziff percolation**: the giant-component curve is
-  built by *adding* nodes in reverse attack order, one near-O(1) union
-  per incident edge — O((n+m)·α) for the whole curve instead of one BFS
-  sweep per checkpoint;
-* **array-frontier BFS** propagation for cascades and epidemics
-  (boolean state masks + ragged CSR row gathers via ``np.repeat`` /
-  ``np.add.at``), with geometric-gap Bernoulli sampling
-  (:func:`bernoulli_indices`) replacing per-edge Python RNG calls;
+* **reverse Newman–Ziff percolation** (:func:`newman_ziff_giant_sizes`):
+  the giant-component curve built by *adding* nodes in reverse attack
+  order, one near-O(1) union per incident edge — O((n+m)·α) for the
+  whole curve instead of one BFS sweep per checkpoint.  This
+  single-pass version is the reference the block-streamed
+  :func:`~repro.networks.mmapgraph.chunked_newman_ziff_giant_sizes`
+  (which the engine runs) is pinned against;
 * **vectorized attack orderings**: degree ranking via ``np.lexsort``
   (exact ``(-degree, repr)`` tie-breaking, matching the object path
   bit-for-bit) and an incremental adaptive-degree order.
 
-Engine selection lives in :mod:`repro.networks.engine`
-(``make_network_engine`` / ``REPRO_NETWORK_ENGINE``); the equivalence
+The kernels themselves live in :class:`repro.networks.engine.
+ArrayNetworkEngine` (``make_network_engine`` / ``REPRO_NETWORK_ENGINE``),
+which runs on an :class:`ArrayGraph` in RAM or a
+:class:`~repro.networks.mmapgraph.MmapGraph` on disk; the equivalence
 contract against the object engine is pinned by
 ``tests/networks/test_arraygraph.py``.
 """
@@ -587,7 +595,9 @@ def bernoulli_indices(rng, count: int, p: float) -> np.ndarray:
     pos = -1
     while True:
         need = max(16, int((count - pos) * p * 1.3) + 4)
-        gaps = rng.geometric(p, size=need)
+        # a gap past ``count`` ends the draw either way; clamping it
+        # keeps the cumsum from overflowing int64 at subnormal-small p
+        gaps = np.minimum(rng.geometric(p, size=need), count + 1)
         hits = np.cumsum(gaps) + pos
         if len(hits) == 0 or hits[-1] >= count:
             chunks.append(hits[hits < count])

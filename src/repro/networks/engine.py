@@ -1,4 +1,4 @@
-"""Network engine selection: reference object kernels vs CSR array kernels.
+"""Network engine selection: reference object kernels vs CSR kernels.
 
 Mirrors :func:`repro.agents.arrayengine.make_engine` for the network
 substrate.  :func:`make_network_engine` resolves an engine ``kind``
@@ -14,19 +14,20 @@ opts in.  :func:`~repro.networks.percolation.percolation_curve`,
 their hot loops through the resolved engine.
 
 The object engine hosts the original dict-of-sets loops verbatim (same
-RNG draw order, same float accumulation order).  The array engine runs
-the CSR kernels from :mod:`repro.networks.arraygraph`; deterministic
-quantities (component sizes, percolation curves, load-cascade failure
-sets, healing quality traces) match the object engine exactly, while
-stochastic spreading (probabilistic cascades, SIS/SIR) draws its
-randomness in frontier batches and therefore matches statistically over
-seeds rather than draw-for-draw — the same equivalence contract as the
-agents array engine.  The mmap engine runs the chunked out-of-core
-kernels from :mod:`repro.networks.mmapgraph` over memory-mapped CSR
-files; its outputs — deterministic *and* stochastic — are
-byte-identical to the array engine on the same graph, and the array
-engine degrades to it (rather than OOM-ing) when the supervisor's
-memory budget says the in-RAM kernels won't fit.  All engines report
+RNG draw order, same float accumulation order).  ``"array"`` and
+``"mmap"`` name one engine, :class:`ArrayNetworkEngine`: block-streamed
+CSR kernels that run on whatever CSR the graph already holds — an
+:class:`~repro.networks.arraygraph.ArrayGraph` (or a
+:class:`~repro.networks.graph.Graph`, converted once and cached) in
+RAM, a :class:`~repro.networks.mmapgraph.MmapGraph` on disk — so the
+two kinds differ only in where the caller stored the graph.
+Deterministic quantities (component sizes, percolation curves,
+load-cascade failure sets, healing quality traces) match the object
+engine exactly, while stochastic spreading (probabilistic cascades,
+SIS/SIR) draws its randomness in frontier batches and therefore matches
+the object engine statistically over seeds rather than draw-for-draw —
+the same equivalence contract as the agents array engine — but is
+byte-identical across block sizes and storages.  All engines report
 ``net.*`` timers/counters through :mod:`repro.runtime.trace`.
 """
 
@@ -44,21 +45,17 @@ from .arraygraph import (
     as_arraygraph,
     bernoulli_indices,
     gather_rows,
-    newman_ziff_giant_sizes,
 )
 from .graph import Graph
 from .mmapgraph import (
     MmapGraph,
-    as_mmapgraph,
     chunked_newman_ziff_giant_sizes,
     derive_chunk_elems,
-    estimate_graph_bytes,
     frontier_slices,
 )
 
 __all__ = [
     "ArrayNetworkEngine",
-    "MmapNetworkEngine",
     "NetworkEngine",
     "ObjectNetworkEngine",
     "make_network_engine",
@@ -282,61 +279,55 @@ class ObjectNetworkEngine(NetworkEngine):
 
 
 class ArrayNetworkEngine(NetworkEngine):
-    """CSR array kernels (see :mod:`repro.networks.arraygraph`).
+    """Block-streamed CSR kernels over an in-RAM or memory-mapped graph.
 
-    A MAPE memory guard fronts every kernel: when the supervisor carries
-    a ``memory_budget_mb`` and :func:`~repro.networks.mmapgraph.
-    estimate_graph_bytes` says the in-RAM kernels would exceed it — or
-    when the input is already an :class:`~repro.networks.mmapgraph.
-    MmapGraph` — the call degrades to the chunked
-    :class:`MmapNetworkEngine` instead of OOM-ing (the network mirror of
-    the bit-CSP compile pre-emption).
+    One set of kernels serves both fast kinds: a
+    :class:`~repro.networks.mmapgraph.MmapGraph` is walked where it
+    lies on disk, anything else through its cached
+    :class:`~repro.networks.arraygraph.ArrayGraph`.  Every hot loop
+    walks the ``indices`` array in fixed-size blocks, so the kernels'
+    working memory is O(n + block) whatever the edge count: Newman–Ziff percolation and
+    healing stream additions through
+    :func:`~repro.networks.mmapgraph.chunked_newman_ziff_giant_sizes`,
+    cascades and SIS/SIR expand their frontiers block by block with a
+    two-pass draw that spends the RNG exactly as one whole-frontier
+    gather would.  Every output — deterministic or stochastic — is
+    therefore byte-identical across block sizes and across the two
+    storages of one CSR.
+
+    The block size comes from the supervisor's ``memory_budget_mb`` via
+    :func:`~repro.networks.mmapgraph.derive_chunk_elems`, so a budget
+    *schedules* smaller blocks instead of refusing (an explicit
+    ``block_elems`` overrides it; the equivalence tests use it to sweep
+    block boundaries).
     """
 
     name = "array"
 
-    @staticmethod
-    def _mmap_delegate(g) -> "MmapNetworkEngine | None":
-        """The chunked engine to run instead, or None to stay in RAM."""
-        if isinstance(g, MmapGraph):
-            return MmapNetworkEngine()
-        estimate = estimate_graph_bytes(g)
-        budget = supervisor.current().memory_budget_bytes()
-        if (
-            estimate is not None
-            and budget is not None
-            and estimate > budget
-        ):
-            tr = trace.current()
-            tr.count("net.mmap.degrades")
-            tr.count("supervisor.preemptions")
-            tr.warning(
-                "in-RAM network kernels pre-empted by memory budget; "
-                "degrading to chunked mmap kernels",
-                estimated_bytes=estimate,
-                budget_bytes=budget,
-            )
-            return MmapNetworkEngine()
-        return None
+    def __init__(self, block_elems: "int | None" = None):
+        self._block_elems = block_elems
+
+    def _block(self) -> int:
+        if self._block_elems is not None:
+            return self._block_elems
+        return derive_chunk_elems(
+            supervisor.current().memory_budget_bytes()
+        )
 
     def ordering_graph(self, g):
-        mm = self._mmap_delegate(g)
-        if mm is not None:
-            return mm.ordering_graph(g)
-        return as_arraygraph(g)
+        return _csr(g)
 
     def percolation_giant_sizes(self, g, order, checkpoints):
-        mm = self._mmap_delegate(g)
-        if mm is not None:
-            return mm.percolation_giant_sizes(g, order, checkpoints)
-        ag = as_arraygraph(g)
+        cg = _csr(g)
         tr = trace.current()
         with tr.timer("net.percolation.array"):
-            n = ag.n_nodes
-            order_idx = ag.indices_of(order)
-            # removals evaluated in reverse as Newman–Ziff additions
-            sizes = newman_ziff_giant_sizes(
-                ag.indptr, ag.indices, order_idx[::-1]
+            n = cg.n_nodes
+            order_idx = cg.indices_of(order)
+            # removals evaluated in reverse as Newman–Ziff additions,
+            # neighbor lists arriving in budget-sized blocks
+            sizes = chunked_newman_ziff_giant_sizes(
+                cg.indptr, cg.indices, order_idx[::-1],
+                block_elems=self._block(),
             )
             out = [int(sizes[n])]
             out.extend(int(sizes[n - i]) for i in checkpoints)
@@ -345,14 +336,11 @@ class ArrayNetworkEngine(NetworkEngine):
         return out
 
     def load_cascade(self, graph, initial_load, capacity, seeds):
-        mm = self._mmap_delegate(graph)
-        if mm is not None:
-            return mm.load_cascade(graph, initial_load, capacity, seeds)
-        ag = as_arraygraph(graph)
+        cg = _csr(graph)
         tr = trace.current()
         with tr.timer("net.cascade.array"):
-            n = ag.n_nodes
-            labels = ag.labels
+            n = cg.n_nodes
+            labels = cg.labels
             load = np.asarray(
                 [initial_load[lab] for lab in labels], dtype=float
             )
@@ -360,73 +348,127 @@ class ArrayNetworkEngine(NetworkEngine):
                 [capacity[lab] for lab in labels], dtype=float
             )
             failed = np.zeros(n, dtype=bool)
-            wave = np.sort(ag.indices_of(seeds))
+            wave = np.sort(cg.indices_of(seeds))
             waves = 0
+            block = self._block()
+            indptr, indices = cg.indptr, cg.indices
             while wave.size:
                 waves += 1
+                # marked failed first, so no block's shares reach a wave
+                # node: each block reads the loads the wave started with
                 failed[wave] = True
-                flat, counts = gather_rows(ag.indptr, ag.indices, wave)
-                flat = flat.astype(np.int64)
-                live = ~failed[flat]
-                owner_pos = np.repeat(
-                    np.arange(len(wave), dtype=np.int64), counts
-                )
-                live_counts = np.bincount(
-                    owner_pos, weights=live, minlength=len(wave)
-                )
-                share = np.zeros(len(wave))
-                has_live = live_counts > 0
-                share[has_live] = load[wave[has_live]] / \
-                    live_counts[has_live]
-                np.add.at(load, flat[live], np.repeat(share, counts)[live])
+                for a, b in frontier_slices(indptr, wave, block):
+                    rows = wave[a:b]
+                    flat, counts = gather_rows(indptr, indices, rows)
+                    flat = flat.astype(np.int64)
+                    live = ~failed[flat]
+                    owner_pos = np.repeat(
+                        np.arange(len(rows), dtype=np.int64), counts
+                    )
+                    live_counts = np.bincount(
+                        owner_pos, weights=live, minlength=len(rows)
+                    )
+                    share = np.zeros(len(rows))
+                    has_live = live_counts > 0
+                    share[has_live] = load[rows[has_live]] / \
+                        live_counts[has_live]
+                    np.add.at(
+                        load, flat[live], np.repeat(share, counts)[live]
+                    )
                 wave = np.flatnonzero(~failed & (load > cap))
             failed_labels = {labels[int(i)] for i in np.flatnonzero(failed)}
         tr.count("net.cascades.array")
         return failed_labels, waves
 
+    def _frontier_hits(self, cg, rows, candidate_mask, p, rng, block):
+        """``candidates[hits]`` of one whole-frontier gather, in blocks.
+
+        Pass 1 gathers each block's candidates (mask state frozen by the
+        caller until this returns), keeping them while their running
+        total fits one block; a single
+        :func:`~repro.networks.arraygraph.bernoulli_indices` draw then
+        covers the whole frontier, so the RNG is spent as if the
+        frontier had been gathered at once; pass 2 re-gathers only the
+        dropped blocks that hold hits, emitting candidates in frontier
+        order.
+        """
+        indptr, indices = cg.indptr, cg.indices
+
+        def candidates(a, b):
+            flat, _ = gather_rows(indptr, indices, rows[a:b])
+            flat = flat.astype(np.int64)
+            return flat[candidate_mask(flat)]
+
+        bounds = list(frontier_slices(indptr, rows, block))
+        counts = np.empty(len(bounds), dtype=np.int64)
+        kept: list = []
+        kept_total = 0
+        for k, (a, b) in enumerate(bounds):
+            cands = candidates(a, b)
+            counts[k] = len(cands)
+            if kept_total + len(cands) <= block:
+                kept.append(cands)
+                kept_total += len(cands)
+            else:
+                kept.append(None)
+        hits = bernoulli_indices(rng, int(counts.sum()), p)
+        if len(hits) == 0:
+            return np.empty(0, dtype=np.int64)
+        out = []
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        for k, (a, b) in enumerate(bounds):
+            sel = hits[(hits >= offsets[k]) & (hits < offsets[k + 1])]
+            if len(sel) == 0:
+                continue
+            cands = candidates(a, b) if kept[k] is None else kept[k]
+            out.append(cands[sel - offsets[k]])
+        return np.concatenate(out)
+
     def spread_cascade(self, graph, spread_p, seeds, rng):
-        mm = self._mmap_delegate(graph)
-        if mm is not None:
-            return mm.spread_cascade(graph, spread_p, seeds, rng)
-        ag = as_arraygraph(graph)
+        cg = _csr(graph)
         tr = trace.current()
         with tr.timer("net.cascade.array"):
-            labels = ag.labels
-            failed = np.zeros(ag.n_nodes, dtype=bool)
-            wave = np.sort(ag.indices_of(seeds))
+            labels = cg.labels
+            failed = np.zeros(cg.n_nodes, dtype=bool)
+            wave = np.sort(cg.indices_of(seeds))
             failed[wave] = True
             waves = 0
+            block = self._block()
             while wave.size:
                 waves += 1
-                flat, _ = gather_rows(ag.indptr, ag.indices, wave)
-                flat = flat.astype(np.int64)
-                candidates = flat[~failed[flat]]
-                hits = bernoulli_indices(rng, candidates.size, spread_p)
-                new = np.unique(candidates[hits])
+                hit = self._frontier_hits(
+                    cg, wave, lambda flat: ~failed[flat],
+                    spread_p, rng, block,
+                )
+                new = np.unique(hit)
                 failed[new] = True
                 wave = new
             failed_labels = {labels[int(i)] for i in np.flatnonzero(failed)}
         tr.count("net.cascades.array")
         return failed_labels, waves
 
-    def _epidemic(self, ag, beta, gamma, immune_mask, infected_mask,
+    def _epidemic(self, cg, beta, gamma, immune_mask, infected_mask,
                   max_steps, rng, recovered_mask):
         """Shared SIS/SIR frontier loop (SIR passes a recovered mask)."""
-        indptr, indices = ag.indptr, ag.indices
+        block = self._block()
         ever = infected_mask.copy()
         counts = [int(infected_mask.sum())]
+
+        def candidate_mask(flat):
+            m = ~infected_mask[flat] & ~immune_mask[flat]
+            if recovered_mask is not None:
+                m &= ~recovered_mask[flat]
+            return m
+
         for _ in range(max_steps):
             infected_idx = np.flatnonzero(infected_mask)
             if infected_idx.size == 0:
                 break
-            flat, _ = gather_rows(indptr, indices, infected_idx)
-            flat = flat.astype(np.int64)
-            susceptible = ~infected_mask[flat] & ~immune_mask[flat]
-            if recovered_mask is not None:
-                susceptible &= ~recovered_mask[flat]
-            candidates = flat[susceptible]
-            hits = bernoulli_indices(rng, candidates.size, beta)
-            new = candidates[hits]
+            # masks are mutated only after both draws, so pass 1 and
+            # pass 2 of the frontier see identical candidate sets
+            new = self._frontier_hits(
+                cg, infected_idx, candidate_mask, beta, rng, block
+            )
             recs = bernoulli_indices(rng, infected_idx.size, gamma)
             recovered_now = infected_idx[recs]
             infected_mask[recovered_now] = False
@@ -439,30 +481,24 @@ class ArrayNetworkEngine(NetworkEngine):
 
     def _run_epidemic(self, graph, beta, gamma, immune, infected,
                       max_steps, rng, with_recovered):
-        mm = self._mmap_delegate(graph)
-        if mm is not None:
-            return mm._run_epidemic(
-                graph, beta, gamma, immune, infected, max_steps, rng,
-                with_recovered,
-            )
-        ag = as_arraygraph(graph)
+        cg = _csr(graph)
         tr = trace.current()
         with tr.timer("net.epidemic.array"):
-            n = ag.n_nodes
+            n = cg.n_nodes
             immune_mask = np.zeros(n, dtype=bool)
             if immune:
-                immune_mask[ag.indices_of(immune)] = True
+                immune_mask[cg.indices_of(immune)] = True
             infected_mask = np.zeros(n, dtype=bool)
             if infected:
-                infected_mask[ag.indices_of(infected)] = True
+                infected_mask[cg.indices_of(infected)] = True
             recovered_mask = (
                 np.zeros(n, dtype=bool) if with_recovered else None
             )
             counts, infected_mask, ever = self._epidemic(
-                ag, beta, gamma, immune_mask, infected_mask,
+                cg, beta, gamma, immune_mask, infected_mask,
                 max_steps, rng, recovered_mask,
             )
-            labels = ag.labels
+            labels = cg.labels
             final = {
                 labels[int(i)] for i in np.flatnonzero(infected_mask)
             }
@@ -484,24 +520,20 @@ class ArrayNetworkEngine(NetworkEngine):
 
     def healing_episode(self, graph, to_remove, repairs_per_step,
                         horizon, shock_time):
-        mm = self._mmap_delegate(graph)
-        if mm is not None:
-            return mm.healing_episode(
-                graph, to_remove, repairs_per_step, horizon, shock_time
-            )
-        ag = as_arraygraph(graph)
+        cg = _csr(graph)
         tr = trace.current()
         with tr.timer("net.healing.array"):
-            n = ag.n_nodes
-            removed_idx = ag.indices_of(to_remove)
+            n = cg.n_nodes
+            removed_idx = cg.indices_of(to_remove)
             n_removed = len(removed_idx)
             base = np.ones(n, dtype=bool)
             base[removed_idx] = False
             # one Newman–Ziff pass: survivors first, then victims restored
             # in triage order — sizes[k] is the giant with k nodes healed
-            sizes = newman_ziff_giant_sizes(
-                ag.indptr, ag.indices, removed_idx,
+            sizes = chunked_newman_ziff_giant_sizes(
+                cg.indptr, cg.indices, removed_idx,
                 base=np.flatnonzero(base),
+                block_elems=self._block(),
             )
             full = int(sizes[n_removed])
             times: list[float] = []
@@ -525,276 +557,16 @@ class ArrayNetworkEngine(NetworkEngine):
         return times, quality, fully
 
 
-class MmapNetworkEngine(NetworkEngine):
-    """Chunked kernels over memory-mapped CSR graphs (out-of-core).
-
-    Every hot loop of :class:`ArrayNetworkEngine` re-expressed as a walk
-    over fixed-size blocks of the (memory-mapped) ``indices`` array, so
-    peak RSS is O(n + block) instead of O(n + m·45-bytes-per-boxed-int):
-    Newman–Ziff percolation and healing stream additions through
-    :func:`~repro.networks.mmapgraph.chunked_newman_ziff_giant_sizes`,
-    cascades and SIS/SIR expand their frontiers block-by-block with a
-    two-pass draw that consumes the RNG exactly as the single-gather
-    array kernels do.  Deterministic outputs (curves, cascade failure
-    sets, healing traces) and stochastic draws alike are byte-identical
-    to the array engine on the same graph — this kind trades wall-clock
-    (~2-4x on in-RAM sizes) for a bounded memory envelope, which is why
-    the supervisor degrades *to* it rather than selecting it by default.
-
-    The block size comes from the supervisor's ``memory_budget_mb`` via
-    :func:`~repro.networks.mmapgraph.derive_chunk_elems` (or an explicit
-    ``block_elems``, used by the equivalence tests to sweep block
-    boundaries).
-    """
-
-    name = "mmap"
-
-    def __init__(self, block_elems: "int | None" = None):
-        self._block_elems = block_elems
-
-    def _block(self) -> int:
-        if self._block_elems is not None:
-            return self._block_elems
-        return derive_chunk_elems(
-            supervisor.current().memory_budget_bytes()
-        )
-
-    def ordering_graph(self, g):
-        return as_mmapgraph(g)
-
-    def percolation_giant_sizes(self, g, order, checkpoints):
-        mg = as_mmapgraph(g)
-        tr = trace.current()
-        with tr.timer("net.percolation.mmap"):
-            n = mg.n_nodes
-            order_idx = mg.indices_of(order)
-            # removals evaluated in reverse as Newman–Ziff additions,
-            # neighbor lists arriving in budget-sized blocks
-            sizes = chunked_newman_ziff_giant_sizes(
-                mg.indptr, mg.indices, order_idx[::-1],
-                block_elems=self._block(),
-            )
-            out = [int(sizes[n])]
-            out.extend(int(sizes[n - i]) for i in checkpoints)
-        tr.count("net.curves.mmap")
-        tr.count("net.nz_nodes.mmap", n)
-        return out
-
-    def load_cascade(self, graph, initial_load, capacity, seeds):
-        mg = as_mmapgraph(graph)
-        tr = trace.current()
-        with tr.timer("net.cascade.mmap"):
-            n = mg.n_nodes
-            labels = mg.labels
-            load = np.asarray(
-                [initial_load[lab] for lab in labels], dtype=float
-            )
-            cap = np.asarray(
-                [capacity[lab] for lab in labels], dtype=float
-            )
-            failed = np.zeros(n, dtype=bool)
-            wave = np.sort(mg.indices_of(seeds))
-            waves = 0
-            block = self._block()
-            indptr, indices = mg.indptr, mg.indices
-            while wave.size:
-                waves += 1
-                failed[wave] = True
-                # snapshot pre-redistribution loads: later blocks must
-                # compute shares from the same values the array engine's
-                # single gather reads, not from partially-updated loads
-                wave_load = load[wave]
-                for a, b in frontier_slices(indptr, wave, block):
-                    rows = wave[a:b]
-                    flat, counts = gather_rows(indptr, indices, rows)
-                    flat = flat.astype(np.int64)
-                    live = ~failed[flat]
-                    owner_pos = np.repeat(
-                        np.arange(len(rows), dtype=np.int64), counts
-                    )
-                    live_counts = np.bincount(
-                        owner_pos, weights=live, minlength=len(rows)
-                    )
-                    share = np.zeros(len(rows))
-                    has_live = live_counts > 0
-                    share[has_live] = wave_load[a:b][has_live] / \
-                        live_counts[has_live]
-                    np.add.at(
-                        load, flat[live], np.repeat(share, counts)[live]
-                    )
-                wave = np.flatnonzero(~failed & (load > cap))
-            failed_labels = {labels[int(i)] for i in np.flatnonzero(failed)}
-        tr.count("net.cascades.mmap")
-        return failed_labels, waves
-
-    def _frontier_hits(self, mg, rows, candidate_mask, p, rng, block):
-        """``candidates[hits]`` of the array kernels, without the gather.
-
-        Pass 1 counts candidates per block (mask state frozen by the
-        caller until this returns), a single
-        :func:`~repro.networks.arraygraph.bernoulli_indices` draw then
-        covers the whole frontier — the exact RNG consumption of the
-        single-gather array kernels — and pass 2 re-gathers only the
-        blocks holding hits to emit their candidates in frontier order.
-        """
-        indptr, indices = mg.indptr, mg.indices
-        bounds = list(frontier_slices(indptr, rows, block))
-        counts = np.empty(len(bounds), dtype=np.int64)
-        for k, (a, b) in enumerate(bounds):
-            flat, _ = gather_rows(indptr, indices, rows[a:b])
-            counts[k] = int(
-                np.count_nonzero(candidate_mask(flat.astype(np.int64)))
-            )
-        hits = bernoulli_indices(rng, int(counts.sum()), p)
-        if len(hits) == 0:
-            return np.empty(0, dtype=np.int64)
-        out = []
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        for k, (a, b) in enumerate(bounds):
-            sel = hits[(hits >= offsets[k]) & (hits < offsets[k + 1])]
-            if len(sel) == 0:
-                continue
-            flat, _ = gather_rows(indptr, indices, rows[a:b])
-            flat = flat.astype(np.int64)
-            cands = flat[candidate_mask(flat)]
-            out.append(cands[sel - offsets[k]])
-        return np.concatenate(out)
-
-    def spread_cascade(self, graph, spread_p, seeds, rng):
-        mg = as_mmapgraph(graph)
-        tr = trace.current()
-        with tr.timer("net.cascade.mmap"):
-            labels = mg.labels
-            failed = np.zeros(mg.n_nodes, dtype=bool)
-            wave = np.sort(mg.indices_of(seeds))
-            failed[wave] = True
-            waves = 0
-            block = self._block()
-            while wave.size:
-                waves += 1
-                hit = self._frontier_hits(
-                    mg, wave, lambda flat: ~failed[flat],
-                    spread_p, rng, block,
-                )
-                new = np.unique(hit)
-                failed[new] = True
-                wave = new
-            failed_labels = {labels[int(i)] for i in np.flatnonzero(failed)}
-        tr.count("net.cascades.mmap")
-        return failed_labels, waves
-
-    def _epidemic(self, mg, beta, gamma, immune_mask, infected_mask,
-                  max_steps, rng, recovered_mask):
-        """Shared SIS/SIR chunked-frontier loop (SIR passes a mask)."""
-        block = self._block()
-        ever = infected_mask.copy()
-        counts = [int(infected_mask.sum())]
-
-        def candidate_mask(flat):
-            m = ~infected_mask[flat] & ~immune_mask[flat]
-            if recovered_mask is not None:
-                m &= ~recovered_mask[flat]
-            return m
-
-        for _ in range(max_steps):
-            infected_idx = np.flatnonzero(infected_mask)
-            if infected_idx.size == 0:
-                break
-            # masks are mutated only after both draws, so pass 1 and
-            # pass 2 of the frontier see identical candidate sets
-            new = self._frontier_hits(
-                mg, infected_idx, candidate_mask, beta, rng, block
-            )
-            recs = bernoulli_indices(rng, infected_idx.size, gamma)
-            recovered_now = infected_idx[recs]
-            infected_mask[recovered_now] = False
-            if recovered_mask is not None:
-                recovered_mask[recovered_now] = True
-            infected_mask[new] = True
-            ever[new] = True
-            counts.append(int(infected_mask.sum()))
-        return counts, infected_mask, int(ever.sum())
-
-    def _run_epidemic(self, graph, beta, gamma, immune, infected,
-                      max_steps, rng, with_recovered):
-        mg = as_mmapgraph(graph)
-        tr = trace.current()
-        with tr.timer("net.epidemic.mmap"):
-            n = mg.n_nodes
-            immune_mask = np.zeros(n, dtype=bool)
-            if immune:
-                immune_mask[mg.indices_of(immune)] = True
-            infected_mask = np.zeros(n, dtype=bool)
-            if infected:
-                infected_mask[mg.indices_of(infected)] = True
-            recovered_mask = (
-                np.zeros(n, dtype=bool) if with_recovered else None
-            )
-            counts, infected_mask, ever = self._epidemic(
-                mg, beta, gamma, immune_mask, infected_mask,
-                max_steps, rng, recovered_mask,
-            )
-            labels = mg.labels
-            final = {
-                labels[int(i)] for i in np.flatnonzero(infected_mask)
-            }
-        tr.count("net.epidemic.runs.mmap")
-        tr.count("net.epidemic.steps.mmap", len(counts) - 1)
-        return counts, final, ever
-
-    def sis(self, graph, beta, gamma, immune, infected, steps, rng):
-        return self._run_epidemic(
-            graph, beta, gamma, immune, infected, steps, rng,
-            with_recovered=False,
-        )
-
-    def sir(self, graph, beta, gamma, immune, infected, max_steps, rng):
-        return self._run_epidemic(
-            graph, beta, gamma, immune, infected, max_steps, rng,
-            with_recovered=True,
-        )
-
-    def healing_episode(self, graph, to_remove, repairs_per_step,
-                        horizon, shock_time):
-        mg = as_mmapgraph(graph)
-        tr = trace.current()
-        with tr.timer("net.healing.mmap"):
-            n = mg.n_nodes
-            removed_idx = mg.indices_of(to_remove)
-            n_removed = len(removed_idx)
-            base = np.ones(n, dtype=bool)
-            base[removed_idx] = False
-            sizes = chunked_newman_ziff_giant_sizes(
-                mg.indptr, mg.indices, removed_idx,
-                base=np.flatnonzero(base),
-                block_elems=self._block(),
-            )
-            full = int(sizes[n_removed])
-            times: list[float] = []
-            quality: list[float] = []
-            restored = 0
-            for t in range(horizon):
-                if t == shock_time:
-                    giant = int(sizes[0])
-                elif t > shock_time:
-                    if repairs_per_step > 0 and restored < n_removed:
-                        restored = min(
-                            n_removed, restored + repairs_per_step
-                        )
-                    giant = int(sizes[restored])
-                else:
-                    giant = full
-                times.append(float(t))
-                quality.append(100.0 * giant / n)
-            fully = restored == n_removed and full == n
-        tr.count("net.healing.runs.mmap")
-        return times, quality, fully
+def _csr(g) -> "ArrayGraph | MmapGraph":
+    """The CSR the kernels walk: an MmapGraph stays on disk, else in RAM."""
+    return g if isinstance(g, MmapGraph) else as_arraygraph(g)
 
 
 _ENGINES = {
     "object": ObjectNetworkEngine,
     "array": ArrayNetworkEngine,
-    "mmap": MmapNetworkEngine,
+    # a storage name, not a kernel set: same engine as "array"
+    "mmap": ArrayNetworkEngine,
 }
 
 
@@ -803,15 +575,17 @@ def make_network_engine(
 ) -> NetworkEngine:
     """Resolve a network engine: ``'object'``, ``'array'``, or ``'mmap'``.
 
-    ``kind=None`` reads the ``REPRO_NETWORK_ENGINE`` environment variable
-    and defaults to ``'object'``, preserving pre-array behavior unless a
-    run opts in; an already-constructed engine passes through unchanged.
-    Unrecognized values — passed directly or set in the environment —
-    raise :class:`~repro.errors.EngineError` naming the valid choices
+    ``'array'`` and ``'mmap'`` both resolve to :class:`ArrayNetworkEngine`
+    (the kernels follow the graph's own storage).  ``kind=None`` reads
+    the ``REPRO_NETWORK_ENGINE`` environment variable and defaults to
+    ``'object'``, preserving pre-array behavior unless a run opts in; an
+    already-constructed engine passes through unchanged.  Unrecognized
+    values — passed directly or set in the environment — raise
+    :class:`~repro.errors.EngineError` naming the valid choices
     (resolution shared with the other seams via
     :func:`repro.runtime.engines.resolve_engine_kind`; an installed MAPE
-    supervisor may degrade ``array`` to ``object`` while its breaker is
-    open).
+    supervisor may degrade ``array``/``mmap`` to ``object`` while its
+    breaker is open).
     """
     if isinstance(kind, NetworkEngine):
         return kind

@@ -1,36 +1,35 @@
 """Out-of-core CSR graphs: memory-mapped adjacency + chunked kernels.
 
-:class:`~repro.networks.arraygraph.ArrayGraph` keeps its whole CSR in
-RAM, and the single-pass kernels make it worse: ``newman_ziff_giant_
-sizes`` calls ``indices.tolist()``, boxing every directed edge into a
-Python int (~45 bytes each), so the practical "single-node graph
-ceiling" named in the ROADMAP sits around 10^5 nodes.  This module is
-the network analogue of :mod:`repro.csp.tiledengine`: the same kernels
-stream the structure through fixed-budget blocks instead of refusing.
+The single-pass :func:`~repro.networks.arraygraph.newman_ziff_giant_sizes`
+calls ``indices.tolist()``, boxing every directed edge into a Python int
+(~45 bytes each), so kernels built on it top out around 10^5 nodes.
+This module is the network analogue of :mod:`repro.csp.tiledengine`:
+the kernels stream the structure through fixed-budget blocks instead,
+and the CSR itself may live on disk.
 
 * :class:`MmapGraph` — a CSR graph whose ``indptr``/``indices`` live in
   memory-mapped ``.npy`` files.  Built once (either by copying an
-  in-RAM CSR or by the two-pass spill-to-disk edge sort of
-  :meth:`MmapGraph.from_edge_chunks`), reopened read-only by forked
-  workers via :meth:`MmapGraph.open`.  Node labels default to the
-  identity ``0..n-1`` so no O(n) label/index side tables are
-  materialized.
-* **chunked kernels** — :func:`chunked_newman_ziff_giant_sizes` and
-  :func:`chunked_union_find_labels` walk ``indices`` in fixed-size
-  blocks (``derive_chunk_elems`` turns the supervisor's
-  ``memory_budget_mb`` into a block size, mirroring
+  in-RAM CSR with :meth:`MmapGraph.from_arrays` or by the two-pass
+  spill-to-disk edge sort of :meth:`MmapGraph.from_edge_chunks`),
+  reopened read-only by forked workers via :meth:`MmapGraph.open`.
+  Node labels default to the identity ``0..n-1`` so no O(n)
+  label/index side tables are materialized.
+* **chunked kernels** — :func:`chunked_newman_ziff_giant_sizes`,
+  :func:`chunked_union_find_labels` and :func:`frontier_slices` walk
+  ``indices`` in fixed-size blocks (:func:`derive_chunk_elems` turns
+  the supervisor's ``memory_budget_mb`` into a block size, mirroring
   :func:`repro.csp.tiledengine.derive_block_bits`), so only
   O(block + n) bytes are ever boxed into Python objects regardless of
-  edge count.  Outputs are byte-identical to the single-pass array
-  kernels — same union order, same size bookkeeping — pinned by
-  ``tests/networks/test_mmapgraph.py``.
-* :func:`estimate_graph_bytes` — the pre-emption estimate the array
-  engine consults against the supervisor's memory budget: over-budget
-  graphs degrade to the chunked mmap kernels instead of OOM-ing
-  (mirroring ``estimate_compile_bytes`` from the CSP family).
+  edge count.  They take any CSR arrays, in RAM or mapped: the network
+  engine (:class:`repro.networks.engine.ArrayNetworkEngine`) runs them
+  on an :class:`~repro.networks.arraygraph.ArrayGraph` and an
+  :class:`MmapGraph` alike.  Outputs are byte-identical to the
+  single-pass reference kernels — same union order, same size
+  bookkeeping — pinned by ``tests/networks/test_mmapgraph.py``.
 
 Engine selection lives in :mod:`repro.networks.engine`
-(``REPRO_NETWORK_ENGINE=object|array|mmap``).
+(``REPRO_NETWORK_ENGINE=object|array|mmap``; ``array`` and ``mmap``
+name the same engine).
 """
 
 from __future__ import annotations
@@ -46,33 +45,20 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from . import arraygraph
-from .arraygraph import ArrayGraph, as_arraygraph, directed_edge_blocks
+from .arraygraph import directed_edge_blocks
 from .graph import Graph
 
 __all__ = [
-    "ARRAY_BYTES_PER_DIRECTED_EDGE",
-    "ARRAY_BYTES_PER_NODE",
     "CHUNK_ELEM_BYTES",
     "DEFAULT_CHUNK_BITS",
     "MAX_CHUNK_BITS",
     "MIN_CHUNK_BITS",
     "MmapGraph",
-    "as_mmapgraph",
     "chunked_newman_ziff_giant_sizes",
     "chunked_union_find_labels",
     "derive_chunk_elems",
-    "estimate_graph_bytes",
     "frontier_slices",
 ]
-
-#: what one node costs the *array* engine at kernel time: int32/int64
-#: CSR offsets, the label list + index dict, and the union-find
-#: ``parent``/``size`` Python lists the Newman–Ziff kernel allocates
-ARRAY_BYTES_PER_NODE = 120
-#: what one directed CSR entry costs the array engine: the int32
-#: ``indices`` slot plus the boxed Python int the single-pass
-#: Newman–Ziff kernel creates via ``indices.tolist()``
-ARRAY_BYTES_PER_DIRECTED_EDGE = 50
 
 #: block size used when no memory budget is installed (2^18 = 256K
 #: gathered neighbor slots ≈ 8 MiB in flight with temporaries)
@@ -123,25 +109,6 @@ def derive_chunk_elems(
     ):
         bits += 1
     return 1 << bits
-
-
-def estimate_graph_bytes(g) -> Optional[int]:
-    """What running the array engine's kernels on ``g`` would allocate.
-
-    Counts the CSR arrays plus the Python-object freight of the
-    single-pass kernels (boxed ``tolist`` edges, union-find lists).
-    The array engine compares this against the supervisor's
-    ``memory_budget_mb`` and degrades to the chunked mmap kernels when
-    over — pre-emption, not refusal.  Returns ``None`` for objects that
-    don't expose ``n_nodes``/``n_edges``.
-    """
-    n = getattr(g, "n_nodes", None)
-    m = getattr(g, "n_edges", None)
-    if n is None or m is None:
-        return None
-    return int(n) * ARRAY_BYTES_PER_NODE + 2 * int(m) * (
-        ARRAY_BYTES_PER_DIRECTED_EDGE
-    )
 
 
 # -- the memory-mapped graph ------------------------------------------------
@@ -693,41 +660,6 @@ def _decimal_sort_keys(n: int) -> tuple[np.ndarray, np.ndarray]:
         bound *= 10
     frac = x / np.power(10.0, digits)
     return frac, digits
-
-
-# -- conversion cache ------------------------------------------------------
-
-_MMAP_CACHE: "weakref.WeakKeyDictionary[object, tuple[int, MmapGraph]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def as_mmapgraph(g: "Graph | ArrayGraph | MmapGraph") -> MmapGraph:
-    """Memory-mapped view of ``g``, cached per :class:`Graph` version.
-
-    In-RAM graphs are spilled once (via their :class:`ArrayGraph` CSR,
-    so intra-row order — and therefore every kernel byte — matches the
-    array engine); subsequent calls on an unmutated graph reuse the
-    spill.
-    """
-    if isinstance(g, MmapGraph):
-        return g
-    version = getattr(g, "_version", None)
-    if version is not None:
-        entry = _MMAP_CACHE.get(g)
-        if entry is not None and entry[0] == version:
-            return entry[1]
-    ag = as_arraygraph(g)
-    labels = ag.labels
-    identity = all(
-        isinstance(lab, int) and lab == i for i, lab in enumerate(labels)
-    )
-    mg = MmapGraph.from_arrays(
-        ag.indptr, ag.indices, labels=None if identity else labels
-    )
-    if version is not None:
-        _MMAP_CACHE[g] = (version, mg)
-    return mg
 
 
 # -- chunked kernels -------------------------------------------------------

@@ -3,13 +3,18 @@
 The library has exactly three places where a fast, vectorized engine can
 be swapped for the byte-identical reference implementation:
 
-======== ======================== ========= ======================= =========
-family   seam                     env var   kinds (default*)        fallback
-======== ======================== ========= ======================= =========
-agents   ``make_engine``          ``REPRO_AGENT_ENGINE``   object, array*         object
-networks ``make_network_engine``  ``REPRO_NETWORK_ENGINE`` object*, array, mmap   object
-csp      ``make_csp_engine``      ``REPRO_CSP_ENGINE``     object*, bit, tiled    object
-======== ======================== ========= ======================= =========
+======== ======================== ========================== ====================== ========
+family   seam                     env var                    kinds (default*)       fallback
+======== ======================== ========================== ====================== ========
+agents   ``make_engine``          ``REPRO_AGENT_ENGINE``     object, array*         object
+networks ``make_network_engine``  ``REPRO_NETWORK_ENGINE``   object*, array = mmap  object
+csp      ``make_csp_engine``      ``REPRO_CSP_ENGINE``       object*, bit, tiled    object
+======== ======================== ========================== ====================== ========
+
+The networks seam keeps two fast kind names for one engine: ``array``
+and ``mmap`` both resolve to
+:class:`repro.networks.engine.ArrayNetworkEngine`, whose block-streamed
+kernels run on the graph's own storage (in RAM or memory-mapped).
 
 :func:`resolve_engine_kind` is the shared helper behind all three: it
 applies the same ``None``-means-environment rule, produces the same
@@ -18,8 +23,8 @@ EngineError` naming the valid choices and where the bad value came
 from), and — the reason this lives in ``runtime`` — gives the MAPE
 supervisor (:mod:`repro.runtime.supervisor`) a single choke point to
 degrade a tripped family's fast engine back to its reference fallback
-(``tiled → object``, ``bit → object``, ``array → object``) for the
-remainder of a run.  (The finer-grained ``tiled → bit → object``
+(``tiled → object``, ``bit → object``, ``array``/``mmap → object``) for
+the remainder of a run.  (The finer-grained ``tiled → bit → object``
 *compile* chain is not a breaker concern: it lives inside
 :meth:`repro.csp.engine.TiledCSPEngine.try_compile`, which picks the
 cheapest compiled form per CSP.)

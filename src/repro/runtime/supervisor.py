@@ -32,11 +32,13 @@ to the remaining budget and refuse to launch once it is exhausted
 (Kirigin et al.'s time-bounded recovery made operational) — and a
 **memory budget** (``memory_budget_mb``) pre-empts the Θ(2^n) bit-CSP
 compile before it allocates (:meth:`repro.csp.engine.BitCSPEngine.
-try_compile` consults :meth:`csp_memory_budget`).  The tiled CSP engine
-consumes the same budget differently: instead of refusing, it derives
-its block size from the budget (:func:`repro.csp.tiledengine.
-derive_block_bits`), so an over-budget problem is *scheduled* in more,
-smaller blocks rather than degraded to the object kernels.
+try_compile` consults :meth:`Supervisor.memory_budget_bytes`).  The
+tiled CSP engine and the network engine consume the same budget
+differently: instead of refusing, they derive their block size from it
+(:func:`repro.csp.tiledengine.derive_block_bits`,
+:func:`repro.networks.mmapgraph.derive_chunk_elems`), so an over-budget
+problem is *scheduled* in more, smaller blocks rather than degraded to
+the object kernels.
 
 A module-level *current supervisor* (:func:`current` / :func:`use`)
 mirrors the tracer facade: the default :data:`NULL` supervisor passes
@@ -130,9 +132,6 @@ class NullSupervisor:
     def memory_budget_bytes(self) -> Optional[int]:
         return None
 
-    def csp_memory_budget(self) -> Optional[int]:
-        return None
-
     def tripped_families(self) -> list:
         return []
 
@@ -168,11 +167,8 @@ class Supervisor:
         Optional memory budget (MiB) consulted by the bit-CSP engine
         before its Θ(2^n · n_constraints) compile; an over-budget
         compile is pre-empted into the object fallback.  The tiled
-        engine instead folds the budget into its block schedule
-        (smaller blocks, never refusal), and the array network engine
-        degrades over-budget graphs to the chunked memory-mapped
-        kernels, which likewise derive their block size from the
-        budget.
+        CSP engine and the network engine instead fold the budget into
+        their block schedules (smaller blocks, never refusal).
     """
 
     def __init__(
@@ -338,18 +334,14 @@ class Supervisor:
         """The memory budget in bytes (None when unbounded).
 
         One budget, consumed per family: the bit-CSP engine pre-empts
-        over-budget compiles, the tiled CSP engine folds it into its
-        block schedule, and the array network engine degrades
-        over-budget graphs to the chunked mmap kernels
-        (:func:`repro.networks.mmapgraph.estimate_graph_bytes`).
+        over-budget compiles, while the tiled CSP engine and the network
+        engine fold it into their block schedules
+        (:func:`repro.networks.mmapgraph.derive_chunk_elems`) — smaller
+        blocks, never a refusal or a spill to disk.
         """
         if self.memory_budget_mb is None:
             return None
         return int(self.memory_budget_mb * 1024 * 1024)
-
-    def csp_memory_budget(self) -> Optional[int]:
-        """Alias of :meth:`memory_budget_bytes` (pre-mmap name)."""
-        return self.memory_budget_bytes()
 
     # -- health ------------------------------------------------------------
 

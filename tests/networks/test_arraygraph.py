@@ -148,6 +148,12 @@ class TestKernels:
             bernoulli_indices(rng, 5, 1.0), np.arange(5)
         )
 
+    @pytest.mark.parametrize("p", [1e-18, 1e-300, 5e-324])
+    def test_bernoulli_indices_tiny_p_terminates(self, p):
+        # geometric gaps near 2^63 used to overflow the cumsum: the draw
+        # looped forever or returned negative indices
+        assert bernoulli_indices(make_rng(0), 10, p).size == 0
+
     @pytest.mark.parametrize("p", [0.01, 0.05, 0.3])
     def test_bernoulli_indices_rate(self, p):
         rng = make_rng(42)

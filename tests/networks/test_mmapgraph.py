@@ -1,12 +1,14 @@
-"""Out-of-core mmap engine suite: chunked kernels vs array kernels.
+"""Out-of-core suite: memory-mapped CSR graphs and the chunked kernels.
 
-The mmap engine's contract is *stricter* than the array engine's:
-byte-identity with the array kernels for deterministic **and**
-stochastic outputs — the chunked frontier kernels consume the RNG
-stream exactly as the single-gather kernels do (one
+The network engine runs block-streamed kernels on whatever CSR a graph
+holds, so its contract is byte-identity for deterministic **and**
+stochastic outputs across block sizes and across in-RAM vs
+memory-mapped storage of one CSR — the chunked frontier kernels consume
+the RNG stream exactly as one whole-frontier gather would (one
 ``bernoulli_indices`` draw over the whole frontier), so curves,
-cascades, and epidemics match draw-for-draw on the same graph and
-seed, at every block size.
+cascades, and epidemics match draw-for-draw on the same graph and seed.
+The chunked union-find kernels are pinned to the single-pass reference
+kernels of :mod:`repro.networks.arraygraph`.
 """
 
 import os
@@ -23,19 +25,18 @@ from repro.networks import (
     SISModel,
     TargetedDegreeAttack,
     as_arraygraph,
-    as_mmapgraph,
     barabasi_albert,
     erdos_renyi,
     make_network_engine,
     percolation_curve,
 )
-from repro.networks import mmapgraph as mmapgraph_mod
+from repro.networks import engine as engine_mod
 from repro.networks.arraygraph import (
     directed_edge_blocks,
     newman_ziff_giant_sizes,
     union_find_labels,
 )
-from repro.networks.engine import ArrayNetworkEngine, MmapNetworkEngine
+from repro.networks.engine import ArrayNetworkEngine
 from repro.networks.generators import (
     barabasi_albert_stream,
     erdos_renyi_stream,
@@ -48,7 +49,6 @@ from repro.networks.mmapgraph import (
     chunked_newman_ziff_giant_sizes,
     chunked_union_find_labels,
     derive_chunk_elems,
-    estimate_graph_bytes,
     frontier_slices,
 )
 from repro.rng import make_rng
@@ -67,23 +67,26 @@ def er_graph():
     return erdos_renyi(200, 0.03, seed=8)
 
 
+def to_mmap(g) -> MmapGraph:
+    """``g``'s CSR copied verbatim to memory-mapped files."""
+    ag = as_arraygraph(g)
+    identity = list(ag.labels) == list(range(ag.n_nodes))
+    return MmapGraph.from_arrays(
+        ag.indptr, ag.indices, labels=None if identity else ag.labels
+    )
+
+
 # -- CSR construction ------------------------------------------------------
 
 
 class TestMmapGraphBuild:
     def test_from_arrays_matches_arraygraph(self, ba_graph):
         ag = as_arraygraph(ba_graph)
-        mg = as_mmapgraph(ba_graph)
+        mg = to_mmap(ba_graph)
         assert np.array_equal(np.asarray(mg.indptr), ag.indptr)
         assert np.array_equal(np.asarray(mg.indices), ag.indices)
         assert mg.n_nodes == ag.n_nodes
         assert mg.n_edges == ag.n_edges
-
-    def test_as_mmapgraph_cached_per_version(self, ba_graph):
-        first = as_mmapgraph(ba_graph)
-        assert as_mmapgraph(ba_graph) is first
-        ba_graph.add_edge(0, 299)
-        assert as_mmapgraph(ba_graph) is not first
 
     def test_from_edge_chunks_matches_graph(self, er_graph):
         mg = MmapGraph.from_edge_chunks(
@@ -184,7 +187,7 @@ class TestMmapGraphBuild:
 
 class TestMmapGraphQueries:
     def test_graph_api_parity(self, ba_graph):
-        mg = as_mmapgraph(ba_graph)
+        mg = to_mmap(ba_graph)
         assert len(mg) == ba_graph.n_nodes
         assert list(mg.nodes()) == list(range(300))
         assert mg.degrees() == ba_graph.degrees()
@@ -197,21 +200,21 @@ class TestMmapGraphQueries:
         )
 
     def test_to_graph_round_trip(self, er_graph):
-        back = as_mmapgraph(er_graph).to_graph()
+        back = to_mmap(er_graph).to_graph()
         assert back.n_nodes == er_graph.n_nodes
         assert {tuple(sorted(e)) for e in back.edges()} == {
             tuple(sorted(e)) for e in er_graph.edges()
         }
 
     def test_indices_of_ndarray_fast_path(self, ba_graph):
-        mg = as_mmapgraph(ba_graph)
+        mg = to_mmap(ba_graph)
         idx = mg.indices_of(np.array([5, 0, 299]))
         assert idx.tolist() == [5, 0, 299]
         with pytest.raises(ConfigurationError, match="not in graph"):
             mg.indices_of(np.array([0, 300]))
 
     def test_check_removal_order(self, ba_graph):
-        mg = as_mmapgraph(ba_graph)
+        mg = to_mmap(ba_graph)
         n = mg.n_nodes
         assert mg.check_removal_order(np.random.default_rng(0).permutation(n))
         assert mg.check_removal_order(list(range(n)))
@@ -222,7 +225,7 @@ class TestMmapGraphQueries:
 
     def test_labelled_graph_preserves_labels(self):
         g = Graph(edges=[("a", "b"), ("b", "c")])
-        mg = as_mmapgraph(g)
+        mg = to_mmap(g)
         assert not mg.identity_labels
         assert mg.neighbors("b") == frozenset({"a", "c"})
         assert set(mg.degree_removal_order()) == {"a", "b", "c"}
@@ -232,7 +235,7 @@ class TestMmapGraphQueries:
 
     def test_components_match_arraygraph(self, er_graph):
         ag = as_arraygraph(er_graph)
-        mg = as_mmapgraph(er_graph)
+        mg = to_mmap(er_graph)
         assert mg.giant_component_size() == ag.giant_component_size()
         assert sorted(map(len, mg.connected_components())) == sorted(
             map(len, ag.connected_components())
@@ -246,7 +249,7 @@ class TestChunkedKernels:
     @pytest.mark.parametrize("block", BLOCK_SIZES)
     def test_newman_ziff_identical(self, ba_graph, block):
         ag = as_arraygraph(ba_graph)
-        mg = as_mmapgraph(ba_graph)
+        mg = to_mmap(ba_graph)
         order = np.random.default_rng(2).permutation(ag.n_nodes)
         ref = newman_ziff_giant_sizes(ag.indptr, ag.indices, order)
         got = chunked_newman_ziff_giant_sizes(
@@ -257,7 +260,7 @@ class TestChunkedKernels:
     @pytest.mark.parametrize("block", BLOCK_SIZES)
     def test_newman_ziff_with_base_identical(self, ba_graph, block):
         ag = as_arraygraph(ba_graph)
-        mg = as_mmapgraph(ba_graph)
+        mg = to_mmap(ba_graph)
         base = np.arange(120)
         adds = np.arange(120, ag.n_nodes)
         ref = newman_ziff_giant_sizes(
@@ -271,7 +274,7 @@ class TestChunkedKernels:
     @pytest.mark.parametrize("block", BLOCK_SIZES)
     def test_union_find_identical(self, er_graph, block):
         ag = as_arraygraph(er_graph)
-        mg = as_mmapgraph(er_graph)
+        mg = to_mmap(er_graph)
         u, v = ag.edge_arrays()
         ref = union_find_labels(ag.n_nodes, u, v)
         got = chunked_union_find_labels(
@@ -321,7 +324,7 @@ class TestChunkedKernels:
         assert list(frontier_slices(ag.indptr, np.empty(0), 16)) == []
 
 
-# -- block sizing + memory estimate ----------------------------------------
+# -- block sizing ----------------------------------------------------------------
 
 
 class TestBudgetDerivation:
@@ -349,39 +352,41 @@ class TestBudgetDerivation:
         with pytest.raises(ConfigurationError):
             derive_chunk_elems(budget, workers=0)
 
-    def test_estimate_graph_bytes(self, ba_graph):
-        est = estimate_graph_bytes(ba_graph)
-        assert est == (
-            300 * mmapgraph_mod.ARRAY_BYTES_PER_NODE
-            + 2 * ba_graph.n_edges
-            * mmapgraph_mod.ARRAY_BYTES_PER_DIRECTED_EDGE
-        )
-        assert estimate_graph_bytes(object()) is None
 
 
-# -- engine equivalence: byte-identity with the array engine ---------------
+# -- engine equivalence: byte-identity across blocks and storage ---------
 
 
 class TestMmapEngineEquivalence:
+    """Reference: the default-block engine on the in-RAM graph.
+
+    Subjects: small ``block_elems`` (so frontiers and Newman–Ziff
+    additions straddle many blocks) and the same CSR memory-mapped.
+    """
+
     @pytest.mark.parametrize("block", (13, 256, 1 << 18))
     def test_percolation_curves_identical(self, ba_graph, block):
+        mg = to_mmap(ba_graph)
         for attack in (TargetedDegreeAttack(), RandomFailure()):
             ref = percolation_curve(
                 ba_graph, attack, seed=42, engine="array"
             )
-            got = percolation_curve(
-                ba_graph, attack, seed=42,
-                engine=MmapNetworkEngine(block_elems=block),
-            )
-            assert np.array_equal(ref.giant_fraction, got.giant_fraction)
-            assert np.array_equal(
-                ref.removed_fraction, got.removed_fraction
-            )
+            for g in (ba_graph, mg):
+                got = percolation_curve(
+                    g, attack, seed=42,
+                    engine=ArrayNetworkEngine(block_elems=block),
+                )
+                assert np.array_equal(
+                    ref.giant_fraction, got.giant_fraction
+                )
+                assert np.array_equal(
+                    ref.removed_fraction, got.removed_fraction
+                )
 
     def test_percolation_on_mmap_input(self, ba_graph):
         # percolating the MmapGraph itself exercises check_removal_order
         # and the ndarray ordering fast path end-to-end
-        mg = as_mmapgraph(ba_graph)
+        mg = to_mmap(ba_graph)
         ref = percolation_curve(
             ba_graph, TargetedDegreeAttack(), engine="array"
         )
@@ -392,16 +397,21 @@ class TestMmapEngineEquivalence:
 
     @pytest.mark.parametrize("block", (13, 1 << 18))
     def test_sir_draw_identical(self, ba_graph, block):
+        # block 13 keeps some pass-1 candidate blocks and re-gathers
+        # the rest; 2^18 holds every frontier in one kept block
         ref = SIRModel(ba_graph, 0.3, 0.25, engine="array").run(
             [0, 1], seed=7
         )
-        got = SIRModel(
-            ba_graph, 0.3, 0.25,
-            engine=MmapNetworkEngine(block_elems=block),
-        ).run([0, 1], seed=7)
-        assert np.array_equal(ref.infected_counts, got.infected_counts)
-        assert ref.final_infected == got.final_infected
-        assert ref.total_ever_infected == got.total_ever_infected
+        for g in (ba_graph, to_mmap(ba_graph)):
+            got = SIRModel(
+                g, 0.3, 0.25,
+                engine=ArrayNetworkEngine(block_elems=block),
+            ).run([0, 1], seed=7)
+            assert np.array_equal(
+                ref.infected_counts, got.infected_counts
+            )
+            assert ref.final_infected == got.final_infected
+            assert ref.total_ever_infected == got.total_ever_infected
 
     @pytest.mark.parametrize("beta", (0.04, 0.5))
     def test_sis_draw_identical_sparse_and_dense(self, ba_graph, beta):
@@ -409,9 +419,10 @@ class TestMmapEngineEquivalence:
         ref = SISModel(ba_graph, beta, 0.3, engine="array").run(
             [0, 1, 2], steps=40, seed=13
         )
-        got = SISModel(ba_graph, beta, 0.3, engine="mmap").run(
-            [0, 1, 2], steps=40, seed=13
-        )
+        got = SISModel(
+            to_mmap(ba_graph), beta, 0.3,
+            engine=ArrayNetworkEngine(block_elems=13),
+        ).run([0, 1, 2], steps=40, seed=13)
         assert np.array_equal(ref.infected_counts, got.infected_counts)
         assert ref.final_infected == got.final_infected
 
@@ -419,41 +430,44 @@ class TestMmapEngineEquivalence:
         init = {n: 1.0 for n in ba_graph.nodes()}
         cap = {n: 1.8 for n in ba_graph.nodes()}
         ea = make_network_engine("array")
-        em = MmapNetworkEngine(block_elems=29)
-        assert ea.load_cascade(
-            ba_graph, init, cap, frozenset([0, 5])
-        ) == em.load_cascade(ba_graph, init, cap, frozenset([0, 5]))
+        em = ArrayNetworkEngine(block_elems=29)
+        ref = ea.load_cascade(ba_graph, init, cap, frozenset([0, 5]))
+        for g in (ba_graph, to_mmap(ba_graph)):
+            assert em.load_cascade(g, init, cap, frozenset([0, 5])) == ref
 
     def test_spread_cascade_draw_identical(self, ba_graph):
         ea = make_network_engine("array")
-        em = MmapNetworkEngine(block_elems=51)
+        em = ArrayNetworkEngine(block_elems=51)
+        mg = to_mmap(ba_graph)
         for seed in range(4):
             for p in (0.04, 0.5):
-                assert ea.spread_cascade(
-                    ba_graph, p, frozenset([0, 1]), make_rng(seed)
-                ) == em.spread_cascade(
+                ref = ea.spread_cascade(
                     ba_graph, p, frozenset([0, 1]), make_rng(seed)
                 )
+                for g in (ba_graph, mg):
+                    assert em.spread_cascade(
+                        g, p, frozenset([0, 1]), make_rng(seed)
+                    ) == ref
 
     def test_healing_identical(self, ba_graph):
         ea = make_network_engine("array")
-        em = MmapNetworkEngine(block_elems=33)
-        assert ea.healing_episode(
-            ba_graph, [0, 1, 2, 3], 2, 12, 3
-        ) == em.healing_episode(ba_graph, [0, 1, 2, 3], 2, 12, 3)
+        em = ArrayNetworkEngine(block_elems=33)
+        ref = ea.healing_episode(ba_graph, [0, 1, 2, 3], 2, 12, 3)
+        for g in (ba_graph, to_mmap(ba_graph)):
+            assert em.healing_episode(g, [0, 1, 2, 3], 2, 12, 3) == ref
 
     def test_ordering_identical(self, ba_graph):
         ag = as_arraygraph(ba_graph)
-        mg = as_mmapgraph(ba_graph)
+        mg = to_mmap(ba_graph)
         assert list(ag.degree_removal_order()) == [
             int(x) for x in mg.degree_removal_order()
         ]
         small = barabasi_albert(40, 2, seed=1)
         assert as_arraygraph(small).adaptive_degree_removal_order() == \
-            as_mmapgraph(small).adaptive_degree_removal_order()
+            to_mmap(small).adaptive_degree_removal_order()
 
     def test_object_engine_accepts_mmap_graph(self, er_graph):
-        mg = as_mmapgraph(er_graph)
+        mg = to_mmap(er_graph)
         eng = make_network_engine("object")
         ref = make_network_engine("array").percolation_giant_sizes(
             er_graph, list(range(200)), [50, 200]
@@ -463,45 +477,69 @@ class TestMmapEngineEquivalence:
         ) == ref
 
 
-# -- supervisor budget degrade ---------------------------------------------
+# -- supervisor budget: block scheduling, never a spill --------------------
 
 
 class TestBudgetDegrade:
-    def test_array_engine_degrades_over_budget(self, ba_graph):
+    @staticmethod
+    def _run_budgeted(ba_graph, monkeypatch, tmp_path, budget_mb):
+        """Percolate under ``budget_mb``: (ref, got, blocks, sup, counters)."""
+        monkeypatch.setenv("REPRO_MMAP_DIR", str(tmp_path))
         eng = ArrayNetworkEngine()
         ref = eng.percolation_giant_sizes(
             ba_graph, list(range(300)), [100, 300]
         )
-        sup = supervisor.Supervisor(memory_budget_mb=0.001)
+        blocks = []
+        chunked = engine_mod.chunked_newman_ziff_giant_sizes
+
+        def spy(*args, block_elems, **kwargs):
+            blocks.append(block_elems)
+            return chunked(*args, block_elems=block_elems, **kwargs)
+
+        monkeypatch.setattr(
+            engine_mod, "chunked_newman_ziff_giant_sizes", spy
+        )
+        sup = supervisor.Supervisor(memory_budget_mb=budget_mb)
         tr = trace.Tracer()
         with supervisor.use(sup), trace.use(tr):
             got = eng.percolation_giant_sizes(
                 ba_graph, list(range(300)), [100, 300]
             )
-        assert got == ref
-        counters = tr.counters
-        assert counters["net.mmap.degrades"] == 1
-        assert counters["supervisor.preemptions"] == 1
-        assert counters["net.curves.mmap"] == 1
-        assert "net.curves.array" not in counters
+        return ref, got, blocks, sup, tr.counters
 
-    def test_array_engine_stays_in_ram_under_budget(self, ba_graph):
-        eng = ArrayNetworkEngine()
-        sup = supervisor.Supervisor(memory_budget_mb=1024)
-        tr = trace.Tracer()
-        with supervisor.use(sup), trace.use(tr):
-            eng.percolation_giant_sizes(ba_graph, list(range(300)), [300])
-        counters = tr.counters
+    def test_array_engine_degrades_over_budget(
+        self, ba_graph, monkeypatch, tmp_path
+    ):
+        # Over budget the engine degrades to small blocks, not a spill.
+        ref, got, blocks, sup, counters = self._run_budgeted(
+            ba_graph, monkeypatch, tmp_path, 0.001
+        )
+        assert got == ref
+        assert blocks == [derive_chunk_elems(sup.memory_budget_bytes())]
+        assert blocks[0] < 1 << DEFAULT_CHUNK_BITS
         assert counters["net.curves.array"] == 1
-        assert "net.mmap.degrades" not in counters
+        assert "supervisor.preemptions" not in counters
+        assert list(tmp_path.iterdir()) == []  # nothing spilled to disk
+
+    def test_array_engine_stays_in_ram_under_budget(
+        self, ba_graph, monkeypatch, tmp_path
+    ):
+        ref, got, blocks, sup, counters = self._run_budgeted(
+            ba_graph, monkeypatch, tmp_path, 1024
+        )
+        assert got == ref
+        assert blocks == [derive_chunk_elems(sup.memory_budget_bytes())]
+        assert counters["net.curves.array"] == 1
+        assert "supervisor.preemptions" not in counters
+        assert list(tmp_path.iterdir()) == []
 
     def test_mmap_block_derives_from_budget(self):
         sup = supervisor.Supervisor(memory_budget_mb=1)
         with supervisor.use(sup):
-            assert MmapNetworkEngine()._block() == derive_chunk_elems(
+            assert ArrayNetworkEngine()._block() == derive_chunk_elems(
                 1 << 20
             )
-        assert MmapNetworkEngine()._block() == 1 << DEFAULT_CHUNK_BITS
+        assert ArrayNetworkEngine()._block() == 1 << DEFAULT_CHUNK_BITS
 
 
 # -- streaming generators --------------------------------------------------

@@ -67,7 +67,7 @@ class TestConstruction:
         assert isinstance(NULL, NullSupervisor)
         assert NULL.resolve("csp", "bit") == "bit"
         assert NULL.peek("agents", "array") == "array"
-        assert NULL.csp_memory_budget() is None
+        assert NULL.memory_budget_bytes() is None
         # default: no supervisor installed
         assert supervisor.current() is NULL
 
@@ -79,7 +79,10 @@ class TestDegradation:
             for kind in seam.choices:
                 assert sup.resolve(family, kind) == kind
 
-    def test_open_breaker_degrades_fast_kinds_only(self):
+    def test_open_breaker_degrades_fast_kinds_only(self, monkeypatch):
+        # tripping pins REPRO_CSP_ENGINE; monkeypatch records it first so
+        # teardown restores it
+        monkeypatch.setenv("REPRO_CSP_ENGINE", "bit")
         sup = Supervisor()
         sup.trip("csp", "test fault")
         assert sup.resolve("csp", "bit") == "object"
@@ -190,10 +193,10 @@ class TestBudgets:
             remaining = sup.remaining_s()
         assert remaining is not None and 0 < remaining <= 60.0
 
-    def test_csp_memory_budget_in_bytes(self):
-        assert Supervisor(memory_budget_mb=2).csp_memory_budget() \
+    def test_memory_budget_in_bytes(self):
+        assert Supervisor(memory_budget_mb=2).memory_budget_bytes() \
             == 2 * 1024 * 1024
-        assert Supervisor().csp_memory_budget() is None
+        assert Supervisor().memory_budget_bytes() is None
 
 
 def _memory_hungry_worker(value, seed):

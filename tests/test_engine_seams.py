@@ -16,7 +16,11 @@ from repro.agents.arrayengine import ArraySimulator, make_engine
 from repro.agents.simulation import EvolutionSimulator
 from repro.csp.engine import BitCSPEngine, ObjectCSPEngine, make_csp_engine
 from repro.errors import ConfigurationError, EngineError
-from repro.networks.engine import make_network_engine
+from repro.networks.engine import (
+    ArrayNetworkEngine,
+    ObjectNetworkEngine,
+    make_network_engine,
+)
 from repro.runtime.engines import SEAMS, resolve_engine_kind, seam
 
 FACTORIES = {
@@ -80,9 +84,10 @@ class TestFactoryDispatch:
         assert type(make_engine("array")) is ArraySimulator
 
     def test_networks_kinds(self):
-        assert make_network_engine("object").name == "object"
-        assert make_network_engine("array").name == "array"
-        assert make_network_engine("mmap").name == "mmap"
+        assert type(make_network_engine("object")) is ObjectNetworkEngine
+        # two kind names, one engine: the graph's storage picks RAM/disk
+        assert type(make_network_engine("array")) is ArrayNetworkEngine
+        assert type(make_network_engine("mmap")) is ArrayNetworkEngine
 
     def test_csp_kinds_and_instance_passthrough(self):
         assert type(make_csp_engine("object")) is ObjectCSPEngine
