@@ -6,8 +6,8 @@ repair divides the bound.  We regenerate the full phase table of minimal
 k over (n, debris hits, repairs/step).
 
 Engine-aware: the CSP kernels honour ``REPRO_CSP_ENGINE`` (object vs
-compiled bit-matrix), so ``run_benchmarks.py`` times both columns of the
-same table.  The grid is sized so the object column is well into
+the ``bit`` kind, i.e. the packed tiled engine), so ``run_benchmarks.py``
+times both columns of the same table.  The grid is sized so the object column is well into
 measurable territory (n = 14 enumerates 16384 configurations per CSP).
 """
 

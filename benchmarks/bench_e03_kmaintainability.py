@@ -8,7 +8,7 @@ systems and a maintainability series over spacecraft of growing size.
 Engine-aware: part (b) goes through :meth:`Spacecraft.maintainability`,
 which honours ``REPRO_CSP_ENGINE`` — the object column materializes the
 full transition system, the bit column runs the add-bit BFS on the
-compiled fit mask.  Both must produce a maintainable k=2 policy whose
+compiled fit set.  Both must produce a maintainable k=2 policy whose
 level table covers the debris envelope.
 """
 

@@ -13,15 +13,17 @@ object-engine column is the "before" and the array/bit-engine column
 the "after" of the vectorization work.  Agent benchmarks
 (``make_engine``) switch via ``REPRO_AGENT_ENGINE``; network benchmarks
 (``make_network_engine``) via ``REPRO_NETWORK_ENGINE``; CSP benchmarks
-(``make_csp_engine``) via ``REPRO_CSP_ENGINE``, timed as object vs
-compiled bit-matrix (``--json-csp`` writes that family's snapshot).
+(``make_csp_engine``) via ``REPRO_CSP_ENGINE``, timed as object vs the
+``bit`` kind, i.e. the packed tiled engine (``--json-csp`` writes that
+family's snapshot).
 Benchmarks that were vectorized in place record a single timing.
 
 ``--json-csp`` additionally emits a **scale axis** (snapshot schema 3):
 the wall time of one exact n-recoverability check at n ∈ {14, 18, 22,
-24} per engine — the object column stops at n = 18 and the bit column
-at its 2^20 envelope, while the block-streamed ``tiled`` engine covers
-the full axis (``--smoke`` shrinks the axis to n ∈ {10, 12, 14}).
+24} for the object kernels (which stop at n = 18) and the ``tiled``
+engine, which covers the full axis (``--smoke`` shrinks the axis to
+n ∈ {10, 12, 14}).  ``bit`` names the same engine, so it has no column
+of its own there.
 
 ``--scale-networks`` promotes the network snapshot to schema 3 with its
 own scale axis: one targeted-attack percolation curve plus one SIR run
@@ -132,11 +134,11 @@ CSP_FAMILY = CSP_ENGINE_AWARE
 
 # CSP scale axis (schema 3): wall time of one exact n-recoverability
 # check vs n, per engine.  The object kernels enumerate 2^n assignments
-# in Python, so their column stops at n = 18; the bit engine's envelope
-# ends at DEFAULT_MAX_BITS = 20; the tiled engine streams the full axis.
+# in Python, so their column stops at n = 18; the tiled engine streams
+# the full axis (the ``bit`` kind names the same engine).
 CSP_SCALE_NS = (14, 18, 22, 24)
 CSP_SCALE_NS_SMOKE = (10, 12, 14)
-CSP_SCALE_CAP = {"object": 18, "bit": 20, "tiled": 64}
+CSP_SCALE_CAP = {"object": 18, "tiled": 64}
 
 
 def _breakdown(tracer, wall_s: float) -> dict:
@@ -233,7 +235,7 @@ def time_csp_scale(ns: tuple, repeat: int) -> dict:
     axis: dict = {}
     for n in ns:
         axis[str(n)] = {}
-        for engine in ("object", "bit", "tiled"):
+        for engine in CSP_SCALE_CAP:
             if n > CSP_SCALE_CAP[engine]:
                 continue
             best = float("inf")

@@ -185,9 +185,8 @@ def recovery_steps(
     ``ceil(hamming_distance / flips_per_step)``.  Returns ``None`` when
     the fit set is empty.  Passing a :class:`PackedFitSet` (built once
     for many queries) or a
-    :class:`~repro.csp.bitengine.CompiledBitCSP` (whole-space BFS
-    distance map) — anything exposing ``min_distances`` — uses the
-    batched fast path.
+    :class:`~repro.csp.tiledengine.TiledBitCSP` — anything exposing
+    ``min_distances`` — uses the batched fast path.
     """
     if flips_per_step < 1:
         raise ConfigurationError(f"flips_per_step must be >= 1, got {flips_per_step}")
@@ -218,14 +217,12 @@ def is_k_recoverable(
 
     ``engine`` selects the CSP kernels (see
     :func:`repro.csp.engine.make_csp_engine`; default honours
-    ``REPRO_CSP_ENGINE``).  The bit engine compiles both environments
-    once — fit sets from the compiled fit masks, distances from one
-    Hamming-BFS map — and reproduces the object engine's report exactly,
-    witness included; the tiled engine streams the state space in
-    blocks and walks an implicit BFS frontier, pushing the same exact
-    check past the bit engine's 2^20 envelope (n ≈ 24+).  Non-boolean
-    CSPs and ``n`` beyond the enumeration cap fall back to the object
-    path automatically.
+    ``REPRO_CSP_ENGINE``).  The fast kinds compile both environments
+    once, stream the state space in blocks for the fit sets and answer
+    distances from the fit set directly or by an implicit BFS frontier,
+    reproducing the object engine's report exactly, witness included,
+    up to n ≈ 24+.  Non-boolean CSPs and ``n`` beyond the enumeration
+    cap fall back to the object path automatically.
 
     Exhaustive over 2^n states, so intended for the model-scale systems
     the paper analyses; larger systems should use the sampled
@@ -248,15 +245,14 @@ def is_k_recoverable(
         compiled if target is csp else engine.try_compile(target)
     ) if compiled is not None else None
     if compiled is not None and compiled_target is not None:
-        label = compiled.engine_label
-        with tr.timer(f"csp.recover.{label}"):
+        with tr.timer("csp.recover.tiled"):
             fit_after = compiled_target
             starts = list(start_states) if start_states is not None \
                 else sorted(compiled.fit_bitstrings())
             report = _worst_case_report(
                 starts, damage, fit_after, k, flips_per_step
             )
-        tr.count(f"csp.recover.checks.{label}")
+        tr.count("csp.recover.checks.tiled")
         return report
     with tr.timer("csp.recover.object"):
         fit_after = PackedFitSet(target.fit_bitstrings())
@@ -279,9 +275,8 @@ def _worst_case_report(
     """The shared worst-case sweep over starts × damage outcomes.
 
     ``fit_after`` is anything with ``min_distances`` and a truthy size —
-    a :class:`PackedFitSet` (object engine), a
-    :class:`~repro.csp.bitengine.CompiledBitCSP` (bit engine) or a
-    :class:`~repro.csp.tiledengine.TiledBitCSP` (tiled engine); all
+    a :class:`PackedFitSet` (object engine) or a
+    :class:`~repro.csp.tiledengine.TiledBitCSP` (fast kinds); both
     return identical distances, so the report is engine-independent.
     """
     fit_count = len(fit_after) if isinstance(fit_after, PackedFitSet) \
@@ -362,8 +357,7 @@ def adaptation_bound(
     compiled_before = engine.try_compile(before) \
         if compiled_after is not None else None
     if compiled_after is not None and compiled_before is not None:
-        label = compiled_after.engine_label
-        with tr.timer(f"csp.recover.{label}"):
+        with tr.timer("csp.recover.tiled"):
             if not len(compiled_after.fit_indices):
                 result = None
             else:
@@ -371,13 +365,10 @@ def adaptation_bound(
                 if not len(starts_idx):
                     result = 0
                 else:
-                    # min_distances_masks is engine-independent: a BFS
-                    # table lookup on the bit engine, an implicit
-                    # frontier walk on the tiled engine
                     dists = compiled_after.min_distances_masks(starts_idx)
                     steps = (dists + flips_per_step - 1) // flips_per_step
                     result = int(steps.max())
-        tr.count(f"csp.recover.checks.{label}")
+        tr.count("csp.recover.checks.tiled")
         return result
     with tr.timer("csp.recover.object"):
         fit_after = after.fit_bitstrings()

@@ -4,11 +4,7 @@ Exports the bit-string configuration space, finite-domain CSPs, solvers,
 local repair, and the dynamic (shock-driven) CSP simulator.
 """
 
-from .bitengine import (
-    BitEngineUnsupported,
-    CompiledBitCSP,
-    compile_csp,
-)
+from .bitengine import BitEngineUnsupported
 from .bitstring import BitSpace, BitString
 from .constraints import (
     AllDifferentConstraint,
@@ -30,7 +26,6 @@ from .dynamic import (
     StateDamage,
 )
 from .engine import (
-    BitCSPEngine,
     CSPEngine,
     ObjectCSPEngine,
     TiledCSPEngine,
@@ -55,9 +50,6 @@ from .variables import Variable, boolean_variable, boolean_variables
 
 __all__ = [
     "BitEngineUnsupported",
-    "CompiledBitCSP",
-    "compile_csp",
-    "BitCSPEngine",
     "CSPEngine",
     "ObjectCSPEngine",
     "TiledCSPEngine",

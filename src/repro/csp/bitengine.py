@@ -1,4 +1,4 @@
-"""Compiled bit-matrix form of a boolean CSP (the array CSP engine).
+"""Lowering of a boolean CSP to packed-state array kernels.
 
 The paper's formal model (§4.2, Fig. 4) puts the whole resilience
 machinery on one substrate: a system status is a length-``n`` bit
@@ -6,44 +6,28 @@ string, the environment is a constraint set C, and resilience questions
 (k-recoverability, K-maintainability, Q(t)) are all functions of the fit
 set C ⊆ {0,1}^n.  The object engine answers them by enumerating
 ``dict``-per-assignment states and re-dispatching every constraint per
-query.  This module compiles a boolean :class:`~repro.csp.problem.CSP`
-*once* into array form:
+query.  This module lowers a boolean :class:`~repro.csp.problem.CSP`
+*once* into vectorized evaluators over packed state masks (state ``m``
+has bit ``i`` set iff variable ``i`` is 1):
 
-* the full state space as the packed-integer range ``0 .. 2^n - 1``
-  (state ``m`` has bit ``i`` set iff variable ``i`` is 1);
-* each constraint lowered to a vectorized evaluator — cardinality
-  constraints via one popcount over a scope mask, linear constraints via
-  ordered float accumulation (matching Python's left-to-right ``sum``
-  bit-for-bit), table/predicate constraints via a precomputed support
-  array over the scope's 2^m subcube broadcast to the full space;
-* a ``(n_constraints, 2^n)`` satisfaction matrix, per-state violation
-  counts, the fit mask, and a vectorized ``quality()``.
+* cardinality constraints via one popcount over a scope mask;
+* linear constraints via ordered float accumulation (matching Python's
+  left-to-right ``sum`` bit-for-bit);
+* table/predicate constraints via a precomputed support array over the
+  scope's 2^m subcube, gathered for any batch of states.
 
-On top of the compiled form live the resilience kernels: a
-level-synchronous Hamming-ball BFS over the hypercube with XOR neighbor
-indexing (:func:`hamming_distances` — distance to the nearest fit
-state, exactly :meth:`BitSpace.recovery_distance` for every state at
-once), the Baral–Eiter repair-level map for the spacecraft encoding
-(:func:`add_bit_levels`), and the debris damage envelope
-(:func:`clear_bit_ball`).
-
-Memory envelope: everything is Θ(2^n · n_constraints), so compilation
-is gated at ``max_bits`` (default 20, ~1M states) and raises
-:class:`BitEngineUnsupported` beyond it — callers fall back to the
-tiled engine (:mod:`repro.csp.tiledengine`, which streams the same
-lowered kernels over fixed-size blocks instead of materializing 2^n
-rows) or the object engine (see :mod:`repro.csp.engine`).
+The compiled form that runs these evaluators over the state space —
+streamed in blocks, with one table when the space is a single block —
+is :class:`~repro.csp.tiledengine.TiledBitCSP`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..runtime import trace
-from .bitstring import BitString
 from .constraints import (
     CardinalityConstraint,
     Constraint,
@@ -54,24 +38,15 @@ from .constraints import (
 from .problem import CSP
 
 __all__ = [
-    "DEFAULT_MAX_BITS",
+    "SAT_ROW_BYTES",
     "BitEngineUnsupported",
-    "CompiledBitCSP",
     "PackedStateBridge",
-    "compile_csp",
-    "estimate_compile_bytes",
-    "measured_compile_bytes",
     "lower_constraint",
     "lower_csp",
-    "hamming_distances",
-    "add_bit_levels",
-    "clear_bit_ball",
 ]
 
-#: Largest variable count the compiler accepts: the compiled form is
-#: Θ(2^n · n_constraints) memory, so 20 bits ≈ 1M states keeps a
-#: handful of constraints within a few tens of MB.
-DEFAULT_MAX_BITS = 20
+#: per-state bytes of one constraint's satisfaction row (bool)
+SAT_ROW_BYTES = 1
 
 _NP_COMPARATORS = {
     "<=": np.less_equal,
@@ -85,10 +60,10 @@ assert set(_NP_COMPARATORS) == set(_COMPARATORS)
 
 
 class BitEngineUnsupported(ConfigurationError):
-    """The CSP cannot be compiled to bit-matrix form.
+    """The CSP cannot be lowered to packed-state form.
 
     Raised for non-boolean variables and for state spaces beyond the
-    2^``max_bits`` memory envelope.  The engine seam catches this and
+    2^``max_bits`` enumeration cap.  The engine seam catches this and
     falls back to the object engine.
     """
 
@@ -124,10 +99,9 @@ def lower_constraint(
     shape) to the constraint's satisfaction over those states.  All
     compile-time work — scope masks, table/predicate support over the
     scope's 2^m subcube — happens once here, so the evaluator can be
-    applied to fixed-size state blocks without re-lowering.  This is
-    the kernel-sharing seam between :class:`CompiledBitCSP` (one call
-    over the full 2^n range) and the tiled engine
-    (:mod:`repro.csp.tiledengine`, one call per streamed block).
+    applied to fixed-size state blocks without re-lowering (the tiled
+    engine, :mod:`repro.csp.tiledengine`, calls it once per streamed
+    block or once over a single-block space).
     """
     if type(c) is CardinalityConstraint:
         # cardinality constraint → one popcount over the scope mask
@@ -203,13 +177,13 @@ def lower_csp(csp: CSP):
     evaluator per constraint (see :func:`lower_constraint`), the
     ``(n_constraints, n)`` scope-membership matrix, and the bit→domain
     value bridge.  Raises :class:`BitEngineUnsupported` for non-boolean
-    variables.  Shared by the full-space and tiled compiled forms.
+    variables.
     """
     for v in csp.variables:
         if not v.is_boolean:
             raise BitEngineUnsupported(
                 f"variable {v.name!r} is not boolean; "
-                "the bit engine only compiles boolean CSPs"
+                "only boolean CSPs lower to packed states"
             )
     val_for_bit = _bit_domain_bridge(csp)
     names = csp.names
@@ -227,7 +201,7 @@ def lower_csp(csp: CSP):
 
 
 class PackedStateBridge:
-    """State ↔ assignment conversions shared by the compiled CSP forms.
+    """State ↔ assignment conversions of the packed compiled CSP form.
 
     Implementors provide ``names`` and ``_val_for_bit``; state ``m``
     (an integer mask) assigns variable ``i`` the domain value whose
@@ -258,341 +232,5 @@ class PackedStateBridge:
         return mask
 
 
-class CompiledBitCSP(PackedStateBridge):
-    """A boolean CSP compiled once into array form over all 2^n states.
-
-    State ``m`` (an integer mask) assigns variable ``i`` the domain
-    value whose ``int()`` is bit ``i`` of ``m`` — the same convention as
-    :meth:`CSP.bits_from_assignment`.  All arrays are indexed by mask.
-    """
-
-    #: engine kind whose dispatch sites this compiled form serves —
-    #: used to label ``csp.*`` timers/counters at the dispatch sites
-    engine_label = "bit"
-
-    def __init__(self, csp: CSP, max_bits: int = DEFAULT_MAX_BITS):
-        n = len(csp.variables)
-        if n > max_bits:
-            raise BitEngineUnsupported(
-                f"{n}-variable CSP exceeds the bit engine's "
-                f"2^{max_bits}-state memory envelope"
-            )
-        evaluators, scope_mat, val_for_bit = lower_csp(csp)
-        self.csp = csp
-        self.n = n
-        self.size = 1 << n
-        self.names: tuple[str, ...] = csp.names
-        #: every state as a packed-integer mask, 0 .. 2^n - 1
-        self.states: np.ndarray = np.arange(self.size, dtype=np.int64)
-        #: single-bit flip masks, ``flip_masks[i] = 1 << i``
-        self.flip_masks: np.ndarray = (
-            np.int64(1) << np.arange(n, dtype=np.int64)
-        )
-        self._val_for_bit: list[tuple] = val_for_bit
-        #: variable indices in lexicographic-name order (conflicted-set
-        #: ordering of the object repair loops)
-        self.order_by_name: tuple[int, ...] = tuple(
-            sorted(range(n), key=lambda i: self.names[i])
-        )
-
-        n_c = len(csp.constraints)
-        #: (n_constraints, 2^n) satisfaction matrix
-        self.sat: np.ndarray = np.empty((n_c, self.size), dtype=bool)
-        #: (n_constraints, n) scope membership matrix
-        self.scope_mat: np.ndarray = scope_mat
-        for ci, evaluate in enumerate(evaluators):
-            self.sat[ci] = evaluate(self.states)
-        #: violated-constraint count per state (the object engine's
-        #: ``conflict_count`` for every state at once)
-        self.violations: np.ndarray = (
-            (~self.sat).sum(axis=0).astype(np.int32)
-            if n_c
-            else np.zeros(self.size, dtype=np.int32)
-        )
-        #: fit mask: state satisfies every constraint
-        self.fit_mask: np.ndarray = self.violations == 0
-        self._quality: Optional[np.ndarray] = None
-        self._dist_to_fit: Optional[np.ndarray] = None
-        trace.current().count("csp.compiles")
-
-    # -- whole-space views ------------------------------------------------
-
-    @property
-    def fit_indices(self) -> np.ndarray:
-        """Masks of all fit states, ascending."""
-        return np.nonzero(self.fit_mask)[0]
-
-    def fit_bitstrings(self) -> frozenset[BitString]:
-        """The fit set C, identical to :meth:`CSP.fit_bitstrings`."""
-        return frozenset(
-            BitString(self.n, int(m)) for m in self.fit_indices
-        )
-
-    def quality_table(self) -> np.ndarray:
-        """Q for every state: percentage of satisfied constraints.
-
-        Float operations replicate the object engine's
-        ``100.0 * satisfied / n_constraints`` exactly.
-        """
-        if self._quality is None:
-            n_c = len(self.csp.constraints)
-            if n_c == 0:
-                self._quality = np.full(self.size, 100.0)
-            else:
-                satisfied = (n_c - self.violations).astype(np.int64)
-                self._quality = 100.0 * satisfied / n_c
-        return self._quality
-
-    def quality(self, masks) -> np.ndarray:
-        """Vectorized :meth:`CSP.quality` for a batch of state masks."""
-        return self.quality_table()[np.asarray(masks, dtype=np.int64)]
-
-    def conflict_counts(self, masks) -> np.ndarray:
-        """Vectorized :meth:`CSP.conflict_count` for a batch of masks."""
-        return self.violations[np.asarray(masks, dtype=np.int64)]
-
-    # -- recoverability kernel -------------------------------------------
-
-    def distances_to_fit(self) -> np.ndarray:
-        """Hamming distance from every state to the nearest fit state.
-
-        ``-1`` everywhere when the fit set is empty.  Computed once by
-        level-synchronous BFS and cached.
-        """
-        if self._dist_to_fit is None:
-            self._dist_to_fit = hamming_distances(self.fit_mask, self.n)
-        return self._dist_to_fit
-
-    def min_distances(self, states: Sequence[BitString]) -> np.ndarray:
-        """Drop-in for :meth:`PackedFitSet.min_distances` on the fit set."""
-        states = list(states)
-        if not len(self.fit_indices):
-            return np.full(len(states), -1, dtype=np.int64)
-        for s in states:
-            if s.n != self.n:
-                raise ConfigurationError(
-                    f"state has {s.n} bits but fit set has {self.n}"
-                )
-        if not states:
-            return np.zeros(0, dtype=np.int64)
-        masks = np.fromiter(
-            (s.mask for s in states), dtype=np.int64, count=len(states)
-        )
-        return self.distances_to_fit()[masks].astype(np.int64)
-
-    def min_distances_masks(self, masks) -> np.ndarray:
-        """Min Hamming distance into the fit set for packed state masks.
-
-        Array-indexed flavour of :meth:`min_distances` (``-1`` when the
-        fit set is empty); the tiled engine implements the same method
-        with an implicit-frontier BFS, so callers like
-        :func:`repro.core.recoverability.adaptation_bound` are
-        engine-independent.
-        """
-        masks = np.asarray(masks, dtype=np.int64)
-        return self.distances_to_fit()[masks].astype(np.int64)
-
-    # -- state <-> assignment bridge: see PackedStateBridge ---------------
-
-    def conflicted_variable_order(self, mask: int) -> list[int]:
-        """Scope variables of violated constraints, sorted by name.
-
-        Mirrors the object repair loops' ``sorted({v for c in violated
-        for v in c.scope})`` (lexicographic on *names*, so e.g. ``x10``
-        sorts before ``x2``) but returns variable indices.
-        """
-        violated = ~self.sat[:, mask]
-        if not violated.any():
-            return []
-        in_conflict = self.scope_mat[violated].any(axis=0)
-        return [i for i in self.order_by_name if in_conflict[i]]
-
-
-def compile_csp(csp: CSP, max_bits: int = DEFAULT_MAX_BITS) -> CompiledBitCSP:
-    """Compile ``csp`` to bit-matrix form, caching the result on the CSP.
-
-    The cache is safe because :class:`CSP` is immutable after
-    construction (variables and constraints are tuples).  Raises
-    :class:`BitEngineUnsupported` for non-boolean CSPs and for
-    ``n > max_bits`` regardless of any cached compilation.
-    """
-    n = len(csp.variables)
-    if n > max_bits:
-        raise BitEngineUnsupported(
-            f"{n}-variable CSP exceeds the bit engine's "
-            f"2^{max_bits}-state memory envelope"
-        )
-    cached = getattr(csp, "_bit_compiled", None)
-    if cached is not None:
-        return cached
-    compiled = CompiledBitCSP(csp, max_bits=max_bits)
-    csp._bit_compiled = compiled  # type: ignore[attr-defined]
-    return compiled
-
-
-#: persistent per-state bytes of the compiled form, itemized: packed
-#: int64 state mask (8) + int32 violation count (4) + lazily
-#: materialized float64 quality row (8) + bool fit mask (1)
-STATE_BYTES = 8 + 4 + 8 + 1
-#: transient per-state scratch during constraint lowering: the int64
-#: temporary of the popcount/shift kernels (8) plus the int64 subcube /
-#: accumulation buffer of the table and linear kernels (8)
-LOWERING_SCRATCH_BYTES = 8 + 8
-#: per-state bytes of one constraint's satisfaction row (bool)
-SAT_ROW_BYTES = 1
-
-
-def estimate_compile_bytes(csp: CSP) -> Optional[int]:
-    """Upper-bound the compiled footprint of ``csp`` without allocating.
-
-    Itemized per state: :data:`STATE_BYTES` for the persistent packed
-    arrays, :data:`LOWERING_SCRATCH_BYTES` of transient scratch while a
-    constraint is being lowered, and one :data:`SAT_ROW_BYTES`
-    satisfaction cell **per constraint** — the sat matrix dominates for
-    constraint-heavy problems, so a budget check that only counted the
-    packed state vector would under-estimate by a factor of
-    ``n_constraints``.  Everything is Python ints, so the estimate
-    itself never overflows or allocates.  Pinned against the measured
-    ``nbytes`` of real compiles (:func:`measured_compile_bytes`) by the
-    bit-engine test suite.  Returns ``None`` for CSPs the bit engine
-    cannot compile at all (non-boolean variables), where a memory
-    budget is moot because compilation already falls back.
-    """
-    if any(not v.is_boolean for v in csp.variables):
-        return None
-    n = len(csp.variables)
-    per_state = (
-        STATE_BYTES
-        + LOWERING_SCRATCH_BYTES
-        + SAT_ROW_BYTES * len(csp.constraints)
-    )
-    return (1 << n) * per_state
-
-
-def measured_compile_bytes(compiled: CompiledBitCSP) -> int:
-    """Actual ``nbytes`` held by a compiled form's persistent arrays.
-
-    Sums the packed states, the per-constraint sat matrix, violation
-    counts, fit mask, and the (force-materialized) quality table — the
-    ground truth :func:`estimate_compile_bytes` must upper-bound.
-    """
-    return int(
-        compiled.states.nbytes
-        + compiled.sat.nbytes
-        + compiled.violations.nbytes
-        + compiled.fit_mask.nbytes
-        + compiled.quality_table().nbytes
-    )
-
-
-# -- hypercube BFS kernels -------------------------------------------------
-
-
 def _flip_masks(n: int) -> np.ndarray:
     return np.int64(1) << np.arange(n, dtype=np.int64)
-
-
-def hamming_distances(fit_mask: np.ndarray, n: int) -> np.ndarray:
-    """Distance from every state to the nearest fit state, by BFS.
-
-    Level-synchronous breadth-first search over the n-cube: the frontier
-    is an index array, neighbors come from one XOR broadcast
-    (``frontier[:, None] ^ flip_masks``), and each level settles all
-    states at that distance at once.  Because single-bit flips generate
-    the hypercube, the BFS level equals the minimum Hamming distance to
-    the fit set — exactly :meth:`BitSpace.recovery_distance` for all
-    2^n states in one pass.  Unreachable (empty fit set) → ``-1``.
-    """
-    size = 1 << n
-    if fit_mask.shape != (size,):
-        raise ConfigurationError(
-            f"fit mask must have shape ({size},), got {fit_mask.shape}"
-        )
-    dist = np.full(size, -1, dtype=np.int32)
-    frontier = np.nonzero(fit_mask)[0].astype(np.int64)
-    dist[frontier] = 0
-    bits = _flip_masks(n)
-    d = 0
-    while frontier.size and d < n:
-        cand = (frontier[:, None] ^ bits).ravel()
-        cand = cand[dist[cand] < 0]
-        if not cand.size:
-            break
-        cand = np.unique(cand)
-        d += 1
-        dist[cand] = d
-        frontier = cand
-    return dist
-
-
-def add_bit_levels(
-    goal_mask: np.ndarray, n: int, max_level: Optional[int] = None
-) -> np.ndarray:
-    """Baral–Eiter recovery levels for the deterministic repair encoding.
-
-    Agent actions are ``repair_i``: set a failed bit to 1 (applicable
-    iff bit ``i`` is 0), each with a single deterministic outcome —
-    the spacecraft encoding of :meth:`Spacecraft.to_transition_system`.
-    ``levels[s]`` is then the minimum number of repair steps from ``s``
-    into the goal set, found by reverse BFS from the goals along
-    "clear one set bit" predecessor edges (the predecessors of ``t``
-    are exactly the states ``t ^ bit`` with ``bit`` set in ``t``).
-    ``max_level`` truncates the fixpoint like
-    :func:`repro.planning.kmaintain.compute_levels`; unleveled → ``-1``.
-    """
-    size = 1 << n
-    if goal_mask.shape != (size,):
-        raise ConfigurationError(
-            f"goal mask must have shape ({size},), got {goal_mask.shape}"
-        )
-    max_level = n if max_level is None else min(max_level, n)
-    levels = np.full(size, -1, dtype=np.int32)
-    frontier = np.nonzero(goal_mask)[0].astype(np.int64)
-    levels[frontier] = 0
-    bits = _flip_masks(n)
-    d = 0
-    while frontier.size and d < max_level:
-        cand = (frontier[:, None] ^ bits)
-        # keep only "clear a set bit" edges: the XOR removed a bit
-        cand = cand[cand < frontier[:, None]].ravel()
-        cand = cand[levels[cand] < 0]
-        if not cand.size:
-            break
-        cand = np.unique(cand)
-        d += 1
-        levels[cand] = d
-        frontier = cand
-    return levels
-
-
-def clear_bit_ball(
-    seed_mask: np.ndarray, n: int, radius: int
-) -> np.ndarray:
-    """All states reachable from the seeds by clearing ≤ ``radius`` bits.
-
-    The debris damage envelope: BFS along "clear one set bit" edges,
-    truncated at depth ``radius``.  Returns a boolean membership mask
-    (seeds included, radius 0 → the seeds themselves).
-    """
-    size = 1 << n
-    if seed_mask.shape != (size,):
-        raise ConfigurationError(
-            f"seed mask must have shape ({size},), got {seed_mask.shape}"
-        )
-    if radius < 0:
-        raise ConfigurationError(f"radius must be >= 0, got {radius}")
-    member = seed_mask.copy()
-    frontier = np.nonzero(seed_mask)[0].astype(np.int64)
-    bits = _flip_masks(n)
-    for _ in range(min(radius, n)):
-        if not frontier.size:
-            break
-        cand = frontier[:, None] ^ bits
-        cand = cand[cand < frontier[:, None]].ravel()
-        cand = cand[~member[cand]]
-        if not cand.size:
-            break
-        cand = np.unique(cand)
-        member[cand] = True
-        frontier = cand
-    return member

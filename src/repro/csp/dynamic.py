@@ -115,7 +115,7 @@ class DynamicCSP:
                 raise ConfigurationError(f"unknown event type: {event!r}")
         # one CSP per distinct environment (constraint tuple), built
         # lazily: csp_at is called every simulated step, and a stable
-        # CSP identity lets the bit engine cache its compiled form
+        # CSP identity lets the fast engine cache its compiled form
         self._csp_cache: Dict[int, CSP] = {}
 
     def csp_at(self, time: int) -> CSP:
@@ -191,14 +191,13 @@ class DCSPSimulator:
 
     ``engine`` selects the CSP kernels (see
     :func:`repro.csp.engine.make_csp_engine`; default honours
-    ``REPRO_CSP_ENGINE``).  The bit engine compiles each distinct
-    environment once and replays the greedy repair on packed state
-    masks — identical runs, draw-for-draw, to the object engine.  The
-    tiled engine runs the same loop through lazily-indexed views
-    (:class:`~repro.csp.tiledengine.TiledBitCSP` computes just the
-    ``mask ^ flip_masks`` neighborhoods each tick instead of a 2^n
-    table), so DCSP runs scale past n = 20 with per-tick cost Θ(n ·
-    n_constraints).  Non-boolean CSPs, ``n`` beyond the enumeration
+    ``REPRO_CSP_ENGINE``).  The fast kinds compile each distinct
+    environment once and replay the greedy repair on packed state
+    masks — identical runs, draw-for-draw, to the object engine.  A
+    single-block :class:`~repro.csp.tiledengine.TiledBitCSP` answers
+    each tick from its violation table; past one block it computes just
+    the ``mask ^ flip_masks`` neighborhoods each tick, so DCSP runs
+    scale past n = 20 with per-tick cost Θ(n · n_constraints).  Non-boolean CSPs, ``n`` beyond the enumeration
     cap, and damage events forcing non-boolean values all fall back to
     the object loop automatically.
     """
@@ -255,9 +254,9 @@ class DCSPSimulator:
         tr = trace.current()
         comps = self._compiled_timeline(horizon)
         if comps is not None:
-            with tr.timer("csp.dcsp.bit"):
+            with tr.timer("csp.dcsp.tiled"):
                 result = self._run_bits(state, horizon, rng, comps)
-            tr.count("csp.dcsp.runs.bit")
+            tr.count("csp.dcsp.runs.tiled")
             return result
         with tr.timer("csp.dcsp.object"):
             result = self._run_object(state, horizon, rng)
@@ -427,8 +426,8 @@ class DCSPSimulator:
         Replica ``r`` runs exactly as ``run(initials[r], horizon,
         seed=children[r])`` with the child generators derived via
         :func:`repro.rng.spawn` — the contract the sweep harness relies
-        on.  Under the bit engine the per-tick repair evaluates all
-        replicas' candidate flips in one violation-table gather per flip
+        on.  Under a fast kind the per-tick repair evaluates all
+        replicas' candidate flips in one violation gather per flip
         slot, keeping only the tie-break draws per replica.
         """
         initials = [dict(i) for i in initials]
@@ -446,9 +445,9 @@ class DCSPSimulator:
                 self.run(initial, horizon=horizon, seed=child)
                 for initial, child in zip(initials, rngs)
             ]
-        with tr.timer("csp.dcsp.bit"):
+        with tr.timer("csp.dcsp.tiled"):
             results = self._run_batch_bits(initials, horizon, rngs, comps)
-        tr.count("csp.dcsp.runs.bit", len(initials))
+        tr.count("csp.dcsp.runs.tiled", len(initials))
         return results
 
     def _run_batch_bits(

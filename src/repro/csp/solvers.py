@@ -157,8 +157,8 @@ def min_conflicts(
     rather than redesign.
 
     ``engine`` selects the CSP kernels (default honours
-    ``REPRO_CSP_ENGINE``); the bit engine replays the identical search
-    on a compiled violation table, draw-for-draw, falling back to the
+    ``REPRO_CSP_ENGINE``); the fast kinds replay the identical search
+    on compiled violation counts, draw-for-draw, falling back to the
     object loop for non-boolean or too-large CSPs.
     """
     from ..runtime import trace
@@ -172,11 +172,11 @@ def min_conflicts(
     tr = trace.current()
     compiled = make_csp_engine(engine).try_compile(csp)
     if compiled is not None:
-        with tr.timer("csp.repair.bit"):
+        with tr.timer("csp.repair.tiled"):
             result = _min_conflicts_bits(
                 compiled, csp, assignment, max_steps, rng
             )
-        tr.count("csp.repair.runs.bit")
+        tr.count("csp.repair.runs.tiled")
         return result
     with tr.timer("csp.repair.object"):
         result = _min_conflicts_object(csp, assignment, max_steps, rng)
@@ -296,9 +296,9 @@ def greedy_bitflip_repair(
     adaptability genuinely recovers in fewer steps.
 
     ``engine`` selects the CSP kernels (default honours
-    ``REPRO_CSP_ENGINE``); the bit engine replays the identical repair
-    on a compiled violation table, draw-for-draw, falling back to the
-    object loop when the CSP exceeds the compiled-form envelope.
+    ``REPRO_CSP_ENGINE``); the fast kinds replay the identical repair
+    on compiled violation counts, draw-for-draw, falling back to the
+    object loop when the CSP exceeds the enumeration cap.
     """
     from ..runtime import trace
     from .engine import make_csp_engine
@@ -318,11 +318,11 @@ def greedy_bitflip_repair(
     tr = trace.current()
     compiled = make_csp_engine(engine).try_compile(csp)
     if compiled is not None:
-        with tr.timer("csp.repair.bit"):
+        with tr.timer("csp.repair.tiled"):
             result = _greedy_bitflip_bits(
                 compiled, assignment, max_flips, flips_per_step, rng
             )
-        tr.count("csp.repair.runs.bit")
+        tr.count("csp.repair.runs.tiled")
         return result
     with tr.timer("csp.repair.object"):
         result = _greedy_bitflip_object(

@@ -1,15 +1,12 @@
-"""Tiled bit-CSP engine: block-streamed state-space kernels past 2^20.
+"""Tiled bit-CSP engine: the one compiled form of a boolean CSP.
 
-:class:`~repro.csp.bitengine.CompiledBitCSP` materializes every array
-over the full ``0 .. 2^n - 1`` range, which caps it at
-``DEFAULT_MAX_BITS = 20`` (~1M states) and turns the supervisor's
-memory budget into a *refusal* (``estimate_compile_bytes`` pre-emption
-→ object fallback).  This module breaks that 2^n wall: the same lowered
-constraint kernels (:func:`~repro.csp.bitengine.lower_csp`) are
-streamed over fixed-size blocks of the state space, so nothing of size
-2^n is ever allocated and the practical cap moves to n ≈ 28–32.
+Every fast CSP kind (``bit`` and ``tiled``) runs
+:class:`TiledBitCSP`: the lowered constraint kernels of
+:func:`~repro.csp.bitengine.lower_csp` streamed over fixed-size blocks
+of the ``0 .. 2^n - 1`` state space, so nothing of size 2^n is ever
+allocated for a multi-block space and the practical cap is n ≈ 28–32.
 
-Three pieces make the compiled form scale:
+Four pieces:
 
 * **block scheduler** — :func:`derive_block_bits` turns the
   supervisor's ``memory_budget_mb`` into a block size instead of a
@@ -18,32 +15,36 @@ Three pieces make the compiled form scale:
   worker) fits the budget, clamped to
   ``[MIN_BLOCK_BITS, MAX_BLOCK_BITS]``.  An impossible budget means
   more, smaller blocks — never ``None``.
-* **streamed evaluation** — :meth:`TiledBitCSP.fit_indices` /
-  ``quality`` / ``conflict_counts`` run each lowered evaluator once per
-  block; fit states accumulate as a sorted int64 index array
-  (Θ(|C|) memory, not Θ(2^n)).  Blocks optionally fan out across
-  processes through the PR-2 executor
-  (:func:`repro.runtime.executor.run_points`).  Dispatch sites that
-  index the bit engine's materialized arrays
-  (``compiled.violations[...]``, ``compiled.quality_table()[...]``)
-  keep working unchanged via lazy views that compute the requested
-  entries on demand.
+* **streamed evaluation** — :meth:`TiledBitCSP.fit_indices` runs each
+  lowered evaluator once per block; fit states accumulate as a sorted
+  int64 index array (Θ(|C|) memory, not Θ(2^n)).  Blocks optionally
+  fan out across processes through the executor
+  (:func:`repro.runtime.executor.run_points`).
+* **single-block table** — when the whole space is one block
+  (``n`` ≤ the budget-derived block size, so every n ≤
+  :data:`DEFAULT_BLOCK_BITS` without a budget), the first per-state
+  lookup builds that block's satisfaction rows, violation counts and
+  quality row once; ``violations`` and ``quality_table()`` are then
+  those arrays, and the repair loops index them directly.  A
+  multi-block space answers the same indexing through lazy views that
+  evaluate just the requested states.  The table fits the block
+  budget: ``4 + 8 + n_constraints`` bytes per state against the
+  scheduler's ``TILE_STATE_BYTES + n_constraints``.
 * **implicit-frontier BFS** — :meth:`TiledBitCSP.min_distances_masks`,
   :func:`implicit_add_bit_levels` and :func:`implicit_clear_bit_ball`
-  are the ``hamming_distances`` / ``add_bit_levels`` /
-  ``clear_bit_ball`` equivalents that keep the frontier as sorted index
-  arrays with chunked XOR neighbor generation, instead of a ``(2^n,)``
-  level array — recoverability and K-maintainability cost
-  Θ(ball volume), not Θ(state space).
+  keep BFS frontiers as sorted index arrays with chunked XOR neighbor
+  generation instead of ``(2^n,)`` level arrays — recoverability and
+  K-maintainability cost Θ(ball volume), not Θ(state space).
 
-Equivalence contract, pinned by ``tests/csp/test_tiledengine.py``: for
-n ≤ 20 every quantity is byte-identical to the bit engine (which is
-itself pinned to the object engine), and for n > 20 results are
-invariant under the block size.
+Equivalence contract, pinned by ``tests/csp/test_bitengine.py``,
+``tests/csp/test_tiledengine.py`` and the hypothesis suite
+``tests/csp/test_engine_fuzz.py``: every quantity is byte-identical to
+the object engine wherever it runs, and invariant under the block size.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -78,14 +79,14 @@ __all__ = [
 #: exact enumeration stops being a realistic analysis.
 DEFAULT_MAX_BITS_TILED = 32
 
-#: block size used when no memory budget is installed (2^18 = 256K
-#: states ≈ 12 MiB in flight for a handful of constraints)
-DEFAULT_BLOCK_BITS = 18
+#: block size used when no memory budget is installed (2^20 = 1M
+#: states ≈ 35 MiB in flight for a handful of constraints); every CSP
+#: with n ≤ 20 is one block and gets the single-block table
+DEFAULT_BLOCK_BITS = 20
 #: smallest scheduled block — below 2^10 the per-block Python overhead
 #: dominates the vectorized kernels
 MIN_BLOCK_BITS = 10
-#: largest scheduled block (2^24 states) — matches the biggest
-#: footprint the full bit engine would ever have allocated
+#: largest scheduled block (2^24 states)
 MAX_BLOCK_BITS = 24
 
 #: per-state bytes in flight while one block streams: the int64 block
@@ -149,11 +150,10 @@ def _xor_expand(
 ) -> np.ndarray:
     """Unsettled XOR neighbors of ``frontier``, sorted and unique.
 
-    The implicit-frontier replacement for the bit engine's
-    ``frontier[:, None] ^ flip_masks`` over a (2^n,) distance array:
-    membership comes from ``settled`` (a sorted index array) instead of
-    array indexing, and the broadcast is chunked so at most ~``chunk``
-    candidate masks exist at once.  ``down=True`` keeps only edges that
+    One BFS level as ``frontier[:, None] ^ flip_masks`` without a
+    (2^n,) distance array: membership comes from ``settled`` (a sorted
+    index array) instead of array indexing, and the broadcast is
+    chunked so at most ~``chunk`` candidate masks exist at once.  ``down=True`` keeps only edges that
     clear a set bit (``cand < source``) — the predecessor edges of the
     repair encoding.
     """
@@ -184,12 +184,17 @@ def implicit_add_bit_levels(
     *,
     chunk: int = 1 << 20,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`~repro.csp.bitengine.add_bit_levels` on index arrays.
+    """Baral–Eiter recovery levels of the spacecraft repair encoding.
 
-    Reverse BFS from the goals along "clear one set bit" predecessor
-    edges, returning ``(states, levels)``: the sorted masks of every
-    state leveled within ``max_level`` and their exact levels — never a
-    ``(2^n,)`` array, so K-maintainability levels cost Θ(leveled set).
+    Agent actions are ``repair_i``: set a failed bit to 1, with one
+    deterministic outcome.  A state's level is the minimum number of
+    repair steps into the goal set, found by reverse BFS from the goals
+    along "clear one set bit" predecessor edges.  ``max_level``
+    truncates the fixpoint like
+    :func:`repro.planning.kmaintain.compute_levels`.  Returns
+    ``(states, levels)``: the sorted masks of every state leveled
+    within ``max_level`` and their exact levels — never a ``(2^n,)``
+    array, so K-maintainability levels cost Θ(leveled set).
     """
     goal = np.unique(np.asarray(goal_indices, dtype=np.int64))
     max_level = n if max_level is None else min(max_level, n)
@@ -221,10 +226,10 @@ def implicit_clear_bit_ball(
     *,
     chunk: int = 1 << 20,
 ) -> np.ndarray:
-    """:func:`~repro.csp.bitengine.clear_bit_ball` on index arrays.
+    """The debris damage envelope as a sorted mask array.
 
-    The debris damage envelope as a sorted mask array: all states
-    reachable from the seeds by clearing ≤ ``radius`` bits, costing
+    All states reachable from the seeds by clearing ≤ ``radius`` bits
+    (seeds included, radius 0 → the seeds themselves), costing
     Θ(ball volume) instead of Θ(2^n).
     """
     if radius < 0:
@@ -246,56 +251,28 @@ def implicit_clear_bit_ball(
 # -- lazy whole-space views -------------------------------------------------
 
 
-class _LazyViolationView:
-    """``compiled.violations`` without the (2^n,) array behind it.
+class _LazyView:
+    """A per-state array of a multi-block space, without the (2^n,) array.
 
-    The DCSP and repair loops index the bit engine's materialized
-    violation counts with scalars, 1-D flip batches, and 2-D
-    ``masks[:, None] ^ flip_masks`` neighborhoods; this view accepts
-    the same indexing and evaluates just the requested states through
-    the lowered kernels, so those pinned loops run unchanged on the
-    tiled engine.
+    The DCSP and repair loops index ``violations`` / ``quality_table()``
+    with scalars, 1-D flip batches, and 2-D ``masks[:, None] ^
+    flip_masks`` neighborhoods; this view accepts the same indexing as
+    the single-block table and evaluates just the requested states
+    through the lowered kernels, so one loop body serves both.
     """
 
-    def __init__(self, tiled: "TiledBitCSP"):
-        self._tiled = tiled
-        self.dtype = np.dtype(np.int32)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return (self._tiled.size,)
+    def __init__(self, evaluate, size: int, dtype):
+        self._evaluate = evaluate
+        self.shape = (size,)
+        self.dtype = np.dtype(dtype)
 
     def __len__(self) -> int:
-        return self._tiled.size
+        return self.shape[0]
 
     def __getitem__(self, masks):
         if isinstance(masks, (int, np.integer)):
-            return self._tiled._violations_of(
-                np.asarray([masks], dtype=np.int64)
-            )[0]
-        return self._tiled._violations_of(np.asarray(masks, dtype=np.int64))
-
-
-class _LazyQualityView:
-    """``compiled.quality_table()`` computed per lookup, same indexing."""
-
-    def __init__(self, tiled: "TiledBitCSP"):
-        self._tiled = tiled
-        self.dtype = np.dtype(np.float64)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return (self._tiled.size,)
-
-    def __len__(self) -> int:
-        return self._tiled.size
-
-    def __getitem__(self, masks):
-        if isinstance(masks, (int, np.integer)):
-            return self._tiled._quality_of(
-                np.asarray([masks], dtype=np.int64)
-            )[0]
-        return self._tiled._quality_of(np.asarray(masks, dtype=np.int64))
+            return self._evaluate(np.asarray([masks], dtype=np.int64))[0]
+        return self._evaluate(np.asarray(masks, dtype=np.int64))
 
 
 def _block_worker(fn, value, seed):
@@ -305,26 +282,24 @@ def _block_worker(fn, value, seed):
 
 
 class TiledBitCSP(PackedStateBridge):
-    """A boolean CSP compiled to block-streamed form (no 2^n arrays).
+    """A boolean CSP compiled to block-streamed form.
 
-    Drop-in for :class:`~repro.csp.bitengine.CompiledBitCSP` at every
-    dispatch site: the same packed-mask convention, the same methods
-    (``fit_indices`` / ``fit_bitstrings`` / ``quality`` /
+    State ``m`` (an integer mask) assigns variable ``i`` the domain
+    value whose ``int()`` is bit ``i`` of ``m`` — the same convention
+    as :meth:`CSP.bits_from_assignment`.  Dispatch sites use
+    ``fit_indices`` / ``fit_bitstrings`` / ``quality`` /
     ``conflict_counts`` / ``min_distances`` / ``min_distances_masks`` /
-    ``conflicted_variable_order`` / ``assignment_of`` / ``mask_of``)
-    and lazily-indexed ``violations`` / ``quality_table()`` views —
-    but everything of size 2^n is replaced by streaming over
-    ``2^block_bits``-state blocks and sorted index arrays.
+    ``conflicted_variable_order`` / ``assignment_of`` / ``mask_of`` and
+    index ``violations`` / ``quality_table()`` by mask.
 
     Compilation itself is O(constraints) — lowering only.  The fit set
     is enumerated on first use (``fit_indices``), one block at a time,
     optionally fanned out over ``workers`` processes; DCSP timelines at
     large n that never touch the fit set therefore pay nothing for it.
+    Per-state lookups read the single-block table when the space is one
+    block (built on the first lookup) and evaluate the requested states
+    otherwise.
     """
-
-    #: engine kind whose dispatch sites this compiled form serves —
-    #: used to label ``csp.*`` timers/counters at the dispatch sites
-    engine_label = "tiled"
 
     def __init__(
         self,
@@ -369,9 +344,6 @@ class TiledBitCSP(PackedStateBridge):
         self._evaluators = evaluators
         #: (n_constraints, n) scope membership matrix
         self.scope_mat: np.ndarray = scope_mat
-        #: lazy stand-in for the bit engine's (2^n,) violation counts
-        self.violations = _LazyViolationView(self)
-        self._quality_view = _LazyQualityView(self)
         self._fit_indices: Optional[np.ndarray] = None
         trace.current().count("csp.compiles")
 
@@ -379,19 +351,21 @@ class TiledBitCSP(PackedStateBridge):
 
     def _violations_of(self, masks: np.ndarray) -> np.ndarray:
         """Violated-constraint counts for the given masks (any shape)."""
-        if not self._evaluators:
-            return np.zeros(masks.shape, dtype=np.int32)
         out = np.zeros(masks.shape, dtype=np.int32)
         for evaluate in self._evaluators:
             out += ~evaluate(masks)
         return out
 
     def _quality_of(self, masks: np.ndarray) -> np.ndarray:
-        """Q for the given masks, float-identical to the bit engine."""
+        """Q for the given masks, float-identical to :meth:`CSP.quality`."""
+        return self._quality_from(self._violations_of(masks))
+
+    def _quality_from(self, violations: np.ndarray) -> np.ndarray:
+        """Q from violation counts: ``100.0 * satisfied / n_constraints``."""
         n_c = len(self._evaluators)
         if n_c == 0:
-            return np.full(masks.shape, 100.0)
-        satisfied = (n_c - self._violations_of(masks)).astype(np.int64)
+            return np.full(violations.shape, 100.0)
+        satisfied = (n_c - violations).astype(np.int64)
         return 100.0 * satisfied / n_c
 
     def block_ranges(self) -> list[tuple[int, int]]:
@@ -448,17 +422,45 @@ class TiledBitCSP(PackedStateBridge):
         """The fit set C, identical to :meth:`CSP.fit_bitstrings`."""
         return frozenset(BitString(self.n, int(m)) for m in self.fit_indices)
 
-    def quality_table(self) -> _LazyQualityView:
-        """Lazily-indexed stand-in for the bit engine's quality table."""
-        return self._quality_view
+    # -- per-state lookups: single-block table or lazy views --------------
+
+    @cached_property
+    def _sat(self) -> np.ndarray:
+        """(n_constraints, 2^n) satisfaction rows of a single-block space."""
+        states = np.arange(self.size, dtype=np.int64)
+        sat = np.empty((len(self._evaluators), self.size), dtype=bool)
+        for ci, evaluate in enumerate(self._evaluators):
+            sat[ci] = evaluate(states)
+        return sat
+
+    @cached_property
+    def violations(self):
+        """Violated-constraint count per state, indexed by mask.
+
+        The single-block table's int32 array, or a lazy view evaluating
+        just the indexed states when the space spans several blocks.
+        """
+        if self.n_blocks > 1:
+            return _LazyView(self._violations_of, self.size, np.int32)
+        return (~self._sat).sum(axis=0, dtype=np.int32)
+
+    @cached_property
+    def _quality_table(self):
+        if self.n_blocks > 1:
+            return _LazyView(self._quality_of, self.size, np.float64)
+        return self._quality_from(self.violations)
+
+    def quality_table(self):
+        """Q for every state, indexed by mask (table or lazy view)."""
+        return self._quality_table
 
     def quality(self, masks) -> np.ndarray:
         """Vectorized :meth:`CSP.quality` for a batch of state masks."""
-        return self._quality_of(np.asarray(masks, dtype=np.int64))
+        return self._quality_table[np.asarray(masks, dtype=np.int64)]
 
     def conflict_counts(self, masks) -> np.ndarray:
         """Vectorized :meth:`CSP.conflict_count` for a batch of masks."""
-        return self._violations_of(np.asarray(masks, dtype=np.int64))
+        return self.violations[np.asarray(masks, dtype=np.int64)]
 
     # -- recoverability kernel ---------------------------------------------
 
@@ -478,8 +480,7 @@ class TiledBitCSP(PackedStateBridge):
         fit states (sorted index arrays + chunked XOR expansion,
         stopping as soon as every query is settled) — dense fit sets
         reach everything within a few levels, so the settled set never
-        approaches 2^n.  ``-1`` when the fit set is empty, matching
-        :meth:`CompiledBitCSP.min_distances_masks`.
+        approaches 2^n.  ``-1`` when the fit set is empty.
         """
         masks = np.asarray(masks, dtype=np.int64)
         fit = self.fit_indices
@@ -534,16 +535,21 @@ class TiledBitCSP(PackedStateBridge):
     def conflicted_variable_order(self, mask: int) -> list[int]:
         """Scope variables of violated constraints, sorted by name.
 
-        Same contract as the bit engine's, evaluated for the one
-        requested state instead of read from the (n_constraints, 2^n)
-        satisfaction matrix.
+        Mirrors the object repair loops' ``sorted({v for c in violated
+        for v in c.scope})`` (lexicographic on *names*, so e.g. ``x10``
+        sorts before ``x2``) but returns variable indices.  Reads the
+        single-block table's satisfaction column, or evaluates the one
+        requested state when the space spans several blocks.
         """
-        one = np.asarray([mask], dtype=np.int64)
-        violated = np.fromiter(
-            (not bool(evaluate(one)[0]) for evaluate in self._evaluators),
-            dtype=bool,
-            count=len(self._evaluators),
-        )
+        if self.n_blocks == 1:
+            violated = ~self._sat[:, mask]
+        else:
+            one = np.asarray([mask], dtype=np.int64)
+            violated = np.fromiter(
+                (not bool(evaluate(one)[0]) for evaluate in self._evaluators),
+                dtype=bool,
+                count=len(self._evaluators),
+            )
         if not violated.any():
             return []
         in_conflict = self.scope_mat[violated].any(axis=0)
@@ -559,8 +565,9 @@ def compile_tiled(
 ) -> TiledBitCSP:
     """Compile ``csp`` to tiled form, caching the result on the CSP.
 
-    The cache (like :func:`~repro.csp.bitengine.compile_csp`'s) is safe
-    because :class:`CSP` is immutable; it is keyed on the resolved
+    The cache is safe because :class:`CSP` is immutable (variables and
+    constraints are tuples), so the single-block table built by one
+    analysis serves the next; it is keyed on the resolved
     scheduling parameters, so changing the block size or worker count
     recompiles rather than silently reusing the old schedule.
     """

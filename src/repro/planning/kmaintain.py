@@ -37,7 +37,6 @@ __all__ = [
     "MaintainabilityResult",
     "compute_levels",
     "construct_policy",
-    "construct_policy_bits",
     "construct_policy_tiled",
 ]
 
@@ -151,14 +150,13 @@ def construct_policy(
     )
 
 
-def construct_policy_bits(
-    compiled, max_debris_hits: int, k: int
+def construct_policy_tiled(
+    tiled, max_debris_hits: int, k: int
 ) -> MaintainabilityResult:
-    """:func:`construct_policy` for the spacecraft encoding, on arrays.
+    """:func:`construct_policy` for the spacecraft encoding, on index arrays.
 
-    Operates directly on a
-    :class:`~repro.csp.bitengine.CompiledBitCSP` instead of the
-    materialized :class:`TransitionSystem` of
+    Operates directly on a :class:`~repro.csp.tiledengine.TiledBitCSP`
+    instead of the materialized :class:`TransitionSystem` of
     :meth:`Spacecraft.to_transition_system`, whose exponential
     dict-of-frozensets construction dominates the object path.  The
     encoding is fixed: goal states are the fit configurations, agent
@@ -167,109 +165,22 @@ def construct_policy_bits(
     any fit state to each outcome with ≤ ``max_debris_hits`` cleared
     bits.  Under that encoding:
 
-    * recovery levels are the reverse add-bit BFS from the fit mask
-      (:func:`~repro.csp.bitengine.add_bit_levels`, truncated at ``k``
-      like ``compute_levels(max_level=k)``);
+    * recovery levels are the reverse add-bit BFS from the fit set
+      (:func:`~repro.csp.tiledengine.implicit_add_bit_levels`,
+      truncated at ``k`` like ``compute_levels(max_level=k)``);
     * the damage envelope is the clear-bit ball of radius
-      ``max_debris_hits`` around the fit mask — one pass suffices
-      because every fit state is already a seed;
+      ``max_debris_hits`` around the fit set
+      (:func:`~repro.csp.tiledengine.implicit_clear_bit_ball`) — one
+      pass suffices because every fit state is already a seed;
     * the witnessing action per state is the first ``repair_i`` in
       lexicographic action-name order whose outcome sits one level
       down, matching ``applicable_agent_actions``'s sorted order.
 
-    The returned result is field-for-field identical to the object
-    construction (levels, envelope, uncovered, policy actions).
-    """
-    from ..csp.bitengine import add_bit_levels, clear_bit_ball
-    from ..csp.bitstring import BitString
-
-    if k < 0:
-        raise ConfigurationError(f"k must be >= 0, got {k}")
-    n = compiled.n
-    if not 1 <= max_debris_hits <= n:
-        raise ConfigurationError(
-            f"max_debris_hits must be in [1, {n}], got {max_debris_hits}"
-        )
-    fit_mask = compiled.fit_mask
-    levels_arr = add_bit_levels(fit_mask, n, max_level=k)
-    envelope_mask = clear_bit_ball(fit_mask, n, max_debris_hits)
-
-    goals = frozenset(
-        BitString(n, int(m)) for m in np.nonzero(fit_mask)[0]
-    )
-    envelope = frozenset(
-        BitString(n, int(m)) for m in np.nonzero(envelope_mask)[0]
-    )
-    levels = {
-        BitString(n, int(m)): int(levels_arr[m])
-        for m in np.nonzero(levels_arr >= 0)[0]
-    }
-    uncovered = frozenset(
-        BitString(n, int(m))
-        for m in np.nonzero(envelope_mask & (levels_arr < 0))[0]
-    )
-    if uncovered:
-        return MaintainabilityResult(
-            k=k,
-            maintainable=False,
-            policy=None,
-            levels=levels,
-            envelope=envelope,
-            uncovered=uncovered,
-        )
-
-    # witnessing actions: first repair_i (lex name order) one level down
-    states = np.arange(1 << n, dtype=np.int64)
-    action_idx = np.full(1 << n, -1, dtype=np.int32)
-    unassigned = levels_arr >= 1
-    for i in sorted(range(n), key=lambda j: f"repair_{j}"):
-        bit = np.int64(1) << np.int64(i)
-        succ_lvl = levels_arr[states | bit]
-        ok = (
-            unassigned
-            & ((states & bit) == 0)
-            & (succ_lvl >= 0)
-            & (succ_lvl <= levels_arr - 1)
-        )
-        action_idx[ok] = i
-        unassigned &= ~ok
-    actions = {
-        BitString(n, int(m)): f"repair_{int(action_idx[m])}"
-        for m in np.nonzero(levels_arr >= 1)[0]
-    }
-    policy = MaintenancePolicy(
-        actions=actions,
-        levels=dict(levels),
-        goal_states=goals,
-        k=k,
-    )
-    return MaintainabilityResult(
-        k=k,
-        maintainable=True,
-        policy=policy,
-        levels=levels,
-        envelope=envelope,
-        uncovered=frozenset(),
-    )
-
-
-def construct_policy_tiled(
-    tiled, max_debris_hits: int, k: int
-) -> MaintainabilityResult:
-    """:func:`construct_policy_bits` on implicit-frontier index arrays.
-
-    The bit construction reads and writes ``(2^n,)`` level and envelope
-    arrays, which is exactly what a
-    :class:`~repro.csp.tiledengine.TiledBitCSP` exists to avoid.  This
-    variant keeps every set as a sorted int64 mask array: levels come
-    from :func:`~repro.csp.tiledengine.implicit_add_bit_levels`
-    (truncated at ``k``), the damage envelope from
-    :func:`~repro.csp.tiledengine.implicit_clear_bit_ball`, coverage
-    and successor-level lookups from ``searchsorted`` membership —
-    Θ(envelope + leveled set) memory instead of Θ(2^n).  Witnessing
-    actions follow the same lexicographic ``repair_i`` order, so the
-    result is field-for-field identical to both the bit and the object
-    constructions wherever all three run.
+    Every set is a sorted int64 mask array, with coverage and
+    successor-level lookups by ``searchsorted`` — Θ(envelope + leveled
+    set) memory instead of Θ(2^n).  The returned result is
+    field-for-field identical to the object construction (levels,
+    envelope, uncovered, policy actions).
     """
     from ..csp.bitstring import BitString
     from ..csp.tiledengine import (

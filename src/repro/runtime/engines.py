@@ -8,13 +8,16 @@ family   seam                     env var                    kinds (default*)   
 ======== ======================== ========================== ====================== ========
 agents   ``make_engine``          ``REPRO_AGENT_ENGINE``     object, array*         object
 networks ``make_network_engine``  ``REPRO_NETWORK_ENGINE``   object*, array = mmap  object
-csp      ``make_csp_engine``      ``REPRO_CSP_ENGINE``       object*, bit, tiled    object
+csp      ``make_csp_engine``      ``REPRO_CSP_ENGINE``       object*, bit = tiled   object
 ======== ======================== ========================== ====================== ========
 
 The networks seam keeps two fast kind names for one engine: ``array``
 and ``mmap`` both resolve to
 :class:`repro.networks.engine.ArrayNetworkEngine`, whose block-streamed
-kernels run on the graph's own storage (in RAM or memory-mapped).
+kernels run on the graph's own storage (in RAM or memory-mapped).  The
+CSP seam likewise keeps ``bit`` and ``tiled`` as two names for
+:class:`repro.csp.engine.TiledCSPEngine`, which streams the state space
+in blocks and keeps one table when the space is a single block.
 
 :func:`resolve_engine_kind` is the shared helper behind all three: it
 applies the same ``None``-means-environment rule, produces the same
@@ -23,11 +26,10 @@ EngineError` naming the valid choices and where the bad value came
 from), and — the reason this lives in ``runtime`` — gives the MAPE
 supervisor (:mod:`repro.runtime.supervisor`) a single choke point to
 degrade a tripped family's fast engine back to its reference fallback
-(``tiled → object``, ``bit → object``, ``array``/``mmap → object``) for
-the remainder of a run.  (The finer-grained ``tiled → bit → object``
-*compile* chain is not a breaker concern: it lives inside
-:meth:`repro.csp.engine.TiledCSPEngine.try_compile`, which picks the
-cheapest compiled form per CSP.)
+(``bit``/``tiled → object``, ``array``/``mmap → object``) for the
+remainder of a run.  (The CSP engine's own ``→ object`` fallback for
+non-boolean or over-cap CSPs is not a breaker concern: it lives inside
+:meth:`repro.csp.engine.TiledCSPEngine.try_compile`.)
 """
 
 from __future__ import annotations

@@ -15,7 +15,8 @@ breaker) per engine family and watches the three engine seams through
   family still resolving to a fast engine (attribution from outside a
   worker is conservative: correctness over speed).  A tripped family
   **degrades deterministically** to its reference fallback
-  (``bit → object``, ``array → object``) for the remainder of the run —
+  (``bit``/``tiled`` → ``object``, ``array``/``mmap`` → ``object``)
+  for the remainder of the run —
   sound because PRs 1–4 pin the fast engines equivalent to the object
   engines, so rows computed before and after the trip agree with an
   all-object run.
@@ -30,11 +31,9 @@ Two pre-emptive guards ride along: a **deadline** (``deadline_s``)
 bounds the whole supervised run — sweeps clamp their per-point timeout
 to the remaining budget and refuse to launch once it is exhausted
 (Kirigin et al.'s time-bounded recovery made operational) — and a
-**memory budget** (``memory_budget_mb``) pre-empts the Θ(2^n) bit-CSP
-compile before it allocates (:meth:`repro.csp.engine.BitCSPEngine.
-try_compile` consults :meth:`Supervisor.memory_budget_bytes`).  The
-tiled CSP engine and the network engine consume the same budget
-differently: instead of refusing, they derive their block size from it
+**memory budget** (``memory_budget_mb``, read through
+:meth:`Supervisor.memory_budget_bytes`).  The CSP and network engines
+derive their block size from the budget instead of refusing
 (:func:`repro.csp.tiledengine.derive_block_bits`,
 :func:`repro.networks.mmapgraph.derive_chunk_elems`), so an over-budget
 problem is *scheduled* in more, smaller blocks rather than degraded to
@@ -47,10 +46,8 @@ every resolution through unchanged, so unsupervised runs pay nothing.
 Trace counters: ``supervisor.trips`` (breaker transitions),
 ``supervisor.degradations`` (fast→fallback substitutions, counted once
 per family at trip time and once per in-process degraded resolution),
-``supervisor.reruns`` (points re-executed degraded),
-``supervisor.poisoned`` (NaN-poisoned rows caught), and
-``supervisor.preemptions`` (bit-CSP compiles pre-empted by the memory
-budget).  Counters live in the supervising process; worker subprocesses
+``supervisor.reruns`` (points re-executed degraded), and
+``supervisor.poisoned`` (NaN-poisoned rows caught).  Counters live in the supervising process; worker subprocesses
 have their own (discarded) tracers.
 """
 
@@ -164,11 +161,9 @@ class Supervisor:
         :func:`use`.  Supervised sweeps clamp per-point timeouts to the
         remaining budget and pre-empt points once it is exhausted.
     memory_budget_mb:
-        Optional memory budget (MiB) consulted by the bit-CSP engine
-        before its Θ(2^n · n_constraints) compile; an over-budget
-        compile is pre-empted into the object fallback.  The tiled
-        CSP engine and the network engine instead fold the budget into
-        their block schedules (smaller blocks, never refusal).
+        Optional memory budget (MiB).  The CSP and network engines
+        fold it into their block schedules (smaller blocks, never
+        refusal).
     """
 
     def __init__(
@@ -333,10 +328,10 @@ class Supervisor:
     def memory_budget_bytes(self) -> Optional[int]:
         """The memory budget in bytes (None when unbounded).
 
-        One budget, consumed per family: the bit-CSP engine pre-empts
-        over-budget compiles, while the tiled CSP engine and the network
+        One budget, consumed per family: the CSP engine and the network
         engine fold it into their block schedules
-        (:func:`repro.networks.mmapgraph.derive_chunk_elems`) — smaller
+        (:func:`repro.csp.tiledengine.derive_block_bits`,
+        :func:`repro.networks.mmapgraph.derive_chunk_elems`) — smaller
         blocks, never a refusal or a spill to disk.
         """
         if self.memory_budget_mb is None:

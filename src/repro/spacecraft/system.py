@@ -179,21 +179,16 @@ class Spacecraft:
         polynomial policy construction with the fit states as both
         starts and goals.  ``engine`` selects the CSP kernels: the
         object path materializes :meth:`to_transition_system` and calls
-        :func:`repro.planning.kmaintain.construct_policy`; the bit path
-        runs :func:`repro.planning.kmaintain.construct_policy_bits` on
-        the compiled fit mask; a tiled compile runs
-        :func:`repro.planning.kmaintain.construct_policy_tiled` on
-        implicit index arrays, lifting the 2^20 wall — identical
+        :func:`repro.planning.kmaintain.construct_policy`; a compiled
+        CSP runs :func:`repro.planning.kmaintain.construct_policy_tiled`
+        on implicit index arrays, with no 2^n wall — the same
         :class:`~repro.planning.kmaintain.MaintainabilityResult`,
-        field for field wherever multiple paths run.  Result size is
-        Θ(envelope), so very large ``n`` still wants small ``k`` and
-        damage radii.
+        field for field.  Result size is Θ(envelope), so very large
+        ``n`` still wants small ``k`` and damage radii.
         """
         from ..csp.engine import make_csp_engine
-        from ..csp.tiledengine import TiledBitCSP
         from ..planning.kmaintain import (
             construct_policy,
-            construct_policy_bits,
             construct_policy_tiled,
         )
         from ..runtime import trace
@@ -207,15 +202,11 @@ class Spacecraft:
         tr = trace.current()
         compiled = engine.try_compile(self.csp)
         if compiled is not None:
-            label = compiled.engine_label
-            construct = (
-                construct_policy_tiled
-                if isinstance(compiled, TiledBitCSP)
-                else construct_policy_bits
-            )
-            with tr.timer(f"csp.kmaintain.{label}"):
-                result = construct(compiled, max_debris_hits, k)
-            tr.count(f"csp.kmaintain.runs.{label}")
+            with tr.timer("csp.kmaintain.tiled"):
+                result = construct_policy_tiled(
+                    compiled, max_debris_hits, k
+                )
+            tr.count("csp.kmaintain.runs.tiled")
             return result
         with tr.timer("csp.kmaintain.object"):
             system = self.to_transition_system(max_debris_hits)

@@ -1,12 +1,13 @@
-"""Equivalence suite: compiled bit-matrix CSP engine == object engine.
+"""Equivalence suite: the ``bit`` CSP kind == the object engine.
 
-The bit engine (``repro.csp.bitengine`` behind
-``make_csp_engine``/``REPRO_CSP_ENGINE``) must reproduce the object
-engine exactly — fit sets, quality values (float-for-float), recovery
-distances and witnesses, K-maintainability results, and every seeded
-repair trajectory draw-for-draw — or fall back to the object path for
-CSPs it cannot compile (non-boolean variables, n beyond the memory
-envelope).
+The ``bit`` kind (``make_csp_engine``/``REPRO_CSP_ENGINE``) runs the
+packed :class:`~repro.csp.tiledengine.TiledBitCSP`; at these sizes the
+whole state space is one block, so its per-state lookups read the
+single-block table.  It must reproduce the object engine exactly — fit
+sets, quality values (float-for-float), recovery distances and
+witnesses, K-maintainability results, and every seeded repair
+trajectory draw-for-draw — or fall back to the object path for CSPs it
+cannot compile (non-boolean variables, n beyond the enumeration cap).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from repro.core.recoverability import (
     recovery_steps,
 )
 from repro.csp import (
-    BitCSPEngine,
     BitEngineUnsupported,
     BitString,
     DCSPSimulator,
@@ -37,19 +37,22 @@ from repro.csp import (
     all_components_good,
     at_least_k_good,
     boolean_csp,
-    compile_csp,
+    compile_tiled,
     greedy_bitflip_repair,
     make_csp_engine,
     min_conflicts,
     random_clause_csp,
 )
-from repro.csp.bitengine import (
-    add_bit_levels,
-    clear_bit_ball,
-    hamming_distances,
-)
+from repro.csp.bitengine import SAT_ROW_BYTES
 from repro.csp.bitstring import BitSpace
-from repro.csp.engine import CSPEngine, ObjectCSPEngine
+from repro.csp.engine import CSPEngine, ObjectCSPEngine, TiledCSPEngine
+from repro.csp.tiledengine import (
+    TILE_STATE_BYTES,
+    TiledBitCSP,
+    derive_block_bits,
+    implicit_add_bit_levels,
+    implicit_clear_bit_ball,
+)
 from repro.csp.variables import Variable, boolean_variables
 from repro.errors import ConfigurationError
 from repro.runtime.trace import Tracer
@@ -78,25 +81,26 @@ def mixed_csp(n=5):
 class TestCompile:
     def test_fit_set_exact(self):
         csp = mixed_csp()
-        assert compile_csp(csp).fit_bitstrings() == csp.fit_bitstrings()
+        assert compile_tiled(csp).fit_bitstrings() == csp.fit_bitstrings()
 
     def test_quality_and_conflicts_exact_per_state(self):
         csp = mixed_csp()
-        comp = compile_csp(csp)
+        comp = compile_tiled(csp)
+        assert comp.n_blocks == 1  # the single-block table answers
         for mask in range(comp.size):
             a = comp.assignment_of(mask)
             # exact float equality: same operations in the same order
             assert comp.quality([mask])[0] == csp.quality(a)
             assert comp.conflict_counts([mask])[0] == csp.conflict_count(a)
-            assert bool(comp.fit_mask[mask]) == csp.is_fit(a)
+            assert bool(comp.violations[mask] == 0) == csp.is_fit(a)
 
     def test_quality_no_constraints_is_full(self):
-        comp = compile_csp(boolean_csp(3, []))
+        comp = compile_tiled(boolean_csp(3, []))
         assert comp.quality([0, 5, 7]).tolist() == [100.0, 100.0, 100.0]
-        assert comp.fit_mask.all()
+        assert len(comp.fit_indices) == comp.size
 
     def test_assignment_roundtrip(self):
-        comp = compile_csp(mixed_csp())
+        comp = compile_tiled(mixed_csp())
         for mask in (0, 7, 19, 31):
             assert comp.mask_of(comp.assignment_of(mask)) == mask
 
@@ -104,8 +108,8 @@ class TestCompile:
         csp = mixed_csp()
         with Tracer() as tr:
             with trace.use(tr):
-                first = compile_csp(csp)
-                second = compile_csp(csp)
+                first = compile_tiled(csp)
+                second = compile_tiled(csp)
         assert first is second
         assert tr.counters["csp.compiles"] == 1
 
@@ -115,25 +119,25 @@ class TestCompile:
             [PredicateConstraint(["a"], lambda v: v != 2)],
         )
         with pytest.raises(BitEngineUnsupported):
-            compile_csp(csp)
+            compile_tiled(csp)
         assert make_csp_engine("bit").try_compile(csp) is None
 
     def test_too_large_falls_back(self):
         csp = boolean_csp(5, [all_components_good(names(5))])
         with pytest.raises(BitEngineUnsupported):
-            compile_csp(csp, max_bits=4)
-        engine = BitCSPEngine(max_bits=4)
+            compile_tiled(csp, max_bits=4)
+        engine = TiledCSPEngine(max_bits=4)
         with Tracer() as tr:
             with trace.use(tr):
                 assert engine.try_compile(csp) is None
         assert tr.counters["csp.fallbacks"] == 1
-        # within the envelope the same engine compiles fine
-        assert BitCSPEngine(max_bits=5).try_compile(csp) is not None
+        # within the cap the same engine compiles fine
+        assert TiledCSPEngine(max_bits=5).try_compile(csp) is not None
 
     def test_conflicted_variable_order_is_name_sorted(self):
         # n = 11 so lexicographic name order differs from index order
         csp = boolean_csp(11, [all_components_good(names(11))])
-        comp = compile_csp(csp)
+        comp = compile_tiled(csp)
         conflicted = comp.conflicted_variable_order(0)
         assert [comp.names[i] for i in conflicted] == sorted(names(11))
         assert conflicted != sorted(conflicted)
@@ -146,7 +150,7 @@ class TestEngineSeam:
 
     def test_env_var_selects_bit(self, monkeypatch):
         monkeypatch.setenv("REPRO_CSP_ENGINE", "bit")
-        assert make_csp_engine().name == "bit"
+        assert type(make_csp_engine()) is TiledCSPEngine
 
     def test_empty_env_var_means_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_CSP_ENGINE", "")
@@ -173,33 +177,37 @@ class TestBFSKernels:
     @pytest.mark.parametrize("n,thresh", [(5, 3), (6, 4), (6, 1)])
     def test_hamming_distances_match_scalar_bfs(self, n, thresh):
         csp = boolean_csp(n, [at_least_k_good(names(n), thresh)])
-        comp = compile_csp(csp)
+        comp = compile_tiled(csp)
         fit = list(csp.fit_bitstrings())
         space = BitSpace(n)
-        dist = hamming_distances(comp.fit_mask, n)
+        dist = comp.min_distances_masks(np.arange(1 << n, dtype=np.int64))
         for s in space.all_states():
             assert dist[s.mask] == space.recovery_distance(s, fit)
 
     def test_empty_fit_is_all_unreachable(self):
-        dist = hamming_distances(np.zeros(16, dtype=bool), 4)
+        unsat = boolean_csp(4, [PredicateConstraint(
+            names(4), lambda *vals: False, name="never_satisfied"
+        )])
+        comp = compile_tiled(unsat)
+        dist = comp.min_distances_masks(np.arange(16, dtype=np.int64))
         assert (dist == -1).all()
 
     def test_min_distances_matches_packedfitset(self):
         csp = boolean_csp(6, [at_least_k_good(names(6), 4)])
-        comp = compile_csp(csp)
+        comp = compile_tiled(csp)
         packed = PackedFitSet(csp.fit_bitstrings())
         states = [BitString(6, m) for m in range(64)]
         assert comp.min_distances(states).tolist() == \
             packed.min_distances(states).tolist()
 
     def test_min_distances_length_mismatch_raises(self):
-        comp = compile_csp(boolean_csp(4, [all_components_good(names(4))]))
+        comp = compile_tiled(boolean_csp(4, [all_components_good(names(4))]))
         with pytest.raises(ConfigurationError):
             comp.min_distances([BitString.zeros(5)])
 
     def test_recovery_steps_accepts_compiled(self):
         csp = boolean_csp(4, [all_components_good(names(4))])
-        comp = compile_csp(csp)
+        comp = compile_tiled(csp)
         damaged = BitString.from_string("0011")
         assert recovery_steps(damaged, comp) == \
             recovery_steps(damaged, csp.fit_bitstrings()) == 2
@@ -207,14 +215,12 @@ class TestBFSKernels:
 
     def test_clear_bit_ball_matches_exo_closure(self):
         craft = Spacecraft(5, required_good=3)
-        comp = compile_csp(craft.csp)
+        comp = compile_tiled(craft.csp)
         system = craft.to_transition_system(max_debris_hits=2)
         goals = craft.fit_states()
         envelope = system.exo_closure(frozenset(goals))
-        ball = clear_bit_ball(comp.fit_mask, 5, 2)
-        assert frozenset(
-            BitString(5, int(m)) for m in np.nonzero(ball)[0]
-        ) == envelope
+        ball = implicit_clear_bit_ball(comp.fit_indices, 5, 2)
+        assert frozenset(BitString(5, int(m)) for m in ball) == envelope
 
 
 class TestRecoverabilityEquivalence:
@@ -274,8 +280,8 @@ class TestRecoverabilityEquivalence:
                 is_k_recoverable(
                     csp, BoundedComponentDamage(1), k=1, engine="bit"
                 )
-        assert tr.counters["csp.recover.checks.bit"] == 1
-        assert "csp.recover.bit" in tr.timers
+        assert tr.counters["csp.recover.checks.tiled"] == 1
+        assert "csp.recover.tiled" in tr.timers
 
 
 class TestDCSPEquivalence:
@@ -364,8 +370,8 @@ class TestDCSPEquivalence:
         with Tracer() as tr:
             with trace.use(tr):
                 DCSPSimulator(dyn, engine="bit").run(init, seed=0)
-        assert tr.counters["csp.dcsp.runs.bit"] == 1
-        assert "csp.dcsp.bit" in tr.timers
+        assert tr.counters["csp.dcsp.runs.tiled"] == 1
+        assert "csp.dcsp.tiled" in tr.timers
 
 
 class TestSolverEquivalence:
@@ -429,11 +435,14 @@ class TestKMaintainEquivalence:
 
     def test_levels_match_add_bit_levels(self):
         craft = Spacecraft(6, required_good=4)
-        comp = compile_csp(craft.csp)
-        levels = add_bit_levels(comp.fit_mask, 6, max_level=6)
+        comp = compile_tiled(craft.csp)
+        states, levels = implicit_add_bit_levels(
+            comp.fit_indices, 6, max_level=6
+        )
         result = craft.maintainability(2, 6, engine="bit")
-        for state, level in result.levels.items():
-            assert levels[state.mask] == level
+        assert result.levels == {
+            BitString(6, int(m)): int(lv) for m, lv in zip(states, levels)
+        }
 
     def test_invalid_hits_rejected(self):
         craft = Spacecraft(4)
@@ -447,63 +456,59 @@ class TestKMaintainEquivalence:
         with Tracer() as tr:
             with trace.use(tr):
                 craft.maintainability(2, 2, engine="bit")
-        assert tr.counters["csp.kmaintain.runs.bit"] == 1
-        assert "csp.kmaintain.bit" in tr.timers
+        assert tr.counters["csp.kmaintain.runs.tiled"] == 1
+        assert "csp.kmaintain.tiled" in tr.timers
 
 
-# -- memory estimate vs measured footprint (satellite) ----------------------
+# -- single-block table footprint -------------------------------------------
 
 
-class TestEstimateCompileBytes:
-    """estimate_compile_bytes must upper-bound the measured compile."""
+def _table_nbytes(comp: TiledBitCSP) -> int:
+    """Bytes held by the single-block table (satisfaction rows, counts, Q)."""
+    return int(
+        comp._sat.nbytes
+        + comp.violations.nbytes
+        + comp.quality_table().nbytes
+    )
 
-    @pytest.mark.parametrize("n", [10, 14])
-    def test_estimate_upper_bounds_measured(self, n):
-        from repro.csp.bitengine import (
-            estimate_compile_bytes,
-            measured_compile_bytes,
-        )
 
+class TestTableBytes:
+    """The single-block table fits the block schedule's per-state bytes."""
+
+    @staticmethod
+    def _csp(n):
         ns = names(n)
-        csp = boolean_csp(n, [
+        return boolean_csp(n, [
             at_least_k_good(ns, n // 2),
             all_components_good(ns[:4]),
             LinearConstraint(ns[:3], (0.5, 0.25, 0.25), "<=", 0.9),
         ])
-        estimate = estimate_compile_bytes(csp)
-        compiled = compile_csp(csp)
-        measured = measured_compile_bytes(compiled)
-        assert estimate >= measured
-        # ...but not vacuously: within the documented scratch margin
-        assert estimate <= 2 * measured
 
     @pytest.mark.parametrize("n", [10, 14])
-    def test_estimate_scales_with_constraint_count(self, n):
-        from repro.csp.bitengine import (
-            estimate_compile_bytes,
-            measured_compile_bytes,
+    def test_table_nbytes_within_block_budget(self, n):
+        csp = self._csp(n)
+        comp = TiledBitCSP(csp)
+        assert comp.n_blocks == 1
+        n_c = len(csp.constraints)
+        assert _table_nbytes(comp) <= comp.block_size * (
+            TILE_STATE_BYTES + SAT_ROW_BYTES * n_c
         )
 
-        ns = names(n)
-        few = boolean_csp(n, [at_least_k_good(ns, 2)])
-        many = boolean_csp(n, [
-            at_least_k_good(ns, k) for k in range(1, 9)
-        ])
-        est_few, est_many = map(estimate_compile_bytes, (few, many))
-        # one extra sat-matrix row per extra constraint
-        assert est_many - est_few == 7 * (1 << n)
-        # the per-constraint accounting tracks the real sat matrix: the
-        # measured delta is exactly the estimated delta
-        d_measured = measured_compile_bytes(compile_csp(many)) \
-            - measured_compile_bytes(compile_csp(few))
-        assert est_many - est_few == d_measured
+    def test_table_fits_the_tightest_single_block_budget(self):
+        # the smallest budget that still schedules one block for n = 12
+        csp = self._csp(12)
+        n_c = len(csp.constraints)
+        budget = (1 << 12) * (TILE_STATE_BYTES + SAT_ROW_BYTES * n_c)
+        assert derive_block_bits(12, n_c, budget) == 12
+        comp = TiledBitCSP(csp, memory_budget_bytes=budget)
+        assert comp.n_blocks == 1
+        assert _table_nbytes(comp) <= budget
 
-    def test_non_boolean_estimate_is_none(self):
-        from repro.csp.bitengine import estimate_compile_bytes
-
-        from repro.csp.problem import CSP as _CSP
-
-        csp = _CSP(
-            (Variable("x", (0, 1)), Variable("y", (0, 1, 2))), ()
-        )
-        assert estimate_compile_bytes(csp) is None
+    def test_streamed_queries_build_no_table(self):
+        # fit enumeration and distance queries stream; only per-state
+        # lookups build the table
+        comp = TiledBitCSP(self._csp(10))
+        comp.min_distances_masks(np.arange(1 << 10, dtype=np.int64))
+        assert "_sat" not in vars(comp)
+        assert isinstance(comp.violations, np.ndarray)
+        assert "_sat" in vars(comp)

@@ -1,20 +1,23 @@
 """Equivalence suite for the tiled (block-streamed) CSP engine.
 
-Three contracts, mirroring the ISSUE acceptance:
+Three contracts:
 
-* **cross-engine** (n ≤ 20): tiled results — fit sets, quality,
-  violation views, distances, recoverability witnesses,
-  maintainability policies, DCSP runs — are byte-identical to the bit
-  engine, which is itself pinned to the object engine;
-* **self-consistency** (n ∈ {22, 24}): beyond the bit envelope the
-  tiled engine must agree with itself across block sizes and with the
+* **cross-schedule** (n ≤ 20): multi-block results — fit sets,
+  quality, violation views, distances, recoverability witnesses,
+  maintainability policies, DCSP runs — are byte-identical to the
+  single-block table, which is itself pinned to the object engine;
+* **self-consistency** (n ∈ {22, 24}): past one default block the
+  engine must agree with itself across block sizes and with the
   object oracle on subsampled check sets;
 * **degradation**: the MAPE supervisor trips ``tiled → object`` on an
-  injected chaos-style OOM, while the engine-level compile chain
-  (``tiled → bit → object``) picks the right compiled form per CSP.
+  injected chaos-style OOM, while a memory budget only schedules
+  smaller blocks and the engine falls back to the object kernels only
+  for CSPs it cannot compile.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
@@ -34,11 +37,9 @@ from repro.csp import (
     at_least_k_good,
     boolean_csp,
 )
-from repro.csp.bitengine import CompiledBitCSP, compile_csp
 from repro.csp.bitstring import BitString
 from repro.csp.dynamic import DCSPSimulator, DynamicCSP, StateDamage
 from repro.csp.engine import (
-    BitCSPEngine,
     ObjectCSPEngine,
     TiledCSPEngine,
     make_csp_engine,
@@ -77,15 +78,49 @@ def mixed_csp(n=10):
     ])
 
 
-# -- cross-engine equivalence at n <= 20 ------------------------------------
+def dense_add_bit_levels(fit: np.ndarray, n: int, max_level=None):
+    """Reference levels on a full (2^n,) array, one state at a time."""
+    levels = np.full(1 << n, -1, dtype=np.int32)
+    levels[fit] = 0
+    frontier = list(fit)
+    for d in range(1, (n if max_level is None else max_level) + 1):
+        nxt = []
+        for m in frontier:
+            for i in range(n):
+                p = int(m) ^ (1 << i)
+                if p < m and levels[p] < 0:
+                    levels[p] = d
+                    nxt.append(p)
+        frontier = nxt
+    return levels
+
+
+def dense_clear_bit_ball(fit: np.ndarray, n: int, radius: int):
+    """Reference clear-bit ball as a (2^n,) membership mask."""
+    member = np.zeros(1 << n, dtype=bool)
+    member[fit] = True
+    for m in np.nonzero(member)[0]:
+        ones = [i for i in range(n) if (int(m) >> i) & 1]
+        for r in range(1, radius + 1):
+            for drop in itertools.combinations(ones, r):
+                member[int(m) & ~sum(1 << i for i in drop)] = True
+    return member
+
+
+# -- cross-schedule equivalence at n <= 20 ----------------------------------
 
 
 class TestBitEquivalence:
+    """Multi-block schedules against the single-block table (the ``bit``
+    kind's compile at these sizes)."""
+
     @pytest.mark.parametrize("block_bits", [4, 7, 10])
     def test_fit_violations_quality_identical(self, block_bits):
         csp = mixed_csp(10)
-        bit = compile_csp(csp)
+        bit = TiledBitCSP(csp)
         tiled = TiledBitCSP(csp, block_bits=block_bits)
+        assert bit.n_blocks == 1
+        assert bit.fit_bitstrings() == csp.fit_bitstrings()
         assert np.array_equal(bit.fit_indices, tiled.fit_indices)
         assert bit.fit_bitstrings() == tiled.fit_bitstrings()
         masks = np.arange(1 << 10, dtype=np.int64)
@@ -98,8 +133,10 @@ class TestBitEquivalence:
 
     def test_lazy_views_accept_bit_engine_index_shapes(self):
         csp = mixed_csp(10)
-        bit = compile_csp(csp)
+        bit = TiledBitCSP(csp)
         tiled = TiledBitCSP(csp, block_bits=6)
+        assert isinstance(bit.violations, np.ndarray)
+        assert not isinstance(tiled.violations, np.ndarray)
         # scalar (solver inner loop)
         assert int(bit.violations[5]) == int(tiled.violations[5])
         assert float(bit.quality_table()[5]) == \
@@ -116,7 +153,7 @@ class TestBitEquivalence:
 
     def test_min_distances_and_conflict_order_identical(self):
         csp = mixed_csp(10)
-        bit = compile_csp(csp)
+        bit = TiledBitCSP(csp)
         tiled = TiledBitCSP(csp, block_bits=6)
         masks = np.arange(1 << 10, dtype=np.int64)
         assert bit.min_distances_masks(masks).tobytes() == \
@@ -214,23 +251,21 @@ class TestBitEquivalence:
         assert rep["bit"].final == rep["tiled"].final
 
     def test_implicit_bfs_kernels_match_dense(self):
-        from repro.csp.bitengine import add_bit_levels, clear_bit_ball
-
         csp = mixed_csp(10)
-        bit = compile_csp(csp)
+        fit = TiledBitCSP(csp).fit_indices
         for k in (0, 1, 3, None):
-            dense = add_bit_levels(bit.fit_mask, 10, max_level=k)
-            st, lv = implicit_add_bit_levels(bit.fit_indices, 10, max_level=k)
+            dense = dense_add_bit_levels(fit, 10, max_level=k)
+            st, lv = implicit_add_bit_levels(fit, 10, max_level=k)
             leveled = np.nonzero(dense >= 0)[0]
             assert np.array_equal(st, leveled)
             assert np.array_equal(lv, dense[leveled])
         for r in (0, 1, 2):
-            dense = clear_bit_ball(bit.fit_mask, 10, r)
-            imp = implicit_clear_bit_ball(bit.fit_indices, 10, r)
+            dense = dense_clear_bit_ball(fit, 10, r)
+            imp = implicit_clear_bit_ball(fit, 10, r)
             assert np.array_equal(imp, np.nonzero(dense)[0])
 
 
-# -- self-consistency past the bit envelope ---------------------------------
+# -- self-consistency past one default block --------------------------------
 
 
 class TestLargeNSelfConsistency:
@@ -264,6 +299,7 @@ class TestLargeNSelfConsistency:
             oracle.min_distances(sub).tobytes()
 
     def test_maintainability_past_bit_envelope(self):
+        # n = 22 in 2^16-state blocks: several blocks, no table
         n = 22
         sc = Spacecraft(n)
         result = sc.maintainability(2, 2, engine=TiledCSPEngine(block_bits=16))
@@ -275,7 +311,7 @@ class TestLargeNSelfConsistency:
         assert result.policy.actions[BitString.ones(n).flip(0)] == "repair_0"
 
 
-# -- budget -> block scheduling and the compile chain -----------------------
+# -- budget -> block scheduling, compile and fallback -----------------------
 
 
 class TestBlockScheduler:
@@ -304,35 +340,60 @@ class TestBlockScheduler:
         sc = Spacecraft(22)
         sup = supervisor.Supervisor(memory_budget_mb=8)
         with supervisor.use(sup):
-            assert BitCSPEngine().try_compile(sc.csp) is None  # refusal
-            compiled = TiledCSPEngine().try_compile(sc.csp)
-        assert isinstance(compiled, TiledBitCSP)
-        assert compiled.n_blocks > 1
-        assert compiled.block_size * 31 <= 8 * 1024 * 1024
+            compiled = {
+                kind: make_csp_engine(kind).try_compile(sc.csp)
+                for kind in ("bit", "tiled")
+            }
+        for c in compiled.values():
+            assert isinstance(c, TiledBitCSP)
+            assert c.n_blocks > 1
+            assert c.block_size * 31 <= 8 * 1024 * 1024
+        assert compiled["bit"] is compiled["tiled"]  # one schedule, cached
 
 
 class TestCompileChain:
     def test_small_csp_gets_full_bit_compile(self):
+        # the whole space in one block: per-state lookups read the table
         csp = mixed_csp(8)
         compiled = TiledCSPEngine().try_compile(csp)
-        assert isinstance(compiled, CompiledBitCSP)
-        assert compiled.engine_label == "bit"
+        assert isinstance(compiled, TiledBitCSP)
+        assert compiled.n_blocks == 1
+        assert isinstance(compiled.violations, np.ndarray)
+        assert isinstance(compiled.quality_table(), np.ndarray)
 
     def test_large_csp_gets_tiled_compile(self):
         sc = Spacecraft(22)
         compiled = TiledCSPEngine().try_compile(sc.csp)
         assert isinstance(compiled, TiledBitCSP)
-        assert compiled.engine_label == "tiled"
+        assert compiled.block_bits == DEFAULT_BLOCK_BITS
+        assert compiled.n_blocks == 1 << (22 - DEFAULT_BLOCK_BITS)
 
     def test_over_budget_small_csp_degrades_to_tiled_not_object(self):
+        # a budget schedules smaller blocks: no refusal, no fallback,
+        # and the same results as the unbudgeted single block
         csp = mixed_csp(14)
-        sup = supervisor.Supervisor(memory_budget_mb=0.05)
+        budget_mb = 0.05
+        sup = supervisor.Supervisor(memory_budget_mb=budget_mb)
         tr = trace.Tracer()
         with trace.use(tr):
             with supervisor.use(sup):
                 compiled = TiledCSPEngine().try_compile(csp)
         assert isinstance(compiled, TiledBitCSP)
-        assert tr.counters["csp.tiled.degrades"] == 1
+        assert compiled.block_bits == derive_block_bits(
+            14, len(csp.constraints), sup.memory_budget_bytes()
+        )
+        assert compiled.n_blocks > 1
+        assert "csp.tiled.degrades" not in tr.counters
+        assert "csp.fallbacks" not in tr.counters
+        assert "supervisor.preemptions" not in tr.counters
+        whole = TiledBitCSP(csp)
+        assert whole.n_blocks == 1
+        assert compiled.fit_indices.tobytes() == whole.fit_indices.tobytes()
+        masks = np.arange(1 << 14, dtype=np.int64)
+        assert compiled.violations[masks].tobytes() == \
+            whole.violations[masks].tobytes()
+        assert compiled.quality(masks).tobytes() == \
+            whole.quality(masks).tobytes()
 
     def test_non_boolean_falls_back_to_object(self):
         csp = CSP((Variable("x", (0, 1)), Variable("y", (0, 1, 2))), ())
@@ -349,10 +410,15 @@ class TestCompileChain:
         assert tr.counters["csp.fallbacks"] == 1
 
     def test_explicit_block_bits_skips_the_bit_fast_path(self):
+        # several blocks: lazy views, no single-block table
         csp = mixed_csp(8)
         compiled = TiledCSPEngine(block_bits=5).try_compile(csp)
         assert isinstance(compiled, TiledBitCSP)
         assert compiled.block_bits == 5
+        assert not isinstance(compiled.violations, np.ndarray)
+        int(compiled.violations[3])
+        compiled.conflicted_variable_order(3)
+        assert "_sat" not in vars(compiled)
 
 
 # -- seam registration, worker fan-out, supervisor degradation --------------
@@ -376,11 +442,6 @@ class TestSeamAndDegradation:
         msg = str(exc.value)
         for kind in ("'bit'", "'object'", "'tiled'"):
             assert kind in msg
-
-    def test_tiled_rejected_without_bitwise_count(self, monkeypatch):
-        monkeypatch.delattr(np, "bitwise_count")
-        with pytest.raises(EngineError, match="bitwise_count"):
-            make_csp_engine("tiled")
 
     def test_tile_workers_env_validation(self, monkeypatch):
         monkeypatch.setenv("REPRO_CSP_TILE_WORKERS", "banana")

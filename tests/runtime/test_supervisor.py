@@ -274,19 +274,30 @@ class TestSupervisedSweep:
 
 class TestMemoryBudget:
     def test_over_budget_bit_compile_preempted(self):
+        # a budget far below 2^12 states schedules smaller blocks: the
+        # compile is neither pre-empted nor sent to the object fallback
         from repro.csp.constraints import at_least_k_good
-        from repro.csp.engine import BitCSPEngine
+        from repro.csp.engine import make_csp_engine
         from repro.csp.problem import CSP
+        from repro.csp.tiledengine import TiledBitCSP, derive_block_bits
         from repro.csp.variables import boolean_variables
 
         variables = boolean_variables(12)
         names = [v.name for v in variables]
         csp = CSP(variables, [at_least_k_good(names, 3)])
-        engine = BitCSPEngine()
-        sup = Supervisor(memory_budget_mb=0.01)  # far below 2^12 states
+        engine = make_csp_engine("bit")
+        sup = Supervisor(memory_budget_mb=0.01)
         with trace.use(trace.Tracer()) as tr, supervisor.use(sup):
-            assert engine.try_compile(csp) is None
-        assert tr.counters["supervisor.preemptions"] == 1
-        assert tr.counters["csp.fallbacks"] == 1
-        # without the supervisor the same compile goes through
-        assert engine.try_compile(csp) is not None
+            compiled = engine.try_compile(csp)
+            budgeted = compiled.fit_indices.tobytes()
+        assert isinstance(compiled, TiledBitCSP)
+        assert compiled.block_bits == derive_block_bits(
+            12, 1, sup.memory_budget_bytes()
+        )
+        assert compiled.n_blocks > 1
+        assert "supervisor.preemptions" not in tr.counters
+        assert "csp.fallbacks" not in tr.counters
+        # without the supervisor: one block, the same fit set
+        unbudgeted = engine.try_compile(csp)
+        assert unbudgeted.n_blocks == 1
+        assert unbudgeted.fit_indices.tobytes() == budgeted

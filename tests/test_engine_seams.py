@@ -14,7 +14,7 @@ import pytest
 
 from repro.agents.arrayengine import ArraySimulator, make_engine
 from repro.agents.simulation import EvolutionSimulator
-from repro.csp.engine import BitCSPEngine, ObjectCSPEngine, make_csp_engine
+from repro.csp.engine import ObjectCSPEngine, TiledCSPEngine, make_csp_engine
 from repro.errors import ConfigurationError, EngineError
 from repro.networks.engine import (
     ArrayNetworkEngine,
@@ -91,8 +91,10 @@ class TestFactoryDispatch:
 
     def test_csp_kinds_and_instance_passthrough(self):
         assert type(make_csp_engine("object")) is ObjectCSPEngine
-        assert type(make_csp_engine("bit")) is BitCSPEngine
-        engine = BitCSPEngine(max_bits=8)
+        # two kind names, one engine: the block schedule picks the table
+        assert type(make_csp_engine("bit")) is TiledCSPEngine
+        assert type(make_csp_engine("tiled")) is TiledCSPEngine
+        engine = TiledCSPEngine(max_bits=8)
         assert make_csp_engine(engine) is engine
 
 
