@@ -100,9 +100,9 @@ def run_point(
 
     import numpy as np
 
+    from repro.networks.arraygraph import ArrayGraph
     from repro.networks.attacks import TargetedDegreeAttack
     from repro.networks.epidemics import SIRModel
-    from repro.networks.mmapgraph import MmapGraph
     from repro.networks.percolation import (
         critical_fraction,
         percolation_curve,
@@ -111,16 +111,14 @@ def run_point(
 
     p = MEAN_DEGREE / (n - 1)
     start = time.perf_counter()
-    mg = MmapGraph.from_edge_chunks(
+    mg = ArrayGraph.from_edge_chunks(
         n, _edge_stream(n, p, seed), check_duplicates=False
     )
     if engine == "mmap":
         g = mg
     elif engine == "array":
-        # np.array() forces in-RAM copies — ascontiguousarray would keep
+        # np.array() forces in-RAM copies — the constructor would keep
         # the disk-backed memmaps and silently benchmark mmap I/O
-        from repro.networks.arraygraph import ArrayGraph
-
         g = ArrayGraph(np.array(mg.indptr), np.array(mg.indices))
     else:
         g = mg.to_graph()

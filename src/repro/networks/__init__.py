@@ -3,7 +3,7 @@ attack/failure percolation, load cascades, and epidemics (paper §4.5,
 §5.1).
 """
 
-from .arraygraph import ArrayGraph, as_arraygraph
+from .arraygraph import ArrayGraph, as_arraygraph, derive_chunk_elems
 from .attacks import (
     AdaptiveDegreeAttack,
     AttackStrategy,
@@ -36,7 +36,6 @@ from .generators import (
 )
 from .graph import Graph
 from .healing import NetworkRecoveryResult, NetworkRecoverySimulator
-from .mmapgraph import MmapGraph, derive_chunk_elems
 from .metrics import (
     assortativity,
     average_clustering,
@@ -58,7 +57,6 @@ __all__ = [
     "NetworkEngine",
     "ObjectNetworkEngine",
     "make_network_engine",
-    "MmapGraph",
     "derive_chunk_elems",
     "BetweennessAttack",
     "betweenness_centrality",

@@ -1,47 +1,56 @@
-"""CSR array graph and the vectorized primitives of the network kernels.
+"""CSR array graph and the block-streamed kernels of the network engine.
 
 The §5.1 experiments (attack percolation, cascades, epidemics, healing)
 were first written over the dict-of-sets :class:`~repro.networks.graph.
 Graph`, whose ``percolation_curve`` recomputes the giant component from
 scratch after every removal — O(n·(n+m)) per curve.  This module is the
-network analogue of :mod:`repro.agents.arrayengine`: the same models on
-a compressed-sparse-row adjacency (int32 ``indices``; ``indptr`` int32
-until ``2·m`` outgrows it, then int64 — see
-:data:`INT32_INDPTR_CAPACITY`) held in RAM, plus the array primitives
-the network engine builds on:
+network analogue of :mod:`repro.agents.arrayengine` and
+:mod:`repro.csp.tiledengine`: the same models on one compressed-sparse-
+row graph class, :class:`ArrayGraph` (int32 ``indices``; ``indptr``
+int32 until ``2·m`` outgrows it, then int64 — see
+:data:`INT32_INDPTR_CAPACITY`).  Its arrays live in RAM or in
+memory-mapped ``.npy`` files; every query and kernel is the same for
+both, so the two storages differ only in where the bytes are.
 
-* **ragged row gathers** (:func:`gather_rows`,
-  :func:`directed_edge_blocks`) — boolean state masks plus CSR row
-  gathers via ``np.repeat`` drive the frontier expansion of cascades
-  and epidemics;
-* **geometric-gap Bernoulli sampling** (:func:`bernoulli_indices`)
-  replacing per-edge Python RNG calls;
-* **union-find** (path halving + union by size) connected components
-  over the CSR edge arrays, with a fully vectorized min-label
-  pointer-jumping variant for one-shot component labelling;
-* **reverse Newman–Ziff percolation** (:func:`newman_ziff_giant_sizes`):
-  the giant-component curve built by *adding* nodes in reverse attack
-  order, one near-O(1) union per incident edge — O((n+m)·α) for the
-  whole curve instead of one BFS sweep per checkpoint.  This
-  single-pass version is the reference the block-streamed
-  :func:`~repro.networks.mmapgraph.chunked_newman_ziff_giant_sizes`
-  (which the engine runs) is pinned against;
-* **vectorized attack orderings**: degree ranking via ``np.lexsort``
+* **storage** — :meth:`ArrayGraph.from_graph` / :meth:`ArrayGraph.
+  from_edges` build in RAM; :meth:`ArrayGraph.from_arrays` copies a CSR
+  to mapped files and :meth:`ArrayGraph.from_edge_chunks` builds one
+  out of core by a two-pass spill-to-disk edge sort; forked workers
+  reopen either read-only with :meth:`ArrayGraph.open`.  Graphs built
+  without labels use the identity labels ``0..n-1`` and keep no O(n)
+  label or index side tables.
+* **block-streamed kernels** — :func:`chunked_newman_ziff_giant_sizes`
+  (reverse Newman–Ziff percolation: the giant-component curve built by
+  *adding* nodes in reverse attack order, one near-O(1) union per
+  incident edge), :func:`chunked_union_find_labels` and
+  :func:`frontier_slices` walk ``indices`` in fixed-size blocks
+  (:func:`derive_chunk_elems` turns the supervisor's
+  ``memory_budget_mb`` into a block size), so only O(block + n) bytes
+  are ever boxed into Python objects regardless of edge count.  Their
+  outputs are byte-identical to the single-pass reference kernels kept
+  in ``tests/networks/reference_kernels.py``.
+* **array primitives** — ragged row gathers (:func:`gather_rows`,
+  :func:`directed_edge_blocks`) and geometric-gap Bernoulli sampling
+  (:func:`bernoulli_indices`) replacing per-edge Python RNG calls.
+* **vectorized attack orderings** — degree ranking via ``np.lexsort``
   (exact ``(-degree, repr)`` tie-breaking, matching the object path
   bit-for-bit) and an incremental adaptive-degree order.
 
-The kernels themselves live in :class:`repro.networks.engine.
-ArrayNetworkEngine` (``make_network_engine`` / ``REPRO_NETWORK_ENGINE``),
-which runs on an :class:`ArrayGraph` in RAM or a
-:class:`~repro.networks.mmapgraph.MmapGraph` on disk; the equivalence
-contract against the object engine is pinned by
-``tests/networks/test_arraygraph.py``.
+The engine that runs these kernels is :class:`repro.networks.engine.
+ArrayNetworkEngine` (``make_network_engine`` / ``REPRO_NETWORK_ENGINE``);
+the equivalence contract against the object engine is pinned by
+``tests/networks/test_arraygraph.py``, ``test_mmapgraph.py`` and
+``test_engine_fuzz.py``.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import shutil
+import tempfile
 import weakref
-from typing import Dict, FrozenSet, Iterable, Iterator, Sequence
+from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -50,14 +59,19 @@ from .graph import Graph
 
 __all__ = [
     "ArrayGraph",
+    "CHUNK_ELEM_BYTES",
+    "DEFAULT_CHUNK_BITS",
     "INT32_INDPTR_CAPACITY",
+    "MAX_CHUNK_BITS",
+    "MIN_CHUNK_BITS",
     "as_arraygraph",
     "bernoulli_indices",
-    "connected_component_labels",
+    "chunked_newman_ziff_giant_sizes",
+    "chunked_union_find_labels",
+    "derive_chunk_elems",
     "directed_edge_blocks",
+    "frontier_slices",
     "gather_rows",
-    "newman_ziff_giant_sizes",
-    "union_find_labels",
 ]
 
 #: largest directed-edge count (``2·m``, the final ``indptr`` entry)
@@ -66,19 +80,113 @@ __all__ = [
 #: ceiling item — node ids stay int32 until n itself approaches 2^31)
 INT32_INDPTR_CAPACITY = int(np.iinfo(np.int32).max)
 
+#: block size used when no memory budget is installed (2^18 = 256K
+#: gathered neighbor slots ≈ 8 MiB in flight with temporaries)
+DEFAULT_CHUNK_BITS = 18
+#: smallest scheduled block — below 2^12 the per-block Python overhead
+#: dominates the vectorized gathers
+MIN_CHUNK_BITS = 12
+#: largest scheduled block (2^20 slots) — past this the block's own
+#: in-flight footprint (~128 MiB at 2^20, see ``CHUNK_ELEM_BYTES``)
+#: approaches the budget the chunking exists to respect, and measured
+#: wall time stops improving (the per-element Python union-find loop
+#: dominates, not the per-block gather overhead)
+MAX_CHUNK_BITS = 20
+
+#: per-slot bytes in flight while one block streams, measured on the
+#: Newman–Ziff kernel at n = 10^6: the int64 gathered neighbor array
+#: (8), its int64 flat-index temporary (8), and — dominating — the
+#: boxed Python ints of the block's ``tolist`` (~28 each plus the list
+#: pointer: node ids exceed the small-int cache, so every slot boxes)
+CHUNK_ELEM_BYTES = 128
+
+
+def derive_chunk_elems(memory_budget_bytes: Optional[int] = None) -> int:
+    """Gathered-slots-per-block whose in-flight footprint fits the budget.
+
+    The network mirror of :func:`repro.csp.tiledengine.derive_block_bits`:
+    the supervisor's ``memory_budget_mb`` becomes block *scheduling*
+    instead of an OOM — one streamed block costs
+    ``2^b · CHUNK_ELEM_BYTES`` bytes, and the largest ``b`` in
+    ``[MIN_CHUNK_BITS, MAX_CHUNK_BITS]`` keeping that under budget is
+    picked.  An impossible budget degrades to more, smaller blocks —
+    never a refusal.  (O(n) per-node state — union-find forests,
+    frontier masks — rides outside this accounting, like the tiled CSP
+    engine's fit sets.)
+    """
+    if memory_budget_bytes is None:
+        return 1 << DEFAULT_CHUNK_BITS
+    bits = MIN_CHUNK_BITS
+    while (
+        bits < MAX_CHUNK_BITS
+        and (1 << (bits + 1)) * CHUNK_ELEM_BYTES <= memory_budget_bytes
+    ):
+        bits += 1
+    return 1 << bits
+
+
+def _offset_dtype(n_directed: int):
+    """``indptr`` dtype for ``n_directed`` CSR entries (the one rule)."""
+    return np.int64 if n_directed > INT32_INDPTR_CAPACITY else np.int32
+
+
+def _as_stored(a, dtype) -> np.ndarray:
+    """``a`` as a C-contiguous ``dtype`` array; a fitting one (a memmap
+    included) is kept as is, never copied into RAM."""
+    if isinstance(a, np.ndarray) and a.dtype == dtype and \
+            a.flags.c_contiguous:
+        return a
+    return np.ascontiguousarray(a, dtype=dtype)
+
+
+_INDPTR_FILE = "indptr.npy"
+_INDICES_FILE = "indices.npy"
+_META_FILE = "meta.json"
+
+
+def _spill_root() -> str:
+    """Directory new mapped graphs are created under (REPRO_MMAP_DIR)."""
+    return os.environ.get("REPRO_MMAP_DIR") or tempfile.gettempdir()
+
+
+def _write_meta(path: str, n: int, identity_labels: bool) -> None:
+    with open(os.path.join(path, _META_FILE), "w") as fh:
+        json.dump(
+            {"format": 1, "n_nodes": n, "identity_labels": identity_labels},
+            fh,
+        )
+
+
+def _graph_dir(path: str | None) -> tuple[str, bool]:
+    """``(directory, owned)``: a fresh spill directory if ``path`` is None."""
+    owns = path is None
+    if owns:
+        path = tempfile.mkdtemp(prefix="repro-mmapgraph-", dir=_spill_root())
+    os.makedirs(path, exist_ok=True)
+    return path, owns
+
 
 class ArrayGraph:
     """An immutable undirected graph in CSR form over nodes ``0..n-1``.
 
-    ``indices[indptr[i]:indptr[i+1]]`` are the neighbors of node ``i``
-    (both int32).  Arbitrary hashable node labels are kept in a side
-    table so the array engine speaks the same node vocabulary as
-    :class:`~repro.networks.graph.Graph`; kernels work purely on the
-    integer indices.
+    ``indices[indptr[i]:indptr[i+1]]`` are the neighbors of node ``i``.
+    The arrays are plain ndarrays or ``np.memmap`` views of ``.npy``
+    files (then :attr:`path` names their directory; one the graph
+    created itself is deleted when the graph is collected).  Opening a
+    mapped multi-million-node graph costs two page-table mappings, not
+    its edge count, and forked workers reopen the same files read-only
+    instead of pickling adjacency.
+
+    Labels are the identity ``0..n-1`` exactly when the constructor gets
+    none: :attr:`labels` is then a ``range`` and no label list or index
+    dict exists.  Given labels (arbitrary hashables, as from a
+    :class:`~repro.networks.graph.Graph`) are kept in a side table so
+    the array engine speaks the same node vocabulary as the object
+    engine; kernels work purely on the integer indices.
     """
 
-    __slots__ = ("indptr", "indices", "labels", "_index", "_edge_uv",
-                 "__weakref__")
+    __slots__ = ("indptr", "indices", "path", "_labels", "_index",
+                 "_finalizer", "__weakref__")
 
     def __init__(
         self,
@@ -89,29 +197,26 @@ class ArrayGraph:
         # offsets run to 2·m: auto-promote past the int32 capacity so
         # wide graphs don't silently wrap (indices hold node ids, which
         # stay int32 far longer)
-        offset_dtype = (
-            np.int64 if len(indices) > INT32_INDPTR_CAPACITY else np.int32
-        )
-        self.indptr = np.ascontiguousarray(indptr, dtype=offset_dtype)
-        self.indices = np.ascontiguousarray(indices, dtype=np.int32)
+        self.indices = _as_stored(indices, np.int32)
+        self.indptr = _as_stored(indptr, _offset_dtype(len(self.indices)))
         n = len(self.indptr) - 1
         if n < 0 or self.indptr[0] != 0 or (
             len(self.indices) and self.indptr[-1] != len(self.indices)
         ):
             raise ConfigurationError("malformed CSR arrays")
-        self.labels: list = (
-            list(range(n)) if labels is None else list(labels)
-        )
-        if len(self.labels) != n:
-            raise ConfigurationError(
-                f"{len(self.labels)} labels for {n} CSR rows"
-            )
-        self._index: Dict[object, int] = {
-            lab: i for i, lab in enumerate(self.labels)
-        }
-        if len(self._index) != n:
-            raise ConfigurationError("node labels must be unique")
-        self._edge_uv: tuple[np.ndarray, np.ndarray] | None = None
+        self.path: str | None = None
+        self._finalizer = None
+        self._labels: list | None = None
+        self._index: Dict[object, int] | None = None
+        if labels is not None:
+            self._labels = list(labels)
+            if len(self._labels) != n:
+                raise ConfigurationError(
+                    f"{len(self._labels)} labels for {n} CSR rows"
+                )
+            self._index = {lab: i for i, lab in enumerate(self._labels)}
+            if len(self._index) != n:
+                raise ConfigurationError("node labels must be unique")
 
     # -- construction ------------------------------------------------------
 
@@ -185,10 +290,207 @@ class ArrayGraph:
         np.cumsum(deg, out=indptr[1:])
         return cls(indptr, dst[order], labels)
 
+    @classmethod
+    def from_arrays(
+        cls,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        labels: Sequence[object] | None = None,
+        path: str | None = None,
+    ) -> "ArrayGraph":
+        """Copy a CSR to memory-mapped files, preserving layout.
+
+        Intra-row neighbor order is copied verbatim, so every kernel
+        sees exactly the byte sequence of the in-RAM graph — the
+        storage-equivalence contract rests on this.  Without ``path`` the
+        files go to a fresh directory the graph owns.
+        """
+        path, owns = _graph_dir(path)
+        for name, src, dtype in (
+            (_INDPTR_FILE, indptr, _offset_dtype(len(indices))),
+            (_INDICES_FILE, indices, np.int32),
+        ):
+            out = np.lib.format.open_memmap(
+                os.path.join(path, name), mode="w+", dtype=dtype,
+                shape=(len(src),),
+            )
+            if len(src):
+                out[:] = src
+                out.flush()
+            del out
+        _write_meta(path, len(indptr) - 1, labels is None)
+        return cls._mapped(path, labels, owns)
+
+    @classmethod
+    def from_edge_chunks(
+        cls,
+        n: int,
+        edge_chunks: Iterable[tuple],
+        path: str | None = None,
+        *,
+        check_duplicates: bool = True,
+        spill_chunk: int = 1 << 20,
+    ) -> "ArrayGraph":
+        """Out-of-core CSR build from a stream of ``(u, v)`` array chunks.
+
+        The two-pass spill-to-disk edge sort:
+
+        1. each incoming chunk is validated (bounds, self-loops) and
+           appended to a raw spill file while per-node degrees
+           accumulate — nothing proportional to the edge count stays in
+           RAM;
+        2. ``indptr`` is the degree cumsum; the spill file is re-read
+           chunkwise and every directed edge is scattered to its row
+           via a per-chunk counting sort (stable ``argsort`` by source
+           + within-run offsets), which *is* the edge sort — rows come
+           out grouped, in stream order within each row.
+
+        The stream must be duplicate-free (both streaming generators
+        are, by construction); ``check_duplicates`` adds one streamed
+        verification pass that sorts each row and rejects parallel
+        edges, matching :class:`~repro.networks.graph.Graph` semantics.
+        Node labels are the identity ``0..n-1``.
+        """
+        if n < 0:
+            raise ConfigurationError(f"n must be >= 0, got {n}")
+        path, owns = _graph_dir(path)
+        spill_path = os.path.join(path, "edges.spill")
+        deg = np.zeros(n, dtype=np.int64)
+        n_edges = 0
+        # pass 1: count degrees, spill validated chunks
+        with open(spill_path, "wb") as spill:
+            for chunk_u, chunk_v in edge_chunks:
+                u = np.ascontiguousarray(chunk_u, dtype=np.int32)
+                v = np.ascontiguousarray(chunk_v, dtype=np.int32)
+                if u.shape != v.shape or u.ndim != 1:
+                    raise ConfigurationError(
+                        "edge chunks must be matching 1-D arrays"
+                    )
+                if len(u) == 0:
+                    continue
+                if u.min() < 0 or v.min() < 0 or \
+                        u.max() >= n or v.max() >= n:
+                    raise ConfigurationError(
+                        f"edge endpoint out of range for n={n}"
+                    )
+                if np.any(u == v):
+                    bad = int(u[u == v][0])
+                    raise ConfigurationError(
+                        f"self-loop on node {bad!r} is not allowed"
+                    )
+                deg_chunk = np.bincount(u, minlength=n)
+                deg_chunk += np.bincount(v, minlength=n)
+                deg += deg_chunk
+                n_edges += len(u)
+                np.stack([u, v], axis=1).tofile(spill)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(deg, out=indptr[1:])
+        mp = np.lib.format.open_memmap(
+            os.path.join(path, _INDPTR_FILE), mode="w+",
+            dtype=_offset_dtype(2 * n_edges), shape=(n + 1,),
+        )
+        mp[:] = indptr
+        mp.flush()
+        mi = np.lib.format.open_memmap(
+            os.path.join(path, _INDICES_FILE), mode="w+",
+            dtype=np.int32, shape=(2 * n_edges,),
+        )
+        # pass 2: counting-sort scatter of both edge directions
+        cursor = indptr[:-1].copy()
+        with open(spill_path, "rb") as spill:
+            while True:
+                raw = np.fromfile(
+                    spill, dtype=np.int32, count=2 * spill_chunk
+                )
+                if len(raw) == 0:
+                    break
+                pairs = raw.reshape(-1, 2)
+                for src, dst in ((pairs[:, 0], pairs[:, 1]),
+                                 (pairs[:, 1], pairs[:, 0])):
+                    order = np.argsort(src, kind="stable")
+                    src_sorted = src[order].astype(np.int64)
+                    # within-run offset: position among equal sources
+                    run_start = np.r_[
+                        0,
+                        np.flatnonzero(src_sorted[1:] != src_sorted[:-1])
+                        + 1,
+                    ]
+                    occ = np.arange(len(src_sorted), dtype=np.int64) - \
+                        np.repeat(run_start, np.diff(
+                            np.r_[run_start, len(src_sorted)]
+                        ))
+                    mi[cursor[src_sorted] + occ] = dst[order]
+                    np.add.at(
+                        cursor,
+                        src_sorted[run_start],
+                        np.diff(np.r_[run_start, len(src_sorted)]),
+                    )
+        if n_edges:
+            mi.flush()
+        del mp, mi
+        os.remove(spill_path)
+        _write_meta(path, n, True)
+        g = cls._mapped(path, owns=owns)
+        if check_duplicates:
+            g._check_no_parallel_edges()
+        return g
+
+    @classmethod
+    def open(cls, path: str) -> "ArrayGraph":
+        """Reopen a mapped graph read-only (e.g. from a forked worker).
+
+        Only identity-labelled graphs round-trip through the on-disk
+        format; label vocabularies live in the building process.
+        """
+        meta_path = os.path.join(path, _META_FILE)
+        if not os.path.exists(meta_path):
+            raise ConfigurationError(f"no mmap graph at {path!r}")
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+        if not meta.get("identity_labels", True):
+            raise ConfigurationError(
+                "only identity-labelled mmap graphs can be reopened"
+            )
+        return cls._mapped(path)
+
+    @classmethod
+    def _mapped(cls, path: str, labels: Sequence[object] | None = None,
+                owns: bool = False) -> "ArrayGraph":
+        """The graph whose arrays are the ``.npy`` files under ``path``;
+        an owned ``path`` is deleted when the graph is collected."""
+        g = cls(
+            np.load(os.path.join(path, _INDPTR_FILE), mmap_mode="r"),
+            np.load(os.path.join(path, _INDICES_FILE), mmap_mode="r"),
+            labels,
+        )
+        g.path = path
+        if owns:
+            g._finalizer = weakref.finalize(
+                g, shutil.rmtree, path, ignore_errors=True
+            )
+        return g
+
+    def _check_no_parallel_edges(self, block_elems: int = 1 << 20) -> None:
+        """One streamed pass rejecting duplicate (u, v) entries per row."""
+        for u, v in directed_edge_blocks(
+            self.indptr, self.indices, block_elems, aligned=True
+        ):
+            if len(u) < 2:
+                continue
+            order = np.lexsort((v, u))
+            su, sv = u[order], v[order]
+            dup = (su[1:] == su[:-1]) & (sv[1:] == sv[:-1])
+            if np.any(dup):
+                at = int(np.flatnonzero(dup)[0])
+                raise ConfigurationError(
+                    f"parallel edge ({int(su[at])!r}, {int(sv[at])!r}) "
+                    "in edge stream"
+                )
+
     def to_graph(self) -> Graph:
         """Materialize back into a dict-of-sets :class:`Graph`."""
-        g = Graph(nodes=self.labels)
         labels = self.labels
+        g = Graph(nodes=labels)
         indptr, indices = self.indptr, self.indices
         g.add_edges_from(
             (labels[i], labels[int(j)])
@@ -199,6 +501,16 @@ class ArrayGraph:
         return g
 
     # -- queries -----------------------------------------------------------
+
+    @property
+    def labels(self):
+        """Node labels in index order (a ``range`` for identity labels)."""
+        return range(self.n_nodes) if self._labels is None else self._labels
+
+    @property
+    def identity_labels(self) -> bool:
+        """Whether node labels are exactly ``0..n-1`` (none were given)."""
+        return self._labels is None
 
     @property
     def n_nodes(self) -> int:
@@ -214,7 +526,13 @@ class ArrayGraph:
         return self.n_nodes
 
     def __contains__(self, node: object) -> bool:
-        return node in self._index
+        if self._index is not None:
+            return node in self._index
+        return (
+            isinstance(node, (int, np.integer))
+            and not isinstance(node, bool)
+            and 0 <= int(node) < self.n_nodes
+        )
 
     def nodes(self) -> Iterator[object]:
         """Iterate node labels in index order."""
@@ -222,20 +540,39 @@ class ArrayGraph:
 
     def edges(self) -> Iterator[tuple]:
         """Iterate each undirected edge once (by ascending index pair)."""
-        u, v = self.edge_arrays()
         labels = self.labels
-        for a, b in zip(u.tolist(), v.tolist()):
-            yield (labels[a], labels[b])
+        for u, v in directed_edge_blocks(
+            self.indptr, self.indices, 1 << DEFAULT_CHUNK_BITS
+        ):
+            mask = u < v
+            for a, b in zip(u[mask].tolist(), v[mask].tolist()):
+                yield (labels[a], labels[b])
 
     def index_of(self, node: object) -> int:
         """CSR row index of a node label."""
-        try:
-            return self._index[node]
-        except KeyError:
-            raise ConfigurationError(f"node {node!r} not in graph") from None
+        if node not in self:
+            raise ConfigurationError(f"node {node!r} not in graph")
+        return int(node) if self._index is None else self._index[node]
 
     def indices_of(self, nodes: Iterable[object]) -> np.ndarray:
-        """Vector of CSR row indices for an iterable of labels."""
+        """Vector of CSR row indices for an iterable of labels.
+
+        For identity labels an integer ndarray passes through with one
+        vectorized bounds check — no per-node Python loop, the path the
+        million-node attack orders take.
+        """
+        if self._index is None:
+            if isinstance(nodes, np.ndarray) and np.issubdtype(
+                nodes.dtype, np.integer
+            ):
+                idx = nodes.astype(np.int64, copy=False)
+                bad = idx[(idx < 0) | (idx >= self.n_nodes)]
+                if len(bad):
+                    raise ConfigurationError(
+                        f"node {int(bad[0])!r} not in graph"
+                    )
+                return idx
+            return np.fromiter(map(self.index_of, nodes), dtype=np.int64)
         index = self._index
         try:
             return np.fromiter(
@@ -265,40 +602,57 @@ class ArrayGraph:
         labels = self.labels
         return frozenset(
             labels[j] for j in
-            self.indices[self.indptr[i]:self.indptr[i + 1]].tolist()
+            np.asarray(self.indices[self.indptr[i]:self.indptr[i + 1]])
+            .tolist()
         )
 
     def has_edge(self, u: object, v: object) -> bool:
         """Whether the undirected edge {u, v} exists."""
-        if u not in self._index or v not in self._index:
+        if u not in self or v not in self:
             return False
-        return self._index[v] in set(
-            self.indices[
-                self.indptr[self._index[u]]:self.indptr[self._index[u] + 1]
-            ].tolist()
-        )
+        i = self.index_of(u)
+        row = self.indices[self.indptr[i]:self.indptr[i + 1]]
+        return bool(np.any(row == self.index_of(v)))
 
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each undirected edge once as (u, v) index arrays with u < v."""
-        if self._edge_uv is None:
-            rows = np.repeat(
-                np.arange(self.n_nodes, dtype=np.int64),
-                np.diff(self.indptr),
+    def check_removal_order(self, order) -> bool:
+        """Whether ``order`` is a permutation of the nodes.
+
+        :func:`~repro.networks.percolation.percolation_curve` validates
+        attack outputs; on an identity-labelled million-node graph the
+        generic ``set(order) == set(g.nodes())`` comparison alone costs
+        hundreds of MB of boxed ints, so identity graphs get an O(n)
+        array check.
+        """
+        n = self.n_nodes
+        if len(order) != n:
+            return False
+        if self._index is not None:
+            return set(order) == set(self._labels)
+        try:
+            idx = self.indices_of(
+                order if isinstance(order, np.ndarray)
+                else np.asarray(order, dtype=np.int64)
             )
-            cols = self.indices.astype(np.int64)
-            mask = rows < cols
-            self._edge_uv = (rows[mask], cols[mask])
-        return self._edge_uv
+        except (ConfigurationError, TypeError, ValueError):
+            return False
+        seen = np.zeros(n, dtype=bool)
+        seen[idx] = True
+        return bool(seen.all())
 
     # -- structure ---------------------------------------------------------
 
     def component_labels(self) -> np.ndarray:
-        """Connected-component label per node (root index, vectorized)."""
-        u, v = self.edge_arrays()
-        return connected_component_labels(self.n_nodes, u, v)
+        """Connected-component label per node: its component's smallest
+        node index (block-streamed union-find, then one relabel pass)."""
+        n = self.n_nodes
+        roots = chunked_union_find_labels(self.indptr, self.indices)
+        first = np.full(n, n, dtype=np.int64)
+        np.minimum.at(first, roots, np.arange(n, dtype=np.int64))
+        return first[roots]
 
     def connected_components(self) -> list[FrozenSet[object]]:
-        """All connected components as frozensets of labels."""
+        """All connected components as frozensets of labels, ordered by
+        their smallest node index (the object :class:`Graph`'s order)."""
         comp = self.component_labels()
         order = np.argsort(comp, kind="stable")
         sorted_comp = comp[order]
@@ -316,23 +670,28 @@ class ArrayGraph:
         """Size of the largest connected component (0 for empty)."""
         if self.n_nodes == 0:
             return 0
-        comp = self.component_labels()
-        return int(np.bincount(comp, minlength=self.n_nodes).max())
+        roots = chunked_union_find_labels(self.indptr, self.indices)
+        return int(np.bincount(roots, minlength=self.n_nodes).max())
 
     # -- vectorized attack orderings --------------------------------------
 
-    def _label_reprs(self) -> np.ndarray:
-        return np.array([repr(lab) for lab in self.labels])
-
-    def degree_removal_order(self) -> list:
+    def degree_removal_order(self):
         """Labels from highest degree down, ties by ascending ``repr``.
 
         Bit-identical to the object path's
-        ``sorted(degrees, key=lambda n: (-degrees[n], repr(n)))``.
+        ``sorted(degrees, key=lambda n: (-degrees[n], repr(n)))``.  For
+        identity labels the decimal-string tie order is computed
+        *numerically* (:func:`_decimal_sort_keys`), so no O(n) array of
+        Python strings is built; the result is an int64 ndarray of node
+        ids.
         """
-        order = np.lexsort((self._label_reprs(), -self.degree_array()))
-        labels = self.labels
-        return [labels[int(i)] for i in order]
+        deg = self.degree_array()
+        if self._labels is None:
+            frac, digits = _decimal_sort_keys(self.n_nodes)
+            return np.lexsort((digits, frac, -deg)).astype(np.int64)
+        labels = self._labels
+        reprs = np.array([repr(lab) for lab in labels])
+        return [labels[int(i)] for i in np.lexsort((reprs, -deg))]
 
     def adaptive_degree_removal_order(self) -> list:
         """Recompute-degree removal order (max ``(degree, repr)`` each step).
@@ -340,10 +699,10 @@ class ArrayGraph:
         Incremental: removing a node decrements its live neighbors'
         degrees instead of rebuilding the graph, so the whole order costs
         O(n² bitmask scans + m updates) in vectorized primitives rather
-        than n graph copies.
+        than n graph copies — still a small-graph tool.
         """
         n = self.n_nodes
-        deg = self.degree_array().copy()
+        deg = self.degree_array()
         active = np.ones(n, dtype=bool)
         indptr, indices, labels = self.indptr, self.indices, self.labels
         order: list = []
@@ -356,10 +715,29 @@ class ArrayGraph:
                 pick = int(max(cands, key=lambda i: repr(labels[int(i)])))
             order.append(labels[pick])
             active[pick] = False
-            nbrs = indices[indptr[pick]:indptr[pick + 1]]
+            nbrs = np.asarray(indices[indptr[pick]:indptr[pick + 1]])
             live = nbrs[active[nbrs]]
             deg[live] -= 1
         return order
+
+
+def _decimal_sort_keys(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Keys ordering ``0..n-1`` like their decimal ``repr`` strings.
+
+    ``repr(x)`` for non-negative ints sorts lexicographically exactly as
+    ``x / 10^digits(x)`` sorts numerically, with equal keys (one string
+    a prefix of the other, e.g. ``"123"`` vs ``"1230"``) broken by
+    digit count.  Differences between distinct keys are ≥ 10^-10 for
+    n < 2^31, far above float64 rounding, so the order is exact.
+    """
+    x = np.arange(n, dtype=np.int64)
+    digits = np.ones(n, dtype=np.int64)
+    bound = 10
+    while bound <= max(n - 1, 1):
+        digits[x >= bound] += 1
+        bound *= 10
+    frac = x / np.power(10.0, digits)
+    return frac, digits
 
 
 # -- conversion cache ------------------------------------------------------
@@ -372,6 +750,7 @@ _CSR_CACHE: "weakref.WeakKeyDictionary[Graph, tuple[int, ArrayGraph]]" = (
 def as_arraygraph(g: "Graph | ArrayGraph") -> ArrayGraph:
     """CSR view of ``g``, cached per :class:`Graph` mutation version.
 
+    An :class:`ArrayGraph` (in RAM or mapped) passes through unchanged.
     Benchmarks percolate the same graph under several attacks; the cache
     makes the conversion a once-per-graph cost instead of once-per-curve.
     """
@@ -422,13 +801,13 @@ def directed_edge_blocks(
     """Yield ``(u, v)`` int64 blocks of directed CSR entries in flat order.
 
     Concatenated, the blocks reproduce exactly the
-    ``(np.repeat(arange(n), degrees), indices)`` pair that
-    :meth:`ArrayGraph.edge_arrays` builds — but only ``block_elems``
-    entries exist at a time, which is what lets the chunked kernels walk
-    a memory-mapped ``indices`` without ever materializing the full
-    edge list.  With ``aligned=True`` block boundaries snap back to row
-    starts (a row larger than ``block_elems`` streams alone), the mode
-    per-row invariant checks need.
+    ``(np.repeat(arange(n), degrees), indices)`` pair of the whole edge
+    list — but only ``block_elems`` entries exist at a time, which is
+    what lets the kernels walk a memory-mapped ``indices`` without ever
+    materializing the full edge list.  With ``aligned=True`` block
+    boundaries snap back to row starts (a row larger than
+    ``block_elems`` streams alone), the mode per-row invariant checks
+    need.
     """
     total = len(indices)
     start = 0
@@ -447,74 +826,39 @@ def directed_edge_blocks(
         start = stop
 
 
-def union_find_labels(
-    n: int, u: np.ndarray, v: np.ndarray
-) -> np.ndarray:
-    """Component root per node via union-find over an edge list.
+def frontier_slices(
+    indptr: np.ndarray, rows: np.ndarray, block_elems: int
+) -> Iterator[tuple[int, int]]:
+    """Split ``rows`` into slices whose total degree fits one block.
 
-    Path halving + union by size; the parent forest is flattened with
-    vectorized pointer jumping at the end so every node reports its root
-    directly.
+    Yields ``(a, b)`` bounds over ``rows`` such that the gathered
+    neighbors of ``rows[a:b]`` hold at most ``block_elems`` entries
+    (always at least one row, so a single hub larger than the block
+    still streams).  The scheduling primitive under every chunked
+    frontier kernel.
     """
-    parent = list(range(n))
-    size = [1] * n
-    for a, b in zip(
-        np.asarray(u, dtype=np.int64).tolist(),
-        np.asarray(v, dtype=np.int64).tolist(),
-    ):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
-        if a != b:
-            if size[a] < size[b]:
-                a, b = b, a
-            parent[b] = a
-            size[a] += size[b]
-    roots = np.asarray(parent, dtype=np.int64)
-    while True:
-        hop = roots[roots]
-        if np.array_equal(hop, roots):
-            return roots
-        roots = hop
+    rows = np.asarray(rows, dtype=np.int64)
+    if len(rows) == 0:
+        return
+    deg = (indptr[rows + 1] - indptr[rows]).astype(np.int64)
+    cum = np.cumsum(deg)
+    a = 0
+    base = 0
+    while a < len(rows):
+        b = int(np.searchsorted(cum, base + block_elems, side="right"))
+        if b <= a:
+            b = a + 1  # one oversized row: stream it alone
+        yield a, b
+        base = int(cum[b - 1])
+        a = b
 
 
-def connected_component_labels(
-    n: int, u: np.ndarray, v: np.ndarray
-) -> np.ndarray:
-    """Min-label propagation components: fully vectorized, no edge loop.
-
-    Each round every node adopts the smallest label among itself and its
-    neighbors (``np.minimum.at`` over both edge directions), then labels
-    are collapsed by pointer jumping; converges in O(log n) rounds, so
-    total work is O((n + m) log n) array operations.
-    """
-    labels = np.arange(n, dtype=np.int64)
-    if len(u) == 0:
-        return labels
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
-    while True:
-        nxt = labels.copy()
-        np.minimum.at(nxt, u, labels[v])
-        np.minimum.at(nxt, v, labels[u])
-        while True:
-            hop = nxt[nxt]
-            if np.array_equal(hop, nxt):
-                break
-            nxt = hop
-        if np.array_equal(nxt, labels):
-            return labels
-        labels = nxt
-
-
-def newman_ziff_giant_sizes(
+def chunked_newman_ziff_giant_sizes(
     indptr: np.ndarray,
     indices: np.ndarray,
     order: np.ndarray,
     base: np.ndarray | None = None,
+    block_elems: Optional[int] = None,
 ) -> np.ndarray:
     """Giant-component size after each node *addition* (Newman–Ziff).
 
@@ -526,34 +870,91 @@ def newman_ziff_giant_sizes(
 
     Because the giant component is monotone under additions, evaluating
     a removal process in reverse turns O(checkpoints · BFS) into one
-    O((n + m)·α) sweep — the tentpole speedup behind the array
-    percolation and healing engines.
+    O((n + m)·α) sweep — the speedup behind the array percolation and
+    healing engines.  Neighbor lists arrive via per-block CSR gathers
+    (``O(block)`` boxed ints in flight) instead of one
+    ``indices.tolist()`` of the whole edge array; the union order and
+    size bookkeeping are the single-pass reference's, so the output is
+    byte-identical to it at every block size.
     """
+    if block_elems is None:
+        block_elems = 1 << DEFAULT_CHUNK_BITS
     n = len(indptr) - 1
     parent = list(range(n))
     size = [1] * n
     active = bytearray(n)
-    ip = indptr.tolist()
-    idx = indices.tolist()
     best = 0
 
-    additions = np.asarray(order, dtype=np.int64).tolist()
+    additions = np.asarray(order, dtype=np.int64)
     prefix = (
-        [] if base is None else np.asarray(base, dtype=np.int64).tolist()
+        np.empty(0, dtype=np.int64) if base is None
+        else np.asarray(base, dtype=np.int64)
     )
     n_prefix = len(prefix)
+    seq = np.concatenate([prefix, additions])
     sizes = np.empty(len(additions) + 1, dtype=np.int64)
     sizes[0] = 0  # overwritten below unless the base is empty
-    # one flat hot loop (no per-activation call overhead): base nodes are
-    # unioned first (their final giant lands in sizes[0]), then each
-    # addition records the running giant in sizes[1:]
-    for i, node in enumerate(prefix + additions):
-        active[node] = 1
-        a = node
-        for j in range(ip[node], ip[node + 1]):
-            b = idx[j]
-            if not active[b]:
-                continue
+    i = 0
+    for lo, hi in frontier_slices(indptr, seq, block_elems):
+        block_nodes = seq[lo:hi]
+        flat, counts = gather_rows(indptr, indices, block_nodes)
+        idx = flat.tolist()
+        counts_list = counts.tolist()
+        nodes_list = block_nodes.tolist()
+        k = 0
+        for local, node in enumerate(nodes_list):
+            active[node] = 1
+            a = node
+            for _ in range(counts_list[local]):
+                b = idx[k]
+                k += 1
+                if not active[b]:
+                    continue
+                while parent[a] != a:
+                    parent[a] = parent[parent[a]]
+                    a = parent[a]
+                while parent[b] != b:
+                    parent[b] = parent[parent[b]]
+                    b = parent[b]
+                if a != b:
+                    if size[a] < size[b]:
+                        a, b = b, a
+                    parent[b] = a
+                    size[a] += size[b]
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            if size[a] > best:
+                best = size[a]
+            if i >= n_prefix - 1:
+                sizes[i - n_prefix + 1] = best
+            i += 1
+    if len(seq) == 0 or (n_prefix and len(additions) == 0):
+        sizes[0] = best
+    return sizes
+
+
+def chunked_union_find_labels(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    block_elems: Optional[int] = None,
+) -> np.ndarray:
+    """Component root per node via union-find over block-streamed edges.
+
+    Streams each undirected edge once (``u < v``) in flat CSR order, with
+    path halving + union by size; the parent forest is flattened with
+    vectorized pointer jumping at the end so every node reports its
+    root directly.  Byte-identical to the single-pass reference over the
+    whole edge list, without ever materializing it.
+    """
+    if block_elems is None:
+        block_elems = 1 << DEFAULT_CHUNK_BITS
+    n = len(indptr) - 1
+    parent = list(range(n))
+    size = [1] * n
+    for u_blk, v_blk in directed_edge_blocks(indptr, indices, block_elems):
+        mask = u_blk < v_blk
+        for a, b in zip(u_blk[mask].tolist(), v_blk[mask].tolist()):
             while parent[a] != a:
                 parent[a] = parent[parent[a]]
                 a = parent[a]
@@ -565,14 +966,12 @@ def newman_ziff_giant_sizes(
                     a, b = b, a
                 parent[b] = a
                 size[a] += size[b]
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        if size[a] > best:
-            best = size[a]
-        if i >= n_prefix - 1:
-            sizes[i - n_prefix + 1] = best
-    return sizes
+    roots = np.asarray(parent, dtype=np.int64)
+    while True:
+        hop = roots[roots]
+        if np.array_equal(hop, roots):
+            return roots
+        roots = hop
 
 
 def bernoulli_indices(rng, count: int, p: float) -> np.ndarray:

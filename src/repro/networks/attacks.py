@@ -16,7 +16,6 @@ from ..errors import ConfigurationError
 from ..rng import SeedLike, make_rng
 from .arraygraph import ArrayGraph
 from .graph import Graph
-from .mmapgraph import MmapGraph
 
 __all__ = [
     "AttackStrategy",
@@ -57,7 +56,7 @@ class TargetedDegreeAttack(AttackStrategy):
     """
 
     def removal_order(self, g: Graph, seed: SeedLike = None) -> list[object]:
-        if isinstance(g, (ArrayGraph, MmapGraph)):
+        if isinstance(g, ArrayGraph):
             return g.degree_removal_order()
         degrees = g.degrees()
         return sorted(degrees, key=lambda node: (-degrees[node], repr(node)))
@@ -71,7 +70,7 @@ class AdaptiveDegreeAttack(AttackStrategy):
     """
 
     def removal_order(self, g: Graph, seed: SeedLike = None) -> list[object]:
-        if isinstance(g, (ArrayGraph, MmapGraph)):
+        if isinstance(g, ArrayGraph):
             return g.adaptive_degree_removal_order()
         work = g.copy()
         order: list[object] = []

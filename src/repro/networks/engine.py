@@ -16,11 +16,11 @@ their hot loops through the resolved engine.
 The object engine hosts the original dict-of-sets loops verbatim (same
 RNG draw order, same float accumulation order).  ``"array"`` and
 ``"mmap"`` name one engine, :class:`ArrayNetworkEngine`: block-streamed
-CSR kernels that run on whatever CSR the graph already holds — an
-:class:`~repro.networks.arraygraph.ArrayGraph` (or a
-:class:`~repro.networks.graph.Graph`, converted once and cached) in
-RAM, a :class:`~repro.networks.mmapgraph.MmapGraph` on disk — so the
-two kinds differ only in where the caller stored the graph.
+CSR kernels that run on the graph's
+:class:`~repro.networks.arraygraph.ArrayGraph` (a
+:class:`~repro.networks.graph.Graph` is converted once and cached),
+whose arrays may sit in RAM or in memory-mapped files; ``"mmap"`` is
+kept only as a name.
 Deterministic quantities (component sizes, percolation curves,
 load-cascade failure sets, healing quality traces) match the object
 engine exactly, while stochastic spreading (probabilistic cascades,
@@ -44,15 +44,12 @@ from .arraygraph import (
     ArrayGraph,
     as_arraygraph,
     bernoulli_indices,
-    gather_rows,
-)
-from .graph import Graph
-from .mmapgraph import (
-    MmapGraph,
     chunked_newman_ziff_giant_sizes,
     derive_chunk_elems,
     frontier_slices,
+    gather_rows,
 )
+from .graph import Graph
 
 __all__ = [
     "ArrayNetworkEngine",
@@ -122,9 +119,7 @@ class ObjectNetworkEngine(NetworkEngine):
 
     @staticmethod
     def _graph(g) -> Graph:
-        return (
-            g.to_graph() if isinstance(g, (ArrayGraph, MmapGraph)) else g
-        )
+        return g.to_graph() if isinstance(g, ArrayGraph) else g
 
     def percolation_giant_sizes(self, g, order, checkpoints):
         g = self._graph(g)
@@ -281,14 +276,15 @@ class ObjectNetworkEngine(NetworkEngine):
 class ArrayNetworkEngine(NetworkEngine):
     """Block-streamed CSR kernels over an in-RAM or memory-mapped graph.
 
-    One set of kernels serves both fast kinds: a
-    :class:`~repro.networks.mmapgraph.MmapGraph` is walked where it
-    lies on disk, anything else through its cached
+    One set of kernels serves both fast kinds: an
+    :class:`~repro.networks.arraygraph.ArrayGraph` is walked where its
+    arrays lie, in RAM or mapped from disk, and a
+    :class:`~repro.networks.graph.Graph` through its cached
     :class:`~repro.networks.arraygraph.ArrayGraph`.  Every hot loop
     walks the ``indices`` array in fixed-size blocks, so the kernels'
-    working memory is O(n + block) whatever the edge count: Newman–Ziff percolation and
-    healing stream additions through
-    :func:`~repro.networks.mmapgraph.chunked_newman_ziff_giant_sizes`,
+    working memory is O(n + block) whatever the edge count: Newman–Ziff
+    percolation and healing stream additions through
+    :func:`~repro.networks.arraygraph.chunked_newman_ziff_giant_sizes`,
     cascades and SIS/SIR expand their frontiers block by block with a
     two-pass draw that spends the RNG exactly as one whole-frontier
     gather would.  Every output — deterministic or stochastic — is
@@ -296,7 +292,7 @@ class ArrayNetworkEngine(NetworkEngine):
     storages of one CSR.
 
     The block size comes from the supervisor's ``memory_budget_mb`` via
-    :func:`~repro.networks.mmapgraph.derive_chunk_elems`, so a budget
+    :func:`~repro.networks.arraygraph.derive_chunk_elems`, so a budget
     *schedules* smaller blocks instead of refusing (an explicit
     ``block_elems`` overrides it; the equivalence tests use it to sweep
     block boundaries).
@@ -315,10 +311,10 @@ class ArrayNetworkEngine(NetworkEngine):
         )
 
     def ordering_graph(self, g):
-        return _csr(g)
+        return as_arraygraph(g)
 
     def percolation_giant_sizes(self, g, order, checkpoints):
-        cg = _csr(g)
+        cg = as_arraygraph(g)
         tr = trace.current()
         with tr.timer("net.percolation.array"):
             n = cg.n_nodes
@@ -336,7 +332,7 @@ class ArrayNetworkEngine(NetworkEngine):
         return out
 
     def load_cascade(self, graph, initial_load, capacity, seeds):
-        cg = _csr(graph)
+        cg = as_arraygraph(graph)
         tr = trace.current()
         with tr.timer("net.cascade.array"):
             n = cg.n_nodes
@@ -425,7 +421,7 @@ class ArrayNetworkEngine(NetworkEngine):
         return np.concatenate(out)
 
     def spread_cascade(self, graph, spread_p, seeds, rng):
-        cg = _csr(graph)
+        cg = as_arraygraph(graph)
         tr = trace.current()
         with tr.timer("net.cascade.array"):
             labels = cg.labels
@@ -481,7 +477,7 @@ class ArrayNetworkEngine(NetworkEngine):
 
     def _run_epidemic(self, graph, beta, gamma, immune, infected,
                       max_steps, rng, with_recovered):
-        cg = _csr(graph)
+        cg = as_arraygraph(graph)
         tr = trace.current()
         with tr.timer("net.epidemic.array"):
             n = cg.n_nodes
@@ -520,7 +516,7 @@ class ArrayNetworkEngine(NetworkEngine):
 
     def healing_episode(self, graph, to_remove, repairs_per_step,
                         horizon, shock_time):
-        cg = _csr(graph)
+        cg = as_arraygraph(graph)
         tr = trace.current()
         with tr.timer("net.healing.array"):
             n = cg.n_nodes
@@ -555,11 +551,6 @@ class ArrayNetworkEngine(NetworkEngine):
             fully = restored == n_removed and full == n
         tr.count("net.healing.runs.array")
         return times, quality, fully
-
-
-def _csr(g) -> "ArrayGraph | MmapGraph":
-    """The CSR the kernels walk: an MmapGraph stays on disk, else in RAM."""
-    return g if isinstance(g, MmapGraph) else as_arraygraph(g)
 
 
 _ENGINES = {

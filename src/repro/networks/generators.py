@@ -66,7 +66,7 @@ def erdos_renyi_stream(
     """G(n, p) as a stream of ``(u, v)`` int32 edge-array chunks.
 
     No :class:`Graph`, no full edge list — chunks feed straight into
-    :meth:`repro.networks.mmapgraph.MmapGraph.from_edge_chunks`.  Edges
+    :meth:`repro.networks.arraygraph.ArrayGraph.from_edge_chunks`.  Edges
     are emitted in ascending linear pair index with ``u < v``, so the
     stream is self-loop- and duplicate-free by construction.
 
@@ -199,7 +199,7 @@ def barabasi_albert_stream(
     Runs the exact :func:`barabasi_albert` draw sequence (same seed →
     same edge stream, pinned in the test suite) but buffers edges into
     fixed-size array chunks for
-    :meth:`repro.networks.mmapgraph.MmapGraph.from_edge_chunks`.  Every
+    :meth:`repro.networks.arraygraph.ArrayGraph.from_edge_chunks`.  Every
     edge appears once with a fresh endpoint, so the stream is
     duplicate- and self-loop-free by construction.
     """

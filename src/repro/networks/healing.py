@@ -86,6 +86,10 @@ class NetworkRecoverySimulator:
             self.graph, to_remove, self.repairs_per_step,
             horizon, shock_time,
         )
+        # an identity-labelled graph ranks into an ndarray: the engine
+        # takes it unboxed, the result gets plain Python labels
+        if isinstance(to_remove, np.ndarray):
+            to_remove = to_remove.tolist()
         return NetworkRecoveryResult(
             trace=QualityTrace.from_samples(times, quality),
             removed=tuple(to_remove),

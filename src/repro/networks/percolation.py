@@ -75,9 +75,10 @@ def percolation_curve(
     eng = make_network_engine(engine)
     order = attack.removal_order(eng.ordering_graph(g), make_rng(seed))
     # a permutation = right length + right node set (duplicates shrink the
-    # set); compares nodes themselves, not their reprs.  Graphs with a
-    # vectorized validator (MmapGraph) supply it — at 10^6+ nodes the
-    # set comparison alone would box hundreds of MB of ints.
+    # set); compares nodes themselves, not their reprs.  An ArrayGraph
+    # supplies its own validator, vectorized for identity labels — at
+    # 10^6+ nodes the set comparison alone would box hundreds of MB of
+    # ints.
     check = getattr(g, "check_removal_order", None)
     if check is not None:
         is_permutation = bool(check(order))

@@ -35,7 +35,7 @@ to the remaining budget and refuse to launch once it is exhausted
 :meth:`Supervisor.memory_budget_bytes`).  The CSP and network engines
 derive their block size from the budget instead of refusing
 (:func:`repro.csp.tiledengine.derive_block_bits`,
-:func:`repro.networks.mmapgraph.derive_chunk_elems`), so an over-budget
+:func:`repro.networks.arraygraph.derive_chunk_elems`), so an over-budget
 problem is *scheduled* in more, smaller blocks rather than degraded to
 the object kernels.
 
@@ -331,7 +331,7 @@ class Supervisor:
         One budget, consumed per family: the CSP engine and the network
         engine fold it into their block schedules
         (:func:`repro.csp.tiledengine.derive_block_bits`,
-        :func:`repro.networks.mmapgraph.derive_chunk_elems`) — smaller
+        :func:`repro.networks.arraygraph.derive_chunk_elems`) — smaller
         blocks, never a refusal or a spill to disk.
         """
         if self.memory_budget_mb is None:

@@ -33,14 +33,14 @@ from repro.networks import (
     percolation_curve,
     watts_strogatz,
 )
-from repro.networks.arraygraph import (
-    bernoulli_indices,
-    connected_component_labels,
-    gather_rows,
+from repro.networks.arraygraph import bernoulli_indices, gather_rows
+from repro.rng import make_rng
+
+from .reference_kernels import (
     newman_ziff_giant_sizes,
+    undirected_edges,
     union_find_labels,
 )
-from repro.rng import make_rng
 
 
 def _graphs():
@@ -79,13 +79,14 @@ class TestArrayGraphStructure:
                 assert ag.neighbors(node) == g.neighbors(node)
 
     def test_components_match(self):
-        for g in _graphs():
+        # list equality (the object Graph's component order) on both
+        # storages of one CSR
+        for g in _graphs() + [erdos_renyi(200, 0.01, seed=8)]:
             ag = as_arraygraph(g)
-            assert sorted(map(len, ag.connected_components())) == \
-                sorted(map(len, g.connected_components()))
-            assert set(map(frozenset, ag.connected_components())) == \
-                set(map(frozenset, g.connected_components()))
-            assert ag.giant_component_size() == g.giant_component_size()
+            mapped = ArrayGraph.from_arrays(ag.indptr, ag.indices, ag.labels)
+            for cg in (ag, mapped):
+                assert cg.connected_components() == g.connected_components()
+                assert cg.giant_component_size() == g.giant_component_size()
 
     def test_conversion_cache_invalidated_on_mutation(self):
         g = erdos_renyi(30, 0.1, seed=0)
@@ -112,16 +113,17 @@ class TestKernels:
         assert np.array_equal(flat, expected)
         assert np.array_equal(counts, np.diff(ag.indptr)[rows])
 
-    def test_union_find_agrees_with_min_label(self):
+    def test_component_labels_are_min_index_of_union_find(self):
         ag = as_arraygraph(erdos_renyi(80, 0.02, seed=4))
-        u, v = ag.edge_arrays()
-        a = union_find_labels(ag.n_nodes, u, v)
-        b = connected_component_labels(ag.n_nodes, u, v)
-        # same partition (root naming may differ)
-        for arr in (a, b):
-            assert len(arr) == ag.n_nodes
-        pairs = set(zip(a.tolist(), b.tolist()))
-        assert len(pairs) == len(set(a.tolist())) == len(set(b.tolist()))
+        roots = union_find_labels(
+            ag.n_nodes, *undirected_edges(ag.indptr, ag.indices)
+        )
+        labels = ag.component_labels()
+        # same partition as the reference union-find, each component
+        # named by its smallest node index
+        for root in np.unique(roots):
+            members = np.flatnonzero(roots == root)
+            assert (labels[members] == members.min()).all()
 
     def test_newman_ziff_matches_incremental_object_graph(self):
         g = erdos_renyi(50, 0.05, seed=8)

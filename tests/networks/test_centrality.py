@@ -7,6 +7,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.networks.arraygraph import ArrayGraph, as_arraygraph
 from repro.networks.attacks import TargetedDegreeAttack
 from repro.networks.centrality import BetweennessAttack, betweenness_centrality
 from repro.networks.generators import barabasi_albert, erdos_renyi
@@ -54,6 +55,13 @@ class TestBetweennessCentrality:
         theirs = nx.betweenness_centrality(to_networkx(g))
         for node in g.nodes():
             assert ours[node] == pytest.approx(theirs[node], abs=1e-9)
+
+    def test_mapped_twin_matches_in_ram_csr_exactly(self):
+        # one CSR, two storages: the same vectorized Brandes pass, so
+        # the scores agree bit for bit, not just to rounding
+        ag = as_arraygraph(barabasi_albert(60, 2, seed=2))
+        mapped = ArrayGraph.from_arrays(ag.indptr, ag.indices, ag.labels)
+        assert betweenness_centrality(mapped) == betweenness_centrality(ag)
 
     def test_disconnected_components_handled(self):
         g = Graph(edges=[(0, 1), (1, 2), (10, 11)])

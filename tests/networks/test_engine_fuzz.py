@@ -5,21 +5,33 @@ through :class:`~repro.networks.engine.ArrayNetworkEngine` at block
 sizes from one slot to past ``2m`` (every frontier and Newman–Ziff
 addition split differently), on both storages of one CSR: the in-RAM
 :class:`~repro.networks.arraygraph.ArrayGraph` and its
-:meth:`~repro.networks.mmapgraph.MmapGraph.from_arrays` copy.
+:meth:`~repro.networks.arraygraph.ArrayGraph.from_arrays` copy.
 
 * deterministic kernels (percolation sizes, load cascades, healing)
   must equal :class:`~repro.networks.engine.ObjectNetworkEngine`
   exactly;
 * stochastic kernels (SIR, SIS, spread cascades) must be byte-identical
   to the default-block engine on the in-RAM graph, same seed.
+
+The graph API itself is fuzzed too: identity-labelled and labelled
+(string labels, shuffled node order) graphs on both storages must answer
+every query as the object :class:`~repro.networks.graph.Graph` does.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from repro.networks import Graph, MmapGraph, as_arraygraph
+from repro.errors import ConfigurationError
+from repro.networks import (
+    AdaptiveDegreeAttack,
+    ArrayGraph,
+    Graph,
+    TargetedDegreeAttack,
+    as_arraygraph,
+)
 from repro.networks.engine import ArrayNetworkEngine, ObjectNetworkEngine
 
 BLOCKS = (1, 7, 13, 64, 1 << 18)
@@ -44,7 +56,7 @@ def subjects(g: Graph, data):
     """``(engine, graph)`` for every block size and both storages."""
     ag = as_arraygraph(g)
     assert list(ag.labels) == list(range(ag.n_nodes))
-    mg = MmapGraph.from_arrays(ag.indptr, ag.indices)
+    mg = ArrayGraph.from_arrays(ag.indptr, ag.indices)
     drawn = data.draw(st.integers(1, 2 * ag.n_edges + 2), label="block")
     for block in BLOCKS + (drawn,):
         engine = ArrayNetworkEngine(block_elems=block)
@@ -159,3 +171,99 @@ def test_spread_cascade_identical_across_blocks_and_storage(g, data, p):
     _same_draws(g, data, lambda engine, cg, rng: engine.spread_cascade(
         cg, p, seeds, rng
     ))
+
+
+# -- the graph API: every storage and labelling vs the object Graph --------
+
+
+@st.composite
+def labelled_graphs(draw) -> Graph:
+    """:func:`graphs` as is, relabelled to strings, or in shuffled order."""
+    g = draw(graphs())
+    style = draw(st.sampled_from(("identity", "strings", "shuffled")))
+    if style == "identity":
+        return g
+    perm = draw(st.permutations(range(g.n_nodes)))
+    name = (lambda i: f"n{i}") if style == "strings" else (lambda i: i)
+    return Graph(
+        nodes=[name(i) for i in perm],
+        edges=[(name(u), name(v)) for u, v in g.edges()],
+    )
+
+
+def storages(g: Graph) -> list:
+    """Labelled CSR twins of ``g`` in RAM and mapped, plus identity twins
+    when ``g``'s nodes are exactly ``0..n-1`` in order."""
+    ag = as_arraygraph(g)
+    out = [ag, ArrayGraph.from_arrays(ag.indptr, ag.indices, ag.labels)]
+    if list(g.nodes()) == list(range(g.n_nodes)):
+        out += [ArrayGraph(ag.indptr, ag.indices),
+                ArrayGraph.from_arrays(ag.indptr, ag.indices)]
+    return out
+
+
+def _min_index_labels(g: Graph) -> list:
+    """Per node: the smallest node index of its component."""
+    index = {v: i for i, v in enumerate(g.nodes())}
+    out = [0] * g.n_nodes
+    for comp in g.connected_components():
+        low = min(index[v] for v in comp)
+        for v in comp:
+            out[index[v]] = low
+    return out
+
+
+@FUZZ
+@given(g=labelled_graphs())
+@example(g=Graph(nodes=range(11)))  # "10" sorts between "1" and "2"
+@example(g=Graph(nodes=range(12), edges=[(0, 11), (11, 10), (2, 10)]))
+def test_graph_api_matches_object_graph(g):
+    nodes = list(g.nodes())
+    n = len(nodes)
+    degrees = g.degrees()
+    edge_set = {frozenset(e) for e in g.edges()}
+    targeted = TargetedDegreeAttack().removal_order(g)
+    adaptive = AdaptiveDegreeAttack().removal_order(g)
+    for cg in storages(g):
+        assert list(cg.nodes()) == nodes
+        edges = list(cg.edges())
+        assert len(edges) == g.n_edges
+        assert {frozenset(e) for e in edges} == edge_set
+        assert cg.degrees() == degrees
+        for u in nodes:
+            assert u in cg
+            assert cg.neighbors(u) == g.neighbors(u)
+            for v in nodes:
+                assert cg.has_edge(u, v) == g.has_edge(u, v)
+        for absent in ("absent", n, -1):
+            assert absent not in cg
+            assert not cg.has_edge(absent, nodes[0])
+            with pytest.raises(ConfigurationError, match="not in graph"):
+                cg.index_of(absent)
+            with pytest.raises(ConfigurationError, match="not in graph"):
+                cg.indices_of(nodes + [absent])
+        assert cg.indices_of(nodes).tolist() == list(range(n))
+        if cg.identity_labels:
+            # identity ids are ints proper: no bools, floats or overflow
+            assert True not in cg and 5.0 not in cg and n not in cg
+            assert np.int64(n - 1) in cg
+            assert cg.indices_of(np.arange(n)[::-1]).tolist() == \
+                list(range(n))[::-1]
+            with pytest.raises(ConfigurationError, match="not in graph"):
+                cg.indices_of(np.array([0, n]))
+        assert cg.component_labels().tolist() == _min_index_labels(g)
+        assert cg.connected_components() == g.connected_components()
+        assert cg.giant_component_size() == g.giant_component_size()
+        back = cg.to_graph()
+        assert list(back.nodes()) == nodes
+        assert {frozenset(e) for e in back.edges()} == edge_set
+        order = cg.degree_removal_order()
+        if cg.identity_labels:
+            assert isinstance(order, np.ndarray) and order.dtype == np.int64
+        assert list(order) == targeted
+        assert cg.adaptive_degree_removal_order() == adaptive
+        assert cg.check_removal_order(order)
+        assert cg.check_removal_order(nodes[::-1])
+        assert not cg.check_removal_order(nodes[1:])
+        if n >= 2:
+            assert not cg.check_removal_order([nodes[0]] + nodes[:-1])

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.core.bruneau import assess
 from repro.errors import ConfigurationError
+from repro.networks.arraygraph import ArrayGraph, as_arraygraph
 from repro.networks.attacks import RandomFailure, TargetedDegreeAttack
 from repro.networks.generators import barabasi_albert
 from repro.networks.healing import NetworkRecoverySimulator
@@ -65,6 +68,21 @@ class TestNetworkRecovery:
         sim = NetworkRecoverySimulator(g, RandomFailure())
         result = sim.run(attack_fraction=0.3, horizon=5, seed=10)
         assert len(result.removed) == 15
+
+    @pytest.mark.parametrize("engine", ["object", "array"])
+    def test_identity_graph_removes_python_ints(self, engine):
+        # an identity-labelled graph ranks into an int64 ndarray; the
+        # result must still hold plain, JSON-serializable labels
+        ag = as_arraygraph(barabasi_albert(60, 2, seed=12))
+        for g in (ArrayGraph(ag.indptr, ag.indices),
+                  ArrayGraph.from_arrays(ag.indptr, ag.indices)):
+            sim = NetworkRecoverySimulator(
+                g, TargetedDegreeAttack(), engine=engine
+            )
+            result = sim.run(attack_fraction=0.2, horizon=6, seed=13)
+            assert len(result.removed) == 12
+            assert all(type(x) is int for x in result.removed)
+            json.dumps(list(result.removed))
 
     def test_validation(self):
         g = barabasi_albert(20, 2, seed=11)

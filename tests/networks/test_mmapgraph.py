@@ -8,7 +8,9 @@ the RNG stream exactly as one whole-frontier gather would (one
 ``bernoulli_indices`` draw over the whole frontier), so curves,
 cascades, and epidemics match draw-for-draw on the same graph and seed.
 The chunked union-find kernels are pinned to the single-pass reference
-kernels of :mod:`repro.networks.arraygraph`.
+kernels of ``tests/networks/reference_kernels.py``.  The mapped twin of
+a graph is an :class:`~repro.networks.arraygraph.ArrayGraph` built with
+:meth:`~repro.networks.arraygraph.ArrayGraph.from_arrays`.
 """
 
 import os
@@ -18,8 +20,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.networks import (
+    ArrayGraph,
     Graph,
-    MmapGraph,
     RandomFailure,
     SIRModel,
     SISModel,
@@ -32,16 +34,6 @@ from repro.networks import (
 )
 from repro.networks import engine as engine_mod
 from repro.networks.arraygraph import (
-    directed_edge_blocks,
-    newman_ziff_giant_sizes,
-    union_find_labels,
-)
-from repro.networks.engine import ArrayNetworkEngine
-from repro.networks.generators import (
-    barabasi_albert_stream,
-    erdos_renyi_stream,
-)
-from repro.networks.mmapgraph import (
     CHUNK_ELEM_BYTES,
     DEFAULT_CHUNK_BITS,
     MAX_CHUNK_BITS,
@@ -49,10 +41,22 @@ from repro.networks.mmapgraph import (
     chunked_newman_ziff_giant_sizes,
     chunked_union_find_labels,
     derive_chunk_elems,
+    directed_edge_blocks,
     frontier_slices,
+)
+from repro.networks.engine import ArrayNetworkEngine
+from repro.networks.generators import (
+    barabasi_albert_stream,
+    erdos_renyi_stream,
 )
 from repro.rng import make_rng
 from repro.runtime import supervisor, trace
+
+from .reference_kernels import (
+    newman_ziff_giant_sizes,
+    undirected_edges,
+    union_find_labels,
+)
 
 BLOCK_SIZES = (1, 7, 64, 1 << 18)
 
@@ -67,11 +71,11 @@ def er_graph():
     return erdos_renyi(200, 0.03, seed=8)
 
 
-def to_mmap(g) -> MmapGraph:
+def to_mmap(g) -> ArrayGraph:
     """``g``'s CSR copied verbatim to memory-mapped files."""
     ag = as_arraygraph(g)
     identity = list(ag.labels) == list(range(ag.n_nodes))
-    return MmapGraph.from_arrays(
+    return ArrayGraph.from_arrays(
         ag.indptr, ag.indices, labels=None if identity else ag.labels
     )
 
@@ -89,7 +93,7 @@ class TestMmapGraphBuild:
         assert mg.n_edges == ag.n_edges
 
     def test_from_edge_chunks_matches_graph(self, er_graph):
-        mg = MmapGraph.from_edge_chunks(
+        mg = ArrayGraph.from_edge_chunks(
             200,
             erdos_renyi_stream(200, 0.03, seed=8, chunk_pairs=53),
         )
@@ -100,7 +104,7 @@ class TestMmapGraphBuild:
     def test_from_edge_chunks_small_spill_chunks(self, er_graph):
         # re-reading the spill file in tiny chunks exercises the
         # two-pass counting-sort scatter across chunk boundaries
-        mg = MmapGraph.from_edge_chunks(
+        mg = ArrayGraph.from_edge_chunks(
             200,
             erdos_renyi_stream(200, 0.03, seed=8, chunk_pairs=53),
             spill_chunk=17,
@@ -109,10 +113,10 @@ class TestMmapGraphBuild:
             assert mg.neighbors(node) == er_graph.neighbors(node)
 
     def test_open_round_trip(self):
-        mg = MmapGraph.from_edge_chunks(
+        mg = ArrayGraph.from_edge_chunks(
             6, [(np.array([0, 1, 2]), np.array([1, 2, 3]))]
         )
-        reopened = MmapGraph.open(mg.path)
+        reopened = ArrayGraph.open(mg.path)
         assert np.array_equal(
             np.asarray(mg.indptr), np.asarray(reopened.indptr)
         )
@@ -121,20 +125,34 @@ class TestMmapGraphBuild:
         )
         assert reopened.giant_component_size() == 4
 
+    def test_mapped_arrays_stay_file_backed(self, er_graph):
+        # building, reopening or wrapping mapped arrays never copies
+        # them into RAM: both stay np.memmap views of the .npy files
+        built = ArrayGraph.from_edge_chunks(
+            200, erdos_renyi_stream(200, 0.03, seed=8, chunk_pairs=53)
+        )
+        reopened = ArrayGraph.open(built.path)
+        for g in (built, reopened, to_mmap(er_graph),
+                  ArrayGraph(reopened.indptr, reopened.indices)):
+            for arr in (g.indptr, g.indices):
+                assert isinstance(arr, np.memmap)
+                assert not arr.flags.owndata
+        assert reopened.identity_labels and reopened.labels == range(200)
+
     def test_open_missing_path_raises(self, tmp_path):
         with pytest.raises(ConfigurationError, match="no mmap graph"):
-            MmapGraph.open(str(tmp_path / "nope"))
+            ArrayGraph.open(str(tmp_path / "nope"))
 
     def test_int64_indptr_round_trip(self, monkeypatch):
         # force promotion past the (monkeypatched) int32 offset capacity
         monkeypatch.setattr(
             "repro.networks.arraygraph.INT32_INDPTR_CAPACITY", 4
         )
-        mg = MmapGraph.from_edge_chunks(
+        mg = ArrayGraph.from_edge_chunks(
             6, [(np.array([0, 1, 2]), np.array([1, 2, 3]))]
         )
         assert mg.indptr.dtype == np.int64
-        reopened = MmapGraph.open(mg.path)
+        reopened = ArrayGraph.open(mg.path)
         assert reopened.indptr.dtype == np.int64
         assert reopened.giant_component_size() == 4
         order = reopened.degree_removal_order()
@@ -142,13 +160,13 @@ class TestMmapGraphBuild:
 
     def test_duplicate_edges_rejected(self):
         with pytest.raises(ConfigurationError, match="parallel edge"):
-            MmapGraph.from_edge_chunks(
+            ArrayGraph.from_edge_chunks(
                 4, [(np.array([0, 0]), np.array([1, 1]))]
             )
 
     def test_duplicate_across_chunks_rejected(self):
         with pytest.raises(ConfigurationError, match="parallel edge"):
-            MmapGraph.from_edge_chunks(
+            ArrayGraph.from_edge_chunks(
                 4,
                 [
                     (np.array([0]), np.array([1])),
@@ -158,25 +176,25 @@ class TestMmapGraphBuild:
 
     def test_self_loop_rejected(self):
         with pytest.raises(ConfigurationError, match="self-loop"):
-            MmapGraph.from_edge_chunks(
+            ArrayGraph.from_edge_chunks(
                 4, [(np.array([2]), np.array([2]))]
             )
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ConfigurationError, match="out of range"):
-            MmapGraph.from_edge_chunks(
+            ArrayGraph.from_edge_chunks(
                 3, [(np.array([0]), np.array([5]))]
             )
 
     def test_spill_dir_env_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_MMAP_DIR", str(tmp_path))
-        mg = MmapGraph.from_edge_chunks(
+        mg = ArrayGraph.from_edge_chunks(
             3, [(np.array([0]), np.array([1]))]
         )
         assert os.path.dirname(mg.path) == str(tmp_path)
 
     def test_spill_cleaned_up_on_gc(self):
-        mg = MmapGraph.from_edge_chunks(
+        mg = ArrayGraph.from_edge_chunks(
             3, [(np.array([0]), np.array([1]))]
         )
         path = mg.path
@@ -231,14 +249,20 @@ class TestMmapGraphQueries:
         assert set(mg.degree_removal_order()) == {"a", "b", "c"}
         # labelled graphs don't round-trip through the on-disk format
         with pytest.raises(ConfigurationError, match="identity-labelled"):
-            MmapGraph.open(mg.path)
+            ArrayGraph.open(mg.path)
 
-    def test_components_match_arraygraph(self, er_graph):
-        ag = as_arraygraph(er_graph)
-        mg = to_mmap(er_graph)
-        assert mg.giant_component_size() == ag.giant_component_size()
-        assert sorted(map(len, mg.connected_components())) == sorted(
-            map(len, ag.connected_components())
+    def test_components_match_arraygraph(self):
+        # 42 components: the mapped twin lists them in the object
+        # Graph's order, not just as the same sets
+        g = erdos_renyi(200, 0.01, seed=8)
+        ref = g.connected_components()
+        assert len(ref) == 42
+        ag = as_arraygraph(g)
+        for cg in (ag, to_mmap(g)):
+            assert cg.connected_components() == ref
+            assert cg.giant_component_size() == g.giant_component_size()
+        assert np.array_equal(
+            to_mmap(g).component_labels(), ag.component_labels()
         )
 
 
@@ -275,7 +299,7 @@ class TestChunkedKernels:
     def test_union_find_identical(self, er_graph, block):
         ag = as_arraygraph(er_graph)
         mg = to_mmap(er_graph)
-        u, v = ag.edge_arrays()
+        u, v = undirected_edges(ag.indptr, ag.indices)
         ref = union_find_labels(ag.n_nodes, u, v)
         got = chunked_union_find_labels(
             mg.indptr, mg.indices, block_elems=block
@@ -345,14 +369,6 @@ class TestBudgetDerivation:
             )
             prev = blk
 
-    def test_workers_shrink_block(self):
-        budget = (1 << 16) * CHUNK_ELEM_BYTES
-        assert derive_chunk_elems(budget, workers=4) <= \
-            derive_chunk_elems(budget, workers=1)
-        with pytest.raises(ConfigurationError):
-            derive_chunk_elems(budget, workers=0)
-
-
 
 # -- engine equivalence: byte-identity across blocks and storage ---------
 
@@ -384,7 +400,7 @@ class TestMmapEngineEquivalence:
                 )
 
     def test_percolation_on_mmap_input(self, ba_graph):
-        # percolating the MmapGraph itself exercises check_removal_order
+        # percolating the mapped graph itself exercises check_removal_order
         # and the ndarray ordering fast path end-to-end
         mg = to_mmap(ba_graph)
         ref = percolation_curve(
@@ -662,7 +678,7 @@ class TestStreamGenerators:
         # the full out-of-core path: stream -> spill build -> kernels,
         # against the in-RAM path from the same seed
         n = 200
-        mg = MmapGraph.from_edge_chunks(
+        mg = ArrayGraph.from_edge_chunks(
             n,
             erdos_renyi_stream(n, 0.04, seed=21, chunk_pairs=101),
         )
