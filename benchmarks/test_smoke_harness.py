@@ -184,8 +184,6 @@ def test_chaos_mode_runs_the_resilience_drill():
         "REPRO_AGENT_ENGINE",
         "REPRO_NETWORK_ENGINE",
         "REPRO_CSP_ENGINE",
-        "REPRO_CHAOS_PLAN",
-        "REPRO_CHAOS_STATE",
     ):
         env.pop(var, None)
 

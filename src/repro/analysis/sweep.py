@@ -233,7 +233,7 @@ def _supervise(
     still on a fast engine.  Execute: if any breaker transitioned, the
     suspect points re-run once under the now-degraded engines (the
     rerun is a new :func:`run_points` call, so its worker pool is forked
-    after the trip and inherits the pinned environment).  Rows that are
+    after the trip and inherits the tripped supervisor).  Rows that are
     still NaN-poisoned afterwards become failures — a poisoned row must
     never reach the results or the checkpoint.
     """

@@ -21,11 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Optional, Sequence, Union
 
-import numpy as np
-
 from ..core.quality import QualityTrace
 from ..errors import ConfigurationError, SimulationError
-from ..rng import SeedLike, make_rng, spawn
+from ..rng import SeedLike, make_rng
 from ..runtime import trace
 from .constraints import Constraint
 from .problem import CSP
@@ -412,114 +410,3 @@ class DCSPSimulator:
         i = conflicted[int(rng.integers(len(conflicted)))]
         rng.integers(1)  # the object path indexes the 1-element domain
         return mask ^ (1 << i)
-
-    # -- batched sweeps ---------------------------------------------------
-
-    def run_batch(
-        self,
-        initials: Sequence[Dict[str, object]],
-        horizon: Optional[int] = None,
-        seed: SeedLike = None,
-    ) -> list[DCSPRun]:
-        """Simulate many replicas of the same event script.
-
-        Replica ``r`` runs exactly as ``run(initials[r], horizon,
-        seed=children[r])`` with the child generators derived via
-        :func:`repro.rng.spawn` — the contract the sweep harness relies
-        on.  Under a fast kind the per-tick repair evaluates all
-        replicas' candidate flips in one violation gather per flip
-        slot, keeping only the tie-break draws per replica.
-        """
-        initials = [dict(i) for i in initials]
-        rngs = spawn(make_rng(seed), len(initials))
-        horizon = self.dynamic.horizon + len(self.dynamic.variables) + 1 \
-            if horizon is None else horizon
-        if horizon < 1:
-            raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
-        if not initials:
-            return []
-        tr = trace.current()
-        comps = self._compiled_timeline(horizon)
-        if comps is None:
-            return [
-                self.run(initial, horizon=horizon, seed=child)
-                for initial, child in zip(initials, rngs)
-            ]
-        with tr.timer("csp.dcsp.tiled"):
-            results = self._run_batch_bits(initials, horizon, rngs, comps)
-        tr.count("csp.dcsp.runs.tiled", len(initials))
-        return results
-
-    def _run_batch_bits(
-        self,
-        initials: Sequence[Dict[str, object]],
-        horizon: int,
-        rngs,
-        comps,
-    ) -> list[DCSPRun]:
-        comp0 = comps[0]
-        csp0 = self.dynamic.csp_at(0)
-        name_index = {name: i for i, name in enumerate(comp0.names)}
-        n_rep = len(initials)
-        masks = np.empty(n_rep, dtype=np.int64)
-        for r, initial in enumerate(initials):
-            csp0.validate_assignment(initial)
-            if not csp0.is_complete(initial):
-                raise SimulationError(
-                    "initial assignment must bind every variable"
-                )
-            masks[r] = comp0.mask_of(initial)
-
-        times = [[] for _ in range(n_rep)]  # type: list[list[float]]
-        quality = [[] for _ in range(n_rep)]  # type: list[list[float]]
-        states = [[] for _ in range(n_rep)]  # type: list[list[dict]]
-        fits = [[] for _ in range(n_rep)]  # type: list[list[bool]]
-        applied = [[] for _ in range(n_rep)]  # type: list[list[tuple]]
-
-        for t in range(horizon):
-            for event in self.dynamic.events_at(t):
-                for r in range(n_rep):
-                    applied[r].append((t, event.label))
-                if isinstance(event, StateDamage):
-                    for name, value in event.assignment_update:
-                        bit = np.int64(1) << np.int64(name_index[name])
-                        if value:
-                            masks |= bit
-                        else:
-                            masks &= ~bit
-            comp = comps[t]
-            if self.flips_per_step > 0:
-                for _ in range(self.flips_per_step):
-                    unfit = np.nonzero(comp.violations[masks] > 0)[0]
-                    if not unfit.size:
-                        break
-                    # one gather scores every replica's n candidate
-                    # flips; only the tie-breaks stay per-replica
-                    counts = comp.violations[
-                        masks[unfit, None] ^ comp.flip_masks
-                    ]
-                    for row, r in enumerate(unfit):
-                        masks[r] = self._pick_flip(
-                            comp, int(masks[r]), counts[row], rngs[r]
-                        )
-            q = comp.quality_table()[masks]
-            ok = comp.violations[masks] == 0
-            for r in range(n_rep):
-                times[r].append(float(t))
-                quality[r].append(float(q[r]))
-                states[r].append(comp.assignment_of(int(masks[r])))
-                fits[r].append(bool(ok[r]))
-
-        results = []
-        for r in range(n_rep):
-            ts, qs = times[r], quality[r]
-            if len(ts) == 1:  # QualityTrace needs two samples
-                ts = ts + [ts[0] + 1.0]
-                qs = qs + [qs[0]]
-            results.append(DCSPRun(
-                trace=QualityTrace.from_samples(ts, qs),
-                states=states[r],
-                fit=fits[r],
-                events_applied=applied[r],
-            ))
-        return results

@@ -19,19 +19,18 @@ maintainability levels) and seeded stochastic repairs (DCSP steps,
 min-conflicts, greedy bit-flip) match the object engine exactly,
 draw-for-draw.  Non-boolean CSPs and ``n`` beyond the enumeration cap
 fall back to the object kernels (:meth:`TiledCSPEngine.try_compile`
-returns ``None`` and counts ``csp.fallbacks``).
-``REPRO_CSP_TILE_WORKERS`` fans block enumeration out across
-processes.  Dispatch sites report ``csp.*`` timers/counters through
-:mod:`repro.runtime.trace`, labelled ``tiled`` for both fast kinds.
+returns ``None`` and counts ``csp.fallbacks``).  Blocks stream serially
+in the calling process; parallelism belongs to the sweep executor's
+forked workers.  Dispatch sites report ``csp.*`` timers/counters
+through :mod:`repro.runtime.trace`, labelled ``tiled`` for both fast
+kinds.
 """
 
 from __future__ import annotations
 
-import os
 from abc import ABC
 from typing import Optional
 
-from ..errors import EngineError
 from ..runtime import trace
 from ..runtime import supervisor
 from ..runtime.engines import resolve_engine_kind
@@ -75,24 +74,6 @@ class ObjectCSPEngine(CSPEngine):
     name = "object"
 
 
-def _tile_workers() -> int:
-    """Block fan-out width from ``REPRO_CSP_TILE_WORKERS`` (default 1)."""
-    raw = os.environ.get("REPRO_CSP_TILE_WORKERS", "").strip()
-    if not raw:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise EngineError(
-            f"REPRO_CSP_TILE_WORKERS must be a positive integer, got {raw!r}"
-        ) from None
-    if workers < 1:
-        raise EngineError(
-            f"REPRO_CSP_TILE_WORKERS must be a positive integer, got {raw!r}"
-        )
-    return workers
-
-
 class TiledCSPEngine(CSPEngine):
     """The packed, block-streamed implementation behind ``bit`` and ``tiled``.
 
@@ -110,11 +91,9 @@ class TiledCSPEngine(CSPEngine):
         self,
         max_bits: int = DEFAULT_MAX_BITS_TILED,
         block_bits: Optional[int] = None,
-        workers: Optional[int] = None,
     ):
         self.max_bits = max_bits
         self.block_bits = block_bits
-        self.workers = _tile_workers() if workers is None else workers
 
     def try_compile(self, csp: CSP) -> Optional[TiledBitCSP]:
         try:
@@ -123,7 +102,6 @@ class TiledCSPEngine(CSPEngine):
                 max_bits=self.max_bits,
                 block_bits=self.block_bits,
                 memory_budget_bytes=supervisor.current().memory_budget_bytes(),
-                workers=self.workers,
             )
         except BitEngineUnsupported:
             trace.current().count("csp.fallbacks")

@@ -11,15 +11,14 @@ Four pieces:
 * **block scheduler** — :func:`derive_block_bits` turns the
   supervisor's ``memory_budget_mb`` into a block size instead of a
   refusal: the largest power-of-two block whose in-flight footprint
-  (``2^b · (TILE_STATE_BYTES + n_constraints)`` bytes per concurrent
-  worker) fits the budget, clamped to
-  ``[MIN_BLOCK_BITS, MAX_BLOCK_BITS]``.  An impossible budget means
-  more, smaller blocks — never ``None``.
+  (``2^b · (TILE_STATE_BYTES + n_constraints)`` bytes) fits the budget,
+  clamped to ``[MIN_BLOCK_BITS, MAX_BLOCK_BITS]``.  An impossible
+  budget means more, smaller blocks — never ``None``.
 * **streamed evaluation** — :meth:`TiledBitCSP.fit_indices` runs each
   lowered evaluator once per block; fit states accumulate as a sorted
-  int64 index array (Θ(|C|) memory, not Θ(2^n)).  Blocks optionally
-  fan out across processes through the executor
-  (:func:`repro.runtime.executor.run_points`).
+  int64 index array (Θ(|C|) memory, not Θ(2^n)).  Blocks run serially
+  in the calling process; parallelism lives one level up, in the sweep
+  executor's forked workers (:func:`repro.runtime.executor.run_points`).
 * **single-block table** — when the whole space is one block
   (``n`` ≤ the budget-derived block size, so every n ≤
   :data:`DEFAULT_BLOCK_BITS` without a budget), the first per-state
@@ -101,15 +100,14 @@ def derive_block_bits(
     n: int,
     n_constraints: int,
     memory_budget_bytes: Optional[int] = None,
-    workers: int = 1,
 ) -> int:
     """Block-size exponent whose in-flight footprint fits the budget.
 
     This is where the supervisor's ``memory_budget_mb`` becomes block
     *scheduling* instead of compile *refusal*: one streamed block costs
     ``2^b · (TILE_STATE_BYTES + SAT_ROW_BYTES · n_constraints)`` bytes,
-    ``workers`` blocks are in flight at once, and the scheduler picks
-    the largest ``b`` keeping that under budget.  The result is clamped
+    one block is in flight at a time, and the scheduler picks the
+    largest ``b`` keeping that under budget.  The result is clamped
     to ``[MIN_BLOCK_BITS, min(n, MAX_BLOCK_BITS)]`` — an impossible
     budget degrades to more, smaller blocks rather than refusing, so
     the tiled engine never returns the object fallback on memory
@@ -119,9 +117,7 @@ def derive_block_bits(
     lo = min(n, MIN_BLOCK_BITS)
     if memory_budget_bytes is None:
         return max(lo, min(hi, DEFAULT_BLOCK_BITS))
-    per_state = (TILE_STATE_BYTES + SAT_ROW_BYTES * n_constraints) * max(
-        1, workers
-    )
+    per_state = TILE_STATE_BYTES + SAT_ROW_BYTES * n_constraints
     b = hi
     while b > lo and (1 << b) * per_state > memory_budget_bytes:
         b -= 1
@@ -275,12 +271,6 @@ class _LazyView:
         return self._evaluate(np.asarray(masks, dtype=np.int64))
 
 
-def _block_worker(fn, value, seed):
-    """Executor bridge: one block range through the fit enumerator."""
-    lo, hi = value
-    return fn(lo, hi)
-
-
 class TiledBitCSP(PackedStateBridge):
     """A boolean CSP compiled to block-streamed form.
 
@@ -293,9 +283,9 @@ class TiledBitCSP(PackedStateBridge):
     index ``violations`` / ``quality_table()`` by mask.
 
     Compilation itself is O(constraints) — lowering only.  The fit set
-    is enumerated on first use (``fit_indices``), one block at a time,
-    optionally fanned out over ``workers`` processes; DCSP timelines at
-    large n that never touch the fit set therefore pay nothing for it.
+    is enumerated on first use (``fit_indices``), one block at a time;
+    DCSP timelines at large n that never touch the fit set therefore
+    pay nothing for it.
     Per-state lookups read the single-block table when the space is one
     block (built on the first lookup) and evaluate the requested states
     otherwise.
@@ -307,7 +297,6 @@ class TiledBitCSP(PackedStateBridge):
         max_bits: int = DEFAULT_MAX_BITS_TILED,
         block_bits: Optional[int] = None,
         memory_budget_bytes: Optional[int] = None,
-        workers: int = 1,
     ):
         n = len(csp.variables)
         if n > max_bits:
@@ -315,17 +304,14 @@ class TiledBitCSP(PackedStateBridge):
                 f"{n}-variable CSP exceeds the tiled engine's "
                 f"2^{max_bits}-state enumeration cap"
             )
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
         evaluators, scope_mat, val_for_bit = lower_csp(csp)
         self.csp = csp
         self.n = n
         self.size = 1 << n
         self.names: tuple[str, ...] = csp.names
-        self.workers = workers
         if block_bits is None:
             block_bits = derive_block_bits(
-                n, len(csp.constraints), memory_budget_bytes, workers
+                n, len(csp.constraints), memory_budget_bytes
             )
         block_bits = max(1, min(block_bits, n))
         self.block_bits = block_bits
@@ -384,28 +370,7 @@ class TiledBitCSP(PackedStateBridge):
         tr = trace.current()
         ranges = self.block_ranges()
         with tr.timer("csp.tiled.enumerate"):
-            parts: Optional[list[np.ndarray]] = None
-            if self.workers > 1 and len(ranges) > 1:
-                from ..runtime.executor import PointTask, run_points
-
-                outcomes = run_points(
-                    _block_worker,
-                    self._fit_in_range,
-                    [
-                        PointTask(index=i, value=r)
-                        for i, r in enumerate(ranges)
-                    ],
-                    n_jobs=self.workers,
-                )
-                if all(o.ok for o in outcomes):
-                    # outcomes come back in task order: ascending blocks
-                    parts = [o.value for o in outcomes]
-                else:
-                    # a dead or unpicklable worker degrades to the
-                    # serial path rather than failing the analysis
-                    tr.count("csp.tiled.fanout_fallbacks")
-            if parts is None:
-                parts = [self._fit_in_range(lo, hi) for lo, hi in ranges]
+            parts = [self._fit_in_range(lo, hi) for lo, hi in ranges]
         tr.count("csp.tiled.blocks", len(ranges))
         return np.concatenate(parts) if parts else np.zeros(0, np.int64)
 
@@ -561,15 +526,14 @@ def compile_tiled(
     max_bits: int = DEFAULT_MAX_BITS_TILED,
     block_bits: Optional[int] = None,
     memory_budget_bytes: Optional[int] = None,
-    workers: int = 1,
 ) -> TiledBitCSP:
     """Compile ``csp`` to tiled form, caching the result on the CSP.
 
     The cache is safe because :class:`CSP` is immutable (variables and
     constraints are tuples), so the single-block table built by one
-    analysis serves the next; it is keyed on the resolved
-    scheduling parameters, so changing the block size or worker count
-    recompiles rather than silently reusing the old schedule.
+    analysis serves the next; it is keyed on the scheduling
+    parameters, so changing the block size or memory budget recompiles
+    rather than silently reusing the old schedule.
     """
     n = len(csp.variables)
     if n > max_bits:
@@ -577,7 +541,7 @@ def compile_tiled(
             f"{n}-variable CSP exceeds the tiled engine's "
             f"2^{max_bits}-state enumeration cap"
         )
-    key = (block_bits, memory_budget_bytes, workers)
+    key = (block_bits, memory_budget_bytes)
     cached = getattr(csp, "_tiled_compiled", None)
     if cached is not None and getattr(csp, "_tiled_key", None) == key:
         return cached
@@ -586,7 +550,6 @@ def compile_tiled(
         max_bits=max_bits,
         block_bits=block_bits,
         memory_budget_bytes=memory_budget_bytes,
-        workers=workers,
     )
     csp._tiled_compiled = compiled  # type: ignore[attr-defined]
     csp._tiled_key = key  # type: ignore[attr-defined]

@@ -5,8 +5,10 @@ The paper validates *systems* by perturbing them and checking recovery
 methodology on the runtime itself.  A :class:`ChaosPlan` assigns at most
 one :class:`ChaosFault` per sweep point — reusing
 :class:`repro.faults.FaultSpec` as the sampling substrate — and
-:func:`active` publishes it to worker subprocesses through environment
-variables.  Workers call :func:`strike` / :func:`poison` at the top and
+:func:`active` installs it as module state for a ``with`` block, the
+way :func:`repro.runtime.supervisor.use` installs a supervisor.  Worker
+processes are forked by the executor, so they inherit the installed
+plan.  Workers call :func:`strike` / :func:`poison` at the top and
 bottom of their point function; faults fire deterministically:
 
 * ``raise`` — an ordinary worker crash, struck exactly once per run via
@@ -20,9 +22,11 @@ bottom of their point function; faults fire deterministically:
 while their engine family still resolves to a fast engine, so once the
 supervisor trips the family's breaker and degrades it, the fault stops
 firing and the re-run succeeds — which is exactly the self-healing
-contract under test.  Every decision derives from the plan JSON, the
-marker directory, and the engine environment; no wall-clock or
-process-local randomness, so a drill reproduces bit-for-bit.
+contract under test.  Every decision derives from the installed plan,
+the marker directory, and the engine seam's resolution; no wall-clock
+or process-local randomness, so a drill reproduces bit-for-bit.  The
+once-markers are files, not module state, because a retried ``raise``
+fault must see a marker that a dead sibling process wrote.
 
 :func:`run_drill` is the acceptance scenario in executable form: a
 supervised, checkpointed sweep under a four-fault plan plus a mid-file
@@ -48,8 +52,6 @@ from .engines import SEAMS, effective_kind
 
 __all__ = [
     "KINDS",
-    "PLAN_ENV",
-    "STATE_ENV",
     "ChaosFault",
     "ChaosPlan",
     "active",
@@ -62,12 +64,6 @@ __all__ = [
 #: Injectable fault kinds, in the order :meth:`ChaosPlan.sample` assigns
 #: them to sampled points.
 KINDS = ("raise", "hang", "oom", "nan")
-
-#: Environment variable carrying the active plan as JSON.
-PLAN_ENV = "REPRO_CHAOS_PLAN"
-
-#: Environment variable naming the marker directory for one-shot faults.
-STATE_ENV = "REPRO_CHAOS_STATE"
 
 #: Kinds that must be tied to an engine family (see module docs).
 _FAMILY_KINDS = frozenset({"hang", "oom", "nan"})
@@ -131,45 +127,6 @@ class ChaosPlan:
                 return fault
         return None
 
-    def to_json(self) -> str:
-        """The plan as canonical JSON (round-trips via :meth:`from_json`)."""
-        return json.dumps(
-            [
-                {"kind": f.kind, "point": f.point, "family": f.family}
-                for f in self.faults
-            ],
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChaosPlan":
-        """Parse a plan produced by :meth:`to_json`."""
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ChaosError(f"chaos plan is not valid JSON: {exc}") from exc
-        if not isinstance(raw, list):
-            raise ChaosError(
-                f"chaos plan must be a JSON list, got {type(raw).__name__}"
-            )
-        faults = []
-        for entry in raw:
-            if not isinstance(entry, Mapping):
-                raise ChaosError(f"chaos plan entry is not an object: {entry!r}")
-            try:
-                faults.append(
-                    ChaosFault(
-                        kind=entry["kind"],
-                        point=int(entry["point"]),
-                        family=entry.get("family"),
-                    )
-                )
-            except KeyError as exc:
-                raise ChaosError(
-                    f"chaos plan entry missing key {exc}: {entry!r}"
-                ) from exc
-        return cls(tuple(faults))
-
     @classmethod
     def sample(
         cls,
@@ -205,55 +162,48 @@ class ChaosPlan:
         )
 
 
+#: The installed ``(plan, state_dir)``, or ``None`` (see :func:`active`).
+_active: Optional[tuple[ChaosPlan, str]] = None
+
+
 @contextmanager
 def active(plan: ChaosPlan, state_dir: str) -> Iterator[ChaosPlan]:
-    """Publish ``plan`` to this process and its workers for a ``with`` block.
+    """Install ``plan`` for a ``with`` block; forked workers inherit it.
 
     ``state_dir`` (created if missing) holds the once-markers of
     ``raise`` faults; reusing a directory from an earlier drill keeps
-    those faults disarmed, so resumed runs see the same world.
+    those faults disarmed, so resumed runs see the same world.  On exit
+    the previously installed plan, if any, is reinstated.
     """
+    global _active
     if not isinstance(plan, ChaosPlan):
         raise ChaosError(f"active() needs a ChaosPlan, got {type(plan).__name__}")
     os.makedirs(state_dir, exist_ok=True)
-    saved = {
-        var: os.environ.get(var) for var in (PLAN_ENV, STATE_ENV)
-    }
-    os.environ[PLAN_ENV] = plan.to_json()
-    os.environ[STATE_ENV] = state_dir
+    previous = _active
+    _active = (plan, state_dir)
     try:
         yield plan
     finally:
-        for var, value in saved.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
+        _active = previous
 
 
 def _active_fault(point: int) -> Optional[ChaosFault]:
-    """The armed fault for ``point`` under the published plan, if any."""
-    text = os.environ.get(PLAN_ENV)
-    if not text:
+    """The armed fault for ``point`` under the installed plan, if any."""
+    if _active is None:
         return None
-    fault = ChaosPlan.from_json(text).fault_for(point)
-    if fault is None or not _should_strike(fault):
+    plan, state_dir = _active
+    fault = plan.fault_for(point)
+    if fault is None or not _should_strike(fault, state_dir):
         return None
     return fault
 
 
-def _should_strike(fault: ChaosFault) -> bool:
+def _should_strike(fault: ChaosFault, state_dir: str) -> bool:
     """Whether ``fault`` is still armed (see module docs)."""
     if fault.family is not None:
         # family-guarded: disarmed once the supervisor degrades the
         # family to its reference engine
         return effective_kind(fault.family) in SEAMS[fault.family].fast
-    state_dir = os.environ.get(STATE_ENV)
-    if not state_dir:
-        raise ChaosError(
-            f"{STATE_ENV} is unset; once-only faults need the marker "
-            "directory published by chaos.active()"
-        )
     marker = os.path.join(state_dir, f"{fault.kind}-{fault.point}.struck")
     try:
         os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))

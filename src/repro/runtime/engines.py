@@ -19,16 +19,20 @@ CSP seam likewise keeps ``bit`` and ``tiled`` as two names for
 :class:`repro.csp.engine.TiledCSPEngine`, which streams the state space
 in blocks and keeps one table when the space is a single block.
 
-:func:`resolve_engine_kind` is the shared helper behind all three: it
-applies the same ``None``-means-environment rule, produces the same
-error message for empty/unknown values (an :class:`~repro.errors.
-EngineError` naming the valid choices and where the bad value came
-from), and — the reason this lives in ``runtime`` — gives the MAPE
-supervisor (:mod:`repro.runtime.supervisor`) a single choke point to
-degrade a tripped family's fast engine back to its reference fallback
-(``bit``/``tiled → object``, ``array``/``mmap → object``) for the
-remainder of a run.  (The CSP engine's own ``→ object`` fallback for
-non-boolean or over-cap CSPs is not a breaker concern: it lives inside
+:func:`resolve_engine_kind` is the shared helper behind all three.
+:func:`requested_kind`, the seam's one environment reader, applies the
+same ``None``-means-environment rule and produces the same error
+message for empty/unknown values (an :class:`~repro.errors.EngineError`
+naming the valid choices and where the bad value came from).  The
+requested kind then passes through the installed MAPE supervisor
+(:mod:`repro.runtime.supervisor`) — the reason this lives in
+``runtime`` — which degrades a tripped family's fast engine back to its
+reference fallback (``bit``/``tiled → object``, ``array``/``mmap →
+object``) for the remainder of a run.  The environment itself is never
+rewritten: a worker forked by :mod:`repro.runtime.executor` inherits
+the installed supervisor, so it resolves the same degraded kind.  (The
+CSP engine's own ``→ object`` fallback for non-boolean or over-cap CSPs
+is not a breaker concern: it lives inside
 :meth:`repro.csp.engine.TiledCSPEngine.try_compile`.)
 """
 
@@ -39,7 +43,14 @@ from dataclasses import dataclass
 
 from ..errors import EngineError
 
-__all__ = ["EngineSeam", "SEAMS", "effective_kind", "resolve_engine_kind", "seam"]
+__all__ = [
+    "EngineSeam",
+    "SEAMS",
+    "effective_kind",
+    "requested_kind",
+    "resolve_engine_kind",
+    "seam",
+]
 
 
 @dataclass(frozen=True)
@@ -93,17 +104,15 @@ def seam(family: str) -> EngineSeam:
         ) from None
 
 
-def resolve_engine_kind(family: str, kind: "str | None" = None) -> str:
-    """Resolve and validate an engine ``kind`` for one seam.
+def requested_kind(family: str, kind: "str | None" = None) -> str:
+    """The validated kind requested for ``family``, before the supervisor.
 
     ``kind=None`` reads the family's environment variable (an empty
     value means "unset", not "an engine named ''") and falls back to the
     family default.  Unrecognized values — passed directly or set in the
     environment — raise :class:`~repro.errors.EngineError` naming the
     valid choices and the source of the bad value, never silently
-    falling back.  The resolved kind is finally passed through the
-    active MAPE supervisor, which may degrade a fast engine to the
-    family's reference fallback while its circuit breaker is open.
+    falling back.  This is the seam's one environment reader.
     """
     s = seam(family)
     source = "kind argument"
@@ -115,9 +124,19 @@ def resolve_engine_kind(family: str, kind: "str | None" = None) -> str:
             f"unknown {family} engine kind {kind!r} (from {source}); "
             f"valid choices: {sorted(s.choices)}"
         )
+    return kind
+
+
+def resolve_engine_kind(family: str, kind: "str | None" = None) -> str:
+    """Resolve and validate an engine ``kind`` for one seam.
+
+    The :func:`requested_kind`, passed through the active MAPE
+    supervisor, which may degrade a fast engine to the family's
+    reference fallback while its circuit breaker is open.
+    """
     from . import supervisor
 
-    return supervisor.current().resolve(family, kind)
+    return supervisor.current().resolve(family, requested_kind(family, kind))
 
 
 def effective_kind(family: str) -> str:
@@ -126,15 +145,9 @@ def effective_kind(family: str) -> str:
     Like :func:`resolve_engine_kind` with ``kind=None``, but consults
     the supervisor through its side-effect-free ``peek`` (no degradation
     counters are incremented) — used by the chaos harness to decide
-    whether an engine-tied fault is armed.
+    whether an engine-tied fault is armed.  A forked worker inherits the
+    installed supervisor, so this is also how a worker sees a trip.
     """
-    s = seam(family)
-    kind = os.environ.get(s.env_var) or s.default
-    if kind not in s.choices:
-        raise EngineError(
-            f"unknown {family} engine kind {kind!r} (from {s.env_var} "
-            f"environment variable); valid choices: {sorted(s.choices)}"
-        )
     from . import supervisor
 
-    return supervisor.current().peek(family, kind)
+    return supervisor.current().peek(family, requested_kind(family))

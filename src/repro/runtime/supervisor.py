@@ -20,12 +20,14 @@ breaker) per engine family and watches the three engine seams through
   sound because PRs 1–4 pin the fast engines equivalent to the object
   engines, so rows computed before and after the trip agree with an
   all-object run.
-* **execute** — the degradation is applied at two levels: in-process
-  engine resolutions go through :meth:`resolve`, and the family's
-  engine environment variable is pinned to the fallback so worker
-  *subprocesses* forked after the trip inherit it.  The supervised
-  sweep (:mod:`repro.analysis.sweep`) then re-runs the affected points
-  once under the degraded engines.
+* **execute** — every engine resolution goes through :meth:`resolve`,
+  the only degradation path.  Worker processes are forked by the
+  executor (:mod:`repro.runtime.executor`), so a worker forked after
+  the trip inherits the installed supervisor, breakers included, and
+  resolves the same degraded kind; the environment is never rewritten.
+  The supervised sweep (:mod:`repro.analysis.sweep`) then re-runs the
+  affected points once, in a freshly forked pool, under the degraded
+  engines.
 
 Two pre-emptive guards ride along: a **deadline** (``deadline_s``)
 bounds the whole supervised run — sweeps clamp their per-point timeout
@@ -47,13 +49,13 @@ Trace counters: ``supervisor.trips`` (breaker transitions),
 ``supervisor.degradations`` (fast→fallback substitutions, counted once
 per family at trip time and once per in-process degraded resolution),
 ``supervisor.reruns`` (points re-executed degraded), and
-``supervisor.poisoned`` (NaN-poisoned rows caught).  Counters live in the supervising process; worker subprocesses
-have their own (discarded) tracers.
+``supervisor.poisoned`` (NaN-poisoned rows caught).  Counters live in
+the supervising process; worker processes have their own (discarded)
+tracers.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -61,7 +63,7 @@ from typing import Iterator, Optional, Sequence
 
 from ..errors import SupervisorError
 from . import trace
-from .engines import SEAMS
+from .engines import SEAMS, requested_kind
 
 __all__ = [
     "CLOSED",
@@ -201,7 +203,6 @@ class Supervisor:
         self.deadline_s = deadline_s
         self.memory_budget_mb = memory_budget_mb
         self._t0: Optional[float] = None  # set when installed via use()
-        self._env_saved: dict[str, Optional[str]] = {}
 
     def __bool__(self) -> bool:
         return True
@@ -256,11 +257,9 @@ class Supervisor:
     def trip(self, family: str, reason: str) -> bool:
         """Open one family's breaker; True iff it transitioned just now.
 
-        On transition the family's engine environment variable is
-        pinned to the fallback kind, so worker subprocesses forked
-        afterwards inherit the degradation (in-process resolutions are
-        covered by :meth:`resolve`).  The pin is restored when the
-        supervisor is uninstalled.
+        The breaker is the whole effect: resolutions degrade through
+        :meth:`resolve` while this supervisor is installed, in this
+        process and in workers forked from it afterwards.
         """
         if family not in self.breakers:
             raise SupervisorError(
@@ -273,7 +272,6 @@ class Supervisor:
             tr.count("supervisor.trips")
             tr.count("supervisor.degradations")
             tr.event("supervisor.trip", family=family, reason=reason)
-            self._pin_env(family)
         return opened
 
     def record_fault(
@@ -292,25 +290,10 @@ class Supervisor:
         for family in self.families:
             if self.breakers[family].state == OPEN:
                 continue
-            s = SEAMS[family]
-            kind = os.environ.get(s.env_var) or s.default
-            if kind in s.fast and self.trip(family, reason):
+            fast = SEAMS[family].fast
+            if requested_kind(family) in fast and self.trip(family, reason):
                 tripped.append(family)
         return tripped
-
-    def _pin_env(self, family: str) -> None:
-        s = SEAMS[family]
-        if s.env_var not in self._env_saved:
-            self._env_saved[s.env_var] = os.environ.get(s.env_var)
-        os.environ[s.env_var] = s.fallback
-
-    def _restore_env(self) -> None:
-        for var, value in self._env_saved.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
-        self._env_saved.clear()
 
     # -- budgets -----------------------------------------------------------
 
@@ -385,10 +368,9 @@ def current() -> "NullSupervisor | Supervisor":
 def use(sup: Supervisor) -> Iterator[Supervisor]:
     """Install ``sup`` for a ``with`` block (starts its deadline clock).
 
-    On exit the previous supervisor is reinstated and any engine
-    environment variables pinned by breaker trips are restored; breaker
-    state itself is kept, so a supervisor re-installed for a follow-up
-    sweep stays degraded — deterministic for the run, as promised.
+    On exit the previous supervisor is reinstated.  Breaker state is
+    kept, so a supervisor re-installed for a follow-up sweep stays
+    degraded — deterministic for the run, as promised.
     """
     global _current
     if not isinstance(sup, Supervisor):
@@ -399,11 +381,7 @@ def use(sup: Supervisor) -> Iterator[Supervisor]:
     _current = sup
     if sup._t0 is None:
         sup._t0 = time.monotonic()
-    for family, breaker in sup.breakers.items():
-        if breaker.state == OPEN:  # re-entry: re-pin surviving trips
-            sup._pin_env(family)
     try:
         yield sup
     finally:
         _current = previous
-        sup._restore_env()

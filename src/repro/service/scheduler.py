@@ -28,7 +28,7 @@ Graceful degradation: the moment the supervisor reports a tripped
 breaker or a spent ``deadline_s`` budget, the scheduler latches its
 ``degraded`` flag — the admission path starts rejecting new jobs with
 backpressure — but keeps draining accepted work (on the reference
-engines the supervisor pinned).  Accepted jobs are never dropped.
+engines the supervisor degraded to).  Accepted jobs are never dropped.
 
 With a :class:`~repro.service.persistence.ServicePersistence` attached
 the loop is also the journal's execution writer: each chunk is journaled

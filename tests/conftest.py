@@ -15,9 +15,10 @@ def _repro_env() -> dict[str, str]:
 def repro_env_guard():
     """Fail any test that leaves a ``REPRO_*`` variable changed.
 
-    The engine seams, the supervisor and the sweep harness all read
-    ``REPRO_*`` variables, so one leaked value silently changes every
-    later test (order-dependent failures).  Autouse fixtures set up
+    The engine seams and the sweep harness read ``REPRO_*`` variables
+    (the supervisor reads them through the seam and never writes them),
+    so one leaked value silently changes every later test
+    (order-dependent failures).  Autouse fixtures set up
     before the ones a test requests, so this check tears down *after*
     ``monkeypatch`` has restored what it recorded: only changes made
     behind its back are reported.  The leak is undone before failing so

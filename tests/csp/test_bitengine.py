@@ -296,11 +296,24 @@ class TestDCSPEquivalence:
             boolean_variables(n), [at_least_k_good(ns, n - 2)], events
         )
 
-    @pytest.mark.parametrize("flips", [1, 2])
-    @pytest.mark.parametrize("seed", [0, 7, 123])
-    def test_runs_identical_seed_for_seed(self, flips, seed):
+    @pytest.mark.parametrize(
+        "seed,flips,damage",
+        [
+            pytest.param(
+                seed, flips, damage,
+                id="-".join(filter(None, (label, str(seed), str(flips)))),
+            )
+            # all-good start, plus two damaged starts
+            for label, damage in (
+                ("", {}), ("x1", {"x1": 0}), ("x5x6", {"x5": 0, "x6": 0})
+            )
+            for seed in (0, 7, 123)
+            for flips in (1, 2)
+        ],
+    )
+    def test_runs_identical_seed_for_seed(self, seed, flips, damage):
         dyn = self._dynamic()
-        init = {name: 1 for name in dyn.csp_at(0).names}
+        init = {name: 1 for name in dyn.csp_at(0).names} | damage
         obj = DCSPSimulator(dyn, flips_per_step=flips,
                             engine="object").run(init, seed=seed)
         bit = DCSPSimulator(dyn, flips_per_step=flips,
@@ -310,40 +323,6 @@ class TestDCSPEquivalence:
         assert obj.events_applied == bit.events_applied
         assert np.array_equal(obj.trace.times, bit.trace.times)
         assert np.array_equal(obj.trace.quality, bit.trace.quality)
-
-    def test_batch_identical_to_object_batch(self):
-        dyn = self._dynamic(8)
-        base = {name: 1 for name in dyn.csp_at(0).names}
-        initials = [base, {**base, "x1": 0}, {**base, "x5": 0, "x6": 0}]
-        obj = DCSPSimulator(dyn, engine="object").run_batch(
-            initials, seed=42
-        )
-        bit = DCSPSimulator(dyn, engine="bit").run_batch(
-            initials, seed=42
-        )
-        assert len(obj) == len(bit) == 3
-        for o, b in zip(obj, bit):
-            assert o.states == b.states
-            assert o.fit == b.fit
-            assert o.events_applied == b.events_applied
-            assert np.array_equal(o.trace.quality, b.trace.quality)
-
-    def test_batch_matches_per_replica_runs(self):
-        from repro.rng import make_rng, spawn
-
-        dyn = self._dynamic(6)
-        base = {name: 1 for name in dyn.csp_at(0).names}
-        initials = [base, {**base, "x2": 0}]
-        sim = DCSPSimulator(dyn, engine="bit")
-        batch = sim.run_batch(initials, seed=9)
-        children = spawn(make_rng(9), 2)
-        singles = [
-            sim.run(init, seed=child)
-            for init, child in zip(initials, children)
-        ]
-        for b, s in zip(batch, singles):
-            assert b.states == s.states
-            assert np.array_equal(b.trace.quality, s.trace.quality)
 
     def test_non_boolean_damage_value_falls_back(self):
         ns = names(3)

@@ -28,6 +28,7 @@ from repro.core.recoverability import (
     adaptation_bound,
     is_k_recoverable,
 )
+from repro.analysis.sweep import sweep
 from repro.csp import (
     CSP,
     LinearConstraint,
@@ -108,6 +109,13 @@ def dense_clear_bit_ball(fit: np.ndarray, n: int, radius: int):
 
 
 # -- cross-schedule equivalence at n <= 20 ----------------------------------
+
+
+def _tiled_fit_point(value):
+    """Sweep point: enumerate a multi-block tiled compile of 12 variables."""
+    compiled = TiledCSPEngine(block_bits=9).try_compile(mixed_csp(12))
+    assert compiled.n_blocks == 8
+    return {"fit": compiled.fit_indices.tolist()}
 
 
 class TestBitEquivalence:
@@ -331,11 +339,6 @@ class TestBlockScheduler:
     def test_block_cap(self):
         assert derive_block_bits(32, 1, 1 << 62) == MAX_BLOCK_BITS
 
-    def test_workers_count_against_the_budget(self):
-        one = derive_block_bits(24, 1, 1 << 24, workers=1)
-        four = derive_block_bits(24, 1, 1 << 24, workers=4)
-        assert four == one - 2  # 4x footprint -> 2 fewer block bits
-
     def test_supervisor_budget_schedules_instead_of_refusing(self):
         sc = Spacecraft(22)
         sup = supervisor.Supervisor(memory_budget_mb=8)
@@ -443,22 +446,16 @@ class TestSeamAndDegradation:
         for kind in ("'bit'", "'object'", "'tiled'"):
             assert kind in msg
 
-    def test_tile_workers_env_validation(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CSP_TILE_WORKERS", "banana")
-        with pytest.raises(EngineError, match="REPRO_CSP_TILE_WORKERS"):
-            TiledCSPEngine()
-        monkeypatch.setenv("REPRO_CSP_TILE_WORKERS", "0")
-        with pytest.raises(EngineError, match="REPRO_CSP_TILE_WORKERS"):
-            TiledCSPEngine()
-        monkeypatch.setenv("REPRO_CSP_TILE_WORKERS", "3")
-        assert TiledCSPEngine().workers == 3
-
-    def test_worker_fanout_matches_serial(self):
-        csp = mixed_csp(12)
-        serial = TiledBitCSP(csp, block_bits=9, workers=1)
-        fanned = TiledBitCSP(csp, block_bits=9, workers=2)
-        assert fanned.workers == 2
-        assert np.array_equal(serial.fit_indices, fanned.fit_indices)
+    def test_enumeration_inside_forked_sweep_workers(self):
+        # a multi-block compile enumerated inside the sweep's forked
+        # workers returns the inline sweep's rows
+        inline = sweep(range(2), _tiled_fit_point, on_error="keep")
+        forked = sweep(range(2), _tiled_fit_point, n_jobs=2, on_error="keep")
+        assert inline.failed == ()
+        assert forked.failed == ()
+        assert list(forked.rows) == list(inline.rows)
+        oracle = sorted(b.mask for b in mixed_csp(12).fit_bitstrings())
+        assert [r["fit"] for r in forked.rows] == [oracle, oracle]
 
     def test_chaos_oom_degrades_tiled_to_object(self, monkeypatch):
         # an engine-attributable OOM while the seam points at the tiled
@@ -491,10 +488,6 @@ class TestSeamAndDegradation:
 
 
 class TestGuards:
-    def test_workers_validated(self):
-        with pytest.raises(ConfigurationError, match="workers"):
-            TiledBitCSP(mixed_csp(6), workers=0)
-
     def test_mismatched_bitstring_size_raises(self):
         tiled = TiledBitCSP(mixed_csp(8), block_bits=4)
         with pytest.raises(ConfigurationError, match="bits"):

@@ -12,8 +12,6 @@ from repro.errors import ChaosError
 from repro.runtime import chaos, supervisor
 from repro.runtime.chaos import (
     KINDS,
-    PLAN_ENV,
-    STATE_ENV,
     ChaosFault,
     ChaosPlan,
     active,
@@ -23,6 +21,17 @@ from repro.runtime.chaos import (
     strike,
 )
 from repro.runtime.checkpoint import SweepCheckpoint, fingerprint
+from repro.runtime.executor import PointTask, run_points
+
+
+def _repro_env() -> dict:
+    return {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
+
+
+def _striking_worker(fn, value, seed):
+    """Executor worker: run the chaos hook for point ``value``."""
+    strike(value)
+    return os.getpid()
 
 
 class TestChaosFault:
@@ -60,22 +69,6 @@ class TestChaosPlan:
         assert plan.fault_for(2).kind == "raise"
         assert plan.fault_for(0) is None
 
-    def test_json_round_trip(self):
-        plan = ChaosPlan(
-            (
-                ChaosFault("raise", 1),
-                ChaosFault("nan", 4, family="csp"),
-            )
-        )
-        assert ChaosPlan.from_json(plan.to_json()) == plan
-
-    @pytest.mark.parametrize(
-        "text", ["not json", '{"kind": "raise"}', '[{"point": 1}]', "[42]"]
-    )
-    def test_from_json_rejects_malformed(self, text):
-        with pytest.raises(ChaosError):
-            ChaosPlan.from_json(text)
-
     def test_sample_is_deterministic_and_covers_all_kinds(self):
         a = ChaosPlan.sample(16, seed=42)
         b = ChaosPlan.sample(16, seed=42)
@@ -90,17 +83,24 @@ class TestChaosPlan:
 
 
 class TestActive:
-    def test_publishes_and_restores_env(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(PLAN_ENV, raising=False)
-        monkeypatch.delenv(STATE_ENV, raising=False)
+    def test_publishes_and_restores_env(self, tmp_path):
+        # the plan is module state: installed while active, gone after,
+        # nested plans restore the outer one, the environment untouched
+        env = _repro_env()
         plan = ChaosPlan((ChaosFault("raise", 0),))
+        inner = ChaosPlan((ChaosFault("raise", 1),))
         state = str(tmp_path / "state")
-        with active(plan, state):
-            assert ChaosPlan.from_json(os.environ[PLAN_ENV]) == plan
-            assert os.environ[STATE_ENV] == state
+        assert chaos._active is None
+        with active(plan, state) as installed:
+            assert installed is plan
+            assert chaos._active == (plan, state)
             assert os.path.isdir(state)
-        assert PLAN_ENV not in os.environ
-        assert STATE_ENV not in os.environ
+            with active(inner, state):
+                assert chaos._active == (inner, state)
+            assert chaos._active == (plan, state)
+            assert _repro_env() == env
+        assert chaos._active is None
+        assert _repro_env() == env
 
     def test_rejects_non_plan(self, tmp_path):
         with pytest.raises(ChaosError, match="needs a ChaosPlan"):
@@ -109,8 +109,7 @@ class TestActive:
 
 
 class TestStrikeAndPoison:
-    def test_noop_without_plan(self, monkeypatch):
-        monkeypatch.delenv(PLAN_ENV, raising=False)
+    def test_noop_without_plan(self):
         strike(0)  # must not raise
         assert poison(0, {"v": 1.5}) == {"v": 1.5}
 
@@ -125,12 +124,34 @@ class TestStrikeAndPoison:
     def test_oom_disarms_when_family_degrades(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CSP_ENGINE", "bit")
         plan = ChaosPlan((ChaosFault("oom", 1, family="csp"),))
-        with active(plan, str(tmp_path / "state")):
+        sup = supervisor.Supervisor(families=("csp",))
+        with active(plan, str(tmp_path / "state")), supervisor.use(sup):
             with pytest.raises(MemoryError, match="simulated out-of-memory"):
                 strike(1)
-            # the supervisor's degradation pins the env to object ...
-            monkeypatch.setenv("REPRO_CSP_ENGINE", "object")
+            # the installed supervisor degrades the family ...
+            sup.trip("csp", "MemoryError: simulated out-of-memory")
             strike(1)  # ... and the fault no longer fires
+        assert os.environ["REPRO_CSP_ENGINE"] == "bit"
+
+    def test_raise_strikes_once_in_forked_worker(self, tmp_path):
+        # the forked worker inherits the installed plan; the once-marker
+        # it writes disarms the retry in a fresh worker
+        assert not [k for k in os.environ if k.startswith("REPRO_CHAOS_")]
+        state = str(tmp_path / "state")
+        plan = ChaosPlan((ChaosFault("raise", 0),))
+        with active(plan, state):
+            outcomes = run_points(
+                _striking_worker,
+                None,
+                [PointTask(index=i, value=i) for i in range(2)],
+                n_jobs=2,
+                retries=1,
+                backoff=0.0,
+            )
+        assert [o.ok for o in outcomes] == [True, True]
+        assert [o.attempts for o in outcomes] == [2, 1]
+        assert os.getpid() not in {o.value for o in outcomes}
+        assert os.listdir(state) == ["raise-0.struck"]
 
     def test_poison_replaces_floats_only_while_armed(
         self, tmp_path, monkeypatch
@@ -189,6 +210,7 @@ class TestDrill:
     """The PR's acceptance scenario, reproduced twice (see ISSUE)."""
 
     def test_drill_self_heals_and_matches_baseline(self, tmp_path):
+        env = _repro_env()
         reports = []
         for attempt in ("a", "b"):
             workdir = tmp_path / attempt
@@ -214,10 +236,10 @@ class TestDrill:
             k: v for k, v in second.items() if k != "rows"
         }
         # the drill cleaned up after itself: no supervisor or chaos plan
-        # left installed, no engine pins leaked
+        # left installed, the REPRO_* environment as it was
         assert supervisor.current() is supervisor.NULL
-        assert PLAN_ENV not in os.environ
-        assert os.environ.get("REPRO_CSP_ENGINE") in (None, "")
+        assert chaos._active is None
+        assert _repro_env() == env
 
 
 class TestDrillWorkerBaseline:

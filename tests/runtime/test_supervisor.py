@@ -10,7 +10,8 @@ import pytest
 from repro.analysis.sweep import sweep
 from repro.errors import SupervisorError
 from repro.runtime import supervisor, trace
-from repro.runtime.engines import SEAMS, resolve_engine_kind
+from repro.runtime.engines import SEAMS, effective_kind, resolve_engine_kind
+from repro.runtime.executor import PointTask, run_points
 from repro.runtime.supervisor import (
     CLOSED,
     NULL,
@@ -79,10 +80,7 @@ class TestDegradation:
             for kind in seam.choices:
                 assert sup.resolve(family, kind) == kind
 
-    def test_open_breaker_degrades_fast_kinds_only(self, monkeypatch):
-        # tripping pins REPRO_CSP_ENGINE; monkeypatch records it first so
-        # teardown restores it
-        monkeypatch.setenv("REPRO_CSP_ENGINE", "bit")
+    def test_open_breaker_degrades_fast_kinds_only(self):
         sup = Supervisor()
         sup.trip("csp", "test fault")
         assert sup.resolve("csp", "bit") == "object"
@@ -98,9 +96,7 @@ class TestDegradation:
             assert sup.trip("csp", "again") is False  # already open
         assert tr.counters["supervisor.trips"] == 1
         assert tr.counters["supervisor.degradations"] == 1
-        # the env pin makes worker subprocesses inherit the degradation
-        assert os.environ["REPRO_CSP_ENGINE"] == "object"
-        sup._restore_env()
+        # the breaker is the whole effect: the environment is untouched
         assert "REPRO_CSP_ENGINE" not in os.environ
 
     def test_trip_unsupervised_family_rejected(self):
@@ -120,7 +116,19 @@ class TestDegradation:
         assert sup.breakers["csp"].state == OPEN
         assert sup.breakers["agents"].state == CLOSED
         assert sup.breakers["networks"].state == CLOSED
-        sup._restore_env()
+
+    def test_uninstalled_supervisor_leaves_process_alone(self, monkeypatch):
+        # a supervisor that is not installed must not degrade anything:
+        # neither the REPRO_* environment nor the seam's resolution
+        monkeypatch.setenv("REPRO_CSP_ENGINE", "tiled")
+        before = dict(os.environ)
+        sup = Supervisor(families=("csp",))
+        assert sup.record_fault("MemoryError: x") == ["csp"]
+        assert sup.trip("csp", "again") is False
+        assert Supervisor(families=("csp",)).trip("csp", "boom") is True
+        assert dict(os.environ) == before
+        assert resolve_engine_kind("csp") == "tiled"
+        assert effective_kind("csp") == "tiled"
 
     def test_seam_resolution_degrades_under_installed_supervisor(
         self, monkeypatch
@@ -149,18 +157,37 @@ class TestUse:
                 pass
 
     def test_reentry_repins_open_breakers(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CSP_ENGINE", raising=False)
+        monkeypatch.setenv("REPRO_CSP_ENGINE", "bit")
         sup = Supervisor(families=("csp",))
         with supervisor.use(sup):
             sup.trip("csp", "boom")
-            assert os.environ["REPRO_CSP_ENGINE"] == "object"
-        # exit restored the pin ...
-        assert "REPRO_CSP_ENGINE" not in os.environ
-        # ... but a re-installed supervisor stays degraded, including for
-        # subprocesses (deterministic for the rest of the run)
+            assert effective_kind("csp") == "object"
+        # uninstalled: the seam is back to the requested kind ...
+        assert effective_kind("csp") == "bit"
+        # ... but a re-installed supervisor stays degraded
+        # (deterministic for the rest of the run)
         with supervisor.use(sup):
-            assert os.environ["REPRO_CSP_ENGINE"] == "object"
-        assert "REPRO_CSP_ENGINE" not in os.environ
+            assert effective_kind("csp") == "object"
+            assert resolve_engine_kind("csp", "tiled") == "object"
+        assert os.environ["REPRO_CSP_ENGINE"] == "bit"
+
+    def test_forked_worker_inherits_the_trip(self):
+        # workers reach run state only by fork: a pool forked after the
+        # trip resolves the degraded kind with the environment untouched
+        sup = Supervisor(families=("csp",))
+        with supervisor.use(sup):
+            sup.trip("csp", "boom")
+            outcomes = run_points(
+                _resolve_in_worker,
+                None,
+                [PointTask(index=i, value=i) for i in range(2)],
+                n_jobs=2,
+            )
+        assert [o.ok for o in outcomes] == [True, True]
+        assert os.getpid() not in {o.value["pid"] for o in outcomes}
+        for o in outcomes:
+            assert o.value["kind"] == "object"
+            assert o.value["env"] == os.environ.get("REPRO_CSP_ENGINE")
 
 
 class TestAnalyze:
@@ -199,16 +226,25 @@ class TestBudgets:
         assert Supervisor().memory_budget_bytes() is None
 
 
+def _resolve_in_worker(fn, value, seed):
+    """Executor worker: what the csp seam resolves inside the worker."""
+    return {
+        "kind": resolve_engine_kind("csp", "bit"),
+        "env": os.environ.get("REPRO_CSP_ENGINE"),
+        "pid": os.getpid(),
+    }
+
+
 def _memory_hungry_worker(value, seed):
     """Fails like an OOM'd engine while csp resolves fast, then recovers."""
-    if (os.environ.get("REPRO_CSP_ENGINE") or "object") == "bit":
+    if effective_kind("csp") == "bit":
         raise MemoryError("engine blew the heap")
     return {"v": float(value)}
 
 
 def _poisoning_worker(value, seed):
     """NaN-poisons its output while csp resolves fast, clean degraded."""
-    bad = (os.environ.get("REPRO_CSP_ENGINE") or "object") == "bit"
+    bad = effective_kind("csp") == "bit"
     return {"v": float("nan") if bad else float(value)}
 
 
