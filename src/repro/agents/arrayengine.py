@@ -63,6 +63,7 @@ class ArraySimulator(EvolutionSimulator):
         if steps < 1:
             raise ConfigurationError(f"steps must be >= 1, got {steps}")
         tr = trace.current()
+        steps_counter = f"sim.steps.{self.engine_name}"
         rng = make_rng(seed)
         shocks = shocks or ShockSchedule(period=0, severity=0)
         orgs = population.organisms
@@ -197,6 +198,7 @@ class ArraySimulator(EvolutionSimulator):
 
             count = len(resources)
             alive_series.append(count)
+            tr.count(steps_counter)
             if count:
                 fitness_series.append(
                     1.0 - distance.sum() / (n * count) if n else 1.0
@@ -205,12 +207,10 @@ class ArraySimulator(EvolutionSimulator):
                     np.count_nonzero(distance <= tolerance) / count
                 )
                 diversity_series.append(_diversity(genomes))
-                tr.step(self.engine_name, t, count)
             else:
                 fitness_series.append(0.0)
                 satisfied_series.append(0.0)
                 diversity_series.append(0.0)
-                tr.step(self.engine_name, t, 0)
                 break
 
         final = Population(

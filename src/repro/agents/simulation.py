@@ -131,7 +131,7 @@ class EvolutionSimulator:
 
         The active :class:`repro.runtime.trace.Tracer` (if any) records
         a ``sim.run.<engine>`` timer, ``sim.runs.<engine>`` /
-        ``sim.steps.<engine>`` counters, and a per-step hook tick.
+        ``sim.steps.<engine>`` counters.
         """
         tr = trace.current()
         tr.count(f"sim.runs.{self.engine_name}")
@@ -157,6 +157,7 @@ class EvolutionSimulator:
         if steps < 1:
             raise ConfigurationError(f"steps must be >= 1, got {steps}")
         tr = trace.current()
+        steps_counter = f"sim.steps.{self.engine_name}"
         rng = make_rng(seed)
         organisms = list(population.organisms)
         shocks = shocks or ShockSchedule(period=0, severity=0)
@@ -205,7 +206,7 @@ class EvolutionSimulator:
             fitness_series.append(snapshot.mean_fitness(env))
             satisfied_series.append(snapshot.satisfied_fraction(env))
             diversity_series.append(snapshot.diversity_index())
-            tr.step(self.engine_name, t, len(snapshot))
+            tr.count(steps_counter)
             if not organisms:
                 break
 

@@ -23,8 +23,8 @@ On top of that sits the fault-tolerant runtime (:mod:`repro.runtime`):
   points and replays their rows verbatim, so an interrupted or
   partially-failed sweep resumes instead of recomputing;
 * every point is counted/timed through the active
-  :class:`repro.runtime.trace.Tracer` (pass ``tracer=`` or install one
-  with :func:`repro.runtime.trace.use`);
+  :class:`repro.runtime.trace.Tracer` (install one with
+  :func:`repro.runtime.trace.use`);
 * under an installed :class:`repro.runtime.supervisor.Supervisor` the
   sweep becomes *self-healing*: engine-attributable faults
   (``MemoryError``, per-point timeout, a worker process dying, or
@@ -325,7 +325,6 @@ def _execute(
     retry_backoff: float,
     timeout: float | None,
     checkpoint: str | None,
-    tracer,
     seed_label: str,
 ) -> SweepResult:
     """Shared engine behind :func:`sweep` and :func:`grid_sweep`."""
@@ -333,7 +332,7 @@ def _execute(
         raise ConfigurationError(
             f"on_error must be 'raise' or 'keep', got {on_error!r}"
         )
-    tr = tracer if tracer is not None else trace_module.current()
+    tr = trace_module.current()
     sup = supervisor_module.current()
     n_points = len(inputs)
 
@@ -464,7 +463,6 @@ def sweep(
     retry_backoff: float = 0.1,
     timeout: float | None = None,
     checkpoint: str | None = None,
-    tracer=None,
 ) -> SweepResult:
     """Run ``fn(value)`` for each value; each call returns a row mapping.
 
@@ -501,7 +499,6 @@ def sweep(
         retry_backoff=retry_backoff,
         timeout=timeout,
         checkpoint=checkpoint,
-        tracer=tracer,
         seed_label=_seed_label(seed),
     )
 
@@ -517,7 +514,6 @@ def grid_sweep(
     retry_backoff: float = 0.1,
     timeout: float | None = None,
     checkpoint: str | None = None,
-    tracer=None,
 ) -> SweepResult:
     """Cartesian-product sweep: ``fn(**params)`` per grid point.
 
@@ -547,6 +543,5 @@ def grid_sweep(
         retry_backoff=retry_backoff,
         timeout=timeout,
         checkpoint=checkpoint,
-        tracer=tracer,
         seed_label=_seed_label(seed),
     )

@@ -356,12 +356,9 @@ def run_drill(
             retry_backoff=0.01,
             timeout=timeout_s,
             checkpoint=ckpt_path,
-            tracer=tr,
         )
 
     with _env_pinned({"REPRO_CSP_ENGINE": "bit"}):
-        # the tracer is installed as well as passed to sweep(): breaker
-        # trips count through the trace *facade*, not the sweep argument
         with active(plan, state_dir), supervisor_module.use(sup), \
                 trace_module.use(tr):
             chaos_result = run()

@@ -32,7 +32,7 @@ per-attempt deadline expires, or — while a slot is free — a backed-off
 retry becomes eligible.  Idle waiting therefore costs ~0 CPU, and a
 finished point is harvested as soon as the kernel signals it.  Reaping
 a timed-out worker is bounded too: ``terminate()`` (SIGTERM) is given
-``term_grace`` seconds to work, then escalates to ``kill()`` (SIGKILL)
+``_TERM_GRACE_S`` seconds to work, then escalates to ``kill()`` (SIGKILL)
 — a worker that blocks or ignores SIGTERM cannot wedge the run.
 """
 
@@ -53,7 +53,7 @@ __all__ = ["PointOutcome", "PointTask", "run_points"]
 _IDLE_TICK_S = 0.5  # defensive cap on one wait(); sentinel wakeups make
 #                     a full tick rare (it only bounds damage if a pipe
 #                     or sentinel is ever missed, never the hot path)
-_TERM_GRACE_S = 5.0  # default SIGTERM -> SIGKILL escalation grace
+_TERM_GRACE_S = 5.0  # SIGTERM -> SIGKILL escalation grace
 _STOP = None  # the message that ends an idle worker's loop
 
 
@@ -110,7 +110,6 @@ def run_points(
     retries: int = 0,
     backoff: float = 0.1,
     timeout: float | None = None,
-    term_grace: float = _TERM_GRACE_S,
     tracer: trace.Tracer | trace.NullTracer | None = None,
 ) -> list[PointOutcome]:
     """Run every task through ``worker(fn, value, seed)``; never raises
@@ -119,9 +118,7 @@ def run_points(
     Outcomes come back in task order.  ``retries`` is the number of
     *re*-attempts after the first failure; ``timeout`` bounds each
     attempt's wall time (requires worker-process isolation, which is
-    chosen automatically); ``term_grace`` bounds how long a timed-out
-    worker may ignore SIGTERM before it is SIGKILLed.  ``n_jobs == -1``
-    uses every core.
+    chosen automatically).  ``n_jobs == -1`` uses every core.
     """
     if retries < 0:
         raise ConfigurationError(f"retries must be >= 0, got {retries}")
@@ -129,10 +126,6 @@ def run_points(
         raise ConfigurationError(f"backoff must be >= 0, got {backoff}")
     if timeout is not None and timeout <= 0:
         raise ConfigurationError(f"timeout must be > 0, got {timeout}")
-    if term_grace <= 0:
-        raise ConfigurationError(
-            f"term_grace must be > 0, got {term_grace}"
-        )
     workers = _workers(n_jobs)
     tr = tracer if tracer is not None else trace.current()
     if not tasks:
@@ -143,7 +136,7 @@ def run_points(
             for task in tasks
         ]
     return _run_isolated(
-        worker, fn, tasks, workers, retries, backoff, timeout, term_grace, tr
+        worker, fn, tasks, workers, retries, backoff, timeout, tr
     )
 
 
@@ -288,29 +281,29 @@ class _Worker:
     deadline: float | None = None
 
 
-def _reap(proc: mp.process.BaseProcess, term_grace: float) -> None:
+def _reap(proc: mp.process.BaseProcess) -> None:
     """Stop one worker with bounded patience: SIGTERM, wait, SIGKILL.
 
     ``terminate()`` alone is a request the worker may ignore (one that
     installed a SIG_IGN handler, or is stuck in uninterruptible I/O);
     an unbounded ``join()`` after it would wedge the whole run on such
-    a worker.  So the join is bounded by ``term_grace`` seconds and
+    a worker.  So the join is bounded by ``_TERM_GRACE_S`` seconds and
     escalates to ``kill()`` — SIGKILL cannot be caught or ignored.
     """
     proc.terminate()
-    proc.join(term_grace)
+    proc.join(_TERM_GRACE_S)
     if proc.is_alive():
         proc.kill()
-        proc.join(term_grace)
+        proc.join(_TERM_GRACE_S)
 
 
-def _died(w: _Worker, elapsed: float, term_grace: float) -> PointOutcome:
+def _died(w: _Worker, elapsed: float) -> PointOutcome:
     """The outcome of a worker that closed its pipe or exited without a
     result.  A worker whose pipe is closed but whose exit stalls (on a
     lock inherited through fork, say) is reaped, not awaited."""
-    w.process.join(term_grace)
+    w.process.join(_TERM_GRACE_S)
     if w.process.is_alive():
-        _reap(w.process, term_grace)
+        _reap(w.process)
     return PointOutcome(
         index=w.attempt.task.index,
         ok=False,
@@ -323,7 +316,7 @@ def _died(w: _Worker, elapsed: float, term_grace: float) -> PointOutcome:
     )
 
 
-def _receive(w: _Worker, elapsed: float, term_grace: float) -> PointOutcome:
+def _receive(w: _Worker, elapsed: float) -> PointOutcome:
     """Read one attempt's result from a readable pipe (result or EOF)."""
     att = w.attempt
     try:
@@ -331,7 +324,7 @@ def _receive(w: _Worker, elapsed: float, term_grace: float) -> PointOutcome:
     except (EOFError, OSError):
         # write end closed with nothing (or half a message) sent: the
         # worker died before it could report (segfault, os._exit, kill)
-        return _died(w, elapsed, term_grace)
+        return _died(w, elapsed)
     if payload[0] == "ok":
         return PointOutcome(
             index=att.task.index,
@@ -356,7 +349,6 @@ def _harvest(
     w: _Worker,
     now: float,
     timeout: float | None,
-    term_grace: float,
     tr,
 ) -> PointOutcome | None:
     """Resolve one busy worker's attempt, or return None if still running.
@@ -370,14 +362,14 @@ def _harvest(
     """
     elapsed = now - w.started
     if w.conn.poll():
-        return _receive(w, elapsed, term_grace)
+        return _receive(w, elapsed)
     if not w.process.is_alive():
         # the result may have raced the liveness check: look again
         if w.conn.poll():
-            return _receive(w, elapsed, term_grace)
-        return _died(w, elapsed, term_grace)
+            return _receive(w, elapsed)
+        return _died(w, elapsed)
     if w.deadline is not None and now > w.deadline:
-        _reap(w.process, term_grace)
+        _reap(w.process)
         tr.count("executor.timeouts")
         return PointOutcome(
             index=w.attempt.task.index,
@@ -408,7 +400,7 @@ def _next_wakeup(
 
 
 def _run_isolated(
-    worker, fn, tasks, workers, retries, backoff, timeout, term_grace, tr
+    worker, fn, tasks, workers, retries, backoff, timeout, tr
 ) -> list[PointOutcome]:
     """A pool of at most ``min(workers, len(tasks))`` forked workers."""
     ctx = mp.get_context("fork")
@@ -438,9 +430,9 @@ def _run_isolated(
         after a non-ok outcome or the stop message, else it is reaped."""
         pool.remove(w)
         w.conn.close()
-        w.process.join(term_grace)
+        w.process.join(_TERM_GRACE_S)
         if w.process.is_alive():
-            _reap(w.process, term_grace)
+            _reap(w.process)
 
     def dispatch(att: _Attempt) -> None:
         w = next((w for w in pool if w.attempt is None), None)
@@ -486,7 +478,7 @@ def _run_isolated(
             # harvest finished / expired attempts
             now = time.monotonic()
             for w in busy():
-                outcome = _harvest(w, now, timeout, term_grace, tr)
+                outcome = _harvest(w, now, timeout, tr)
                 if outcome is None:
                     continue
                 att, w.attempt = w.attempt, None
@@ -516,7 +508,7 @@ def _run_isolated(
             if w.attempt is None:
                 _send_guarded(w.conn, _STOP)
             else:
-                _reap(w.process, term_grace)
+                _reap(w.process)
         for w in list(pool):
             retire(w)
 

@@ -84,16 +84,16 @@ OPEN = "open"
 class Breaker:
     """Circuit breaker for one engine family.
 
-    Starts :data:`CLOSED` (fast engines allowed).  Each recorded engine
-    fault increments ``failures``; at ``threshold`` the breaker opens
-    and stays open for the supervisor's lifetime — there is no half-open
-    probing state, because re-enabling a fast engine mid-run could make
-    the run's rows depend on fault timing.  Degradation must be
-    deterministic: once open, always open.
+    Starts :data:`CLOSED` (fast engines allowed).  The first recorded
+    engine fault opens it — degrade on first blood: the degraded mode is
+    equivalence-pinned correct, so tripping early costs no accuracy —
+    and it stays open for the supervisor's lifetime.  There is no
+    half-open probing state, because re-enabling a fast engine mid-run
+    could make the run's rows depend on fault timing.  Degradation must
+    be deterministic: once open, always open.
     """
 
     family: str
-    threshold: int = 1
     failures: int = 0
     state: str = CLOSED
     reason: Optional[str] = None
@@ -103,11 +103,9 @@ class Breaker:
         if self.state == OPEN:
             return False
         self.failures += 1
-        if self.failures >= self.threshold:
-            self.state = OPEN
-            self.reason = reason
-            return True
-        return False
+        self.state = OPEN
+        self.reason = reason
+        return True
 
 
 class NullSupervisor:
@@ -153,10 +151,6 @@ class Supervisor:
         The engine families this supervisor watches (default all three:
         ``agents``, ``networks``, ``csp``).  Faults only trip breakers
         of supervised families.
-    failure_threshold:
-        Engine faults needed to open a family's breaker (default 1:
-        degrade on first blood — the degraded mode is equivalence-pinned
-        correct, so there is no accuracy cost to tripping early).
     deadline_s:
         Optional wall-clock budget for the whole supervised run,
         measured from when the supervisor is installed with
@@ -172,7 +166,6 @@ class Supervisor:
         self,
         families: Sequence[str] = ("agents", "networks", "csp"),
         *,
-        failure_threshold: int = 1,
         deadline_s: Optional[float] = None,
         memory_budget_mb: Optional[float] = None,
     ):
@@ -184,10 +177,6 @@ class Supervisor:
             )
         if not families:
             raise SupervisorError("supervisor needs at least one family")
-        if failure_threshold < 1:
-            raise SupervisorError(
-                f"failure_threshold must be >= 1, got {failure_threshold}"
-            )
         if deadline_s is not None and deadline_s <= 0:
             raise SupervisorError(
                 f"deadline_s must be > 0, got {deadline_s}"
@@ -197,9 +186,7 @@ class Supervisor:
                 f"memory_budget_mb must be > 0, got {memory_budget_mb}"
             )
         self.families = tuple(dict.fromkeys(families))
-        self.breakers = {
-            f: Breaker(f, threshold=failure_threshold) for f in self.families
-        }
+        self.breakers = {f: Breaker(f) for f in self.families}
         self.deadline_s = deadline_s
         self.memory_budget_mb = memory_budget_mb
         self._t0: Optional[float] = None  # set when installed via use()
@@ -274,9 +261,7 @@ class Supervisor:
             tr.event("supervisor.trip", family=family, reason=reason)
         return opened
 
-    def record_fault(
-        self, reason: str, exception: Optional[BaseException] = None
-    ) -> list[str]:
+    def record_fault(self, reason: str) -> list[str]:
         """Analyze+plan for one engine fault: trip every exposed family.
 
         A fault observed from outside a worker cannot be attributed to
@@ -285,7 +270,6 @@ class Supervisor:
         their reference fallback cannot have caused it).  Returns the
         families whose breakers transitioned.
         """
-        del exception  # classification already happened; kept for symmetry
         tripped = []
         for family in self.families:
             if self.breakers[family].state == OPEN:

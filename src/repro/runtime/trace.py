@@ -3,10 +3,10 @@
 The paper's MAPE loop (§3.3) starts with *monitor*: a system cannot
 degrade gracefully if it cannot see what it did.  :class:`Tracer` is the
 single observability surface for the library — counters, aggregated
-timers, step hooks, and structured JSONL events — cheap enough to leave
-wired into the hot simulation loops (:class:`~repro.agents.simulation.
+timers, and structured JSONL events — cheap enough to leave wired into
+the hot simulation loops (:class:`~repro.agents.simulation.
 EvolutionSimulator` and :class:`~repro.agents.arrayengine.ArraySimulator`
-report per-run timers and per-step ticks through it) and into every
+report per-run timers and per-step counts through it) and into every
 sweep point executed by :mod:`repro.analysis.sweep`.
 
 A module-level *current tracer* (:func:`current` / :func:`use`) lets
@@ -63,17 +63,8 @@ class NullTracer:
     def warning(self, message: str, **fields: Any) -> None:
         pass
 
-    def step(self, engine: str, step: int, alive: int) -> None:
-        pass
-
     def record_timing(self, name: str, elapsed_s: float) -> None:
         pass
-
-    def add_step_hook(self, hook: Callable[[str, int, int], None]) -> None:
-        raise TypeError(
-            "cannot register a step hook on the null tracer; "
-            "install a Tracer first (repro.runtime.trace.use)"
-        )
 
     def add_event_hook(self, hook: Callable[[dict], None]) -> None:
         raise TypeError(
@@ -127,7 +118,6 @@ class Tracer:
         self.timers: dict[str, TimerStats] = {}
         self.events: list[dict] = []
         self._keep_events = keep_events
-        self._hooks: list[Callable[[str, int, int], None]] = []
         self._event_hooks: list[Callable[[dict], None]] = []
         self._t0 = time.monotonic()
         self._fh = open(path, "a") if path else None
@@ -166,7 +156,7 @@ class Tracer:
             try:
                 hook(record)
             except Exception as exc:  # noqa: BLE001 - observer, not owner
-                self._hook_error("event", hook, exc)
+                self._hook_error(hook, exc)
 
     def warning(self, message: str, **fields: Any) -> None:
         """Record a degradation the run tolerated (counted + evented).
@@ -178,11 +168,7 @@ class Tracer:
         self.count("warnings")
         self.event("warning", message=message, **fields)
 
-    # -- step / event hooks ------------------------------------------------
-
-    def add_step_hook(self, hook: Callable[[str, int, int], None]) -> None:
-        """Register ``hook(engine, step, alive)``, called every sim step."""
-        self._hooks.append(hook)
+    # -- event hooks -------------------------------------------------------
 
     def add_event_hook(self, hook: Callable[[dict], None]) -> None:
         """Register ``hook(record)``, called with every emitted event.
@@ -197,16 +183,7 @@ class Tracer:
         """
         self._event_hooks.append(hook)
 
-    def step(self, engine: str, step: int, alive: int) -> None:
-        """One simulator step tick: counts it and fans out to hooks."""
-        self.counters[f"sim.steps.{engine}"] += 1
-        for hook in self._hooks:
-            try:
-                hook(engine, step, alive)
-            except Exception as exc:  # noqa: BLE001 - observer, not owner
-                self._hook_error("step", hook, exc)
-
-    def _hook_error(self, kind: str, hook: Any, exc: Exception) -> None:
+    def _hook_error(self, hook: Any, exc: Exception) -> None:
         """Contain a raising observer: count it, warn, keep tracing.
 
         Hooks are observers of the run, not owners of it — a buggy
@@ -219,7 +196,7 @@ class Tracer:
         self.counters["trace.hook_errors"] += 1
         name = getattr(hook, "__qualname__", repr(hook))
         _warnings.warn(
-            f"tracer {kind} hook {name} raised "
+            f"tracer event hook {name} raised "
             f"{type(exc).__name__}: {exc}; hook errors are contained "
             "(counted as trace.hook_errors)",
             RuntimeWarning,

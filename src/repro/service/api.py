@@ -19,20 +19,19 @@ Jobs accept the same grids, seeds, and fault-tolerance knobs as
 :class:`~repro.analysis.sweep.SweepResult`, and stream per-job progress
 events from the tracer into each job's ``events`` feed.
 
-Environment knobs (constructor arguments win over the environment):
+Constructor arguments:
 
-===========================  =========================================
-``REPRO_SERVICE_WORKERS``      worker processes per chunk (default 1 =
-                               inline; ``-1`` = every core)
-``REPRO_SERVICE_MAX_PENDING``  unfinished jobs admitted before
-                               backpressure (default 128)
-``REPRO_SERVICE_BATCH``        points per scheduler chunk (default 256)
-``REPRO_SERVICE_CACHE_MAX``    result-cache entries kept, LRU past it
-                               (default 0 = unbounded)
-``REPRO_SERVICE_DIR``          directory for the crash-durable journal
-                               + result store (default unset = fully
-                               in-memory, pre-durability behavior)
-===========================  =========================================
+=================  =====================================================
+``workers``        worker processes per chunk (default 1 = inline;
+                   ``-1`` = every core)
+``batch``          points per scheduler chunk (default 256)
+``service_dir``    directory for the crash-durable journal + result
+                   store (default ``REPRO_SERVICE_DIR``; unset = fully
+                   in-memory)
+=================  =====================================================
+
+At most :data:`~repro.service.queue.MAX_PENDING` unfinished jobs are
+admitted before backpressure; the result cache is unbounded.
 
 Degradation contract: when the installed supervisor trips a breaker or
 its ``deadline_s`` budget expires, new submissions raise
@@ -72,55 +71,22 @@ from .scheduler import Scheduler
 __all__ = ["ResilienceService"]
 
 
-def _env_int(name: str, default: int, *, minimum: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{name} must be an integer, got {raw!r}"
-        ) from None
-    if value < minimum and value != -1:
-        raise ConfigurationError(
-            f"{name} must be >= {minimum} (or -1 where documented), "
-            f"got {value}"
-        )
-    return value
-
-
 class ResilienceService:
     """Async job-queue service over the fault-tolerant runtime."""
 
     def __init__(
         self,
         *,
-        workers: Optional[int] = None,
-        max_pending: Optional[int] = None,
-        batch: Optional[int] = None,
-        cache_max: Optional[int] = None,
-        tracer: "Tracer | None" = None,
+        workers: int = 1,
+        batch: int = 256,
         service_dir: Optional[str] = None,
     ):
-        self.workers = workers if workers is not None else _env_int(
-            "REPRO_SERVICE_WORKERS", 1, minimum=1
-        )
-        self.max_pending = max_pending if max_pending is not None else \
-            _env_int("REPRO_SERVICE_MAX_PENDING", 128, minimum=1)
-        self.batch = batch if batch is not None else _env_int(
-            "REPRO_SERVICE_BATCH", 256, minimum=1
-        )
-        cache_max = cache_max if cache_max is not None else _env_int(
-            "REPRO_SERVICE_CACHE_MAX", 0, minimum=0
-        )
+        self.workers = workers
+        self.batch = batch
         if service_dir is None:
             service_dir = os.environ.get("REPRO_SERVICE_DIR") or None
         self.service_dir = service_dir
-        self._owns_tracer = tracer is None
-        self.tracer = tracer if tracer is not None else Tracer(
-            keep_events=False
-        )
+        self.tracer = Tracer(keep_events=False)
         self.tracer.add_event_hook(self._route_event)
         self.persistence = (
             ServicePersistence(service_dir, tracer=self.tracer)
@@ -128,8 +94,8 @@ class ResilienceService:
             else None
         )
         self.recovery: Optional[dict] = None  # set by start() when durable
-        self.cache = ResultCache(cache_max, tracer=self.tracer)
-        self.queue = JobQueue(self.max_pending)
+        self.cache = ResultCache(tracer=self.tracer)
+        self.queue = JobQueue()
         self.scheduler = Scheduler(
             self.cache,
             workers=self.workers,
@@ -154,10 +120,7 @@ class ResilienceService:
             self.scheduler.start()
             self._started = True
             self.tracer.event(
-                "service.start",
-                workers=self.workers,
-                max_pending=self.max_pending,
-                batch=self.batch,
+                "service.start", workers=self.workers, batch=self.batch
             )
         return self
 
@@ -239,8 +202,7 @@ class ResilienceService:
         if self.persistence is not None:
             self.persistence.close()
         self.tracer.event("service.close", drained=drain)
-        if self._owns_tracer:
-            self.tracer.close()
+        self.tracer.close()
 
     def __enter__(self) -> "ResilienceService":
         return self.start()
@@ -283,16 +245,15 @@ class ResilienceService:
                 "submit() needs exactly one of grid= or points="
             )
         if grid is not None:
-            if seed is not None and "seed" in grid:
-                raise ConfigurationError(
-                    "grid parameter 'seed' collides with the job's "
-                    "seed keyword"
-                )
             resolved = expand_grid(grid)
         else:
             resolved = [dict(p) for p in points]
             if not resolved:
                 raise ConfigurationError("a job needs at least one point")
+        if seed is not None and any("seed" in p for p in resolved):
+            raise ConfigurationError(
+                "point parameter 'seed' collides with the job's seed keyword"
+            )
         spec = JobSpec(
             experiment=experiment,
             fn=fn,

@@ -10,20 +10,20 @@ cache-served row byte-identical to the row a checkpoint resume would
 have replayed: one equality contract across both persistence layers.
 
 Only *successful* rows are cached (failures re-run, mirroring the
-checkpoint rule that failed points are never recorded).  Eviction is
-LRU past ``max_entries`` (0 = unbounded); hits and misses are counted
-on the service tracer as ``service.cache.hits`` /
-``service.cache.misses`` and mirrored on the instance for direct
-inspection.  All methods are thread-safe.
+checkpoint rule that failed points are never recorded).  The cache is
+unbounded and nothing is evicted: on a durable service every cached row
+is also in the result store, so an eviction would only re-execute and
+re-store a row already on disk.  Hits and misses are counted on the
+service tracer as ``service.cache.hits`` / ``service.cache.misses`` and
+mirrored on the instance for direct inspection.  All methods are
+thread-safe.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from typing import Mapping, Optional
+from typing import Mapping
 
-from ..errors import ConfigurationError
 from ..runtime import trace
 from ..runtime.checkpoint import jsonable
 
@@ -43,24 +43,15 @@ MISS = _Miss()
 
 
 class ResultCache:
-    """Thread-safe LRU mapping of point fingerprint -> result row."""
+    """Thread-safe mapping of point fingerprint -> result row."""
 
     def __init__(
-        self,
-        max_entries: int = 0,
-        tracer: "trace.Tracer | trace.NullTracer | None" = None,
+        self, tracer: "trace.Tracer | trace.NullTracer | None" = None
     ):
-        if max_entries < 0:
-            raise ConfigurationError(
-                f"max_entries must be >= 0 (0 = unbounded), "
-                f"got {max_entries}"
-            )
-        self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
         self._tr = tracer if tracer is not None else trace.current()
-        self._rows: "OrderedDict[str, dict]" = OrderedDict()
+        self._rows: dict[str, dict] = {}
         self._lock = threading.Lock()
 
     def get(self, fingerprint: str) -> "dict | _Miss":
@@ -75,7 +66,6 @@ class ResultCache:
                 self.misses += 1
                 self._tr.count("service.cache.misses")
                 return MISS
-            self._rows.move_to_end(fingerprint)
             self.hits += 1
             self._tr.count("service.cache.hits")
             return dict(row)
@@ -85,12 +75,7 @@ class ResultCache:
         clean = {str(k): jsonable(v) for k, v in row.items()}
         with self._lock:
             self._rows[fingerprint] = clean
-            self._rows.move_to_end(fingerprint)
             self._tr.count("service.cache.stores")
-            while self.max_entries and len(self._rows) > self.max_entries:
-                self._rows.popitem(last=False)
-                self.evictions += 1
-                self._tr.count("service.cache.evictions")
         return clean
 
     def warm(self, rows: Mapping[str, Mapping]) -> int:
@@ -105,11 +90,6 @@ class ResultCache:
         with self._lock:
             for fingerprint, row in rows.items():
                 self._rows[fingerprint] = dict(row)
-                self._rows.move_to_end(fingerprint)
-                while self.max_entries and len(self._rows) > self.max_entries:
-                    self._rows.popitem(last=False)
-                    self.evictions += 1
-                    self._tr.count("service.cache.evictions")
         self._tr.count("service.cache.warmed", len(rows))
         return len(rows)
 
@@ -130,8 +110,6 @@ class ResultCache:
         with self._lock:
             return {
                 "entries": len(self._rows),
-                "max_entries": self.max_entries,
                 "hits": self.hits,
                 "misses": self.misses,
-                "evictions": self.evictions,
             }

@@ -55,6 +55,7 @@ from ..runtime import supervisor as supervisor_module
 from ..runtime.supervisor import Supervisor
 from .api import ResilienceService
 from .jobs import DONE
+from .loadtest import _grid_for, _grid_size, load_point
 from .persistence import JOURNAL_NAME, RESULTS_NAME
 
 __all__ = ["drill_point", "run_crash_drill"]
@@ -70,22 +71,7 @@ def drill_point(x: int, y: int, seed=None) -> dict:
     parent land its ``SIGKILL`` mid-load with room to spare.
     """
     time.sleep(0.008)
-    salt = 0 if seed is None else int(seed.generate_state(1)[0]) % 997
-    return {"score": x * 31 + y * 7 + salt * 1e-6, "salt": salt}
-
-
-def _grids(n_jobs: int, points_per_job: int) -> list[dict]:
-    """One distinct (x, y) grid per job, >= ``points_per_job`` points."""
-    ys = 8
-    xs = max(-(-points_per_job // ys), 1)
-    return [
-        {"x": [j * 1000 + i for i in range(xs)], "y": list(range(ys))}
-        for j in range(n_jobs)
-    ]
-
-
-def _grid_size(grid: dict) -> int:
-    return len(grid["x"]) * len(grid["y"])
+    return load_point(x, y, seed)
 
 
 def _count_done(journal_path: str) -> int:
@@ -154,7 +140,7 @@ def _phase_load(
     service_dir: str, seed: int, n_jobs: int, points_per_job: int, batch: int
 ) -> None:
     """Submit the drill jobs and run until killed (or, untested, done)."""
-    grids = _grids(n_jobs, points_per_job)
+    grids = [_grid_for(j, points_per_job) for j in range(n_jobs)]
     with ResilienceService(
         workers=1, batch=batch, service_dir=service_dir
     ) as svc:
@@ -254,7 +240,7 @@ def run_crash_drill(
     """Run the R03 drill end to end; returns the acceptance report."""
     service_dir = os.path.join(workdir, "service")
     os.makedirs(service_dir, exist_ok=True)
-    grids = _grids(n_jobs, points_per_job)
+    grids = [_grid_for(j, points_per_job) for j in range(n_jobs)]
     unique_points = sum(_grid_size(grid) for grid in grids)
     rng = make_rng(seed)
     kill_after = int(

@@ -2,7 +2,7 @@
 
 A :class:`ResilienceService` without persistence loses every accepted
 job when its process dies — the admission ledger, in-flight dedupe
-table, and LRU result cache are all in-memory.  This module gives the
+table, and result cache are all in-memory.  This module gives the
 service a durable spine, built on the same hardened JSONL machinery the
 sweep checkpoints trust (:class:`repro.runtime.checkpoint.JournalFile`:
 atomic fsync'd header, fsync'd appends, torn-tail drop, ``.corrupt``

@@ -3,7 +3,7 @@
 The queue is the service's *admission* surface, not its execution
 order (the scheduler's work deque owns that): it tracks every accepted
 job from submission to a final state, bounds how many may be unfinished
-at once, and turns saturation into a loud
+at once (:data:`MAX_PENDING`), and turns saturation into a loud
 :class:`~repro.errors.BackpressureError` instead of unbounded queueing.
 
 That refusal is the Cusick-survey ops view of resilience applied to the
@@ -17,23 +17,19 @@ from __future__ import annotations
 import threading
 from typing import Optional
 
-from ..errors import BackpressureError, ConfigurationError
+from ..errors import BackpressureError
 from .jobs import CANCELLED, DONE, FAILED, Job
 
-__all__ = ["JobQueue"]
+__all__ = ["MAX_PENDING", "JobQueue"]
 
 _FINAL = (DONE, FAILED, CANCELLED)
+MAX_PENDING = 128  # unfinished jobs admitted before backpressure
 
 
 class JobQueue:
     """Thread-safe registry of accepted jobs with bounded admission."""
 
-    def __init__(self, max_pending: int = 128):
-        if max_pending < 1:
-            raise ConfigurationError(
-                f"max_pending must be >= 1, got {max_pending}"
-            )
-        self.max_pending = max_pending
+    def __init__(self):
         self._jobs: dict[str, Job] = {}  # insertion-ordered ledger
         self._lock = threading.Lock()
 
@@ -43,7 +39,7 @@ class JobQueue:
         Refusal reasons, checked in order: the runtime is degraded (a
         tripped breaker or spent deadline — new work is shed while
         accepted work finishes on the reference engines), or the number
-        of unfinished jobs has reached ``max_pending``.
+        of unfinished jobs has reached :data:`MAX_PENDING`.
         """
         with self._lock:
             if degraded:
@@ -55,10 +51,10 @@ class JobQueue:
             pending = sum(
                 1 for j in self._jobs.values() if j.state not in _FINAL
             )
-            if pending >= self.max_pending:
+            if pending >= MAX_PENDING:
                 raise BackpressureError(
                     f"service is saturated: {pending} unfinished job(s) "
-                    f">= max_pending={self.max_pending}; "
+                    f">= MAX_PENDING={MAX_PENDING}; "
                     "resubmit after in-flight work drains"
                 )
             self._jobs[job.id] = job
@@ -69,7 +65,7 @@ class JobQueue:
         Recovery honors the promise the dead process made when it
         accepted the job — backpressure applies to *new* work, never to
         work already acknowledged, so a restart with more incomplete
-        jobs than ``max_pending`` still re-admits all of them.
+        jobs than :data:`MAX_PENDING` still re-admits all of them.
         """
         with self._lock:
             self._jobs[job.id] = job

@@ -12,6 +12,7 @@ import pytest
 from repro.analysis.sweep import grid_sweep, sweep
 from repro.errors import CheckpointError, ConfigurationError
 from repro.rng import make_rng
+from repro.runtime import trace
 from repro.runtime.trace import Tracer
 
 
@@ -174,17 +175,17 @@ class TestAcceptance:
         monkeypatch.delenv("REPRO_TEST_SWEEP_HEALED", raising=False)
 
         tr = Tracer()
-        first = sweep(
-            range(16),
-            faulty_point,
-            param_name="value",
-            n_jobs=4,
-            seed=42,
-            on_error="keep",
-            timeout=1.5,
-            checkpoint=ckpt,
-            tracer=tr,
-        )
+        with trace.use(tr):
+            first = sweep(
+                range(16),
+                faulty_point,
+                param_name="value",
+                n_jobs=4,
+                seed=42,
+                on_error="keep",
+                timeout=1.5,
+                checkpoint=ckpt,
+            )
         assert len(first) == 16
         assert len(first.ok_rows) == 14
         assert len(first.failed) == 2

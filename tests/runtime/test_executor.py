@@ -14,7 +14,7 @@ import pytest
 
 import repro
 from repro.errors import ConfigurationError, ExecutionError
-from repro.runtime import trace
+from repro.runtime import executor, trace
 from repro.runtime.executor import (
     PointOutcome,
     PointTask,
@@ -304,7 +304,10 @@ class TestPipeHygiene:
     pipe ends; unless it closes them, closing (or losing) the parent end
     never reaches those siblings as EOF."""
 
-    def test_idle_workers_stop_without_waiting_out_term_grace(self):
+    def test_idle_workers_stop_without_waiting_out_term_grace(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(executor, "_TERM_GRACE_S", 30.0)
         start = time.monotonic()
         outcomes = run_points(
             call,
@@ -312,7 +315,6 @@ class TestPipeHygiene:
             tasks_for([1, 2, 3, 4]),
             n_jobs=2,
             timeout=30.0,
-            term_grace=30.0,
         )
         assert [o.value for o in outcomes] == [2, 4, 6, 8]
         assert time.monotonic() - start < 10  # a stuck join waits 30 s
@@ -357,9 +359,13 @@ class TestBoundedReap:
     Before the bounded reap, the timeout path ran ``terminate()``
     followed by an unbounded ``join()`` — a worker that installed
     ``SIG_IGN`` for SIGTERM (or was stuck in uninterruptible I/O) hung
-    the whole sweep forever.  The reap now gives SIGTERM ``term_grace``
+    the whole sweep forever.  The reap now gives SIGTERM ``_TERM_GRACE_S``
     seconds and then escalates to SIGKILL.
     """
+
+    @pytest.fixture(autouse=True)
+    def _short_grace(self, monkeypatch):
+        monkeypatch.setattr(executor, "_TERM_GRACE_S", 0.5)
 
     def test_sigterm_ignoring_child_is_killed(self):
         tr = Tracer()
@@ -370,7 +376,6 @@ class TestBoundedReap:
             tasks_for([0]),
             n_jobs=2,
             timeout=0.5,
-            term_grace=0.5,
             tracer=tr,
         )
         elapsed = time.monotonic() - start
@@ -387,7 +392,6 @@ class TestBoundedReap:
             tasks_for([0, 1, 2]),
             n_jobs=3,
             timeout=1.0,
-            term_grace=0.5,
         )
         assert [o.ok for o in outcomes] == [True, False, True]
         assert [o.value for o in outcomes if o.ok] == [0, 4]
@@ -395,7 +399,7 @@ class TestBoundedReap:
     def test_closed_pipe_with_stalled_exit_is_reaped(self):
         """EOF on a worker's pipe whose process never exits (its exit
         stuck on, say, a lock inherited through fork): the harvest reaps
-        it after ``term_grace`` instead of joining it forever."""
+        it after ``_TERM_GRACE_S`` instead of joining it forever."""
         ctx = mp.get_context("fork")
         parent_conn, child_conn = ctx.Pipe()
         proc = ctx.Process(target=close_pipe_and_linger, args=(child_conn,))
@@ -410,9 +414,7 @@ class TestBoundedReap:
                 attempt=_Attempt(PointTask(index=0, value=0)),
                 started=now,
             )
-            outcome = _harvest(
-                w, now, timeout=None, term_grace=0.2, tr=trace.NULL
-            )
+            outcome = _harvest(w, now, timeout=None, tr=trace.NULL)
             assert time.monotonic() - now < 10  # was: join() forever
             assert outcome is not None and not outcome.ok
             assert "died without a result" in outcome.error
@@ -422,16 +424,6 @@ class TestBoundedReap:
                 proc.kill()
                 proc.join(30)
             parent_conn.close()
-
-    def test_term_grace_validated(self):
-        with pytest.raises(ConfigurationError):
-            run_points(
-                call, double, tasks_for([1]), timeout=1.0, term_grace=0.0
-            )
-        with pytest.raises(ConfigurationError):
-            run_points(
-                call, double, tasks_for([1]), timeout=1.0, term_grace=-1.0
-            )
 
 
 class TestOrphanedChild:
@@ -568,9 +560,7 @@ class TestDeadlineResultRace:
             started=now - 10.0,
             deadline=now - 1.0,  # … and the deadline has passed
         )
-        outcome = _harvest(
-            w, now, timeout=9.0, term_grace=5.0, tr=trace.NULL
-        )
+        outcome = _harvest(w, now, timeout=9.0, tr=trace.NULL)
         assert outcome is not None
         assert outcome.ok
         assert outcome.value == 42

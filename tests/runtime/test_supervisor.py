@@ -24,16 +24,16 @@ from repro.runtime.supervisor import (
 
 class TestBreaker:
     def test_opens_at_threshold_and_stays_open(self):
-        b = Breaker("csp", threshold=2)
+        b = Breaker("csp")
         assert b.state == CLOSED
-        assert b.record("first") is False
-        assert b.state == CLOSED
-        assert b.record("second") is True
+        assert b.record("first") is True
         assert b.state == OPEN
-        assert b.reason == "second"
+        assert b.reason == "first"
         # no half-open probing: further faults are absorbed silently
-        assert b.record("third") is False
-        assert b.failures == 2
+        assert b.record("second") is False
+        assert b.state == OPEN
+        assert b.reason == "first"
+        assert b.failures == 1
 
     def test_default_threshold_is_first_blood(self):
         b = Breaker("agents")
@@ -53,7 +53,6 @@ class TestConstruction:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"failure_threshold": 0},
             {"deadline_s": 0},
             {"deadline_s": -1.0},
             {"memory_budget_mb": 0},

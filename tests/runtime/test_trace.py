@@ -69,24 +69,6 @@ class TestEvents:
         assert tr.events == []
 
 
-class TestStepHooks:
-    def test_step_counts_per_engine(self):
-        tr = Tracer()
-        tr.step("array", 0, 10)
-        tr.step("array", 1, 9)
-        tr.step("object", 0, 10)
-        assert tr.counters["sim.steps.array"] == 2
-        assert tr.counters["sim.steps.object"] == 1
-
-    def test_hooks_see_every_step(self):
-        tr = Tracer()
-        seen = []
-        tr.add_step_hook(lambda engine, step, alive: seen.append((engine, step, alive)))
-        tr.step("array", 0, 5)
-        tr.step("array", 1, 4)
-        assert seen == [("array", 0, 5), ("array", 1, 4)]
-
-
 class TestHookContainment:
     def test_raising_event_hook_does_not_stop_emission(self):
         tr = Tracer()
@@ -103,22 +85,6 @@ class TestHookContainment:
         # the emitter survived, later hooks still ran, events recorded
         assert [e["event"] for e in tr.events] == ["a", "b"]
         assert seen == ["a", "b"]
-        assert tr.counters["trace.hook_errors"] == 2
-
-    def test_raising_step_hook_does_not_stop_ticks(self):
-        tr = Tracer()
-        seen = []
-
-        def bad(engine, step, alive):
-            raise ValueError("observer bug")
-
-        tr.add_step_hook(bad)
-        tr.add_step_hook(lambda e, s, a: seen.append(s))
-        with pytest.warns(RuntimeWarning, match="step hook"):
-            tr.step("array", 0, 5)
-            tr.step("array", 1, 4)
-        assert tr.counters["sim.steps.array"] == 2
-        assert seen == [0, 1]
         assert tr.counters["trace.hook_errors"] == 2
 
     def test_hook_error_warning_names_the_hook(self):
@@ -167,14 +133,9 @@ class TestNullTracer:
         null = NullTracer()
         null.count("x")
         null.event("y", z=1)
-        null.step("array", 0, 1)
         null.record_timing("t", 1.0)
         with null.timer("t"):
             pass
-
-    def test_step_hooks_rejected(self):
-        with pytest.raises(TypeError):
-            NullTracer().add_step_hook(lambda *a: None)
 
 
 class TestSummary:
@@ -213,8 +174,6 @@ class TestSimulatorWiring:
         )
         for engine in ("object", "array"):
             tr = Tracer()
-            ticks = []
-            tr.add_step_hook(lambda e, s, a: ticks.append((e, s, a)))
             with trace.use(tr):
                 make_engine(engine, capacity=10).run(
                     pop, env, steps=5, seed=0
@@ -222,4 +181,3 @@ class TestSimulatorWiring:
             assert tr.counters[f"sim.runs.{engine}"] == 1
             assert tr.counters[f"sim.steps.{engine}"] == 5
             assert tr.timers[f"sim.run.{engine}"].calls == 1
-            assert [t[1] for t in ticks] == list(range(5))

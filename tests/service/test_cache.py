@@ -1,8 +1,5 @@
 """Unit tests for the content-addressed result cache."""
 
-import pytest
-
-from repro.errors import ConfigurationError
 from repro.runtime.trace import Tracer
 from repro.service.cache import MISS, ResultCache
 
@@ -47,53 +44,32 @@ class TestBasics:
         assert len(cache) == 0
         assert "a" not in cache
 
-    def test_negative_max_entries_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ResultCache(-1)
-
 
 class TestEviction:
-    def test_lru_evicts_least_recently_used(self):
-        cache = ResultCache(max_entries=2)
-        cache.put("a", {"v": 1})
-        cache.put("b", {"v": 2})
-        assert cache.get("a") == {"v": 1}  # touch: "b" is now LRU
-        cache.put("c", {"v": 3})
-        assert "b" not in cache
-        assert "a" in cache and "c" in cache
-        assert cache.evictions == 1
-
     def test_unbounded_by_default(self):
         cache = ResultCache()
         for i in range(500):
             cache.put(f"fp-{i}", {"v": i})
         assert len(cache) == 500
-        assert cache.evictions == 0
+        assert "fp-0" in cache
 
 
 class TestTelemetry:
     def test_counters_on_tracer(self):
         tr = Tracer(keep_events=False)
-        cache = ResultCache(max_entries=1, tracer=tr)
+        cache = ResultCache(tracer=tr)
         cache.get("nope")
         cache.put("a", {"v": 1})
         cache.get("a")
-        cache.put("b", {"v": 2})  # evicts "a"
+        cache.put("b", {"v": 2})
         assert tr.counters["service.cache.misses"] == 1
         assert tr.counters["service.cache.hits"] == 1
         assert tr.counters["service.cache.stores"] == 2
-        assert tr.counters["service.cache.evictions"] == 1
 
     def test_stats_snapshot(self):
-        cache = ResultCache(max_entries=8)
+        cache = ResultCache()
         cache.put("a", {"v": 1})
         cache.get("a")
         cache.get("missing")
         stats = cache.stats()
-        assert stats == {
-            "entries": 1,
-            "max_entries": 8,
-            "hits": 1,
-            "misses": 1,
-            "evictions": 0,
-        }
+        assert stats == {"entries": 1, "hits": 1, "misses": 1}

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import BackpressureError, ConfigurationError
+from repro.errors import BackpressureError
+from repro.service import queue as queue_module
 from repro.service.jobs import DONE, Job, JobSpec
 from repro.service.queue import JobQueue
 
@@ -25,15 +26,17 @@ class TestAdmission:
         assert q.get("nope") is None
         assert q.jobs() == [job]
 
-    def test_saturation_backpressure(self):
-        q = JobQueue(max_pending=2)
+    def test_saturation_backpressure(self, monkeypatch):
+        monkeypatch.setattr(queue_module, "MAX_PENDING", 2)
+        q = JobQueue()
         q.admit(_job("a"))
         q.admit(_job("b"))
         with pytest.raises(BackpressureError, match="saturated"):
             q.admit(_job("c"))
 
-    def test_finished_jobs_free_admission_slots(self):
-        q = JobQueue(max_pending=1)
+    def test_finished_jobs_free_admission_slots(self, monkeypatch):
+        monkeypatch.setattr(queue_module, "MAX_PENDING", 1)
+        q = JobQueue()
         done = _job("a", n=1)
         q.admit(done)
         done.fill(0, {"x": 0}, source="executed")
@@ -41,13 +44,9 @@ class TestAdmission:
         q.admit(_job("b"))  # does not raise: "a" no longer pending
 
     def test_degraded_refusal_wins_over_capacity(self):
-        q = JobQueue(max_pending=100)
+        q = JobQueue()
         with pytest.raises(BackpressureError, match="degraded"):
             q.admit(_job(), degraded=True)
-
-    def test_max_pending_validation(self):
-        with pytest.raises(ConfigurationError):
-            JobQueue(max_pending=0)
 
 
 class TestLedger:

@@ -1,5 +1,6 @@
 """End-to-end tests for :class:`repro.service.ResilienceService`."""
 
+import json
 import time
 
 import pytest
@@ -9,6 +10,7 @@ from repro.errors import BackpressureError, ConfigurationError, ServiceError
 from repro.runtime import supervisor as supervisor_module
 from repro.runtime.supervisor import Supervisor
 from repro.service import CANCELLED, DONE, FAILED, ResilienceService
+from repro.service import queue as queue_module
 
 
 def square(x, seed=None):
@@ -57,6 +59,18 @@ class TestSubmitAwaitResult:
         assert "boom at 1" in result.failures[0].error
         assert result.rows[0]["error"]
 
+    def test_two_workers_match_batch_grid_sweep(self):
+        with ResilienceService(workers=2) as svc:
+            job = svc.submit("exp", seeded, grid=GRID, seed=11)
+            twin = svc.submit("exp", seeded, grid=GRID, seed=11)
+            assert job.wait(30) and twin.wait(30)
+            counters = svc.status()["counters"]
+        expected = json.dumps(grid_sweep(GRID, seeded, seed=11).rows)
+        assert json.dumps(job.result().rows) == expected
+        assert json.dumps(twin.result().rows) == expected
+        assert counters["service.points.executed"] == 4
+        assert counters["executor.spawns"] >= 1
+
     def test_submit_validation(self):
         with ResilienceService() as svc:
             with pytest.raises(ConfigurationError, match="exactly one"):
@@ -67,6 +81,11 @@ class TestSubmitAwaitResult:
                 svc.submit("exp", square, points=[])
             with pytest.raises(ConfigurationError, match="collides"):
                 svc.submit("exp", square, grid={"seed": [1]}, seed=3)
+            with pytest.raises(ConfigurationError, match="collides"):
+                svc.submit(
+                    "exp", square, points=[{"x": 1, "seed": 3}], seed=7
+                )
+            assert svc.jobs() == []
 
     def test_submit_requires_running_service(self):
         svc = ResilienceService()
@@ -151,8 +170,9 @@ class TestCancellation:
 
 
 class TestGracefulDegradation:
-    def test_saturation_backpressure(self):
-        with ResilienceService(max_pending=1) as svc:
+    def test_saturation_backpressure(self, monkeypatch):
+        monkeypatch.setattr(queue_module, "MAX_PENDING", 1)
+        with ResilienceService() as svc:
             held = svc.submit("exp", napper, grid={"i": list(range(10))})
             with pytest.raises(BackpressureError, match="saturated"):
                 svc.submit("exp2", square, grid=GRID)
@@ -210,27 +230,6 @@ class TestObservability:
 
 
 class TestConfiguration:
-    def test_env_knobs(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVICE_WORKERS", "2")
-        monkeypatch.setenv("REPRO_SERVICE_MAX_PENDING", "7")
-        monkeypatch.setenv("REPRO_SERVICE_BATCH", "33")
-        monkeypatch.setenv("REPRO_SERVICE_CACHE_MAX", "5")
-        svc = ResilienceService()
-        assert (svc.workers, svc.max_pending, svc.batch) == (2, 7, 33)
-        assert svc.cache.max_entries == 5
-
-    def test_constructor_wins_over_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVICE_WORKERS", "4")
-        assert ResilienceService(workers=1).workers == 1
-
-    def test_bad_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVICE_BATCH", "many")
-        with pytest.raises(ConfigurationError, match="REPRO_SERVICE_BATCH"):
-            ResilienceService()
-        monkeypatch.setenv("REPRO_SERVICE_BATCH", "0")
-        with pytest.raises(ConfigurationError, match="REPRO_SERVICE_BATCH"):
-            ResilienceService()
-
     def test_empty_service_dir_env_means_in_memory(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVICE_DIR", "")
         assert ResilienceService().persistence is None
