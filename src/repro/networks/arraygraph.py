@@ -22,7 +22,8 @@ both, so the two storages differ only in where the bytes are.
 * **block-streamed kernels** — :func:`chunked_newman_ziff_giant_sizes`
   (reverse Newman–Ziff percolation: the giant-component curve built by
   *adding* nodes in reverse attack order, one near-O(1) union per
-  incident edge), :func:`chunked_union_find_labels` and
+  active edge, the active ones filtered vectorized per block),
+  :func:`chunked_union_find_labels` and
   :func:`frontier_slices` walk ``indices`` in fixed-size blocks
   (:func:`derive_chunk_elems` turns the supervisor's
   ``memory_budget_mb`` into a block size), so only O(block + n) bytes
@@ -55,6 +56,7 @@ from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..runtime import trace
 from .graph import Graph
 
 __all__ = [
@@ -97,7 +99,9 @@ MAX_CHUNK_BITS = 20
 #: Newman–Ziff kernel at n = 10^6: the int64 gathered neighbor array
 #: (8), its int64 flat-index temporary (8), and — dominating — the
 #: boxed Python ints of the block's ``tolist`` (~28 each plus the list
-#: pointer: node ids exceed the small-int cache, so every slot boxes)
+#: pointer: node ids exceed the small-int cache, so every slot boxes).
+#: Only the kept (active) neighbors are boxed — about half the slots
+#: on a full curve — so the figure is an upper bound.
 CHUNK_ELEM_BYTES = 128
 
 
@@ -873,7 +877,11 @@ def chunked_newman_ziff_giant_sizes(
     O((n + m)·α) sweep — the speedup behind the array percolation and
     healing engines.  Neighbor lists arrive via per-block CSR gathers
     (``O(block)`` boxed ints in flight) instead of one
-    ``indices.tolist()`` of the whole edge array; the union order and
+    ``indices.tolist()`` of the whole edge array, and one numpy mask per
+    block keeps only the already-active neighbors (added at an earlier
+    position, read from an O(n) int32 ``pos`` array), so the Python
+    union-find loop touches each edge once, from its later endpoint;
+    ``net.nz_edges.array`` counts those edges.  The union order and
     size bookkeeping are the single-pass reference's, so the output is
     byte-identical to it at every block size.
     """
@@ -882,7 +890,6 @@ def chunked_newman_ziff_giant_sizes(
     n = len(indptr) - 1
     parent = list(range(n))
     size = [1] * n
-    active = bytearray(n)
     best = 0
 
     additions = np.asarray(order, dtype=np.int64)
@@ -890,26 +897,28 @@ def chunked_newman_ziff_giant_sizes(
         np.empty(0, dtype=np.int64) if base is None
         else np.asarray(base, dtype=np.int64)
     )
-    n_prefix = len(prefix)
     seq = np.concatenate([prefix, additions])
-    sizes = np.empty(len(additions) + 1, dtype=np.int64)
-    sizes[0] = 0  # overwritten below unless the base is empty
-    i = 0
+    # pos[v] = v's first position in seq (len(seq) if never added): the
+    # node at position t finds exactly the neighbours with pos < t active
+    pos = np.full(n, len(seq), dtype=_offset_dtype(len(seq)))
+    np.minimum.at(pos, seq, np.arange(len(seq), dtype=pos.dtype))
+    # giants[t] = largest component once the first t nodes of seq are in
+    giants = np.empty(len(seq) + 1, dtype=np.int64)
+    giants[0] = 0
+    unioned = 0
     for lo, hi in frontier_slices(indptr, seq, block_elems):
         block_nodes = seq[lo:hi]
         flat, counts = gather_rows(indptr, indices, block_nodes)
-        idx = flat.tolist()
-        counts_list = counts.tolist()
-        nodes_list = block_nodes.tolist()
+        t = np.repeat(np.arange(lo, hi, dtype=pos.dtype), counts)
+        keep = pos[flat] < t
+        idx = flat[keep].tolist()
+        ends = np.cumsum(np.bincount(t[keep] - lo, minlength=hi - lo))
+        unioned += len(idx)
+        block_giants = []
         k = 0
-        for local, node in enumerate(nodes_list):
-            active[node] = 1
+        for node, end in zip(block_nodes.tolist(), ends.tolist()):
             a = node
-            for _ in range(counts_list[local]):
-                b = idx[k]
-                k += 1
-                if not active[b]:
-                    continue
+            for b in idx[k:end]:
                 while parent[a] != a:
                     parent[a] = parent[parent[a]]
                     a = parent[a]
@@ -921,17 +930,16 @@ def chunked_newman_ziff_giant_sizes(
                         a, b = b, a
                     parent[b] = a
                     size[a] += size[b]
+            k = end
             while parent[a] != a:
                 parent[a] = parent[parent[a]]
                 a = parent[a]
             if size[a] > best:
                 best = size[a]
-            if i >= n_prefix - 1:
-                sizes[i - n_prefix + 1] = best
-            i += 1
-    if len(seq) == 0 or (n_prefix and len(additions) == 0):
-        sizes[0] = best
-    return sizes
+            block_giants.append(best)
+        giants[lo + 1:hi + 1] = block_giants
+    trace.current().count("net.nz_edges.array", unioned)
+    return giants[len(prefix):]
 
 
 def chunked_union_find_labels(

@@ -59,6 +59,13 @@ __all__ = [
 ]
 
 
+def _sorted_distinct(a: np.ndarray) -> np.ndarray:
+    """``np.unique(a)`` for a 1-D int array, by sort (numpy's hash-based
+    integer ``unique`` is ~10x slower at frontier sizes)."""
+    a = np.sort(a)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))] if a.size else a
+
+
 class NetworkEngine(ABC):
     """One implementation of the network hot loops (see module docs)."""
 
@@ -420,6 +427,15 @@ class ArrayNetworkEngine(NetworkEngine):
             out.append(cands[sel - offsets[k]])
         return np.concatenate(out)
 
+    @staticmethod
+    def _leave_susceptibles(cg, live, rows, block):
+        """Take distinct ``rows`` out of ``live``, the per-node count of
+        susceptible neighbours: the CSR is symmetric, so every node loses
+        one per row it appears in."""
+        for a, b in frontier_slices(cg.indptr, rows, block):
+            flat, _ = gather_rows(cg.indptr, cg.indices, rows[a:b])
+            np.subtract(live, np.bincount(flat, minlength=len(live)), out=live)
+
     def spread_cascade(self, graph, spread_p, seeds, rng):
         cg = as_arraygraph(graph)
         tr = trace.current()
@@ -436,7 +452,7 @@ class ArrayNetworkEngine(NetworkEngine):
                     cg, wave, lambda flat: ~failed[flat],
                     spread_p, rng, block,
                 )
-                new = np.unique(hit)
+                new = _sorted_distinct(hit)
                 failed[new] = True
                 wave = new
             failed_labels = {labels[int(i)] for i in np.flatnonzero(failed)}
@@ -445,7 +461,10 @@ class ArrayNetworkEngine(NetworkEngine):
 
     def _epidemic(self, cg, beta, gamma, immune_mask, infected_mask,
                   max_steps, rng, recovered_mask):
-        """Shared SIS/SIR frontier loop (SIR passes a recovered mask)."""
+        """Shared SIS/SIR frontier loop (SIR passes a recovered mask).
+
+        Returns ``(counts, infected_mask, ever, rows_gathered)``.
+        """
         block = self._block()
         ever = infected_mask.copy()
         counts = [int(infected_mask.sum())]
@@ -456,24 +475,46 @@ class ArrayNetworkEngine(NetworkEngine):
                 m &= ~recovered_mask[flat]
             return m
 
+        # SIR only: live[v] = v's susceptible neighbours, the candidates
+        # its row would add.  Every node leaves the susceptibles at most
+        # once, so the upkeep is one gather of each row per run; in SIS
+        # recoveries rejoin them every step, the upkeep costs more than
+        # the rows it skips (measured), and every infected row is gathered
+        live = None
+        if recovered_mask is not None:
+            live = np.diff(cg.indptr).astype(cg.indices.dtype)
+            self._leave_susceptibles(
+                cg, live, np.flatnonzero(infected_mask | immune_mask), block
+            )
+        rows_gathered = 0
         for _ in range(max_steps):
             infected_idx = np.flatnonzero(infected_mask)
             if infected_idx.size == 0:
                 break
+            rows = infected_idx
+            if live is not None:
+                # a row without candidates adds none to the frontier, so
+                # skipping it leaves the candidate sequence — hence the
+                # bernoulli_indices count and the RNG stream — unchanged
+                rows = rows[live[rows] > 0]
+            rows_gathered += rows.size
             # masks are mutated only after both draws, so pass 1 and
             # pass 2 of the frontier see identical candidate sets
             new = self._frontier_hits(
-                cg, infected_idx, candidate_mask, beta, rng, block
+                cg, rows, candidate_mask, beta, rng, block
             )
             recs = bernoulli_indices(rng, infected_idx.size, gamma)
             recovered_now = infected_idx[recs]
             infected_mask[recovered_now] = False
             if recovered_mask is not None:
                 recovered_mask[recovered_now] = True
+                self._leave_susceptibles(
+                    cg, live, _sorted_distinct(new), block
+                )
             infected_mask[new] = True
             ever[new] = True
             counts.append(int(infected_mask.sum()))
-        return counts, infected_mask, int(ever.sum())
+        return counts, infected_mask, int(ever.sum()), rows_gathered
 
     def _run_epidemic(self, graph, beta, gamma, immune, infected,
                       max_steps, rng, with_recovered):
@@ -490,7 +531,7 @@ class ArrayNetworkEngine(NetworkEngine):
             recovered_mask = (
                 np.zeros(n, dtype=bool) if with_recovered else None
             )
-            counts, infected_mask, ever = self._epidemic(
+            counts, infected_mask, ever, rows = self._epidemic(
                 cg, beta, gamma, immune_mask, infected_mask,
                 max_steps, rng, recovered_mask,
             )
@@ -500,6 +541,7 @@ class ArrayNetworkEngine(NetworkEngine):
             }
         tr.count("net.epidemic.runs.array")
         tr.count("net.epidemic.steps.array", len(counts) - 1)
+        tr.count("net.epidemic.rows.array", rows)
         return counts, final, ever
 
     def sis(self, graph, beta, gamma, immune, infected, steps, rng):

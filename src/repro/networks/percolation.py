@@ -72,6 +72,9 @@ def percolation_curve(
     n = g.n_nodes
     if n == 0:
         raise ConfigurationError("cannot percolate an empty graph")
+    # checked before the attack order, which can cost O(n^2) to compute
+    if resolution is not None and resolution < 2:
+        raise ConfigurationError(f"resolution must be >= 2, got {resolution}")
     eng = make_network_engine(engine)
     order = attack.removal_order(eng.ordering_graph(g), make_rng(seed))
     # a permutation = right length + right node set (duplicates shrink the
@@ -89,8 +92,6 @@ def percolation_curve(
             f"attack {attack.label} did not return a permutation of the nodes"
         )
     if resolution is not None:
-        if resolution < 2:
-            raise ConfigurationError(f"resolution must be >= 2, got {resolution}")
         marks = {int(round(i * n / (resolution - 1))) for i in range(resolution)}
         checkpoints = sorted(marks - {0})
     else:

@@ -34,6 +34,8 @@ from repro.networks import (
     watts_strogatz,
 )
 from repro.networks.arraygraph import bernoulli_indices, gather_rows
+from repro.networks.engine import ArrayNetworkEngine
+from repro.networks.epidemics import immunize
 from repro.rng import make_rng
 
 from .reference_kernels import (
@@ -271,6 +273,80 @@ class TestStatisticalEquivalence:
         res = SIRModel(g, beta=0.9, gamma=0.1, immune=immune,
                        engine="array").run([0], seed=3)
         assert not (set(res.final_infected) & immune)
+
+
+# -- the draw stream, pinned across versions --------------------------------
+
+#: literal array-engine outputs on ``barabasi_albert(150, 2, seed=31)``
+#: with 15% of it immune, recorded from an earlier version of the engine.
+#: The block-size and storage suites compare one version with itself; a
+#: change to what, how much or in which order the kernels draw fails
+#: here.  ``(counts, sorted final, total ever)`` for SIR/SIS and
+#: ``(sorted failed, waves)`` for the cascade.
+PINNED_DRAWS = {
+    ("sir", 0.05): (
+        [3, 6, 9, 9, 9, 8, 12, 12, 8],
+        [13, 18, 25, 31, 42, 43, 95, 119],
+        24,
+    ),
+    ("sir", 0.3): (
+        [3, 19, 34, 48, 51, 53, 50, 53, 49],
+        [4, 5, 11, 12, 14, 15, 17, 20, 22, 23, 25, 27, 28, 32, 36, 38,
+         44, 53, 55, 56, 57, 58, 59, 60, 61, 73, 75, 77, 78, 80, 85, 86,
+         87, 88, 89, 92, 94, 95, 98, 100, 110, 111, 112, 117, 120, 122,
+         130, 138, 139],
+        108,
+    ),
+    ("sis", 0.05): (
+        [3, 6, 8, 7, 9, 10, 11, 10, 4, 6, 5, 4, 3],
+        [14, 15, 126],
+        23,
+    ),
+    ("sis", 0.3): (
+        [3, 19, 37, 45, 64, 59, 69, 69, 78, 80, 81, 76, 80],
+        [1, 4, 6, 9, 11, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 24, 25,
+         26, 27, 28, 29, 30, 31, 33, 34, 35, 36, 38, 39, 43, 44, 45, 51,
+         53, 55, 56, 57, 59, 62, 65, 68, 69, 74, 75, 76, 77, 78, 87, 88,
+         89, 91, 92, 93, 95, 96, 97, 98, 100, 104, 106, 108, 111, 112,
+         114, 115, 116, 117, 118, 119, 122, 127, 128, 129, 130, 131, 132,
+         135, 136, 138, 144],
+        127,
+    ),
+    ("cascade", 0.05): ([0, 3, 5], 2),
+    ("cascade", 0.3): (
+        [0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 15, 16, 18, 19, 20, 26,
+         29, 30, 33, 34, 35, 36, 37, 39, 41, 45, 46, 48, 49, 57, 58, 59,
+         64, 68, 70, 72, 79, 81, 82, 86, 90, 98, 101, 102, 104, 114, 118,
+         120, 121, 123, 131, 134, 137, 138, 145],
+        7,
+    ),
+}
+
+
+class TestDrawStreamPinned:
+    # beta on both sides of bernoulli_indices' dense/sparse split (0.1)
+    @pytest.mark.parametrize("beta", (0.05, 0.3))
+    @pytest.mark.parametrize("block", (None, 16))
+    def test_array_engine_draws_pinned(self, beta, block):
+        g = barabasi_albert(150, 2, seed=31)
+        immune = immunize(g, 0.15, "random", seed=4)
+        eng = ArrayNetworkEngine(block_elems=block)
+        patients = [0, 1, 2, 3]  # node 3 is immune and is dropped
+        sir = SIRModel(g, beta=beta, gamma=0.2, immune=immune,
+                       engine=eng).run(patients, max_steps=8, seed=7)
+        sis = SISModel(g, beta=beta, gamma=0.3, immune=immune,
+                       engine=eng).run(patients, steps=12, seed=7)
+        for kind, res in (("sir", sir), ("sis", sis)):
+            assert (
+                res.infected_counts.tolist(),
+                sorted(res.final_infected),
+                res.total_ever_infected,
+            ) == PINNED_DRAWS[(kind, beta)]
+        cascade = ProbabilisticCascadeModel(
+            g, spread_p=beta, engine=eng
+        ).trigger([0, 5], seed=7)
+        assert (sorted(cascade.failed), cascade.waves) == \
+            PINNED_DRAWS[("cascade", beta)]
 
 
 # -- engine selection -------------------------------------------------------

@@ -80,6 +80,22 @@ class TestPercolation:
         curve = percolation_curve(g, RandomFailure(), seed=1, resolution=11)
         assert len(curve.removed_fraction) <= 12
 
+    def test_bad_resolution_rejected_before_attack_order(self):
+        class SpyAttack(AdaptiveDegreeAttack):
+            calls = 0
+
+            def removal_order(self, g, seed=None):
+                SpyAttack.calls += 1
+                return super().removal_order(g, seed)
+
+        g = barabasi_albert(30, 2, seed=0)
+        for resolution in (1, 0, -3):
+            with pytest.raises(ConfigurationError, match="resolution"):
+                percolation_curve(g, SpyAttack(), resolution=resolution)
+        assert SpyAttack.calls == 0
+        percolation_curve(g, SpyAttack(), resolution=2)
+        assert SpyAttack.calls == 1
+
     def test_giant_at_interpolates(self):
         g = barabasi_albert(60, 2, seed=0)
         curve = percolation_curve(g, RandomFailure(), seed=1)

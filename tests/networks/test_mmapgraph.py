@@ -269,24 +269,48 @@ class TestMmapGraphQueries:
 # -- chunked kernels: byte-identity across block sizes ---------------------
 
 
+def _isolated_graph() -> ArrayGraph:
+    """Twelve nodes; 0, 4 and 11 have no edges."""
+    return ArrayGraph.from_edges(
+        12, [(1, 2), (2, 3), (3, 5), (6, 7), (7, 8), (8, 9), (9, 10), (1, 10)]
+    )
+
+
+def _nz_params(cases):
+    """``(case, block)`` parameters: the BA graph over every block size
+    (ids are the bare block size), then each edge case at the extremes."""
+    return [pytest.param("ba", b, id=str(b)) for b in BLOCK_SIZES] + [
+        pytest.param(case, b, id=f"{case}-{b}")
+        for case in cases for b in (1, 1 << 18)
+    ]
+
+
 class TestChunkedKernels:
-    @pytest.mark.parametrize("block", BLOCK_SIZES)
-    def test_newman_ziff_identical(self, ba_graph, block):
-        ag = as_arraygraph(ba_graph)
-        mg = to_mmap(ba_graph)
+    @pytest.mark.parametrize("case,block", _nz_params(["isolated", "empty"]))
+    def test_newman_ziff_identical(self, ba_graph, case, block):
+        g = _isolated_graph() if case == "isolated" else ba_graph
+        ag = as_arraygraph(g)
+        mg = to_mmap(g)
         order = np.random.default_rng(2).permutation(ag.n_nodes)
+        if case == "empty":
+            order = order[:0]
         ref = newman_ziff_giant_sizes(ag.indptr, ag.indices, order)
         got = chunked_newman_ziff_giant_sizes(
             mg.indptr, mg.indices, order, block_elems=block
         )
         assert np.array_equal(ref, got)
 
-    @pytest.mark.parametrize("block", BLOCK_SIZES)
-    def test_newman_ziff_with_base_identical(self, ba_graph, block):
-        ag = as_arraygraph(ba_graph)
-        mg = to_mmap(ba_graph)
-        base = np.arange(120)
-        adds = np.arange(120, ag.n_nodes)
+    @pytest.mark.parametrize(
+        "case,block", _nz_params(["isolated", "all-base", "empty"])
+    )
+    def test_newman_ziff_with_base_identical(self, ba_graph, case, block):
+        g = _isolated_graph() if case == "isolated" else ba_graph
+        ag = as_arraygraph(g)
+        mg = to_mmap(g)
+        n = ag.n_nodes
+        cut = {"ba": 120, "isolated": 6, "all-base": n, "empty": 0}[case]
+        base = np.arange(cut)
+        adds = np.arange(cut, 0 if case == "empty" else n)
         ref = newman_ziff_giant_sizes(
             ag.indptr, ag.indices, adds, base=base
         )
@@ -294,6 +318,38 @@ class TestChunkedKernels:
             mg.indptr, mg.indices, adds, base=base, block_elems=block
         )
         assert np.array_equal(ref, got)
+
+    def test_work_counters(self, ba_graph):
+        # a full curve unions each edge once, from its later endpoint
+        ag = as_arraygraph(ba_graph)
+        eng = ArrayNetworkEngine(block_elems=64)
+        tr = trace.Tracer()
+        with trace.use(tr):
+            percolation_curve(
+                ag, TargetedDegreeAttack(), resolution=16, engine=eng
+            )
+        assert tr.counters["net.nz_edges.array"] == ag.n_edges
+        # SIS gathers every infected row each step; SIR skips the rows
+        # whose neighbours are all infected, recovered or immune
+        rows, every_row = {}, {}
+        for model in (SISModel, SIRModel):
+            tr = trace.Tracer()
+            with trace.use(tr):
+                res = model(ag, beta=0.6, gamma=0.2, engine=eng).run(
+                    [0, 1], 20, seed=3
+                )
+            rows[model] = tr.counters["net.epidemic.rows.array"]
+            every_row[model] = int(res.infected_counts[:-1].sum())
+        assert rows[SISModel] == every_row[SISModel]
+        assert 0 < rows[SIRModel] < every_row[SIRModel]
+        # a hub whose leaves are all immune has no candidates to gather
+        star = ArrayGraph.from_edges(6, [(0, leaf) for leaf in range(1, 6)])
+        tr = trace.Tracer()
+        with trace.use(tr):
+            res = SIRModel(star, beta=0.9, gamma=0.2, immune=range(1, 6),
+                           engine=eng).run([0], 20, seed=3)
+        assert res.steps > 0
+        assert tr.counters["net.epidemic.rows.array"] == 0
 
     @pytest.mark.parametrize("block", BLOCK_SIZES)
     def test_union_find_identical(self, er_graph, block):
