@@ -63,9 +63,10 @@ non-zero if any criterion fails — CI runs this mode too.
 
 ``--crash-drill`` runs the R03 crash-recovery drill
 (:func:`repro.service.crashdrill.run_crash_drill`) **twice with the
-same seed**: a durable service is SIGKILLed mid-load, its journal gets
-a torn record and its result store a garbled line, and a fresh process
-must recover every incomplete job with zero lost points, zero
+same seed**: a durable service in a forked child is SIGKILLed mid-load,
+its journal gets a torn record and its result store a garbled line, and
+the drill's own process must recover every incomplete job from the
+files alone with zero lost points, zero
 duplicated executions, rows byte-identical to the uninterrupted batch
 sweep — and byte-identical across the two drill runs.  Exits non-zero
 if any criterion (or the cross-run comparison) fails.
@@ -311,8 +312,8 @@ def run_crash_drill_twice(seed: int = 2013) -> int:
     from repro.service.crashdrill import run_crash_drill
 
     print(
-        "crash drill: SIGKILL a durable service mid-load, corrupt the "
-        "journal tail + result store, recover in a fresh process"
+        "crash drill: SIGKILL a forked durable service mid-load, corrupt "
+        "the journal tail + result store, recover from the files alone"
     )
     start = time.perf_counter()
     reports = []

@@ -30,7 +30,11 @@ next recovery, never duplicated in results).
 :meth:`ServicePersistence.load` replays both files into a
 :class:`RecoveredState`: the warm-start row set, the incomplete jobs to
 re-admit, and the degradations tolerated on the way (healed corruption,
-unknown records, jobs that no longer round-trip).  A job only
+unknown records, jobs that no longer round-trip).  Recovery reads only
+``accepted``/``completed``/``cancelled`` and the store.  The other two
+records are still written: the R03 drill times its kill by counting
+``point-done``, and the durable-service benchmark wraps
+``record_dispatched`` and ``record_point_done`` by name.  A job only
 re-admits when its point function is importable by name and its
 recomputed fingerprints match the journaled ones byte-for-byte —
 anything else is skipped with a structural warning rather than silently
@@ -239,8 +243,6 @@ class RecoveredState:
 
     rows: dict = field(default_factory=dict)  # fingerprint -> stored row
     incomplete: list = field(default_factory=list)  # accepted records
-    final_jobs: int = 0  # jobs already completed/cancelled
-    done_fingerprints: set = field(default_factory=set)
     max_job_number: int = 0
     warnings: list = field(default_factory=list)
     quarantined: int = 0
@@ -382,9 +384,7 @@ class ServicePersistence:
                     )
             elif kind in ("completed", "cancelled"):
                 final.add(record["job"])
-            elif kind == "point-done":
-                state.done_fingerprints.add(record["fingerprint"])
-            elif kind != "chunk-dispatched":
+            elif kind not in ("chunk-dispatched", "point-done"):
                 state.warnings.append(
                     {
                         "line": lineno,
@@ -394,7 +394,6 @@ class ServicePersistence:
         state.incomplete = [
             record for job_id, record in jobs.items() if job_id not in final
         ]
-        state.final_jobs = len(final & set(jobs))
         return state
 
     # -- observation --------------------------------------------------------

@@ -215,8 +215,12 @@ class TestDrill:
         for attempt in ("a", "b"):
             workdir = tmp_path / attempt
             workdir.mkdir()
+            # a 2 s point timeout (default 5 s) still catches the hang
+            # fault, and its attempt plus in-place retry wait 4 s, not 10
             with pytest.warns(RuntimeWarning, match="quarantined"):
-                reports.append(run_drill(seed=42, workdir=str(workdir)))
+                reports.append(
+                    run_drill(seed=42, workdir=str(workdir), timeout_s=2.0)
+                )
         first, second = reports
         assert first["ok"] == first["n_points"] == 16
         assert first["failed"] == 0

@@ -1,16 +1,23 @@
 """Tests for the R03 crash drill (repro.service.crashdrill).
 
 The drill itself is the test: SIGKILL a durable service mid-load in a
-subprocess, corrupt the journal tail and the result store, recover in
-a fresh subprocess, and assert nothing was lost, duplicated, or
-changed.  Kept small here (two jobs) — the benchmark harness runs the
-full drill twice and compares rows across runs.
+forked child, corrupt the journal tail and the result store, recover in
+the test's own process from the files alone, and assert nothing was
+lost, duplicated, or changed.  Kept small here (two jobs) — the
+benchmark harness runs the full drill twice and compares rows across
+runs.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
+import re
 
+import pytest
+
+from repro.errors import ConfigurationError
+from repro.runtime import supervisor
 from repro.service.crashdrill import (
     _count_done,
     _durable_rows,
@@ -62,9 +69,10 @@ class TestHelpers:
 
 class TestDrill:
     def test_small_drill_passes_every_check(self, tmp_path):
-        report = run_crash_drill(
-            seed=17, workdir=str(tmp_path), n_jobs=2, points_per_job=24
-        )
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            report = run_crash_drill(
+                seed=17, workdir=str(tmp_path), n_jobs=2, points_per_job=24
+            )
         assert report["checks"] == {
             label: True for label in report["checks"]
         }, report["checks"]
@@ -72,3 +80,21 @@ class TestDrill:
         # the kill landed mid-run and recovery really had work to do
         assert 0 < report["points_done_at_kill"] < report["unique_points"]
         assert report["expected_reexecutions"] > 0
+        # the drill cleaned up after itself: the killed child is reaped
+        # and no supervisor is left installed
+        assert multiprocessing.active_children() == []
+        assert supervisor.current() is supervisor.NULL
+
+    @pytest.mark.parametrize("name", ["journal.jsonl", "results.jsonl"])
+    def test_reused_workdir_is_refused(self, tmp_path, name):
+        # a leftover journal would be recovered by the load phase itself,
+        # so every submission would be a cache hit and the checks would
+        # fail for a reason unrelated to durability
+        leftover = tmp_path / "service" / name
+        leftover.parent.mkdir()
+        leftover.write_text("")
+        match = re.escape(str(leftover))
+        with pytest.raises(ConfigurationError, match=match):
+            run_crash_drill(
+                seed=17, workdir=str(tmp_path), n_jobs=2, points_per_job=24
+            )
