@@ -26,10 +26,12 @@ On top of that sits the fault-tolerant runtime (:mod:`repro.runtime`):
   :class:`repro.runtime.trace.Tracer` (install one with
   :func:`repro.runtime.trace.use`);
 * under an installed :class:`repro.runtime.supervisor.Supervisor` the
-  sweep becomes *self-healing*: engine-attributable faults
-  (``MemoryError``, per-point timeout, a worker process dying, or
-  NaN-poisoned output) trip the supervisor's circuit breakers, the
-  engine seams degrade deterministically to the reference object
+  sweep becomes *self-healing* through the MAPE pass of
+  :func:`repro.runtime.executor.run_points`, the one the service's
+  scheduler gets too: engine-attributable faults (``MemoryError``,
+  per-point timeout, a worker process dying, or NaN-poisoned output)
+  skip the in-place retry and trip the supervisor's circuit breakers,
+  the engine seams degrade deterministically to the reference object
   engines, and the affected points are re-run once under the degraded
   engines — the supervisor's deadline also clamps per-point timeouts
   and pre-empts points once the run budget is exhausted.
@@ -37,7 +39,6 @@ On top of that sits the fault-tolerant runtime (:mod:`repro.runtime`):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable, Mapping
@@ -46,10 +47,9 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..rng import SeedLike
-from ..runtime import supervisor as supervisor_module
 from ..runtime import trace as trace_module
 from ..runtime.checkpoint import SweepCheckpoint, fingerprint
-from ..runtime.executor import PointOutcome, PointTask, run_points
+from ..runtime.executor import PointTask, run_points
 from .tables import render_table
 
 __all__ = ["PointFailure", "SweepResult", "expand_grid", "sweep", "grid_sweep"]
@@ -177,120 +177,6 @@ def _seed_id(
     return (entropy, tuple(int(k) for k in seed.spawn_key))
 
 
-def _nonfinite(value) -> bool:
-    """Whether a worker result contains any non-finite float (NaN/Inf)."""
-    if isinstance(value, np.generic):
-        value = value.item()
-    if isinstance(value, float):
-        return not math.isfinite(value)
-    if isinstance(value, np.ndarray):
-        return value.dtype.kind == "f" and not bool(np.isfinite(value).all())
-    if isinstance(value, Mapping):
-        return any(_nonfinite(v) for v in value.values())
-    if isinstance(value, (list, tuple)):
-        return any(_nonfinite(v) for v in value)
-    return False
-
-
-def _clamp_deadline(sup, timeout: float | None) -> float | None:
-    """Per-point timeout clamped to the supervisor's remaining budget."""
-    remaining = sup.remaining_s() if sup else None
-    if remaining is None:
-        return timeout
-    remaining = max(remaining, 0.001)  # run_points rejects timeout <= 0
-    return remaining if timeout is None else min(timeout, remaining)
-
-
-def _deadline_failure(sup, task: PointTask) -> PointOutcome:
-    return PointOutcome(
-        index=task.index,
-        ok=False,
-        error=(
-            "supervisor deadline exceeded "
-            f"({sup.deadline_s}s run budget)"
-        ),
-    )
-
-
-def _supervise(
-    sup,
-    worker,
-    fn,
-    tasks: list[PointTask],
-    outcomes: list[PointOutcome],
-    *,
-    tr,
-    n_jobs: int,
-    retries: int,
-    backoff: float,
-    timeout: float | None,
-) -> list[PointOutcome]:
-    """MAPE analyze/plan/execute over one batch of point outcomes.
-
-    Analyze: split failures into engine faults vs. ordinary worker
-    errors, and catch ok-looking rows poisoned with non-finite floats.
-    Plan: an engine fault trips the breakers of every supervised family
-    still on a fast engine.  Execute: if any breaker transitioned, the
-    suspect points re-run once under the now-degraded engines (the
-    rerun is a new :func:`run_points` call, so its worker pool is forked
-    after the trip and inherits the tripped supervisor).  Rows that are
-    still NaN-poisoned afterwards become failures — a poisoned row must
-    never reach the results or the checkpoint.
-    """
-    by_index = {o.index: o for o in outcomes}
-    suspects: list[PointTask] = []
-    reason = None
-    for task in tasks:
-        outcome = by_index[task.index]
-        if outcome.ok:
-            if _nonfinite(outcome.value):
-                tr.count("supervisor.poisoned")
-                tr.warning(
-                    "NaN-poisoned point output", index=outcome.index
-                )
-                suspects.append(task)
-                reason = reason or "NaN-poisoned output"
-        elif sup.is_engine_fault(outcome.error, outcome.exception):
-            suspects.append(task)
-            reason = reason or outcome.error
-    if suspects:
-        tripped = sup.record_fault(reason)
-        deadline_left = sup.remaining_s()
-        if tripped and (deadline_left is None or deadline_left > 0):
-            tr.count("supervisor.reruns", len(suspects))
-            tr.event(
-                "supervisor.rerun",
-                points=[t.index for t in suspects],
-                families=tripped,
-                reason=reason,
-            )
-            rerun = run_points(
-                worker,
-                fn,
-                suspects,
-                n_jobs=n_jobs,
-                retries=retries,
-                backoff=backoff,
-                timeout=_clamp_deadline(sup, timeout),
-                tracer=tr,
-            )
-            for outcome in rerun:
-                by_index[outcome.index] = outcome
-    for index, outcome in by_index.items():
-        if outcome.ok and _nonfinite(outcome.value):
-            by_index[index] = PointOutcome(
-                index=index,
-                ok=False,
-                error=(
-                    "engine output NaN-poisoned "
-                    "(non-finite floats in result)"
-                ),
-                attempts=outcome.attempts,
-                elapsed_s=outcome.elapsed_s,
-            )
-    return [by_index[task.index] for task in tasks]
-
-
 def _run_point(fn, value, seed):
     return fn(value) if seed is None else fn(value, seed)
 
@@ -333,7 +219,6 @@ def _execute(
             f"on_error must be 'raise' or 'keep', got {on_error!r}"
         )
     tr = trace_module.current()
-    sup = supervisor_module.current()
     n_points = len(inputs)
 
     ckpt: SweepCheckpoint | None = None
@@ -362,37 +247,16 @@ def _execute(
     )
     try:
         with tr.timer("sweep.run"):
-            remaining = sup.remaining_s() if sup else None
-            if remaining is not None and remaining <= 0:
-                # the supervisor's run budget is spent: pre-empt every
-                # pending point instead of starting work that cannot
-                # finish in time (time-bounded resilience)
-                tr.count("supervisor.preempted.points", len(tasks))
-                outcomes = [_deadline_failure(sup, t) for t in tasks]
-            else:
-                outcomes = run_points(
-                    worker,
-                    fn,
-                    tasks,
-                    n_jobs=n_jobs,
-                    retries=retries,
-                    backoff=retry_backoff,
-                    timeout=_clamp_deadline(sup, timeout),
-                    tracer=tr,
-                )
-                if sup:
-                    outcomes = _supervise(
-                        sup,
-                        worker,
-                        fn,
-                        tasks,
-                        outcomes,
-                        tr=tr,
-                        n_jobs=n_jobs,
-                        retries=retries,
-                        backoff=retry_backoff,
-                        timeout=timeout,
-                    )
+            outcomes = run_points(
+                worker,
+                fn,
+                tasks,
+                n_jobs=n_jobs,
+                retries=retries,
+                backoff=retry_backoff,
+                timeout=timeout,
+                tracer=tr,
+            )
 
         rows: dict[int, dict] = {}
         failures: list[PointFailure] = []

@@ -34,18 +34,33 @@ finished point is harvested as soon as the kernel signals it.  Reaping
 a timed-out worker is bounded too: ``terminate()`` (SIGTERM) is given
 ``_TERM_GRACE_S`` seconds to work, then escalates to ``kill()`` (SIGKILL)
 — a worker that blocks or ignores SIGTERM cannot wedge the run.
+
+Under an installed :class:`~repro.runtime.supervisor.Supervisor`,
+:func:`run_points` is also where the paper's §3.3 MAPE loop runs, once
+for sweeps and the service alike (:func:`_supervise`).  A batch that
+starts after the run budget (``deadline_s``) is spent is pre-empted;
+otherwise each attempt's timeout is clamped to the budget left.  Engine
+faults and NaN-poisoned rows trip the exposed breakers, and the suspect
+points re-run once on the degraded engines.  An engine fault is not
+retried in place while some family can still be degraded: retrying it
+on the same fast engine would only fail again (a hang costs a second
+full timeout).
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import time
 import traceback as tb_module
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
+
+import numpy as np
 
 from ..errors import ConfigurationError, ExecutionError
+from . import supervisor as supervisor_module
 from . import trace
 
 __all__ = ["PointOutcome", "PointTask", "run_points"]
@@ -118,7 +133,8 @@ def run_points(
     Outcomes come back in task order.  ``retries`` is the number of
     *re*-attempts after the first failure; ``timeout`` bounds each
     attempt's wall time (requires worker-process isolation, which is
-    chosen automatically).  ``n_jobs == -1`` uses every core.
+    chosen automatically).  ``n_jobs == -1`` uses every core.  Under an
+    installed supervisor the batch gets the MAPE pass (module docs).
     """
     if retries < 0:
         raise ConfigurationError(f"retries must be >= 0, got {retries}")
@@ -130,14 +146,107 @@ def run_points(
     tr = tracer if tracer is not None else trace.current()
     if not tasks:
         return []
-    if workers == 1 and timeout is None:
-        return [
-            _run_inline(worker, fn, task, retries, backoff, tr)
-            for task in tasks
-        ]
-    return _run_isolated(
-        worker, fn, tasks, workers, retries, backoff, timeout, tr
-    )
+    sup = supervisor_module.current()
+
+    def execute(batch, timeout):
+        if workers == 1 and timeout is None:
+            return [
+                _run_inline(worker, fn, task, retries, backoff, tr, sup)
+                for task in batch
+            ]
+        return _run_isolated(
+            worker, fn, batch, workers, retries, backoff, timeout, tr, sup
+        )
+
+    if sup:
+        return _supervise(sup, execute, tasks, timeout, tr)
+    return execute(tasks, timeout)
+
+
+def _nonfinite(value) -> bool:
+    """Whether a worker result contains any non-finite float (NaN/Inf)."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, float):
+        return not math.isfinite(value)
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind == "f" and not bool(np.isfinite(value).all())
+    if isinstance(value, Mapping):
+        return any(_nonfinite(v) for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return any(_nonfinite(v) for v in value)
+    return False
+
+
+def _clamp_deadline(sup, timeout: float | None) -> float | None:
+    """Per-attempt timeout clamped to the supervisor's remaining budget."""
+    remaining = sup.remaining_s()
+    if remaining is None:
+        return timeout
+    remaining = max(remaining, 0.001)  # a timeout must stay > 0
+    return remaining if timeout is None else min(timeout, remaining)
+
+
+def _supervise(sup, execute, tasks, timeout, tr) -> list[PointOutcome]:
+    """The MAPE pass over one batch under an installed supervisor.
+
+    Pre-empt: once the run budget is spent no point starts; each fails
+    with ``supervisor deadline exceeded``.  Analyze: split failures into
+    engine faults vs. ordinary worker errors, and catch ok-looking rows
+    poisoned with non-finite floats.  Plan: an engine fault trips the
+    breakers of every exposed family.  Execute: if any breaker
+    transitioned, the suspect points re-run once under the now-degraded
+    engines (a pool forked after the trip inherits it).  Rows still
+    NaN-poisoned afterwards become failures — a poisoned row must never
+    reach the results, the checkpoint or the result cache.
+    """
+    if sup.deadline_exceeded():
+        tr.count("supervisor.preempted.points", len(tasks))
+        error = f"supervisor deadline exceeded ({sup.deadline_s}s run budget)"
+        return [PointOutcome(t.index, ok=False, error=error) for t in tasks]
+    outcomes = execute(tasks, _clamp_deadline(sup, timeout))
+    by_index = {o.index: o for o in outcomes}
+    suspects: list[PointTask] = []
+    reason = None
+    for task in tasks:
+        outcome = by_index[task.index]
+        if outcome.ok:
+            if _nonfinite(outcome.value):
+                tr.count("supervisor.poisoned")
+                tr.warning(
+                    "NaN-poisoned point output", index=outcome.index
+                )
+                suspects.append(task)
+                reason = reason or "NaN-poisoned output"
+        elif sup.is_engine_fault(outcome.error, outcome.exception):
+            suspects.append(task)
+            reason = reason or outcome.error
+    if suspects:
+        tripped = sup.record_fault(reason)
+        if tripped and not sup.deadline_exceeded():
+            tr.count("supervisor.reruns", len(suspects))
+            tr.event(
+                "supervisor.rerun",
+                points=[t.index for t in suspects],
+                families=tripped,
+                reason=reason,
+            )
+            rerun = execute(suspects, _clamp_deadline(sup, timeout))
+            for outcome in rerun:
+                by_index[outcome.index] = outcome
+    for index, outcome in by_index.items():
+        if outcome.ok and _nonfinite(outcome.value):
+            by_index[index] = PointOutcome(
+                index=index,
+                ok=False,
+                error=(
+                    "engine output NaN-poisoned "
+                    "(non-finite floats in result)"
+                ),
+                attempts=outcome.attempts,
+                elapsed_s=outcome.elapsed_s,
+            )
+    return [by_index[task.index] for task in tasks]
 
 
 def _workers(n_jobs: int) -> int:
@@ -156,7 +265,20 @@ def _describe(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _run_inline(worker, fn, task, retries, backoff, tr) -> PointOutcome:
+def _retry_in_place(sup, outcome: PointOutcome, retries: int) -> bool:
+    """Whether a failed attempt is retried in place: within ``retries``,
+    unless it is an engine fault the supervisor can still degrade away
+    (that point waits for the degraded re-run instead)."""
+    if outcome.attempts > retries:
+        return False
+    return not (
+        sup
+        and sup.is_engine_fault(outcome.error, outcome.exception)
+        and sup.exposed_families()
+    )
+
+
+def _run_inline(worker, fn, task, retries, backoff, tr, sup) -> PointOutcome:
     """Serial in-process attempts (no fork, closures allowed)."""
     for attempt in range(1, retries + 2):
         start = time.perf_counter()
@@ -172,7 +294,7 @@ def _run_inline(worker, fn, task, retries, backoff, tr) -> PointOutcome:
                 attempts=attempt,
                 elapsed_s=time.perf_counter() - start,
             )
-            if attempt <= retries:
+            if _retry_in_place(sup, failure, retries):
                 tr.count("executor.retries")
                 time.sleep(backoff * 2 ** (attempt - 1))
                 continue
@@ -400,7 +522,7 @@ def _next_wakeup(
 
 
 def _run_isolated(
-    worker, fn, tasks, workers, retries, backoff, timeout, tr
+    worker, fn, tasks, workers, retries, backoff, timeout, tr, sup
 ) -> list[PointOutcome]:
     """A pool of at most ``min(workers, len(tasks))`` forked workers."""
     ctx = mp.get_context("fork")
@@ -451,7 +573,7 @@ def _run_isolated(
 
     def settle(att: _Attempt, outcome: PointOutcome) -> None:
         """Final or retried resolution of one attempt."""
-        if not outcome.ok and att.attempt <= retries:
+        if not outcome.ok and _retry_in_place(sup, outcome, retries):
             tr.count("executor.retries")
             queue.append(
                 _Attempt(

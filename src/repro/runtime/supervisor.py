@@ -25,15 +25,15 @@ breaker) per engine family and watches the three engine seams through
   executor (:mod:`repro.runtime.executor`), so a worker forked after
   the trip inherits the installed supervisor, breakers included, and
   resolves the same degraded kind; the environment is never rewritten.
-  The supervised sweep (:mod:`repro.analysis.sweep`) then re-runs the
-  affected points once, in a freshly forked pool, under the degraded
-  engines.
+  :func:`repro.runtime.executor.run_points` — the one execution path of
+  sweeps and the service — then re-runs the affected points once, in a
+  freshly forked pool, under the degraded engines.
 
 Two pre-emptive guards ride along: a **deadline** (``deadline_s``)
-bounds the whole supervised run — sweeps clamp their per-point timeout
-to the remaining budget and refuse to launch once it is exhausted
-(Kirigin et al.'s time-bounded recovery made operational) — and a
-**memory budget** (``memory_budget_mb``, read through
+bounds the whole supervised run — every ``run_points`` batch clamps its
+per-attempt timeout to the remaining budget and fails its points
+unstarted once it is exhausted (Kirigin et al.'s time-bounded recovery
+made operational) — and a **memory budget** (``memory_budget_mb``, read through
 :meth:`Supervisor.memory_budget_bytes`).  The CSP and network engines
 derive their block size from the budget instead of refusing
 (:func:`repro.csp.tiledengine.derive_block_bits`,
@@ -129,15 +129,6 @@ class NullSupervisor:
     def memory_budget_bytes(self) -> Optional[int]:
         return None
 
-    def tripped_families(self) -> list:
-        return []
-
-    def deadline_exceeded(self) -> bool:
-        return False
-
-    def degraded(self) -> bool:
-        return False
-
 
 NULL = NullSupervisor()
 
@@ -154,8 +145,9 @@ class Supervisor:
     deadline_s:
         Optional wall-clock budget for the whole supervised run,
         measured from when the supervisor is installed with
-        :func:`use`.  Supervised sweeps clamp per-point timeouts to the
-        remaining budget and pre-empt points once it is exhausted.
+        :func:`use`.  Supervised batches (sweeps and service chunks)
+        clamp per-attempt timeouts to the remaining budget and pre-empt
+        points once it is exhausted.
     memory_budget_mb:
         Optional memory budget (MiB).  The CSP and network engines
         fold it into their block schedules (smaller blocks, never
@@ -261,23 +253,25 @@ class Supervisor:
             tr.event("supervisor.trip", family=family, reason=reason)
         return opened
 
+    def exposed_families(self) -> list[str]:
+        """Families an engine fault could come from: breaker closed and
+        seam requesting a fast kind (families already on their reference
+        fallback cannot have caused it)."""
+        return [
+            f
+            for f in self.families
+            if self.breakers[f].state == CLOSED
+            and requested_kind(f) in SEAMS[f].fast
+        ]
+
     def record_fault(self, reason: str) -> list[str]:
         """Analyze+plan for one engine fault: trip every exposed family.
 
         A fault observed from outside a worker cannot be attributed to
-        one engine, so every supervised family whose seam currently
-        resolves to a *fast* kind is tripped (families already running
-        their reference fallback cannot have caused it).  Returns the
+        one engine, so every exposed family is tripped.  Returns the
         families whose breakers transitioned.
         """
-        tripped = []
-        for family in self.families:
-            if self.breakers[family].state == OPEN:
-                continue
-            fast = SEAMS[family].fast
-            if requested_kind(family) in fast and self.trip(family, reason):
-                tripped.append(family)
-        return tripped
+        return [f for f in self.exposed_families() if self.trip(f, reason)]
 
     # -- budgets -----------------------------------------------------------
 

@@ -37,7 +37,10 @@ Degradation contract: when the installed supervisor trips a breaker or
 its ``deadline_s`` budget expires, new submissions raise
 :class:`~repro.errors.BackpressureError` while every accepted job runs
 to completion on the reference engines.  Accepted work is never
-dropped.
+dropped, and the deadline rule is the batch sweep's: each attempt is
+clamped to the budget left, and points whose chunk starts after it is
+spent fail with ``supervisor deadline exceeded`` — the job ends
+``failed``, never waiting unbounded.
 
 Durability contract (``service_dir`` / ``REPRO_SERVICE_DIR`` set): a
 job whose ``submit()`` returned is journaled before the scheduler sees

@@ -16,9 +16,9 @@ The scheduler turns accepted jobs into executed points:
   :func:`repro.runtime.executor.run_points` loop, sharded over
   ``workers`` processes (``workers == 1`` with no timeout runs inline —
   zero fork overhead for cheap points).  Under an installed supervisor
-  the chunk gets the same MAPE pass batch sweeps get
-  (:func:`repro.analysis.sweep._supervise`): engine faults trip
-  breakers, suspect points re-run once on the reference engines.
+  ``run_points`` gives the chunk the same MAPE pass batch sweeps get:
+  engine faults trip breakers, suspect points re-run once on the
+  reference engines, and the ``deadline_s`` budget clamps every attempt.
 * **fan-out** — a completed point's row is normalized into the cache
   and fanned out to *every* follower job; a failure fans out as a
   per-job :class:`~repro.analysis.sweep.PointFailure` (and is never
@@ -28,7 +28,12 @@ Graceful degradation: the moment the supervisor reports a tripped
 breaker or a spent ``deadline_s`` budget, the scheduler latches its
 ``degraded`` flag — the admission path starts rejecting new jobs with
 backpressure — but keeps draining accepted work (on the reference
-engines the supervisor degraded to).  Accepted jobs are never dropped.
+engines the supervisor degraded to).  Accepted jobs are never dropped:
+a chunk that starts after the budget is spent is not run, and its
+points fail explicitly with ``supervisor deadline exceeded``.  A chunk
+that raises (a journal write failing, say) fails the points it still
+owned with the cause and latches ``degraded`` the same way; the loop
+keeps serving, so no accepted job is left waiting on a dead thread.
 
 With a :class:`~repro.service.persistence.ServicePersistence` attached
 the loop is also the journal's execution writer: each chunk is journaled
@@ -41,11 +46,12 @@ crash-recovery contract (see :mod:`repro.service.persistence`) rests on.
 from __future__ import annotations
 
 import threading
+import traceback as tb_module
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from ..analysis.sweep import _merge_row, _run_grid_point, _supervise
+from ..analysis.sweep import _merge_row, _run_grid_point
 from ..errors import CheckpointError, ConfigurationError
 from ..runtime import supervisor as supervisor_module
 from ..runtime import trace
@@ -176,7 +182,23 @@ class Scheduler:
             if chunk is None:
                 return
             spec, items = chunk
-            self._run_chunk(spec, items)
+            try:
+                self._run_chunk(spec, items)
+            except Exception as exc:  # noqa: BLE001 - contained here
+                self._contain(items, exc)
+
+    def _contain(self, items: list[_WorkItem], exc: Exception) -> None:
+        """Fail the points a raising chunk still owned, latch degraded,
+        and let the loop keep serving.  Persistence (maybe what raised)
+        is not touched again."""
+        error = f"scheduler error: {type(exc).__name__}: {exc}"
+        formatted = tb_module.format_exc()
+        owed = [entry for item in items for entry in self._take(item)]
+        for job, index in owed:
+            job.fail(index, error=error, traceback=formatted, attempts=1)
+        self.degraded = True
+        self._tr.count("service.scheduler.errors")
+        self._tr.event("service.scheduler.error", error=error)
 
     def _next_chunk(self) -> "tuple[JobSpec, list[_WorkItem]] | None":
         """Up to ``batch`` head-of-queue items sharing one spec."""
@@ -203,7 +225,8 @@ class Scheduler:
                     return spec, items  # type: ignore[return-value]
                 self._cond.wait()
 
-    def _check_degraded(self, sup) -> None:
+    def _check_degraded(self) -> None:
+        sup = supervisor_module.current()
         if self.degraded or not sup or not sup.degraded():
             return
         self.degraded = True
@@ -215,8 +238,6 @@ class Scheduler:
         )
 
     def _run_chunk(self, spec: JobSpec, items: list[_WorkItem]) -> None:
-        sup = supervisor_module.current()
-        self._check_degraded(sup)
         affected = self._affected_jobs(items)
         for job in affected.values():
             job.mark_running()
@@ -239,35 +260,17 @@ class Scheduler:
             timeout=spec.timeout,
             tracer=self._tr,
         )
-        if sup:
-            # the same MAPE pass batch sweeps get: engine faults trip
-            # breakers, suspects re-run once on the reference engines
-            outcomes = _supervise(
-                sup,
-                _run_grid_point,
-                spec.fn,
-                tasks,
-                outcomes,
-                tr=self._tr,
-                n_jobs=self.workers,
-                retries=spec.retries,
-                backoff=spec.retry_backoff,
-                timeout=spec.timeout,
-            )
-            self._check_degraded(sup)
+        self._check_degraded()
         for item, outcome in zip(items, outcomes):
             with self._cond:
-                followers = self._wanted.pop(item.fingerprint, [])
-            if not followers:
-                continue  # cancelled mid-chunk; result discarded
-            # a twin that attached while the chunk ran is filled here
-            # too, so it joins the completion pass below
-            for job, _ in followers:
-                affected.setdefault(id(job), job)
+                if not self._wanted.get(item.fingerprint):
+                    self._wanted.pop(item.fingerprint, None)
+                    continue  # cancelled mid-chunk; result discarded
             if outcome.ok:
-                self._resolve_ok(item, outcome.value, followers)
+                followers = self._resolve_ok(item, outcome.value)
             else:
                 self._tr.count("service.points.failed")
+                followers = self._take(item)
                 for job, index in followers:
                     job.fail(
                         index,
@@ -275,6 +278,10 @@ class Scheduler:
                         traceback=outcome.traceback,
                         attempts=outcome.attempts,
                     )
+            # a twin that attached while the chunk ran is filled here
+            # too, so it joins the completion pass below
+            for job, _ in followers:
+                affected.setdefault(id(job), job)
         if self.degraded:
             for job in affected.values():
                 job.mark_degraded()
@@ -286,14 +293,20 @@ class Scheduler:
                     # cancellations are journaled by the cancel() path
                     self.persistence.record_completed(job)
 
-    def _resolve_ok(self, item: _WorkItem, value, followers) -> None:
+    def _take(self, item: _WorkItem) -> list[tuple[Job, int]]:
+        """Pop every job still waiting on one point."""
+        with self._cond:
+            return self._wanted.pop(item.fingerprint, [])
+
+    def _resolve_ok(self, item: _WorkItem, value) -> list[tuple[Job, int]]:
         self._tr.count("service.points.executed")
         try:
             row = _merge_row(item.params, value, "parameters")
         except ConfigurationError as exc:
+            followers = self._take(item)
             for job, index in followers:
                 job.fail(index, error=str(exc), traceback=None, attempts=1)
-            return
+            return followers
         try:
             row = self.cache.put(item.fingerprint, row)
         except CheckpointError:
@@ -307,12 +320,16 @@ class Scheduler:
                 # a 'point-done' record always names a durable row
                 self.persistence.store_result(item.fingerprint, row)
                 self.persistence.record_point_done(item.fingerprint)
+        # taken only now: if a write above raised, the followers are
+        # still owed and the loop fails them
+        followers = self._take(item)
         for pos, (job, index) in enumerate(followers):
             job.fill(
                 index,
                 dict(row),
                 source="executed" if pos == 0 else "dedup",
             )
+        return followers
 
     def _affected_jobs(self, items: list[_WorkItem]) -> dict[int, Job]:
         """Distinct jobs waiting on any item of this chunk, by ``id``, in

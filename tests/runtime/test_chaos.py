@@ -216,7 +216,8 @@ class TestDrill:
             workdir = tmp_path / attempt
             workdir.mkdir()
             # a 2 s point timeout (default 5 s) still catches the hang
-            # fault, and its attempt plus in-place retry wait 4 s, not 10
+            # fault: its one attempt waits 2 s, not 5 (an engine fault
+            # goes straight to the degraded re-run, no in-place retry)
             with pytest.warns(RuntimeWarning, match="quarantined"):
                 reports.append(
                     run_drill(seed=42, workdir=str(workdir), timeout_s=2.0)

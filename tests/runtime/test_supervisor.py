@@ -251,19 +251,53 @@ def _always_nan_worker(value, seed):
     return {"v": float("nan")}
 
 
+def _always_oom_worker(value, seed):
+    raise MemoryError("engine blew the heap")
+
+
 class TestSupervisedSweep:
     def test_engine_fault_trips_and_rerun_heals(self, monkeypatch):
         monkeypatch.setenv("REPRO_CSP_ENGINE", "bit")
         sup = Supervisor(families=("csp",))
         with trace.use(trace.Tracer()) as tr, supervisor.use(sup):
             result = sweep(
-                range(4), _memory_hungry_worker, seed=7, on_error="keep"
+                range(4),
+                _memory_hungry_worker,
+                seed=7,
+                on_error="keep",
+                retries=1,
             )
         assert [r["v"] for r in result.rows] == [0.0, 1.0, 2.0, 3.0]
         assert result.failed == ()
         assert sup.breakers["csp"].state == OPEN
         assert tr.counters["supervisor.trips"] == 1
         assert tr.counters["supervisor.reruns"] == 4
+        # an engine fault skips the in-place retry on the fast engine:
+        # it goes straight to the re-run on the degraded one
+        assert "executor.retries" not in tr.counters
+
+    def test_engine_fault_with_nothing_to_degrade_retries_in_place(
+        self, monkeypatch
+    ):
+        # every seam already on its fallback: no family is exposed, so
+        # the retry budget is the only recovery left and it is spent
+        for seam in SEAMS.values():
+            monkeypatch.setenv(seam.env_var, seam.fallback)
+        sup = Supervisor()
+        with trace.use(trace.Tracer()) as tr, supervisor.use(sup):
+            result = sweep(
+                range(1),
+                _always_oom_worker,
+                seed=7,
+                on_error="keep",
+                retries=1,
+                retry_backoff=0.0,
+            )
+        (failure,) = result.failed
+        assert failure.error.startswith("MemoryError")
+        assert failure.attempts == 2
+        assert tr.counters["executor.retries"] == 1
+        assert "supervisor.trips" not in tr.counters
 
     def test_nan_poisoned_rows_rerun_degraded(self, monkeypatch):
         monkeypatch.setenv("REPRO_CSP_ENGINE", "bit")

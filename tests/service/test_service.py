@@ -1,6 +1,8 @@
 """End-to-end tests for :class:`repro.service.ResilienceService`."""
 
+import errno
 import json
+import threading
 import time
 
 import pytest
@@ -11,6 +13,7 @@ from repro.runtime import supervisor as supervisor_module
 from repro.runtime.supervisor import Supervisor
 from repro.service import CANCELLED, DONE, FAILED, ResilienceService
 from repro.service import queue as queue_module
+from repro.service.persistence import ServicePersistence
 
 
 def square(x, seed=None):
@@ -29,6 +32,20 @@ def napper(i, seed=None):
 
 def boom(x, seed=None):
     raise ValueError(f"boom at {x}")
+
+
+def sleeper(x, seed=None):
+    time.sleep(2.0)
+    return {"v": x}
+
+
+def _closes_within(svc, seconds: float) -> bool:
+    """Whether ``svc.close()`` returns in time (run on a daemon thread,
+    so a hang fails the test instead of wedging the suite)."""
+    closer = threading.Thread(target=svc.close, daemon=True)
+    closer.start()
+    closer.join(seconds)
+    return not closer.is_alive()
 
 
 GRID = {"x": [0, 1, 2, 3]}
@@ -204,6 +221,52 @@ class TestGracefulDegradation:
                 assert sup.deadline_exceeded()
                 with pytest.raises(BackpressureError, match="degraded"):
                     svc.submit("exp", square, grid=GRID)
+
+
+    def test_chunk_started_after_deadline_fails_explicitly(self):
+        # one deadline rule for sweeps and the service: the slow job's
+        # attempt is clamped to the budget, and the job accepted inside
+        # the budget but reached after it is pre-empted, not run
+        sup = Supervisor(deadline_s=0.5)
+        with supervisor_module.use(sup):
+            svc = ResilienceService().start()
+            slow = svc.submit("slow", sleeper, grid={"x": [0]})
+            late = svc.submit("late", square, grid=GRID)
+            assert late.wait(10)
+            assert slow.wait(10)
+            assert _closes_within(svc, 10)
+        assert slow.state == FAILED
+        assert "timed out" in slow.result().failed[0].error
+        assert late.state == FAILED
+        failed = late.result().failed
+        assert len(failed) == len(GRID["x"])
+        assert all(
+            "supervisor deadline exceeded" in f.error for f in failed
+        )
+
+
+class TestSchedulerFaults:
+    # a write failing before the chunk runs, and one failing mid fan-out
+    # (after the point executed, before its followers were filled)
+    @pytest.mark.parametrize("write", ["record_dispatched", "store_result"])
+    def test_raising_chunk_fails_its_job_and_degrades(
+        self, tmp_path, monkeypatch, write
+    ):
+        def no_space(self, *args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(ServicePersistence, write, no_space)
+        svc = ResilienceService(service_dir=str(tmp_path)).start()
+        job = svc.submit("exp", square, grid=GRID)
+        assert job.wait(10)
+        assert job.state == FAILED
+        assert all("OSError" in f.error for f in job.result().failed)
+        assert svc.degraded
+        assert svc.status()["degraded"]
+        assert svc.tracer.counters["service.scheduler.errors"] == 1
+        with pytest.raises(BackpressureError, match="degraded"):
+            svc.submit("exp2", square, grid=GRID)
+        assert _closes_within(svc, 10)
 
 
 class TestObservability:
