@@ -21,26 +21,10 @@ per-claim experiment index.
 
 from __future__ import annotations
 
+import importlib
+
 __version__ = "1.0.0"
 
-from . import (
-    agents,
-    analysis,
-    anticipation,
-    core,
-    csp,
-    dynamics,
-    faults,
-    management,
-    modes,
-    networks,
-    planning,
-    redundancy,
-    runtime,
-    shocks,
-    soc,
-    spacecraft,
-)
 from .rng import make_rng
 
 __all__ = [
@@ -63,3 +47,15 @@ __all__ = [
     "make_rng",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # PEP 562: a subpackage loads on first touch, so ``import repro``
+    # costs numpy and ``repro.rng`` only
+    if name in __all__:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

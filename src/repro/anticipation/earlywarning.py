@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from ..errors import AnalysisError
 
@@ -126,7 +125,9 @@ def kendall_trend(indicator: np.ndarray) -> float:
     y = _check_series(indicator, 3)
     if np.allclose(y, y[0]):
         return 0.0
-    tau, _ = stats.kendalltau(np.arange(len(y)), y)
+    from scipy.stats import kendalltau
+
+    tau, _ = kendalltau(np.arange(len(y)), y)
     if np.isnan(tau):
         return 0.0
     return float(tau)

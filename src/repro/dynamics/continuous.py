@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ..errors import ConfigurationError
 
@@ -97,6 +96,8 @@ class ContinuousReplicator:
             raise ConfigurationError(
                 f"n_samples must be >= 2, got {n_samples}"
             )
+        from scipy.integrate import solve_ivp
+
         times = np.linspace(0.0, t_end, n_samples)
         solution = solve_ivp(
             self._rhs, (0.0, t_end), x0, t_eval=times,

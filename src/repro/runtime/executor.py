@@ -25,6 +25,17 @@ Two execution paths share the same outcome contract:
   So a hung or crashed point costs one process, never the run, and a
   retry never runs in the process that failed.
 
+Fork caveat: a worker inherits only the modules its parent had already
+imported, and ``repro`` imports scipy only inside the seven functions
+that call it (``kendall_trend``, ``ContinuousReplicator.integrate``,
+``proportion_ci``, ``GaussianMagnitudes.mean``/``.variance``,
+nversion ``system_failure_probability``,
+``RaidArray.single_period_loss_probability``).  A point that calls one
+of them imports scipy once per worker (``scipy.stats`` costs about a
+second), and since each :func:`run_points` call forks a fresh pool, the
+cost recurs per call.  Import scipy in the parent before the sweep and
+every worker inherits it.
+
 The pool loop is *event-driven*: it blocks in
 :func:`multiprocessing.connection.wait` on every busy worker's pipe and
 process sentinel, waking only when a result arrives, a worker dies, a

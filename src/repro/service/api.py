@@ -326,7 +326,11 @@ class ResilienceService:
         sup = supervisor_module.current()
         states = self.queue.states()
         return {
-            "serving": self._started and not self._closed,
+            "serving": (
+                self._started
+                and not self._closed
+                and not self.scheduler.faulted
+            ),
             "degraded": self.degraded,
             "jobs": states,
             "job_counts": {

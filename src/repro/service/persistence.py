@@ -39,6 +39,19 @@ re-admits when its point function is importable by name and its
 recomputed fingerprints match the journaled ones byte-for-byte —
 anything else is skipped with a structural warning rather than silently
 computing different results.
+
+I/O-error policy: a journal or store write that raises inside a
+scheduler chunk (``chunk-dispatched``, a result-store append,
+``point-done``) is contained by the scheduler, not retried and not
+degraded to non-durable mode:
+
+* the points that chunk still owed fail with ``scheduler error: …``;
+* no ``completed`` record is written for their jobs (the storage that
+  raised is not touched again);
+* the service latches ``degraded`` and stops ``serving``, so new
+  submissions get :class:`~repro.errors.BackpressureError`;
+* a restart on the same directory re-admits those jobs, since the
+  journal still holds them as ``accepted``, and runs them.
 """
 
 from __future__ import annotations

@@ -32,8 +32,9 @@ engines the supervisor degraded to).  Accepted jobs are never dropped:
 a chunk that starts after the budget is spent is not run, and its
 points fail explicitly with ``supervisor deadline exceeded``.  A chunk
 that raises (a journal write failing, say) fails the points it still
-owned with the cause and latches ``degraded`` the same way; the loop
-keeps serving, so no accepted job is left waiting on a dead thread.
+owned with the cause, marks their jobs degraded and latches ``degraded``
+and ``faulted`` (``status()["serving"]`` turns false); the loop keeps
+draining, so no accepted job is left waiting on a dead thread.
 
 With a :class:`~repro.service.persistence.ServicePersistence` attached
 the loop is also the journal's execution writer: each chunk is journaled
@@ -95,6 +96,7 @@ class Scheduler:
         self.workers = workers
         self.batch = batch
         self.degraded = False  # latched on first supervisor degradation
+        self.faulted = False  # latched when a raising chunk is contained
         self._tr = tracer if tracer is not None else trace.current()
         self._cond = threading.Condition()
         self._work: "deque[_WorkItem]" = deque()
@@ -188,17 +190,19 @@ class Scheduler:
                 self._contain(items, exc)
 
     def _contain(self, items: list[_WorkItem], exc: Exception) -> None:
-        """Fail the points a raising chunk still owned, latch degraded,
-        and let the loop keep serving.  Persistence (maybe what raised)
-        is not touched again."""
+        """Fail the points a raising chunk still owned, latch degraded
+        and faulted, and let the loop keep draining.  Persistence (maybe
+        what raised) is not touched again."""
         error = f"scheduler error: {type(exc).__name__}: {exc}"
         formatted = tb_module.format_exc()
-        owed = [entry for item in items for entry in self._take(item)]
-        for job, index in owed:
-            job.fail(index, error=error, traceback=formatted, attempts=1)
-        self.degraded = True
+        # latched before any job fails, so a waiter sees the service state
+        self.degraded = self.faulted = True
         self._tr.count("service.scheduler.errors")
         self._tr.event("service.scheduler.error", error=error)
+        owed = [entry for item in items for entry in self._take(item)]
+        for job, index in owed:
+            job.mark_degraded()
+            job.fail(index, error=error, traceback=formatted, attempts=1)
 
     def _next_chunk(self) -> "tuple[JobSpec, list[_WorkItem]] | None":
         """Up to ``batch`` head-of-queue items sharing one spec."""

@@ -212,6 +212,7 @@ class TestGracefulDegradation:
                 assert accepted.state == DONE
                 assert accepted.progress()["filled"] == 8
                 assert svc.status()["degraded"]
+                assert svc.status()["serving"]  # a trip alone is no fault
 
     def test_spent_deadline_sheds_new_work(self):
         sup = Supervisor(deadline_s=0.01)
@@ -261,12 +262,22 @@ class TestSchedulerFaults:
         assert job.wait(10)
         assert job.state == FAILED
         assert all("OSError" in f.error for f in job.result().failed)
+        assert job.progress()["degraded"]
         assert svc.degraded
         assert svc.status()["degraded"]
+        assert not svc.status()["serving"]
         assert svc.tracer.counters["service.scheduler.errors"] == 1
         with pytest.raises(BackpressureError, match="degraded"):
             svc.submit("exp2", square, grid=GRID)
         assert _closes_within(svc, 10)
+        # the I/O-error policy: the failed job got no `completed` record,
+        # so a restart on the healed directory re-admits it and runs it
+        monkeypatch.undo()
+        with ResilienceService(service_dir=str(tmp_path)) as again:
+            rerun = again.job(job.id)
+            assert rerun.wait(10)
+        assert rerun.state == DONE
+        assert rerun.result().rows == grid_sweep(GRID, square).rows
 
 
 class TestObservability:
