@@ -48,7 +48,7 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..rng import SeedLike
 from ..runtime import trace as trace_module
-from ..runtime.checkpoint import SweepCheckpoint, fingerprint
+from ..runtime.checkpoint import RowStore, fingerprint, sweep_checkpoint
 from ..runtime.executor import PointTask, run_points
 from .tables import render_table
 
@@ -221,26 +221,26 @@ def _execute(
     tr = trace_module.current()
     n_points = len(inputs)
 
-    ckpt: SweepCheckpoint | None = None
-    done: dict[int, dict] = {}
+    store: RowStore | None = None
+    resumed: dict[int, dict] = {}
     if checkpoint is not None:
         fp = fingerprint(inputs, seed_label, extra=what)
-        ckpt = SweepCheckpoint.open(checkpoint, n_points=n_points, fp=fp)
-        done = ckpt.done
-        for w in ckpt.warnings:
+        store = sweep_checkpoint(checkpoint, n_points=n_points, fp=fp)
+        for w in store.warnings:
             tr.warning(f"checkpoint: {w['reason']}", line=w["line"])
-        if ckpt.quarantined:
-            tr.count("checkpoint.quarantined", ckpt.quarantined)
+        if store.quarantined:
+            tr.count("checkpoint.quarantined", store.quarantined)
+        resumed = {i: store.get(i) for i in range(n_points) if i in store}
 
     tasks = [
         PointTask(index=i, value=inputs[i], seed=seeds[i])
         for i in range(n_points)
-        if i not in done
+        if i not in resumed
     ]
     tr.event(
         "sweep.start",
         points=n_points,
-        resumed=len(done),
+        resumed=len(resumed),
         n_jobs=n_jobs,
         timeout=timeout,
         retries=retries,
@@ -258,17 +258,16 @@ def _execute(
                 tracer=tr,
             )
 
-        rows: dict[int, dict] = {}
+        rows = dict(resumed)
         failures: list[PointFailure] = []
-        for index, row in done.items():
-            rows[index] = row
-            tr.count("sweep.points.resumed")
+        if resumed:
+            tr.count("sweep.points.resumed", len(resumed))
         for outcome in outcomes:
             index = outcome.index
             if outcome.ok:
                 row = _merge_row(param_rows[index], outcome.value, what)
-                if ckpt is not None:
-                    row = ckpt.record(index, row)
+                if store is not None:
+                    row = store.put(index, row)
                 rows[index] = row
                 tr.count("sweep.points.ok")
                 tr.record_timing("sweep.point", outcome.elapsed_s)
@@ -301,8 +300,8 @@ def _execute(
             failures.append(failure)
             rows[index] = failure.row()
     finally:
-        if ckpt is not None:
-            ckpt.close()
+        if store is not None:
+            store.close()
 
     tr.event(
         "sweep.end",

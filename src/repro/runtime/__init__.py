@@ -11,14 +11,15 @@ harness, organized as the paper's §3.3 MAPE loop:
 * fault-tolerant execution — a per-call pool of forked worker
   processes that retires any worker whose point fails, hangs or dies,
   with bounded retry and wall-time budgets (:mod:`.executor`);
-* crash-safe persistence — atomic fsync'd JSONL checkpoint/resume with
-  corrupt-line quarantine (:mod:`.checkpoint`);
+* crash-safe persistence — one row store, in memory or on an atomic
+  fsync'd JSONL file with corrupt-line quarantine, for sweep
+  checkpoint/resume and the service's results (:mod:`.checkpoint`);
 * validation — a deterministic chaos harness (:mod:`.chaos`) that turns
   the paper's own shock methodology on the runtime itself.
 """
 
 from . import trace
-from .checkpoint import SweepCheckpoint, fingerprint, jsonable, point_fingerprint
+from .checkpoint import RowStore, fingerprint, jsonable, point_fingerprint
 from .engines import SEAMS, EngineSeam, resolve_engine_kind
 from .executor import PointOutcome, PointTask, run_points
 from .supervisor import Breaker, NullSupervisor, Supervisor
@@ -32,8 +33,8 @@ __all__ = [
     "PointOutcome",
     "PointTask",
     "SEAMS",
+    "RowStore",
     "Supervisor",
-    "SweepCheckpoint",
     "Tracer",
     "fingerprint",
     "jsonable",

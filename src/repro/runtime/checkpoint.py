@@ -1,23 +1,33 @@
-"""JSONL sweep checkpoints: interrupt a run, resume without recompute.
+"""Durable JSONL row stores: interrupt a run, resume without recompute.
 
-A checkpoint file is append-only JSONL.  The first line is a header
-binding the file to one specific sweep (point count + a fingerprint of
-the parameter grid and parent seed); each later line records one
-*successfully completed* point::
+:class:`RowStore` maps keys to JSON-normalized result rows.  Opened on
+a file it is append-only JSONL: the first line is a header binding the
+file to its owner, each later line records one *successfully
+completed* point.  It has two owners with one format each:
+
+* the sweep checkpoint (:func:`sweep_checkpoint`), keyed by point
+  ``index``, whose header binds the file to one grid and parent seed::
 
     {"kind": "sweep-checkpoint", "version": 1, "n_points": 16, "fingerprint": "…"}
     {"index": 0, "row": {"param": 0, "survival": 0.81}}
     {"index": 3, "row": {"param": 3, "survival": 0.64}}
+
+* the service's result store (:mod:`repro.service.persistence`), keyed
+  by :func:`point_fingerprint`::
+
+    {"kind": "service-results", "version": 1}
+    {"fingerprint": "…", "row": {"x": 1, "value": 10}}
 
 Failed points are never recorded, so resuming a sweep re-runs exactly
 the failed/missing points and replays the completed rows verbatim.
 
 Crash safety
 ------------
-The header is created atomically (temp file, fsync, ``os.replace``) and
-every appended row is flushed *and fsync'd*, so a power loss can cost at
-most the row being written.  On load, damage degrades instead of
-aborting the resume:
+The file mechanics live in :class:`JournalFile`, which the service's
+write-ahead journal uses too.  The header is created atomically (temp
+file, fsync, ``os.replace``) and every appended record is flushed *and
+fsync'd*, so a power loss can cost at most the record being written.
+On load, damage degrades instead of aborting the resume:
 
 * a half-written **trailing** line (the process died mid-append) is
   dropped with a warning entry;
@@ -26,15 +36,15 @@ aborting the resume:
   ``<path>.corrupt`` sidecar, a warning entry records it, the main file
   is atomically rewritten without it, and the affected point simply
   re-runs (engine determinism makes the recomputed row identical);
-* a **duplicate index** keeps the newest row (append order) with a
+* a **duplicate key** keeps the newest row (append order) with a
   warning entry.
 
 What still raises :class:`~repro.errors.CheckpointError`: a missing or
 unreadable header, a wrong kind/version, and a fingerprint or point-
 count mismatch — a stale file must not silently stitch rows from a
 different grid into the results.  Warnings are exposed structurally on
-:attr:`SweepCheckpoint.warnings` (the supervised sweep re-emits them as
-trace events) and through :mod:`warnings`.
+:attr:`RowStore.warnings` (the sweep re-emits them as trace events) and
+through :mod:`warnings`.
 
 Rows must be JSON-serializable; numpy scalars and arrays are converted
 on write (so a resumed row compares equal to a fresh one).  Non-finite
@@ -49,8 +59,9 @@ import hashlib
 import json
 import math
 import os
+import threading
 import warnings as warnings_module
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -58,10 +69,11 @@ from ..errors import CheckpointError
 
 __all__ = [
     "JournalFile",
-    "SweepCheckpoint",
+    "RowStore",
     "fingerprint",
     "jsonable",
     "point_fingerprint",
+    "sweep_checkpoint",
 ]
 
 _KIND = "sweep-checkpoint"
@@ -116,7 +128,7 @@ def fingerprint(points: list, seed_label: str, extra: str = "") -> str:
 def point_fingerprint(experiment: str, params: Any, seed_label: str) -> str:
     """Content address of one executed point.
 
-    The key the service layer's result cache is built on: two requests
+    The key of the service layer's result store: two requests
     naming the same experiment, the same parameter assignment, and the
     same per-point seed identity denote the same computation (engines
     are deterministic and equivalence-pinned), so their results are
@@ -147,11 +159,11 @@ def _write_atomic(path: str, text: str) -> None:
 class JournalFile:
     """Generic append-only fsync'd JSONL file with crash-tolerant load.
 
-    The shared durability spine under :class:`SweepCheckpoint` and the
-    service layer's write-ahead journal / result store
-    (:mod:`repro.service.persistence`).  One header line binds the file
-    to a kind + version (plus any ``match`` fields the owner pins);
-    every later line is one JSON record appended with write+flush+fsync.
+    The shared durability spine under :class:`RowStore` and the service
+    layer's write-ahead journal (:mod:`repro.service.persistence`).  One
+    header line binds the file to a kind + version (plus any ``match``
+    fields the owner pins); every later line is one JSON record appended
+    with write+flush+fsync.
 
     Loading degrades instead of aborting wherever the damage is
     recoverable: a torn trailing line is dropped, unparseable or
@@ -305,97 +317,147 @@ class JournalFile:
         self.close()
 
 
-class SweepCheckpoint:
-    """Append-only record of completed sweep points.
 
-    Use :meth:`open` — it creates the file (with header) when missing,
-    or validates and loads completed rows when present.  ``warnings``
-    lists the degradations tolerated while loading (torn tail dropped,
-    corrupt lines quarantined, duplicate indices superseded);
-    ``quarantined`` counts the lines moved to the ``.corrupt`` sidecar.
-    The durability mechanics live in :class:`JournalFile`; this class
-    owns the sweep-specific header binding and the ``index -> row``
-    completed-point view.
+
+class RowStore:
+    """Thread-safe mapping of key -> JSON-normalized result row.
+
+    In memory (``RowStore()``) it is the service's result cache when no
+    ``service_dir`` is set.  Opened on a file (:meth:`open`) it is the
+    sweep checkpoint (keyed by ``index``, :func:`sweep_checkpoint`) and
+    the service's durable result store (keyed by ``fingerprint``).
+    :meth:`put` normalizes the row with :func:`jsonable`, appends it
+    durably when file-backed, and only then makes it visible, so a row
+    that never reached the disk is never served.  One thread puts at a
+    time.  ``warnings`` / ``quarantined`` report the damage tolerated
+    while loading; ``hits`` / ``misses`` count :meth:`get` lookups.
     """
 
-    def __init__(self, journal: JournalFile, done: dict[int, dict]):
+    def __init__(
+        self,
+        journal: "JournalFile | None" = None,
+        key: str = "key",
+        rows: "dict | None" = None,
+    ):
+        self.key = key
+        self.path = journal.path if journal else None
+        self.warnings: list[dict] = journal.warnings if journal else []
+        self.quarantined = journal.quarantined if journal else 0
+        self.hits = self.misses = 0
         self._journal = journal
-        self.done = done  # index -> row, loaded at open time
-
-    @property
-    def path(self) -> str:
-        return self._journal.path
-
-    @property
-    def warnings(self) -> list[dict]:
-        return self._journal.warnings
-
-    @property
-    def quarantined(self) -> int:
-        return self._journal.quarantined
-
-    @property
-    def corrupt_path(self) -> str:
-        """The sidecar file quarantined lines are appended to."""
-        return self._journal.corrupt_path
+        self._rows: dict = rows or {}
+        self._lock = threading.Lock()
 
     @classmethod
     def open(
-        cls, path: str, *, n_points: int, fp: str
-    ) -> "SweepCheckpoint":
-        """Create or resume the checkpoint at ``path``."""
+        cls,
+        path: str,
+        *,
+        key: str,
+        header: Mapping[str, Any],
+        valid: Callable[[Any], bool] = lambda k: isinstance(k, str),
+        **options: Any,
+    ) -> "RowStore":
+        """Create or reload a file of ``{key: …, "row": {…}}`` records.
+
+        A record whose key fails ``valid`` or whose row is no mapping is
+        quarantined; a duplicate key keeps the newest row with a
+        warning.  ``options`` go to :meth:`JournalFile.open`.
+        """
 
         def validate(record: dict) -> None:
-            index = int(record["index"])
-            if not isinstance(record["row"], dict):
-                raise TypeError("row is not a mapping")
-            if not 0 <= index < n_points:
-                raise ValueError(f"index {index} out of range")
+            if not valid(record[key]) or not isinstance(record["row"], dict):
+                raise ValueError(f"not a {key!r} row record")
 
         journal = JournalFile.open(
-            path,
-            header={
-                "kind": _KIND,
-                "version": _VERSION,
-                "n_points": n_points,
-                "fingerprint": fp,
-            },
-            match=("fingerprint", "n_points"),
-            label="sweep checkpoint",
-            mismatch_hint="sweep (parameter grid or parent seed changed)",
-            heal_hint="the affected points will re-run",
-            validate=validate,
+            path, header=header, validate=validate, **options
         )
-        done: dict[int, dict] = {}
+        rows: dict = {}
         for lineno, record in journal.entries:
-            index = int(record["index"])
-            if index in done:
+            k = record[key]
+            if k in rows:
                 journal.warnings.append(
                     {
                         "line": lineno,
-                        "reason": f"duplicate index {index}; "
+                        "reason": f"duplicate {key} {k}; "
                         "keeping the newer row",
                     }
                 )
-            done[index] = record["row"]
-        return cls(journal, done)
+            rows[k] = record["row"]
+        return cls(journal, key, rows)
 
-    def record(self, index: int, row: Mapping) -> dict:
-        """Append one completed point durably; returns the JSON-clean row.
+    def get(self, key: Any) -> "dict | None":
+        """A copy of the row under ``key`` (rows are shared), or None."""
+        with self._lock:
+            row = self._rows.get(key)
+            if row is None:
+                self.misses += 1
+                return None
+            self.hits += 1
+            return dict(row)
 
-        The line is written in a single ``write`` call, flushed, and
-        fsync'd, so a crash can never leave more than one torn line —
-        which the next :meth:`open` drops or quarantines.
+    def put(self, key: Any, row: Mapping) -> dict:
+        """Store one row; returns the normalized copy kept.
+
+        A row that does not normalize raises :class:`CheckpointError`
+        before anything is written; an append that raises leaves the
+        row unstored.
         """
         clean = {str(k): jsonable(v) for k, v in row.items()}
-        self._journal.append({"index": index, "row": clean})
+        if self._journal is not None:
+            self._journal.append({self.key: key, "row": clean})
+        with self._lock:
+            self._rows[key] = clean
         return clean
 
-    def close(self) -> None:
-        self._journal.close()
+    def __contains__(self, key: Any) -> bool:
+        with self._lock:
+            return key in self._rows
 
-    def __enter__(self) -> "SweepCheckpoint":
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._rows)
+
+    def stats(self) -> dict:
+        """Size and lookup snapshot (the service reports it as ``cache``)."""
+        with self._lock:
+            return {
+                "entries": len(self._rows),
+                "hits": self.hits,
+                "misses": self.misses,
+            }
+
+    def close(self) -> None:
+        if self._journal is not None:
+            self._journal.close()
+
+    def __enter__(self) -> "RowStore":
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
+
+
+def sweep_checkpoint(path: str, *, n_points: int, fp: str) -> RowStore:
+    """Create or resume the sweep checkpoint at ``path``.
+
+    A row store keyed by point ``index`` whose header binds the file to
+    one sweep: ``fp`` (:func:`fingerprint` of the points and parent
+    seed) and the point count.  A record indexing past ``n_points`` is
+    quarantined.
+    """
+    return RowStore.open(
+        path,
+        key="index",
+        header={
+            "kind": _KIND,
+            "version": _VERSION,
+            "n_points": n_points,
+            "fingerprint": fp,
+        },
+        valid=range(n_points).__contains__,
+        match=("fingerprint", "n_points"),
+        label="sweep checkpoint",
+        mismatch_hint="sweep (parameter grid or parent seed changed)",
+        heal_hint="the affected points will re-run",
+    )

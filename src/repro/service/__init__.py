@@ -4,18 +4,19 @@ The service lane (ops-view resilience, per the Cusick survey): a
 long-running layer that accepts sweep/experiment submissions as jobs,
 shards their points across a worker pool through the event-driven
 executor, dedupes identical ``(experiment, params, seed)`` requests
-against a content-addressed result cache (checkpoint fingerprints) and
-against in-flight work, streams per-job progress from the trace
-facade, and sheds new work with backpressure — never accepted work —
-when the supervisor trips a breaker or a deadline budget expires.
+against a content-addressed result cache (a
+:class:`~repro.runtime.checkpoint.RowStore` keyed by point fingerprint,
+the on-disk result store itself when durable) and against in-flight
+work, streams per-job progress from the trace facade, and sheds new
+work with backpressure — never accepted work — when the supervisor
+trips a breaker or a deadline budget expires.
 
 * :mod:`.api` — :class:`ResilienceService`: submit/await/cancel/status;
 * :mod:`.jobs` — the job model (resolution, states, results);
 * :mod:`.queue` — admission ledger and backpressure;
 * :mod:`.scheduler` — chunked sharding, in-flight dedupe, MAPE pass;
-* :mod:`.cache` — content-addressed result cache;
 * :mod:`.persistence` — crash durability: write-ahead job journal +
-  on-disk result store (``REPRO_SERVICE_DIR``), replayed on restart;
+  on-disk result store (``REPRO_SERVICE_DIR``), reloaded on restart;
 * :mod:`.loadtest` — the R02 load drill (thousands of concurrent
   points, dedupe/caching/degradation acceptance checks);
 * :mod:`.crashdrill` — the R03 crash drill (SIGKILL mid-load + mid-
@@ -23,7 +24,6 @@ when the supervisor trips a breaker or a deadline budget expires.
 """
 
 from .api import ResilienceService
-from .cache import MISS, ResultCache
 from .jobs import CANCELLED, DONE, FAILED, PENDING, RUNNING, Job, JobSpec
 from .persistence import RecoveredState, ServicePersistence
 from .queue import JobQueue
@@ -36,12 +36,10 @@ __all__ = [
     "Job",
     "JobQueue",
     "JobSpec",
-    "MISS",
     "PENDING",
     "RUNNING",
     "RecoveredState",
     "ResilienceService",
-    "ResultCache",
     "Scheduler",
     "ServicePersistence",
 ]

@@ -23,7 +23,9 @@ Constructor arguments:
 
 =================  =====================================================
 ``workers``        worker processes per chunk (default 1 = inline;
-                   ``-1`` = every core)
+                   ``-1`` = every core).  Under a supervisor with
+                   ``deadline_s`` the clamp time-budgets every chunk,
+                   so even ``workers=1`` forks and rows must pickle
 ``batch``          points per scheduler chunk (default 256)
 ``service_dir``    directory for the crash-durable journal + result
                    store (default ``REPRO_SERVICE_DIR``; unset = fully
@@ -46,10 +48,13 @@ Durability contract (``service_dir`` / ``REPRO_SERVICE_DIR`` set): a
 job whose ``submit()`` returned is journaled before the scheduler sees
 it, every executed row is fsync'd to the on-disk result store before
 being journaled done, and :meth:`start` *recovers* before serving —
-the journal replays, the cache warm-starts from the store, incomplete
-jobs are re-admitted (skipping already-stored points, preserving twin
-dedupe), and completed/cancelled jobs stay final.  One process per
-directory at a time; the knob unset changes nothing at all.
+the journal replays, incomplete jobs are re-admitted (skipping
+already-stored points, preserving twin dedupe), and completed/cancelled
+jobs stay final.  ``cache`` is the result store itself
+(``persistence.results``), so recovery copies no rows; without a
+directory it is an in-memory :class:`~repro.runtime.checkpoint.RowStore`.
+A ``submit`` whose ``accepted`` write raises admits nothing.  One
+process per directory at a time; the knob unset changes nothing at all.
 """
 
 from __future__ import annotations
@@ -64,8 +69,8 @@ from ..errors import ConfigurationError, ServiceError
 from ..rng import SeedLike
 from ..runtime import supervisor as supervisor_module
 from ..runtime import trace
+from ..runtime.checkpoint import RowStore
 from ..runtime.trace import Tracer
-from .cache import ResultCache
 from .jobs import CANCELLED, DONE, FAILED, PENDING, RUNNING, Job, JobSpec
 from .persistence import ServicePersistence, rebuild_job
 from .queue import JobQueue
@@ -97,7 +102,10 @@ class ResilienceService:
             else None
         )
         self.recovery: Optional[dict] = None  # set by start() when durable
-        self.cache = ResultCache(tracer=self.tracer)
+        # durable: the on-disk result store is the cache itself
+        self.cache = (
+            self.persistence.results if self.persistence else RowStore()
+        )
         self.queue = JobQueue()
         self.scheduler = Scheduler(
             self.cache,
@@ -131,15 +139,16 @@ class ResilienceService:
         """Replay the journal + result store before serving.
 
         Recovery reuses the *normal* admission machinery rather than a
-        parallel replay path: the result store warm-starts the cache,
-        then each incomplete job re-registers with the scheduler — its
-        already-stored points fill as cache hits, points another
-        recovered job owns attach as followers (twin dedupe survives the
-        restart), and only genuinely missing points re-execute.
+        parallel replay path: the cache *is* the result store, loaded
+        when it opened, so each incomplete job simply re-registers with
+        the scheduler — its already-stored points fill as cache hits,
+        points another recovered job owns attach as followers (twin
+        dedupe survives the restart), and only genuinely missing points
+        re-execute.
         """
         t0 = time.perf_counter()
         state = self.persistence.load()
-        warmed = self.cache.warm(state.rows)
+        warmed = len(self.cache)
         self._counter = max(self._counter, state.max_job_number)
         recovered = skipped = 0
         replayed = deduped = rerun = 0
@@ -236,7 +245,10 @@ class ResilienceService:
         Points already in the result cache are served immediately;
         points identical to in-flight work attach to that execution.
         Raises :class:`BackpressureError` when the service is saturated
-        or the runtime is degraded.
+        or the runtime is degraded.  On a durable service a failing
+        ``accepted`` journal write re-raises its error with the job not
+        admitted, and latches ``degraded`` (see the I/O-error policy in
+        :mod:`repro.service.persistence`).
         """
         if not self._started or self._closed:
             raise ServiceError(
@@ -270,6 +282,15 @@ class ResilienceService:
             self._counter += 1
             job = Job(f"job-{self._counter:06d}", spec)
             self.queue.admit(job, degraded=self.degraded)
+            if self.persistence is not None:
+                # write-ahead: journaled before the scheduler can run it;
+                # all or nothing, so a failed write admits nothing
+                try:
+                    self.persistence.record_accepted(job)
+                except Exception as exc:
+                    self.queue.discard(job)
+                    self.scheduler.contain((), exc)
+                    raise
             self.tracer.count("service.jobs.accepted")
             self.tracer.event(
                 "service.job.accepted",
@@ -277,9 +298,6 @@ class ResilienceService:
                 experiment=experiment,
                 points=len(job.points),
             )
-            if self.persistence is not None:
-                # write-ahead: journaled before the scheduler can run it
-                self.persistence.record_accepted(job)
             split = self.scheduler.register(job)
         if job.done:
             # served entirely from the cache: no execution at all

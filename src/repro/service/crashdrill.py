@@ -113,9 +113,11 @@ def _journal_state(journal_path: str) -> "tuple[dict, set]":
 def _durable_rows(results_path: str) -> dict:
     """Lenient replay of the result store: fingerprint -> row.
 
-    Mirrors what :class:`~repro.runtime.checkpoint.JournalFile` will
+    Mirrors what :meth:`~repro.runtime.checkpoint.RowStore.open` will
     keep on the next open (invalid lines quarantined, newest wins), so
-    the drill can predict exactly which points must re-execute.
+    the drill can predict exactly which points must re-execute.  It is
+    an independent read-only oracle: opening the store would heal the
+    file before the recovery under test sees it.
     """
     rows: dict = {}
     with open(results_path, encoding="utf-8") as fh:

@@ -14,11 +14,12 @@ sidecar quarantine-and-heal):
   function's import path, JSON-round-tripped points, the parent seed,
   execution knobs, and the resolved point fingerprints), then
   ``chunk-dispatched`` / ``point-done`` / ``completed`` / ``cancelled``;
-* the **result store** (``<dir>/results.jsonl``) is the on-disk twin of
-  the in-memory :class:`~repro.service.cache.ResultCache`: one record
-  per executed point, keyed by its content-address fingerprint
-  (duplicate fingerprints keep the newest row, mirroring the
-  checkpoint's duplicate-index rule).
+* the **result store** (``<dir>/results.jsonl``) is
+  :attr:`ServicePersistence.results`, a
+  :class:`~repro.runtime.checkpoint.RowStore` keyed by each executed
+  point's content-address fingerprint — the sweep checkpoint's row
+  store under another header.  It is also the service's result cache,
+  so recovery never copies it into a second mapping.
 
 Write ordering is the WAL contract: a job is journaled ``accepted``
 *before* the scheduler sees it, and a point's row is appended to the
@@ -27,10 +28,10 @@ journaled as done is durably recomputable-free, and a crash between the
 two costs at most one re-execution (deduplicated by the store on the
 next recovery, never duplicated in results).
 
-:meth:`ServicePersistence.load` replays both files into a
-:class:`RecoveredState`: the warm-start row set, the incomplete jobs to
-re-admit, and the degradations tolerated on the way (healed corruption,
-unknown records, jobs that no longer round-trip).  Recovery reads only
+:meth:`ServicePersistence.load` replays the journal into a
+:class:`RecoveredState`: the incomplete jobs to re-admit and the
+degradations tolerated on the way in both files (healed corruption,
+unknown records, superseded rows).  Recovery reads only
 ``accepted``/``completed``/``cancelled`` and the store.  The other two
 records are still written: the R03 drill times its kill by counting
 ``point-done``, and the durable-service benchmark wraps
@@ -40,18 +41,23 @@ recomputed fingerprints match the journaled ones byte-for-byte —
 anything else is skipped with a structural warning rather than silently
 computing different results.
 
-I/O-error policy: a journal or store write that raises inside a
-scheduler chunk (``chunk-dispatched``, a result-store append,
-``point-done``) is contained by the scheduler, not retried and not
-degraded to non-durable mode:
+I/O-error policy: a write that raises is not retried and not degraded
+to non-durable mode; the storage that raised is not touched again.
 
-* the points that chunk still owed fail with ``scheduler error: …``;
-* no ``completed`` record is written for their jobs (the storage that
-  raised is not touched again);
-* the service latches ``degraded`` and stops ``serving``, so new
-  submissions get :class:`~repro.errors.BackpressureError`;
-* a restart on the same directory re-admits those jobs, since the
-  journal still holds them as ``accepted``, and runs them.
+* The ``accepted`` write in ``submit``: the job is not admitted.  It
+  leaves the ledger, the service latches ``degraded`` and ``faulted``
+  as below, and the caller gets the ``OSError``.  (If the record
+  reached the disk anyway, a restart runs the job.)
+* A write inside a scheduler chunk (``chunk-dispatched``, a
+  result-store append, ``point-done``): the points that chunk still
+  owed fail with ``scheduler error: …``, and no ``completed`` record is
+  written for their jobs.  A row whose store append raised is not
+  served from memory either.
+
+Either way the service latches ``degraded`` and stops ``serving``, so
+new submissions get :class:`~repro.errors.BackpressureError`, and a
+restart on the same directory re-admits every job the journal still
+holds as ``accepted`` and runs it.
 """
 
 from __future__ import annotations
@@ -61,13 +67,13 @@ import os
 import re
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping
 
 import numpy as np
 
 from ..errors import CheckpointError
 from ..runtime import trace
-from ..runtime.checkpoint import JournalFile, jsonable
+from ..runtime.checkpoint import JournalFile, RowStore, jsonable
 from .jobs import Job, JobSpec
 
 __all__ = [
@@ -102,13 +108,6 @@ def _validate_journal_record(record: dict) -> None:
         raise TypeError("journal record has no 'record' kind")
     if not isinstance(record.get("job", ""), str):
         raise TypeError("journal 'job' is not a string")
-
-
-def _validate_store_record(record: dict) -> None:
-    if not isinstance(record.get("fingerprint"), str):
-        raise TypeError("store record has no string fingerprint")
-    if not isinstance(record.get("row"), dict):
-        raise TypeError("store row is not a mapping")
 
 
 # -- job spec round-trip ----------------------------------------------------
@@ -254,7 +253,6 @@ def rebuild_job(record: Mapping) -> "tuple[Job | None, str | None]":
 class RecoveredState:
     """Everything :meth:`ServicePersistence.load` replayed from disk."""
 
-    rows: dict = field(default_factory=dict)  # fingerprint -> stored row
     incomplete: list = field(default_factory=list)  # accepted records
     max_job_number: int = 0
     warnings: list = field(default_factory=list)
@@ -264,7 +262,10 @@ class RecoveredState:
 class ServicePersistence:
     """The service's durable spine: journal + result store in one dir.
 
-    Opening heals any recoverable damage in both files (and surfaces it
+    :attr:`results` is the result store, a
+    :class:`~repro.runtime.checkpoint.RowStore` the service also uses
+    as its cache; :meth:`store_result` is its durable ``put``.  Opening
+    heals any recoverable damage in both files (and surfaces it
     on the load warnings).  All append methods are thread-safe — the
     scheduler thread and API threads both write — and every append is
     fsync'd before it returns, so ``appended - fsynced`` (the *journal
@@ -283,7 +284,6 @@ class ServicePersistence:
         self._lock = threading.Lock()
         self.appended = 0
         self.fsynced = 0
-        self.stored = 0
         self._journal = JournalFile.open(
             os.path.join(directory, JOURNAL_NAME),
             header=_JOURNAL_HEADER,
@@ -291,30 +291,27 @@ class ServicePersistence:
             heal_hint="the affected lifecycle records are dropped",
             validate=_validate_journal_record,
         )
-        self._store = JournalFile.open(
+        self.results = RowStore.open(
             os.path.join(directory, RESULTS_NAME),
+            key="fingerprint",
             header=_RESULTS_HEADER,
             label="service result store",
             heal_hint="the affected points will re-execute",
-            validate=_validate_store_record,
         )
 
     @property
     def journal_path(self) -> str:
         return self._journal.path
 
-    @property
-    def results_path(self) -> str:
-        return self._store.path
-
     # -- appends (write-ahead) ---------------------------------------------
 
-    def _append(self, target: JournalFile, record: Mapping) -> None:
+    def _append(self, write, *args) -> Any:
         with self._lock:
             self.appended += 1
             self._tr.count("service.journal.appends")
-            target.append(record)
+            written = write(*args)
             self.fsynced += 1
+        return written
 
     def record_accepted(self, job: Job) -> None:
         """Journal one admitted job *before* the scheduler sees it."""
@@ -326,12 +323,12 @@ class ServicePersistence:
                 f"{record.get('reason')}",
                 job=job.id,
             )
-        self._append(self._journal, record)
+        self._append(self._journal.append, record)
 
     def record_dispatched(self, fingerprints: "list[str]") -> None:
         """Journal one scheduler chunk heading into execution."""
         self._append(
-            self._journal,
+            self._journal.append,
             {
                 "record": "chunk-dispatched",
                 "n": len(fingerprints),
@@ -342,48 +339,41 @@ class ServicePersistence:
     def record_point_done(self, fingerprint: str) -> None:
         """Journal one executed point — *after* its row hit the store."""
         self._append(
-            self._journal, {"record": "point-done", "fingerprint": fingerprint}
+            self._journal.append,
+            {"record": "point-done", "fingerprint": fingerprint},
         )
 
     def record_completed(self, job: Job) -> None:
         """Journal a job reaching ``done``/``failed``."""
         self._append(
-            self._journal,
+            self._journal.append,
             {"record": "completed", "job": job.id, "state": job.state},
         )
 
     def record_cancelled(self, job: Job) -> None:
         """Journal a cancellation (a final state: never re-admitted)."""
-        self._append(self._journal, {"record": "cancelled", "job": job.id})
-
-    def store_result(self, fingerprint: str, row: Mapping) -> None:
-        """Persist one normalized result row under its content address."""
         self._append(
-            self._store, {"fingerprint": fingerprint, "row": dict(row)}
+            self._journal.append, {"record": "cancelled", "job": job.id}
         )
-        self.stored += 1
+
+    def store_result(self, fingerprint: str, row: Mapping) -> dict:
+        """The durable :meth:`RowStore.put` of one row into
+        :attr:`results`; returns the normalized row."""
+        clean = self._append(self.results.put, fingerprint, row)
         self._tr.count("service.journal.results")
+        return clean
 
     # -- replay -------------------------------------------------------------
 
     def load(self) -> RecoveredState:
-        """Replay both files into the state a fresh service resumes from."""
+        """Replay the journal into the state a fresh service resumes from.
+
+        The result store needs no replay: it was loaded when it opened.
+        """
         state = RecoveredState(
-            warnings=list(self._journal.warnings) + list(self._store.warnings),
-            quarantined=self._journal.quarantined + self._store.quarantined,
+            warnings=self._journal.warnings + self.results.warnings,
+            quarantined=self._journal.quarantined + self.results.quarantined,
         )
-        for lineno, record in self._store.entries:
-            fingerprint = record["fingerprint"]
-            if fingerprint in state.rows:
-                state.warnings.append(
-                    {
-                        "line": lineno,
-                        "reason": f"duplicate fingerprint {fingerprint}; "
-                        "keeping the newer row",
-                    }
-                )
-            state.rows[fingerprint] = record["row"]
-        self.stored = len(state.rows)
         jobs: dict[str, dict] = {}
         final: set[str] = set()
         for lineno, record in self._journal.entries:
@@ -419,12 +409,12 @@ class ServicePersistence:
                 "appended": self.appended,
                 "fsynced": self.fsynced,
                 "lag": self.appended - self.fsynced,
-                "stored_rows": self.stored,
+                "stored_rows": len(self.results),
             }
 
     def close(self) -> None:
         self._journal.close()
-        self._store.close()
+        self.results.close()
 
     def __enter__(self) -> "ServicePersistence":
         return self

@@ -70,6 +70,11 @@ class JobQueue:
         with self._lock:
             self._jobs[job.id] = job
 
+    def discard(self, job: Job) -> None:
+        """Un-admit a job whose admission could not be completed."""
+        with self._lock:
+            self._jobs.pop(job.id, None)
+
     def get(self, job_id: str) -> Optional[Job]:
         with self._lock:
             return self._jobs.get(job_id)

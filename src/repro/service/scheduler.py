@@ -18,11 +18,14 @@ The scheduler turns accepted jobs into executed points:
   zero fork overhead for cheap points).  Under an installed supervisor
   ``run_points`` gives the chunk the same MAPE pass batch sweeps get:
   engine faults trip breakers, suspect points re-run once on the
-  reference engines, and the ``deadline_s`` budget clamps every attempt.
-* **fan-out** — a completed point's row is normalized into the cache
-  and fanned out to *every* follower job; a failure fans out as a
-  per-job :class:`~repro.analysis.sweep.PointFailure` (and is never
-  cached, mirroring the checkpoint rule).
+  reference engines, and the ``deadline_s`` budget clamps every attempt
+  — so with a deadline every chunk is time-budgeted and forked, even at
+  ``workers == 1``, and its rows must be picklable.
+* **fan-out** — a completed point's row is put into the cache (a
+  :class:`~repro.runtime.checkpoint.RowStore`, normalized like a sweep
+  checkpoint row) and fanned out to *every* follower job; a failure
+  fans out as a per-job :class:`~repro.analysis.sweep.PointFailure`
+  (and is never cached, mirroring the checkpoint rule).
 
 Graceful degradation: the moment the supervisor reports a tripped
 breaker or a spent ``deadline_s`` budget, the scheduler latches its
@@ -37,9 +40,10 @@ and ``faulted`` (``status()["serving"]`` turns false); the loop keeps
 draining, so no accepted job is left waiting on a dead thread.
 
 With a :class:`~repro.service.persistence.ServicePersistence` attached
-the loop is also the journal's execution writer: each chunk is journaled
-``chunk-dispatched`` before it runs, each executed row hits the durable
-result store *before* its ``point-done`` record, and jobs reaching
+the cache is its result store and the loop is also the journal's
+execution writer: each chunk is journaled ``chunk-dispatched`` before
+it runs, each executed row is put durably (``store_result``) *before*
+its ``point-done`` record, and jobs reaching
 ``done``/``failed`` get a ``completed`` record — the write ordering the
 crash-recovery contract (see :mod:`repro.service.persistence`) rests on.
 """
@@ -50,14 +54,14 @@ import threading
 import traceback as tb_module
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..analysis.sweep import _merge_row, _run_grid_point
 from ..errors import CheckpointError, ConfigurationError
 from ..runtime import supervisor as supervisor_module
 from ..runtime import trace
+from ..runtime.checkpoint import RowStore
 from ..runtime.executor import PointTask, run_points
-from .cache import MISS, ResultCache
 from .jobs import DONE, FAILED, Job, JobSpec
 
 __all__ = ["Scheduler"]
@@ -78,7 +82,7 @@ class Scheduler:
 
     def __init__(
         self,
-        cache: ResultCache,
+        cache: RowStore,
         *,
         workers: int = 1,
         batch: int = 256,
@@ -91,7 +95,7 @@ class Scheduler:
             )
         if batch < 1:
             raise ConfigurationError(f"batch must be >= 1, got {batch}")
-        self.cache = cache
+        self.cache = cache  # persistence.results when durable
         self.persistence = persistence  # ServicePersistence | None
         self.workers = workers
         self.batch = batch
@@ -137,10 +141,12 @@ class Scheduler:
         with self._cond:
             for point in job.points:
                 row = self.cache.get(point.fingerprint)
-                if row is not MISS:
+                if row is not None:
+                    self._tr.count("service.cache.hits")
                     job.fill(point.index, row, source="cache")
                     hits += 1
                     continue
+                self._tr.count("service.cache.misses")
                 wanted = self._wanted.get(point.fingerprint)
                 if wanted:
                     wanted.append((job, point.index))
@@ -187,12 +193,13 @@ class Scheduler:
             try:
                 self._run_chunk(spec, items)
             except Exception as exc:  # noqa: BLE001 - contained here
-                self._contain(items, exc)
+                self.contain(items, exc)
 
-    def _contain(self, items: list[_WorkItem], exc: Exception) -> None:
-        """Fail the points a raising chunk still owned, latch degraded
-        and faulted, and let the loop keep draining.  Persistence (maybe
-        what raised) is not touched again."""
+    def contain(self, items: "Sequence[_WorkItem]", exc: Exception) -> None:
+        """Fail the points a raising chunk still owned (none for a failed
+        ``accepted`` write), latch degraded and faulted, and let the loop
+        keep draining.  Persistence (maybe what raised) is not touched
+        again."""
         error = f"scheduler error: {type(exc).__name__}: {exc}"
         formatted = tb_module.format_exc()
         # latched before any job fails, so a waiter sees the service state
@@ -311,18 +318,21 @@ class Scheduler:
             for job, index in followers:
                 job.fail(index, error=str(exc), traceback=None, attempts=1)
             return followers
+        # durable, the put is the result-store append, made before the
+        # point is journaled done: a 'point-done' record always names a
+        # durable row, and a row whose append raised is never cached
+        put = (
+            self.persistence.store_result if self.persistence
+            else self.cache.put
+        )
         try:
-            row = self.cache.put(item.fingerprint, row)
+            row = put(item.fingerprint, row)
         except CheckpointError:
-            # row not JSON-normalizable: usable by this job, not
-            # cacheable — and so not durably storable either (the store
-            # shares the cache's normalization contract)
+            # row not JSON-normalizable: usable by this job, not storable
             self._tr.count("service.cache.uncacheable")
         else:
+            self._tr.count("service.cache.stores")
             if self.persistence:
-                # store the row first, then journal the point as done:
-                # a 'point-done' record always names a durable row
-                self.persistence.store_result(item.fingerprint, row)
                 self.persistence.record_point_done(item.fingerprint)
         # taken only now: if a write above raised, the followers are
         # still owed and the loop fails them

@@ -20,7 +20,7 @@ from repro.runtime.chaos import (
     run_drill,
     strike,
 )
-from repro.runtime.checkpoint import SweepCheckpoint, fingerprint
+from repro.runtime.checkpoint import fingerprint, sweep_checkpoint
 from repro.runtime.executor import PointTask, run_points
 
 
@@ -172,9 +172,9 @@ class TestCorruptCheckpoint:
     def _checkpoint(self, tmp_path, n=5, name="ckpt.jsonl"):
         path = str(tmp_path / name)
         fp = fingerprint(list(range(n)), "none")
-        with SweepCheckpoint.open(path, n_points=n, fp=fp) as ckpt:
+        with sweep_checkpoint(path, n_points=n, fp=fp) as ckpt:
             for i in range(n):
-                ckpt.record(i, {"param": i, "v": float(i)})
+                ckpt.put(i, {"param": i, "v": float(i)})
         return path, fp
 
     def test_garbles_interior_line_deterministically(self, tmp_path):
@@ -193,15 +193,15 @@ class TestCorruptCheckpoint:
             json.loads(after[lineno])
         # the damage is exactly what the quarantine path heals
         with pytest.warns(RuntimeWarning, match="quarantined"):
-            with SweepCheckpoint.open(path, n_points=5, fp=fp) as ckpt:
+            with sweep_checkpoint(path, n_points=5, fp=fp) as ckpt:
                 assert ckpt.quarantined == 1
-                assert len(ckpt.done) == 4
+                assert len(ckpt) == 4
 
     def test_too_few_interior_lines_rejected(self, tmp_path):
         path = str(tmp_path / "ckpt.jsonl")
         fp = fingerprint([0], "none")
-        with SweepCheckpoint.open(path, n_points=1, fp=fp) as ckpt:
-            ckpt.record(0, {"param": 0})
+        with sweep_checkpoint(path, n_points=1, fp=fp) as ckpt:
+            ckpt.put(0, {"param": 0})
         with pytest.raises(ChaosError, match="interior"):
             corrupt_checkpoint(path, seed=0)
 

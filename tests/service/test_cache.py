@@ -1,27 +1,31 @@
-"""Unit tests for the content-addressed result cache."""
+"""Unit tests for the service's result cache: an in-memory RowStore."""
 
-from repro.runtime.trace import Tracer
-from repro.service.cache import MISS, ResultCache
+from repro.runtime.checkpoint import RowStore
+from repro.service import ResilienceService
+
+
+def square(x: int) -> dict:
+    return {"sq": x * x}
 
 
 class TestBasics:
     def test_miss_then_hit(self):
-        cache = ResultCache()
-        assert cache.get("fp") is MISS
+        cache = RowStore()
+        assert cache.get("fp") is None
         cache.put("fp", {"score": 1})
         assert cache.get("fp") == {"score": 1}
         assert cache.hits == 1
         assert cache.misses == 1
 
     def test_miss_is_not_a_falsy_row(self):
-        cache = ResultCache()
+        cache = RowStore()
         cache.put("empty", {})
         row = cache.get("empty")
-        assert row is not MISS
+        assert row is not None
         assert row == {}
 
     def test_hit_returns_a_copy(self):
-        cache = ResultCache()
+        cache = RowStore()
         cache.put("fp", {"score": 1})
         row = cache.get("fp")
         row["score"] = 99
@@ -29,25 +33,23 @@ class TestBasics:
 
     def test_put_normalizes_like_checkpoints(self):
         # tuples become lists, exactly as a checkpoint round-trip would
-        cache = ResultCache()
+        cache = RowStore()
         kept = cache.put("fp", {"pair": (1, 2)})
         assert kept == {"pair": [1, 2]}
         assert cache.get("fp") == {"pair": [1, 2]}
 
-    def test_contains_len_clear(self):
-        cache = ResultCache()
+    def test_contains_and_len(self):
+        cache = RowStore()
         cache.put("a", {"v": 1})
         cache.put("b", {"v": 2})
         assert "a" in cache and "b" in cache
+        assert "c" not in cache
         assert len(cache) == 2
-        cache.clear()
-        assert len(cache) == 0
-        assert "a" not in cache
 
 
 class TestEviction:
     def test_unbounded_by_default(self):
-        cache = ResultCache()
+        cache = RowStore()
         for i in range(500):
             cache.put(f"fp-{i}", {"v": i})
         assert len(cache) == 500
@@ -56,18 +58,19 @@ class TestEviction:
 
 class TestTelemetry:
     def test_counters_on_tracer(self):
-        tr = Tracer(keep_events=False)
-        cache = ResultCache(tracer=tr)
-        cache.get("nope")
-        cache.put("a", {"v": 1})
-        cache.get("a")
-        cache.put("b", {"v": 2})
-        assert tr.counters["service.cache.misses"] == 1
-        assert tr.counters["service.cache.hits"] == 1
-        assert tr.counters["service.cache.stores"] == 2
+        # the service counts its cache traffic on its own tracer
+        with ResilienceService() as svc:
+            assert svc.submit("t", square, grid={"x": [1, 2]}).wait(30)
+            assert svc.submit("t", square, grid={"x": [1]}).wait(30)
+            counters = svc.tracer.counters
+            assert isinstance(svc.cache, RowStore)
+        assert counters["service.cache.misses"] == 2
+        assert counters["service.cache.hits"] == 1
+        assert counters["service.cache.stores"] == 2
+        assert svc.cache.stats() == {"entries": 2, "hits": 1, "misses": 2}
 
     def test_stats_snapshot(self):
-        cache = ResultCache()
+        cache = RowStore()
         cache.put("a", {"v": 1})
         cache.get("a")
         cache.get("missing")

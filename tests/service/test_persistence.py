@@ -1,9 +1,10 @@
 """Tests for the service's durable spine (repro.service.persistence).
 
-Covers the journal/store corruption matrix (torn tail, mid-file
-garble, duplicate records, empty file, version-mismatch header), the
-job round-trip (encode -> journal -> rebuild), and full service
-recovery: restart re-admits incomplete jobs, warm-starts the cache,
+Covers the journal's corruption cases (torn tail, mid-file garble,
+empty file, version-mismatch header; the result store's cases are the
+row-store matrix in tests/runtime/test_checkpoint.py), the job
+round-trip (encode -> journal -> rebuild), and full service recovery:
+restart re-admits incomplete jobs, serves stored rows from the cache,
 skips already-stored points, and keeps final jobs final.
 """
 
@@ -73,7 +74,8 @@ class TestAppendAndReplay:
 
         p2 = ServicePersistence(str(tmp_path))
         state = p2.load()
-        assert state.rows == {fps[0]: {"value": 10}}
+        assert len(p2.results) == 1
+        assert p2.results.get(fps[0]) == {"value": 10}
         assert [r["job"] for r in state.incomplete] == ["job-000001"]
         assert state.max_job_number == 1
         # dispatched/point-done records replay without warnings
@@ -111,7 +113,8 @@ class TestAppendAndReplay:
 
 
 class TestCorruptionMatrix:
-    """Every cell of the damage matrix degrades, never silently lies."""
+    """The journal's damage cases degrade, never silently lie (the result
+    store's are the shared row-store matrix)."""
 
     def _seeded(self, tmp_path) -> tuple:
         p = ServicePersistence(str(tmp_path))
@@ -131,10 +134,11 @@ class TestCorruptionMatrix:
         journal, _, fps = self._seeded(tmp_path)
         with open(journal, "a") as fh:
             fh.write('{"record": "point-done", "fingerprint": "to')
-        state = ServicePersistence(str(tmp_path)).load()
+        p = ServicePersistence(str(tmp_path))
+        state = p.load()
         # the torn record vanishes; everything durably appended survives
         assert [r["job"] for r in state.incomplete] == ["job-000001"]
-        assert set(state.rows) == set(fps)
+        assert all(fp in p.results for fp in fps) and len(p.results) == 2
         assert any(
             "torn tail" in w["reason"] for w in state.warnings
         )
@@ -157,25 +161,13 @@ class TestCorruptionMatrix:
         assert p2.load().quarantined == 0
         p2.close()
 
-    def test_duplicate_store_records_newest_wins(self, tmp_path):
-        _, results, _ = self._seeded(tmp_path)
-        p = ServicePersistence(str(tmp_path))
-        p.store_result("fp-dup", {"value": 1})
-        p.store_result("fp-dup", {"value": 2})
-        p.close()
-        state = ServicePersistence(str(tmp_path)).load()
-        assert state.rows["fp-dup"] == {"value": 2}
-        assert any(
-            "duplicate fingerprint" in w["reason"] for w in state.warnings
-        )
-
     def test_empty_files_initialize_cleanly(self, tmp_path):
         # zero-byte files (crash before the header fsync) are re-headed
         for name in (JOURNAL_NAME, RESULTS_NAME):
             open(os.path.join(str(tmp_path), name), "w").close()
         p = ServicePersistence(str(tmp_path))
         state = p.load()
-        assert state.rows == {} and state.incomplete == []
+        assert len(p.results) == 0 and state.incomplete == []
         assert state.warnings == []
         p.close()
 
@@ -187,28 +179,6 @@ class TestCorruptionMatrix:
             fh.write("\n".join(lines) + "\n")
         with pytest.raises(CheckpointError, match="not a v1 service journal"):
             ServicePersistence(str(tmp_path))
-
-    def test_foreign_kind_header_refused(self, tmp_path):
-        _, results, _ = self._seeded(tmp_path)
-        lines = _read_lines(results)
-        lines[0] = json.dumps({"kind": "sweep-checkpoint", "version": 1})
-        with open(results, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        with pytest.raises(CheckpointError, match="service result store"):
-            ServicePersistence(str(tmp_path))
-
-    def test_malformed_but_parseable_records_quarantined(self, tmp_path):
-        _, results, _ = self._seeded(tmp_path)
-        lines = _read_lines(results)
-        # valid JSON, wrong shape: no fingerprint string
-        lines.insert(2, json.dumps({"fingerprint": 3, "row": {}}))
-        with open(results, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        with pytest.warns(RuntimeWarning, match="will re-execute"):
-            p = ServicePersistence(str(tmp_path))
-        assert p.load().quarantined == 1
-        p.close()
-
 
 class TestJobRoundTrip:
     def test_importable_job_rebuilds_identically(self):

@@ -267,6 +267,9 @@ class TestSchedulerFaults:
         assert svc.status()["degraded"]
         assert not svc.status()["serving"]
         assert svc.tracer.counters["service.scheduler.errors"] == 1
+        if write == "store_result":
+            # a row whose durable append failed is not served from memory
+            assert not any(p.fingerprint in svc.cache for p in job.points)
         with pytest.raises(BackpressureError, match="degraded"):
             svc.submit("exp2", square, grid=GRID)
         assert _closes_within(svc, 10)
@@ -278,6 +281,23 @@ class TestSchedulerFaults:
             assert rerun.wait(10)
         assert rerun.state == DONE
         assert rerun.result().rows == grid_sweep(GRID, square).rows
+
+    def test_failed_accepted_write_admits_nothing(self, tmp_path, monkeypatch):
+        def no_space(self, *args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(ServicePersistence, "record_accepted", no_space)
+        svc = ResilienceService(service_dir=str(tmp_path)).start()
+        with pytest.raises(OSError, match="No space"):
+            svc.submit("exp", square, grid=GRID)
+        status = svc.status()
+        assert status["pending_jobs"] == 0
+        assert status["jobs"] == {}
+        assert not status["serving"]
+        assert svc.degraded
+        with pytest.raises(BackpressureError, match="degraded"):
+            svc.submit("exp2", square, grid=GRID)
+        assert _closes_within(svc, 10)
 
 
 class TestObservability:

@@ -142,7 +142,7 @@ def test_runtime_exports():
         "SEAMS",
         "EngineSeam",
         "resolve_engine_kind",
-        "SweepCheckpoint",
+        "RowStore",
         "Tracer",
     ):
         assert name in runtime.__all__, name
