@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from conftest import run_once
+from conftest import run_once, scaled
 
 from repro.analysis.tables import render_table
 from repro.anticipation.earlywarning import compute_indicators, warning_verdict
@@ -19,7 +19,10 @@ from repro.anticipation.tipping import SaddleNodeSystem
 
 WINDOW = 800
 TAU = 0.3
-TRIALS = 12
+TRIALS = scaled(12, smoke=2)
+LENGTH = scaled(20_000, smoke=8_000)
+# ramps tipping earlier leave too short a pre-tip window
+MIN_TIP = scaled(6000, smoke=3000)
 
 
 def analyse(series):
@@ -35,16 +38,16 @@ def run_experiment():
     control_hits, control_var, control_ac = 0, [], []
     for trial in range(TRIALS):
         ramp = system.ramp_to_tipping(
-            20_000, a_start=-0.5, a_end=0.45, seed=trial
+            LENGTH, a_start=-0.5, a_end=0.45, seed=trial
         )
-        if not ramp.tipped or (ramp.tip_index or 0) < 6000:
+        if not ramp.tipped or (ramp.tip_index or 0) < MIN_TIP:
             continue
         ind = analyse(ramp)
         ramp_hits += warning_verdict(ind, tau_threshold=TAU)
         ramp_var.append(ind.variance_trend)
         ramp_ac.append(ind.autocorrelation_trend)
 
-        control = system.stationary_control(20_000, a=-0.45,
+        control = system.stationary_control(LENGTH, a=-0.45,
                                             seed=1000 + trial)
         ind_c = analyse(control)
         control_hits += warning_verdict(ind_c, tau_threshold=TAU)

@@ -16,7 +16,8 @@ the "after" of the vectorization work.  Agent benchmarks
 (``make_csp_engine``) via ``REPRO_CSP_ENGINE``, timed as object vs the
 ``bit`` kind, i.e. the packed tiled engine (``--json-csp`` writes that
 family's snapshot).
-Benchmarks that were vectorized in place record a single timing.
+Benchmarks with one implementation (vectorized in place, or with no
+engine seam, like E16) record a single timing.
 
 ``--json-csp`` additionally emits a **scale axis** (snapshot schema 3):
 the wall time of one exact n-recoverability check at n ∈ {14, 18, 22,
@@ -105,13 +106,16 @@ CSP_ENGINE_AWARE = {
     "a01_seawall_design": "bench_a01_seawall_design",
     "a02_capacity_margin": "bench_a02_capacity_margin",
 }
-# benchmarks vectorized in place (single implementation)
-VECTORIZED = {
+# benchmarks with a single implementation (E07/E25 vectorized in place,
+# E16 never had an engine seam), timed once under the "vectorized" column
+SINGLE_TIMING = {
     "e07_diversity_survival": "bench_e07_diversity_survival",
+    "e16_early_warning": "bench_e16_early_warning",
     "e25_stickleback_readaptation": "bench_e25_stickleback_readaptation",
 }
 ALL = {
-    **ENGINE_AWARE, **NETWORK_ENGINE_AWARE, **CSP_ENGINE_AWARE, **VECTORIZED
+    **ENGINE_AWARE, **NETWORK_ENGINE_AWARE, **CSP_ENGINE_AWARE,
+    **SINGLE_TIMING,
 }
 # which env var selects the engine for each engine-aware benchmark
 ENGINE_VAR = {
@@ -129,7 +133,7 @@ DEFAULT_ENGINES = {
 # snapshot families: --json gets the agent family, --json-networks the
 # network family (so BENCH_agents.json keeps its historical shape), and
 # --json-csp the CSP family
-AGENT_FAMILY = {**ENGINE_AWARE, **VECTORIZED}
+AGENT_FAMILY = {**ENGINE_AWARE, **SINGLE_TIMING}
 NETWORK_FAMILY = NETWORK_ENGINE_AWARE
 CSP_FAMILY = CSP_ENGINE_AWARE
 

@@ -59,9 +59,15 @@ def test_smoke_mode_covers_the_harness(tmp_path):
         "e19_strategy_tradeoffs",
         "e23_granularity",
         "e07_diversity_survival",
+        "e16_early_warning",
         "e25_stickleback_readaptation",
     }
     assert set(snapshot["timings_s"]) == expected
+    # single-implementation benchmarks carry one timing column
+    for name in ("e07_diversity_survival", "e16_early_warning",
+                 "e25_stickleback_readaptation"):
+        assert set(snapshot["timings_s"][name]) == {"vectorized"}
+        assert snapshot["timings_s"][name]["vectorized"] > 0
     # engine-aware benchmarks carry both engine columns and a breakdown
     for name in ("e19_strategy_tradeoffs", "e23_granularity"):
         assert set(snapshot["timings_s"][name]) == {"object", "array"}

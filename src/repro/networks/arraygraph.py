@@ -19,17 +19,25 @@ both, so the two storages differ only in where the bytes are.
   reopen either read-only with :meth:`ArrayGraph.open`.  Graphs built
   without labels use the identity labels ``0..n-1`` and keep no O(n)
   label or index side tables.
-* **block-streamed kernels** — :func:`chunked_newman_ziff_giant_sizes`
-  (reverse Newman–Ziff percolation: the giant-component curve built by
-  *adding* nodes in reverse attack order, one near-O(1) union per
-  active edge, the active ones filtered vectorized per block),
-  :func:`chunked_union_find_labels` and
-  :func:`frontier_slices` walk ``indices`` in fixed-size blocks
+* **block-streamed kernels** — reverse Newman–Ziff percolation (the
+  giant-component curve built by *adding* nodes in reverse attack
+  order, each edge unioned once from its later endpoint, the active
+  ones filtered vectorized per block), :func:`chunked_union_find_labels`
+  and :func:`frontier_slices` walk ``indices`` in fixed-size blocks
   (:func:`derive_chunk_elems` turns the supervisor's
-  ``memory_budget_mb`` into a block size), so only O(block + n) bytes
-  are ever boxed into Python objects regardless of edge count.  Their
-  outputs are byte-identical to the single-pass reference kernels kept
-  in ``tests/networks/reference_kernels.py``.
+  ``memory_budget_mb`` into a block size), so O(block + n) bytes are in
+  flight regardless of edge count.  :func:`newman_ziff_giants_at` reads
+  the giant only at the addition counts a caller asks for and picks one
+  of two paths by the edges per requested stop: with at least
+  :data:`VECTOR_EDGES_PER_STOP`, :func:`vectorized_newman_ziff_giants_at`
+  unions each stop interval's edges at once on int32 numpy arrays
+  (nothing boxed); below it, the per-addition Python loop of
+  :func:`chunked_newman_ziff_giant_sizes` (which boxes only a block's
+  active neighbours) costs less than a few dozen numpy calls per
+  interval.  Component sizes do not depend on union order, so both
+  paths — and every block size — give the same sizes as the
+  single-pass reference kernels kept in
+  ``tests/networks/reference_kernels.py``.
 * **array primitives** — ragged row gathers (:func:`gather_rows`,
   :func:`directed_edge_blocks`) and geometric-gap Bernoulli sampling
   (:func:`bernoulli_indices`) replacing per-edge Python RNG calls.
@@ -66,6 +74,7 @@ __all__ = [
     "INT32_INDPTR_CAPACITY",
     "MAX_CHUNK_BITS",
     "MIN_CHUNK_BITS",
+    "VECTOR_EDGES_PER_STOP",
     "as_arraygraph",
     "bernoulli_indices",
     "chunked_newman_ziff_giant_sizes",
@@ -74,6 +83,9 @@ __all__ = [
     "directed_edge_blocks",
     "frontier_slices",
     "gather_rows",
+    "newman_ziff_giants_at",
+    "sorted_distinct",
+    "vectorized_newman_ziff_giants_at",
 ]
 
 #: largest directed-edge count (``2·m``, the final ``indptr`` entry)
@@ -103,6 +115,14 @@ MAX_CHUNK_BITS = 20
 #: Only the kept (active) neighbors are boxed — about half the slots
 #: on a full curve — so the figure is an upper bound.
 CHUNK_ELEM_BYTES = 128
+
+#: undirected edges per distinct stop from which
+#: :func:`newman_ziff_giants_at` unions each stop interval with numpy
+#: rather than the per-addition loop.  Measured break-even on
+#: mean-degree-4 ER graphs of 10^3..2·10^4 nodes: ~360 edges per stop
+#: still favour the loop (×0.84–0.95), ~500 favour numpy (×1.06–1.26);
+#: the interval's fixed cost is a few dozen numpy calls.
+VECTOR_EDGES_PER_STOP = 512
 
 
 def derive_chunk_elems(memory_budget_bytes: Optional[int] = None) -> int:
@@ -796,6 +816,14 @@ def gather_rows(
     return indices[flat_idx], counts
 
 
+def sorted_distinct(a: np.ndarray) -> np.ndarray:
+    """``np.unique(a)`` for a 1-D int array, by sort: numpy's hash-based
+    integer ``unique`` is ~10x slower at frontier sizes, and its first
+    call imports ``numpy.ma`` (~1 MB of resident memory)."""
+    a = np.sort(a)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))] if a.size else a
+
+
 def directed_edge_blocks(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -874,8 +902,9 @@ def chunked_newman_ziff_giant_sizes(
 
     Because the giant component is monotone under additions, evaluating
     a removal process in reverse turns O(checkpoints · BFS) into one
-    O((n + m)·α) sweep — the speedup behind the array percolation and
-    healing engines.  Neighbor lists arrive via per-block CSR gathers
+    O((n + m)·α) sweep — the loop path of :func:`newman_ziff_giants_at`,
+    which the array percolation and healing engines call.  Neighbor
+    lists arrive via per-block CSR gathers
     (``O(block)`` boxed ints in flight) instead of one
     ``indices.tolist()`` of the whole edge array, and one numpy mask per
     block keeps only the already-active neighbors (added at an earlier
@@ -891,17 +920,7 @@ def chunked_newman_ziff_giant_sizes(
     parent = list(range(n))
     size = [1] * n
     best = 0
-
-    additions = np.asarray(order, dtype=np.int64)
-    prefix = (
-        np.empty(0, dtype=np.int64) if base is None
-        else np.asarray(base, dtype=np.int64)
-    )
-    seq = np.concatenate([prefix, additions])
-    # pos[v] = v's first position in seq (len(seq) if never added): the
-    # node at position t finds exactly the neighbours with pos < t active
-    pos = np.full(n, len(seq), dtype=_offset_dtype(len(seq)))
-    np.minimum.at(pos, seq, np.arange(len(seq), dtype=pos.dtype))
+    seq, n_prefix, pos = _addition_positions(n, order, base)
     # giants[t] = largest component once the first t nodes of seq are in
     giants = np.empty(len(seq) + 1, dtype=np.int64)
     giants[0] = 0
@@ -939,7 +958,183 @@ def chunked_newman_ziff_giant_sizes(
             block_giants.append(best)
         giants[lo + 1:hi + 1] = block_giants
     trace.current().count("net.nz_edges.array", unioned)
-    return giants[len(prefix):]
+    return giants[n_prefix:]
+
+
+def _addition_positions(
+    n: int, order, base
+) -> tuple[np.ndarray, int, np.ndarray]:
+    """``(seq, len(base), pos)`` of a Newman–Ziff addition sequence.
+
+    ``seq`` is ``base`` then ``order``; ``pos[v]`` is ``v``'s first
+    position in it (``len(seq)`` if never added), so the node at
+    position ``t`` finds exactly the neighbours with ``pos < t`` active.
+    """
+    additions = np.asarray(order, dtype=np.int64)
+    prefix = (
+        np.empty(0, dtype=np.int64) if base is None
+        else np.asarray(base, dtype=np.int64)
+    )
+    seq = np.concatenate([prefix, additions])
+    pos = np.full(n, len(seq), dtype=_offset_dtype(len(seq)))
+    np.minimum.at(pos, seq, np.arange(len(seq), dtype=pos.dtype))
+    return seq, len(prefix), pos
+
+
+def newman_ziff_giants_at(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    order: np.ndarray,
+    stops: Sequence[int],
+    base: np.ndarray | None = None,
+    block_elems: Optional[int] = None,
+) -> np.ndarray:
+    """Giant-component size after ``k`` additions, for each ``k`` in ``stops``.
+
+    The values of :func:`chunked_newman_ziff_giant_sizes` at ``stops``
+    (any order, repeats allowed; each in ``0..len(order)``), computed
+    by one of two paths chosen by the edges per stop interval:
+
+    * at least :data:`VECTOR_EDGES_PER_STOP` undirected edges per
+      distinct stop — :func:`vectorized_newman_ziff_giants_at` unions
+      each interval's edges with numpy, recording the giant only at the
+      stops;
+    * fewer — the per-addition loop of
+      :func:`chunked_newman_ziff_giant_sizes`, read at the stops, which
+      is faster when there is little to vectorize per interval.
+
+    Component sizes do not depend on union order, so both paths return
+    the same sizes.
+    """
+    stops = np.asarray(stops, dtype=np.int64)
+    if stops.size and (stops.min() < 0 or stops.max() > len(order)):
+        raise ConfigurationError(
+            f"stops must lie in 0..{len(order)} additions"
+        )
+    marks = sorted_distinct(stops)
+    if len(indices) // 2 >= VECTOR_EDGES_PER_STOP * max(len(marks), 1):
+        giants = vectorized_newman_ziff_giants_at(
+            indptr, indices, order, marks, base, block_elems
+        )
+    else:
+        giants = chunked_newman_ziff_giant_sizes(
+            indptr, indices, order, base, block_elems
+        )[marks]
+    return giants[np.searchsorted(marks, stops)]
+
+
+def vectorized_newman_ziff_giants_at(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    order: np.ndarray,
+    marks: np.ndarray,
+    base: np.ndarray | None = None,
+    block_elems: Optional[int] = None,
+) -> np.ndarray:
+    """Giant size after ``k`` additions for each ``k`` of the sorted,
+    distinct ``marks``, by a vectorized union-find per stop interval.
+
+    The additions stream in the loop's blocks (:func:`frontier_slices`
+    over the addition sequence, :func:`gather_rows`, the same ``pos``
+    mask, so ``net.nz_edges.array`` counts the same kept edges).  The
+    kept edges up to each mark are unioned at once on an int32
+    ``parent`` array: endpoints find their roots by pointer jumping,
+    the larger root of each edge hooks to the smaller one, and the
+    touched roots jump until each points at a root again; this repeats
+    until no edge joins two roots.  Hooked roots then pass their
+    size on to their final root (``np.add.at``) and the running giant is
+    read off the touched roots.  Nothing is boxed into Python objects.
+    """
+    if block_elems is None:
+        block_elems = 1 << DEFAULT_CHUNK_BITS
+    n = len(indptr) - 1
+    seq, n_prefix, pos = _addition_positions(n, order, base)
+    ends = np.asarray(marks, dtype=np.int64) + n_prefix
+    giants = np.zeros(len(ends), dtype=np.int64)
+    parent = np.arange(n, dtype=np.int32)
+    size = np.ones(n, dtype=np.int32)
+    # slot[v] = the index v last took in a dedupe (O(k), no sort)
+    slot = np.empty(n, dtype=np.int32)
+    seq32 = seq.astype(np.int32)
+    best = 0
+    unioned = 0
+    k = int(np.searchsorted(ends, 0, side="right"))  # ends of 0 stay 0
+    last = int(ends[-1]) if len(ends) else 0
+    for lo, hi in frontier_slices(indptr, seq[:last], block_elems):
+        flat, counts = gather_rows(indptr, indices, seq[lo:hi])
+        t = np.repeat(np.arange(lo, hi, dtype=pos.dtype), counts)
+        keep = pos[flat] < t
+        t = t[keep]
+        u = seq32[t]
+        v = flat[keep]
+        unioned += len(v)
+        j = int(np.searchsorted(ends, hi, side="right"))
+        # t ascends, so each mark in (lo, hi] cuts the block's edges once
+        cuts = np.searchsorted(t, ends[k:j]).tolist()
+        start = 0
+        for cut in cuts:
+            best = max(best, _union_edges(
+                parent, size, slot, u[start:cut], v[start:cut]
+            ))
+            giants[k] = max(best, 1)
+            start = cut
+            k += 1
+        best = max(best, _union_edges(
+            parent, size, slot, u[start:], v[start:]
+        ))
+    trace.current().count("net.nz_edges.array", unioned)
+    return giants
+
+
+def _find_roots(parent: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Roots of the nodes ``x`` by pointer jumping; ``x`` are then
+    pointed straight at their roots."""
+    r = parent[x]
+    while True:
+        up = parent[r]
+        if np.array_equal(up, r):
+            break
+        r = up
+    parent[x] = r
+    return r
+
+
+def _union_edges(
+    parent: np.ndarray, size: np.ndarray, slot: np.ndarray,
+    u: np.ndarray, v: np.ndarray,
+) -> int:
+    """Union the edges ``(u, v)`` into the forest, where each ``u`` is a
+    node added with these edges (so still its own root); the largest
+    size of a component they touched (0 for no edges)."""
+    if not len(u):
+        return 0
+    rv = _find_roots(parent, v)
+    # the distinct roots touched, deduped through slot[] in O(k)
+    touched = np.concatenate([u, rv])
+    at = np.arange(len(touched), dtype=np.int32)
+    slot[touched] = at
+    roots = touched[slot[touched] == at]
+    lo, hi = np.minimum(u, rv), np.maximum(u, rv)
+    while True:
+        # hooks run from a larger root to a smaller one, so no cycle
+        # forms; jump until every touched root points at a root
+        parent[hi] = lo
+        while True:
+            up = parent[roots]
+            top = parent[up]
+            if np.array_equal(up, top):
+                break
+            parent[roots] = top
+        lo, hi = parent[lo], parent[hi]
+        apart = lo != hi
+        if not apart.any():
+            break
+        lo, hi = lo[apart], hi[apart]
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    final = parent[roots]
+    hooked = final != roots
+    np.add.at(size, final[hooked], size[roots[hooked]])
+    return int(size[final].max())
 
 
 def chunked_union_find_labels(

@@ -44,10 +44,11 @@ from .arraygraph import (
     ArrayGraph,
     as_arraygraph,
     bernoulli_indices,
-    chunked_newman_ziff_giant_sizes,
     derive_chunk_elems,
     frontier_slices,
     gather_rows,
+    newman_ziff_giants_at,
+    sorted_distinct,
 )
 from .graph import Graph
 
@@ -57,13 +58,6 @@ __all__ = [
     "ObjectNetworkEngine",
     "make_network_engine",
 ]
-
-
-def _sorted_distinct(a: np.ndarray) -> np.ndarray:
-    """``np.unique(a)`` for a 1-D int array, by sort (numpy's hash-based
-    integer ``unique`` is ~10x slower at frontier sizes)."""
-    a = np.sort(a)
-    return a[np.concatenate(([True], a[1:] != a[:-1]))] if a.size else a
 
 
 class NetworkEngine(ABC):
@@ -289,14 +283,23 @@ class ArrayNetworkEngine(NetworkEngine):
     :class:`~repro.networks.graph.Graph` through its cached
     :class:`~repro.networks.arraygraph.ArrayGraph`.  Every hot loop
     walks the ``indices`` array in fixed-size blocks, so the kernels'
-    working memory is O(n + block) whatever the edge count: Newman–Ziff
-    percolation and healing stream additions through
-    :func:`~repro.networks.arraygraph.chunked_newman_ziff_giant_sizes`,
-    cascades and SIS/SIR expand their frontiers block by block with a
-    two-pass draw that spends the RNG exactly as one whole-frontier
-    gather would.  Every output — deterministic or stochastic — is
-    therefore byte-identical across block sizes and across the two
-    storages of one CSR.
+    working memory is O(n + block) whatever the edge count: cascades
+    and SIS/SIR expand their frontiers block by block with a two-pass
+    draw that spends the RNG exactly as one whole-frontier gather would.
+    Every output — deterministic or stochastic — is therefore
+    byte-identical across block sizes and across the two storages of
+    one CSR.
+
+    Percolation and healing each make one
+    :func:`~repro.networks.arraygraph.newman_ziff_giants_at` call that
+    streams additions in reverse (Newman–Ziff) and returns the giant
+    only where the output reads it: 1 + ``len(checkpoints)`` sizes for
+    a curve, at most ``horizon`` + 1 for a healing series.  With at
+    least :data:`~repro.networks.arraygraph.VECTOR_EDGES_PER_STOP`
+    edges per distinct stop (a 10^5-node curve at ``resolution=64``
+    has ~7,800), each stop interval's edges are unioned at once with
+    numpy; below it (a 10^3-node, 32-point curve has ~64) the
+    per-addition loop runs.  The sizes are the same either way.
 
     The block size comes from the supervisor's ``memory_budget_mb`` via
     :func:`~repro.networks.arraygraph.derive_chunk_elems`, so a budget
@@ -327,13 +330,13 @@ class ArrayNetworkEngine(NetworkEngine):
             n = cg.n_nodes
             order_idx = cg.indices_of(order)
             # removals evaluated in reverse as Newman–Ziff additions,
-            # neighbor lists arriving in budget-sized blocks
-            sizes = chunked_newman_ziff_giant_sizes(
-                cg.indptr, cg.indices, order_idx[::-1],
+            # neighbor lists arriving in budget-sized blocks: i removals
+            # leave n - i additions
+            stops = n - np.asarray([0, *checkpoints], dtype=np.int64)
+            out = newman_ziff_giants_at(
+                cg.indptr, cg.indices, order_idx[::-1], stops,
                 block_elems=self._block(),
-            )
-            out = [int(sizes[n])]
-            out.extend(int(sizes[n - i]) for i in checkpoints)
+            ).tolist()
         tr.count("net.curves.array")
         tr.count("net.nz_nodes.array", n)
         return out
@@ -452,7 +455,7 @@ class ArrayNetworkEngine(NetworkEngine):
                     cg, wave, lambda flat: ~failed[flat],
                     spread_p, rng, block,
                 )
-                new = _sorted_distinct(hit)
+                new = sorted_distinct(hit)
                 failed[new] = True
                 wave = new
             failed_labels = {labels[int(i)] for i in np.flatnonzero(failed)}
@@ -509,7 +512,7 @@ class ArrayNetworkEngine(NetworkEngine):
             if recovered_mask is not None:
                 recovered_mask[recovered_now] = True
                 self._leave_susceptibles(
-                    cg, live, _sorted_distinct(new), block
+                    cg, live, sorted_distinct(new), block
                 )
             infected_mask[new] = True
             ever[new] = True
@@ -566,30 +569,28 @@ class ArrayNetworkEngine(NetworkEngine):
             n_removed = len(removed_idx)
             base = np.ones(n, dtype=bool)
             base[removed_idx] = False
+            # healed[t] = victims restored by step t: none until after
+            # the shock, then repairs_per_step more each step; before the
+            # shock the graph is whole (all n_removed restored)
+            steps = np.arange(horizon, dtype=np.int64)
+            healed = np.minimum(
+                n_removed,
+                np.maximum(steps - shock_time, 0) * repairs_per_step,
+            )
+            healed[steps < shock_time] = n_removed
+            # a series that ends before the shock restores nothing
+            restored = int(healed[-1]) if shock_time < horizon else 0
             # one Newman–Ziff pass: survivors first, then victims restored
-            # in triage order — sizes[k] is the giant with k nodes healed
-            sizes = chunked_newman_ziff_giant_sizes(
+            # in triage order — read only at the counts the series shows
+            giants = newman_ziff_giants_at(
                 cg.indptr, cg.indices, removed_idx,
+                np.append(healed, n_removed),
                 base=np.flatnonzero(base),
                 block_elems=self._block(),
             )
-            full = int(sizes[n_removed])
-            times: list[float] = []
-            quality: list[float] = []
-            restored = 0
-            for t in range(horizon):
-                if t == shock_time:
-                    giant = int(sizes[0])
-                elif t > shock_time:
-                    if repairs_per_step > 0 and restored < n_removed:
-                        restored = min(
-                            n_removed, restored + repairs_per_step
-                        )
-                    giant = int(sizes[restored])
-                else:
-                    giant = full
-                times.append(float(t))
-                quality.append(100.0 * giant / n)
+            full = int(giants[-1])
+            times = [float(t) for t in range(horizon)]
+            quality = (100.0 * giants[:-1] / n).tolist()
             fully = restored == n_removed and full == n
         tr.count("net.healing.runs.array")
         return times, quality, fully

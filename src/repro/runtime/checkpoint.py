@@ -59,6 +59,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 import threading
 import warnings as warnings_module
 from typing import Any, Callable, Mapping
@@ -154,6 +155,23 @@ def _write_atomic(path: str, text: str) -> None:
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
+
+
+_PACKAGE = __name__.partition(".")[0]
+
+
+def _caller_stacklevel() -> int:
+    """``stacklevel`` for a warning raised by the function calling this
+    one, naming the first frame outside the package, so a caller's
+    ``warnings`` filter can target its own module (``warnings.warn``'s
+    ``skip_file_prefixes`` needs Python 3.12)."""
+    frame, level = sys._getframe(1), 1
+    while frame.f_back is not None:
+        module = frame.f_globals.get("__name__", "")
+        if module.partition(".")[0] != _PACKAGE:
+            break
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 class JournalFile:
@@ -291,7 +309,7 @@ class JournalFile:
                 f"corrupt line(s) to {sidecar!r}"
                 + (f"; {heal_hint}" if heal_hint else ""),
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=_caller_stacklevel(),
             )
         return cls(path, entries, warnings, quarantined=len(quarantine))
 

@@ -9,7 +9,11 @@ addition split differently), on both storages of one CSR: the in-RAM
 
 * deterministic kernels (percolation sizes, load cascades, healing)
   must equal :class:`~repro.networks.engine.ObjectNetworkEngine`
-  exactly;
+  exactly, at every checkpoint or at a sparse subset, on whichever
+  Newman–Ziff path the edges per checkpoint select (a spy pins the
+  selection, a fixed graph above the threshold takes the numpy path);
+* the numpy Newman–Ziff path itself must equal the single-pass
+  reference kernel at every drawn stop, base prefix and block size;
 * stochastic kernels (SIR, SIS, spread cascades) must be byte-identical
   to the default-block engine on the in-RAM graph, same seed.
 
@@ -32,7 +36,17 @@ from repro.networks import (
     TargetedDegreeAttack,
     as_arraygraph,
 )
+from repro.networks import arraygraph as arraygraph_mod
+from repro.networks.arraygraph import (
+    VECTOR_EDGES_PER_STOP,
+    newman_ziff_giants_at,
+    vectorized_newman_ziff_giants_at,
+)
 from repro.networks.engine import ArrayNetworkEngine, ObjectNetworkEngine
+from repro.networks.generators import erdos_renyi
+from repro.runtime import trace
+
+from .reference_kernels import newman_ziff_giant_sizes
 
 BLOCKS = (1, 7, 13, 64, 1 << 18)
 #: keeps capacities off every small-denominator rational, so the order
@@ -82,12 +96,17 @@ def node_subset(data, n: int, label: str, min_size: int = 0) -> list:
 def test_percolation_matches_object(g, data):
     n = g.n_nodes
     order = data.draw(st.permutations(range(n)), label="order")
-    checkpoints = list(range(1, n + 1))
-    ref = ObjectNetworkEngine().percolation_giant_sizes(
-        g, order, checkpoints
-    )
-    for engine, cg in subjects(g, data):
-        assert engine.percolation_giant_sizes(cg, order, checkpoints) == ref
+    sparse = sorted(set(data.draw(
+        st.lists(st.integers(1, n), max_size=4), label="checkpoints"
+    )))
+    for checkpoints in (list(range(1, n + 1)), sparse):
+        ref = ObjectNetworkEngine().percolation_giant_sizes(
+            g, order, checkpoints
+        )
+        for engine, cg in subjects(g, data):
+            assert engine.percolation_giant_sizes(
+                cg, order, checkpoints
+            ) == ref
 
 
 @FUZZ
@@ -106,10 +125,12 @@ def test_load_cascade_matches_object(g, data, tol):
 
 @FUZZ
 @given(
-    g=graphs(), data=st.data(), repairs=st.integers(0, 3),
+    g=graphs(), data=st.data(), repairs=st.integers(0, 13),
     horizon=st.integers(2, 8),
 )
 def test_healing_matches_object(g, data, repairs, horizon):
+    # repairs > 1 reads the restoration curve at a sparse subset of
+    # counts; past n_removed one step heals every victim
     victims = data.draw(
         st.permutations(range(g.n_nodes)), label="triage"
     )[:data.draw(st.integers(0, g.n_nodes), label="n_removed")]
@@ -121,6 +142,110 @@ def test_healing_matches_object(g, data, repairs, horizon):
         assert engine.healing_episode(
             cg, victims, repairs, horizon, shock
         ) == ref
+
+
+# -- the two Newman–Ziff paths --------------------------------------------
+
+
+@FUZZ
+@given(g=graphs(max_nodes=30), data=st.data())
+def test_vectorized_newman_ziff_matches_reference(g, data):
+    ag = as_arraygraph(g)
+    n = ag.n_nodes
+    perm = np.asarray(
+        data.draw(st.permutations(range(n)), label="sequence"),
+        dtype=np.int64,
+    )
+    cut = data.draw(st.integers(0, n), label="base size")
+    no_base = cut == 0 and data.draw(st.booleans(), label="base=None")
+    base = None if no_base else perm[:cut]
+    order = perm[cut:]
+    ref = newman_ziff_giant_sizes(ag.indptr, ag.indices, order, base=base)
+    stops = data.draw(
+        st.lists(st.integers(0, len(order)), max_size=6), label="stops"
+    )
+    marks = np.unique([0, len(order), *stops])
+    block = data.draw(
+        st.sampled_from(BLOCKS) | st.integers(1, 2 * ag.n_edges + 2),
+        label="block",
+    )
+    for cg in (ag, ArrayGraph.from_arrays(ag.indptr, ag.indices)):
+        got = vectorized_newman_ziff_giants_at(
+            cg.indptr, cg.indices, order, marks, base, block
+        )
+        assert got.tolist() == ref[marks].tolist()
+        # the dispatcher reads any stops, unsorted and repeated
+        assert newman_ziff_giants_at(
+            cg.indptr, cg.indices, order, stops, base, block
+        ).tolist() == ref[stops].tolist()
+
+
+@pytest.fixture(scope="module")
+def dense_graph() -> Graph:
+    """~6000 edges: a few checkpoints put it above the threshold."""
+    return erdos_renyi(2000, 0.003, seed=4)
+
+
+def test_above_threshold_matches_object(dense_graph):
+    g = dense_graph
+    n = g.n_nodes
+    order = list(np.random.default_rng(1).permutation(n))
+    checkpoints = [n // 8, n // 3, n // 2, 3 * n // 4, n]
+    assert g.n_edges >= VECTOR_EDGES_PER_STOP * (len(checkpoints) + 1)
+    victims = order[: n // 3]
+    for engine, cg in ((ArrayNetworkEngine(), g),
+                       (ArrayNetworkEngine(block_elems=999),
+                        ArrayGraph.from_arrays(*_csr(g)))):
+        assert engine.percolation_giant_sizes(
+            cg, order, checkpoints
+        ) == ObjectNetworkEngine().percolation_giant_sizes(
+            g, order, checkpoints
+        )
+        assert engine.healing_episode(
+            cg, victims, 150, 6, 1
+        ) == ObjectNetworkEngine().healing_episode(g, victims, 150, 6, 1)
+
+
+def _csr(g):
+    ag = as_arraygraph(g)
+    return ag.indptr, ag.indices
+
+
+def _ring(n: int, reach: int) -> ArrayGraph:
+    """Each node joined to its next ``reach`` nodes: ``n·reach`` edges."""
+    edges = [(i, (i + d) % n) for i in range(n) for d in range(1, reach + 1)]
+    return ArrayGraph.from_edges(n, edges)
+
+
+@pytest.mark.parametrize("extra_stop,path", [(False, "numpy"), (True, "loop")])
+def test_engine_path_flips_at_threshold(monkeypatch, extra_stop, path):
+    # 1024·2 edges and 4 distinct stops sit exactly on the threshold
+    # (2048 = 512·4); one more stop drops below it
+    assert VECTOR_EDGES_PER_STOP == 512
+    g = _ring(1024, 2)
+    calls = []
+    for name, label in (("vectorized_newman_ziff_giants_at", "numpy"),
+                        ("chunked_newman_ziff_giant_sizes", "loop")):
+        real = getattr(arraygraph_mod, name)
+
+        def spy(*args, _real=real, _label=label, **kwargs):
+            calls.append(_label)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(arraygraph_mod, name, spy)
+    checkpoints = [256, 512, 1024] + ([768] if extra_stop else [])
+    order = list(range(1024))
+    tr = trace.Tracer()
+    with trace.use(tr):
+        got = ArrayNetworkEngine().percolation_giant_sizes(
+            g, order, sorted(checkpoints)
+        )
+    assert calls == [path]
+    # a full curve unions each kept edge once on either path
+    assert tr.counters["net.nz_edges.array"] == g.n_edges
+    assert got == ObjectNetworkEngine().percolation_giant_sizes(
+        g.to_graph(), order, sorted(checkpoints)
+    )
 
 
 # -- stochastic kernels: byte-identical across blocks and storage ----------

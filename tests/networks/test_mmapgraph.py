@@ -562,15 +562,13 @@ class TestBudgetDegrade:
             ba_graph, list(range(300)), [100, 300]
         )
         blocks = []
-        chunked = engine_mod.chunked_newman_ziff_giant_sizes
+        giants_at = engine_mod.newman_ziff_giants_at
 
         def spy(*args, block_elems, **kwargs):
             blocks.append(block_elems)
-            return chunked(*args, block_elems=block_elems, **kwargs)
+            return giants_at(*args, block_elems=block_elems, **kwargs)
 
-        monkeypatch.setattr(
-            engine_mod, "chunked_newman_ziff_giant_sizes", spy
-        )
+        monkeypatch.setattr(engine_mod, "newman_ziff_giants_at", spy)
         sup = supervisor.Supervisor(memory_budget_mb=budget_mb)
         tr = trace.Tracer()
         with supervisor.use(sup), trace.use(tr):

@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 import pytest
 
+from repro.analysis.sweep import grid_sweep
 from repro.errors import CheckpointError
 from repro.runtime.checkpoint import (
     RowStore,
@@ -23,6 +24,7 @@ from repro.runtime.checkpoint import (
     jsonable,
     sweep_checkpoint,
 )
+from repro.service import ResilienceService
 from repro.service.persistence import RESULTS_NAME, ServicePersistence
 
 
@@ -354,3 +356,40 @@ class TestParentFormat:
         assert _lines(path) == lines + [
             f'{{"{owner.key}": {k1}, "row": {{"param": 1, "v": 0.25}}}}'
         ]
+
+
+# -- the quarantine warning names the caller, not a library line -------------
+
+
+def square_point(x: int, seed=None) -> dict:
+    """Module-level (importable) point for the sweep and the service."""
+    return {"value": x * x}
+
+
+class TestQuarantineWarningAttribution:
+    @staticmethod
+    def _garble_first_row(path):
+        lines = _lines(path)
+        assert len(lines) > 2  # the garbled row is interior, not the tail
+        lines[1] = lines[1][:10] + "~garbled~"
+        _write(path, lines)
+
+    def test_grid_sweep_checkpoint(self, tmp_path):
+        path = str(tmp_path / "ckpt.jsonl")
+        grid = {"x": [1, 2, 3]}
+        first = grid_sweep(grid, square_point, checkpoint=path)
+        self._garble_first_row(path)
+        with pytest.warns(RuntimeWarning, match="quarantined") as record:
+            again = grid_sweep(grid, square_point, checkpoint=path)
+        assert again.rows == first.rows
+        assert [w.filename for w in record] == [__file__]
+
+    def test_durable_service(self, tmp_path):
+        with ResilienceService(workers=1, service_dir=str(tmp_path)) as svc:
+            job = svc.submit("attr", square_point, grid={"x": [1, 2, 3]})
+            assert job.wait(30)
+        self._garble_first_row(str(tmp_path / RESULTS_NAME))
+        with pytest.warns(RuntimeWarning, match="quarantined") as record:
+            svc = ResilienceService(workers=1, service_dir=str(tmp_path))
+        svc.close()
+        assert [w.filename for w in record] == [__file__]
