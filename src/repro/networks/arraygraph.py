@@ -22,8 +22,8 @@ both, so the two storages differ only in where the bytes are.
 * **block-streamed kernels** — reverse Newman–Ziff percolation (the
   giant-component curve built by *adding* nodes in reverse attack
   order, each edge unioned once from its later endpoint, the active
-  ones filtered vectorized per block), :func:`chunked_union_find_labels`
-  and :func:`frontier_slices` walk ``indices`` in fixed-size blocks
+  ones filtered vectorized per block), the component union-find and
+  :func:`frontier_slices` walk ``indices`` in fixed-size blocks
   (:func:`derive_chunk_elems` turns the supervisor's
   ``memory_budget_mb`` into a block size), so O(block + n) bytes are in
   flight regardless of edge count.  :func:`newman_ziff_giants_at` reads
@@ -78,7 +78,6 @@ __all__ = [
     "as_arraygraph",
     "bernoulli_indices",
     "chunked_newman_ziff_giant_sizes",
-    "chunked_union_find_labels",
     "derive_chunk_elems",
     "directed_edge_blocks",
     "frontier_slices",
@@ -667,12 +666,8 @@ class ArrayGraph:
 
     def component_labels(self) -> np.ndarray:
         """Connected-component label per node: its component's smallest
-        node index (block-streamed union-find, then one relabel pass)."""
-        n = self.n_nodes
-        roots = chunked_union_find_labels(self.indptr, self.indices)
-        first = np.full(n, n, dtype=np.int64)
-        np.minimum.at(first, roots, np.arange(n, dtype=np.int64))
-        return first[roots]
+        node index (the root :func:`_component_roots` finds)."""
+        return _component_roots(self.indptr, self.indices)
 
     def connected_components(self) -> list[FrozenSet[object]]:
         """All connected components as frozensets of labels, ordered by
@@ -694,8 +689,7 @@ class ArrayGraph:
         """Size of the largest connected component (0 for empty)."""
         if self.n_nodes == 0:
             return 0
-        roots = chunked_union_find_labels(self.indptr, self.indices)
-        return int(np.bincount(roots, minlength=self.n_nodes).max())
+        return int(np.bincount(self.component_labels()).max())
 
     # -- vectorized attack orderings --------------------------------------
 
@@ -1104,7 +1098,7 @@ def _union_edges(
     u: np.ndarray, v: np.ndarray,
 ) -> int:
     """Union the edges ``(u, v)`` into the forest, where each ``u`` is a
-    node added with these edges (so still its own root); the largest
+    root (Newman–Ziff passes nodes added with these edges); the largest
     size of a component they touched (0 for no edges)."""
     if not len(u):
         return 0
@@ -1137,44 +1131,28 @@ def _union_edges(
     return int(size[final].max())
 
 
-def chunked_union_find_labels(
+def _component_roots(
     indptr: np.ndarray,
     indices: np.ndarray,
     block_elems: Optional[int] = None,
 ) -> np.ndarray:
-    """Component root per node via union-find over block-streamed edges.
-
-    Streams each undirected edge once (``u < v``) in flat CSR order, with
-    path halving + union by size; the parent forest is flattened with
-    vectorized pointer jumping at the end so every node reports its
-    root directly.  Byte-identical to the single-pass reference over the
-    whole edge list, without ever materializing it.
-    """
+    """Component root per node (int64): each undirected edge (``u < v``)
+    streams once in blocks into the :func:`_union_edges` forest, with
+    each ``u`` first replaced by its root.  Every hook and jump points a
+    node at a smaller index, so each root is its component's smallest
+    node index, at any block size."""
     if block_elems is None:
         block_elems = 1 << DEFAULT_CHUNK_BITS
     n = len(indptr) - 1
-    parent = list(range(n))
-    size = [1] * n
-    for u_blk, v_blk in directed_edge_blocks(indptr, indices, block_elems):
-        mask = u_blk < v_blk
-        for a, b in zip(u_blk[mask].tolist(), v_blk[mask].tolist()):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            while parent[b] != b:
-                parent[b] = parent[parent[b]]
-                b = parent[b]
-            if a != b:
-                if size[a] < size[b]:
-                    a, b = b, a
-                parent[b] = a
-                size[a] += size[b]
-    roots = np.asarray(parent, dtype=np.int64)
-    while True:
-        hop = roots[roots]
-        if np.array_equal(hop, roots):
-            return roots
-        roots = hop
+    parent = np.arange(n, dtype=np.int32)
+    size = np.ones(n, dtype=np.int32)
+    slot = np.empty(n, dtype=np.int32)
+    for u, v in directed_edge_blocks(indptr, indices, block_elems):
+        keep = u < v
+        _union_edges(
+            parent, size, slot, _find_roots(parent, u[keep]), v[keep]
+        )
+    return _find_roots(parent, np.arange(n)).astype(np.int64)
 
 
 def bernoulli_indices(rng, count: int, p: float) -> np.ndarray:

@@ -9,8 +9,8 @@ breaker) per engine family and watches the three engine seams through
 * **analyze** — :meth:`Supervisor.is_engine_fault` classifies a failed
   sweep point: ``MemoryError``, a per-point wall-time timeout, a worker
   process that died without a result, or NaN-poisoned output are
-  engine-attributable; ordinary worker exceptions are not (those are
-  the retry budget's job).
+  engine-attributable; any other exception a point raises is not,
+  whatever its message says (those are the retry budget's job).
 * **plan** — an engine fault trips the breaker of every supervised
   family still resolving to a fast engine (attribution from outside a
   worker is conservative: correctness over speed).  A tripped family
@@ -194,21 +194,23 @@ class Supervisor:
     ) -> bool:
         """Whether a point failure is engine-attributable (see module docs).
 
-        Engine faults: out-of-memory, per-point timeout, and a worker
-        process dying without a result (segfault/OOM-kill).  Ordinary
-        exceptions raised by worker code are *not* engine faults — they
-        are either bugs or transient, and the executor's retry budget
-        already covers the latter.
+        Engine faults are what the executor itself reports: its own
+        per-point timeout or a worker process dying without a result
+        (segfault/OOM-kill), neither of which carries an exception, and
+        a ``MemoryError``.  Any other exception the point raised is *not*
+        one, whatever its message says — it is a bug or transient, and
+        the executor's retry budget already covers the latter.  An
+        exception that could not cross the worker pipe arrives as its
+        ``"Name: message"`` text alone and is judged by its name.
         """
-        if isinstance(exception, MemoryError):
-            return True
+        if exception is not None:
+            return isinstance(exception, MemoryError)
         if not error:
             return False
-        return (
-            error.startswith("MemoryError")
-            or "timed out after" in error
-            or "worker process died" in error
-        )
+        name, sep, _ = error.partition(": ")
+        if sep and name.isidentifier():
+            return name == "MemoryError"
+        return "timed out after" in error or "worker process died" in error
 
     # -- plan / execute ----------------------------------------------------
 

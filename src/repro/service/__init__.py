@@ -11,9 +11,9 @@ work, streams per-job progress from the trace facade, and sheds new
 work with backpressure — never accepted work — when the supervisor
 trips a breaker or a deadline budget expires.
 
-* :mod:`.api` — :class:`ResilienceService`: submit/await/cancel/status;
+* :mod:`.api` — :class:`ResilienceService`: submit/await/cancel/status,
+  the job ledger and its backpressure bound (``MAX_PENDING``);
 * :mod:`.jobs` — the job model (resolution, states, results);
-* :mod:`.queue` — admission ledger and backpressure;
 * :mod:`.scheduler` — chunked sharding, in-flight dedupe, MAPE pass;
 * :mod:`.persistence` — crash durability: write-ahead job journal +
   on-disk result store (``REPRO_SERVICE_DIR``), reloaded on restart;
@@ -26,7 +26,6 @@ trips a breaker or a deadline budget expires.
 from .api import ResilienceService
 from .jobs import CANCELLED, DONE, FAILED, PENDING, RUNNING, Job, JobSpec
 from .persistence import RecoveredState, ServicePersistence
-from .queue import JobQueue
 from .scheduler import Scheduler
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "DONE",
     "FAILED",
     "Job",
-    "JobQueue",
     "JobSpec",
     "PENDING",
     "RUNNING",

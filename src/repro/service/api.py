@@ -32,8 +32,9 @@ Constructor arguments:
                    in-memory)
 =================  =====================================================
 
-At most :data:`~repro.service.queue.MAX_PENDING` unfinished jobs are
-admitted before backpressure; the result cache is unbounded.
+At most :data:`MAX_PENDING` unfinished jobs are admitted before
+backpressure (shed new work, finish promised work); the result cache
+is unbounded.
 
 Degradation contract: when the installed supervisor trips a breaker or
 its ``deadline_s`` budget expires, new submissions raise
@@ -62,10 +63,11 @@ from __future__ import annotations
 import os
 import threading
 import time
+from collections import Counter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from ..analysis.sweep import expand_grid
-from ..errors import ConfigurationError, ServiceError
+from ..errors import BackpressureError, ConfigurationError, ServiceError
 from ..rng import SeedLike
 from ..runtime import supervisor as supervisor_module
 from ..runtime import trace
@@ -73,10 +75,11 @@ from ..runtime.checkpoint import RowStore
 from ..runtime.trace import Tracer
 from .jobs import CANCELLED, DONE, FAILED, PENDING, RUNNING, Job, JobSpec
 from .persistence import ServicePersistence, rebuild_job
-from .queue import JobQueue
 from .scheduler import Scheduler
 
-__all__ = ["ResilienceService"]
+__all__ = ["MAX_PENDING", "ResilienceService"]
+
+MAX_PENDING = 128  # unfinished jobs admitted before backpressure
 
 
 class ResilienceService:
@@ -106,7 +109,6 @@ class ResilienceService:
         self.cache = (
             self.persistence.results if self.persistence else RowStore()
         )
-        self.queue = JobQueue()
         self.scheduler = Scheduler(
             self.cache,
             workers=self.workers,
@@ -114,7 +116,10 @@ class ResilienceService:
             tracer=self.tracer,
             persistence=self.persistence,
         )
-        self._submit_lock = threading.Lock()
+        # the ledger: every accepted job, in admission order.  It never
+        # shrinks, so a get needs no lock; submit and scans hold _lock
+        self._jobs: dict[str, Job] = {}
+        self._lock = threading.Lock()
         self._counter = 0
         self._started = False
         self._closed = False
@@ -163,7 +168,9 @@ class ResilienceService:
                     job=record.get("job"),
                 )
                 continue
-            self.queue.restore(job)
+            # the dead process's promise: backpressure applies to new
+            # work only, so recovery inserts past MAX_PENDING
+            self._jobs[job.id] = job
             split = self.scheduler.register(job)
             replayed += split["cached"]
             deduped += split["deduped"]
@@ -198,7 +205,7 @@ class ResilienceService:
         if self._closed:
             return
         if self._started:
-            jobs = self.queue.unfinished()
+            jobs = [job for job in self.jobs() if not job.done]
             if drain:
                 for job in jobs:
                     if not job.wait(timeout):
@@ -246,9 +253,9 @@ class ResilienceService:
         points identical to in-flight work attach to that execution.
         Raises :class:`BackpressureError` when the service is saturated
         or the runtime is degraded.  On a durable service a failing
-        ``accepted`` journal write re-raises its error with the job not
-        admitted, and latches ``degraded`` (see the I/O-error policy in
-        :mod:`repro.service.persistence`).
+        journal write re-raises its error and latches ``degraded`` (see
+        the I/O-error policy in :mod:`repro.service.persistence`); when
+        it is the ``accepted`` write, the job is not admitted.
         """
         if not self._started or self._closed:
             raise ServiceError(
@@ -278,19 +285,27 @@ class ResilienceService:
             retry_backoff=retry_backoff,
             timeout=timeout,
         )
-        with self._submit_lock:
+        with self._lock:
             self._counter += 1
             job = Job(f"job-{self._counter:06d}", spec)
-            self.queue.admit(job, degraded=self.degraded)
+            if self.degraded:
+                raise BackpressureError(
+                    "service is degraded (breaker tripped or deadline "
+                    "budget spent); finishing accepted jobs on the "
+                    "reference engines, rejecting new work"
+                )
+            pending = sum(1 for j in self._jobs.values() if not j.done)
+            if pending >= MAX_PENDING:
+                raise BackpressureError(
+                    f"service is saturated: {pending} unfinished job(s) "
+                    f">= MAX_PENDING={MAX_PENDING}; "
+                    "resubmit after in-flight work drains"
+                )
             if self.persistence is not None:
-                # write-ahead: journaled before the scheduler can run it;
-                # all or nothing, so a failed write admits nothing
-                try:
-                    self.persistence.record_accepted(job)
-                except Exception as exc:
-                    self.queue.discard(job)
-                    self.scheduler.contain((), exc)
-                    raise
+                # write-ahead: journaled before the ledger or the
+                # scheduler sees it, so a failed write admits nothing
+                self._write(self.persistence.record_accepted, job)
+            self._jobs[job.id] = job
             self.tracer.count("service.jobs.accepted")
             self.tracer.event(
                 "service.job.accepted",
@@ -304,9 +319,18 @@ class ResilienceService:
             self.tracer.count("service.jobs.cache_served")
             self.tracer.event(f"service.job.{job.state}", job=job.id)
             if self.persistence is not None:
-                self.persistence.record_completed(job)
+                self._write(self.persistence.record_completed, job)
         self.tracer.event("service.job.split", job=job.id, **split)
         return job
+
+    def _write(self, record, job: Job) -> None:
+        """One journal write outside a chunk: a raising write latches
+        ``degraded``/``faulted`` through the scheduler, then re-raises."""
+        try:
+            record(job)
+        except Exception as exc:
+            self.scheduler.contain((), exc)
+            raise
 
     # -- observation / control ---------------------------------------------
 
@@ -319,13 +343,15 @@ class ResilienceService:
         return bool(sup) and sup.degraded()
 
     def job(self, job_id: str) -> Job:
-        job = self.queue.get(job_id)
+        job = self._jobs.get(job_id)
         if job is None:
             raise ServiceError(f"unknown job {job_id!r}")
         return job
 
     def jobs(self) -> list[Job]:
-        return self.queue.jobs()
+        """Every accepted job, in admission order."""
+        with self._lock:
+            return list(self._jobs.values())
 
     def cancel(self, job_id: str) -> bool:
         """Cancel one job; True iff it was still unfinished."""
@@ -334,7 +360,7 @@ class ResilienceService:
         if cancelled:
             self.scheduler.drop_followers(job)
             if self.persistence is not None:
-                self.persistence.record_cancelled(job)
+                self._write(self.persistence.record_cancelled, job)
             self.tracer.count("service.jobs.cancelled")
             self.tracer.event("service.job.cancelled", job=job.id)
         return cancelled
@@ -342,7 +368,8 @@ class ResilienceService:
     def status(self) -> dict:
         """One JSON-ready health snapshot of the whole service."""
         sup = supervisor_module.current()
-        states = self.queue.states()
+        jobs = self.jobs()
+        states = dict(Counter(job.state for job in jobs))
         return {
             "serving": (
                 self._started
@@ -355,7 +382,7 @@ class ResilienceService:
                 state: states.get(state, 0)
                 for state in (PENDING, RUNNING, DONE, FAILED, CANCELLED)
             },
-            "pending_jobs": self.queue.pending(),
+            "pending_jobs": sum(1 for job in jobs if not job.done),
             "backlog_points": self.scheduler.backlog(),
             "cache": self.cache.stats(),
             "journal": (
@@ -375,10 +402,13 @@ class ResilienceService:
     # -- event streaming ---------------------------------------------------
 
     def _route_event(self, record: dict) -> None:
-        """Tracer hook: copy job-tagged events onto that job's feed."""
+        """Tracer hook: copy job-tagged events onto that job's feed.
+
+        Reads the ledger without ``_lock``: ``submit`` emits events while
+        holding it."""
         job_id = record.get("job")
         if not isinstance(job_id, str):
             return
-        job = self.queue.get(job_id)
+        job = self._jobs.get(job_id)
         if job is not None:
             job.events.append(record)

@@ -44,20 +44,24 @@ computing different results.
 I/O-error policy: a write that raises is not retried and not degraded
 to non-durable mode; the storage that raised is not touched again.
 
-* The ``accepted`` write in ``submit``: the job is not admitted.  It
-  leaves the ledger, the service latches ``degraded`` and ``faulted``
-  as below, and the caller gets the ``OSError``.  (If the record
-  reached the disk anyway, a restart runs the job.)
+* The ``accepted`` write in ``submit``: the job is not admitted (it
+  never reached the ledger), and the caller gets the ``OSError``.  (If
+  the record reached the disk anyway, a restart runs the job.)
+* The ``completed`` write of a job ``submit`` served wholly from the
+  cache, and the ``cancelled`` write in ``cancel``: the job keeps its
+  final state in memory, the caller gets the ``OSError``, and the
+  journal still holds the job as ``accepted``.
 * A write inside a scheduler chunk (``chunk-dispatched``, a
   result-store append, ``point-done``): the points that chunk still
   owed fail with ``scheduler error: …``, and no ``completed`` record is
   written for their jobs.  A row whose store append raised is not
   served from memory either.
 
-Either way the service latches ``degraded`` and stops ``serving``, so
-new submissions get :class:`~repro.errors.BackpressureError`, and a
-restart on the same directory re-admits every job the journal still
-holds as ``accepted`` and runs it.
+In every case the service latches ``degraded`` and ``faulted`` (through
+``Scheduler.contain``) and stops ``serving``, so new submissions get
+:class:`~repro.errors.BackpressureError`, and a restart on the same
+directory re-admits every job the journal still holds as ``accepted``
+and runs it.
 """
 
 from __future__ import annotations
@@ -89,16 +93,6 @@ RESULTS_NAME = "results.jsonl"
 
 _JOURNAL_HEADER = {"kind": "service-journal", "version": 1}
 _RESULTS_HEADER = {"kind": "service-results", "version": 1}
-
-#: Lifecycle record kinds the journal understands (unknown kinds are
-#: tolerated on replay with a warning — forward compatibility).
-RECORD_KINDS = (
-    "accepted",
-    "chunk-dispatched",
-    "point-done",
-    "completed",
-    "cancelled",
-)
 
 _JOB_NUMBER = re.compile(r"^job-(\d+)$")
 
@@ -291,17 +285,17 @@ class ServicePersistence:
             heal_hint="the affected lifecycle records are dropped",
             validate=_validate_journal_record,
         )
-        self.results = RowStore.open(
-            os.path.join(directory, RESULTS_NAME),
-            key="fingerprint",
-            header=_RESULTS_HEADER,
-            label="service result store",
-            heal_hint="the affected points will re-execute",
-        )
-
-    @property
-    def journal_path(self) -> str:
-        return self._journal.path
+        try:
+            self.results = RowStore.open(
+                os.path.join(directory, RESULTS_NAME),
+                key="fingerprint",
+                header=_RESULTS_HEADER,
+                label="service result store",
+                heal_hint="the affected points will re-execute",
+            )
+        except BaseException:
+            self._journal.close()  # a refused store leaks no handle
+            raise
 
     # -- appends (write-ahead) ---------------------------------------------
 

@@ -53,7 +53,6 @@ from __future__ import annotations
 import threading
 import traceback as tb_module
 from collections import deque
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..analysis.sweep import _merge_row, _run_grid_point
@@ -62,19 +61,9 @@ from ..runtime import supervisor as supervisor_module
 from ..runtime import trace
 from ..runtime.checkpoint import RowStore
 from ..runtime.executor import PointTask, run_points
-from .jobs import DONE, FAILED, Job, JobSpec
+from .jobs import DONE, FAILED, Job, JobPoint, JobSpec
 
 __all__ = ["Scheduler"]
-
-
-@dataclass
-class _WorkItem:
-    """One unique point awaiting execution (first-requesting job's spec)."""
-
-    fingerprint: str
-    params: dict
-    seed: object
-    spec: JobSpec
 
 
 class Scheduler:
@@ -103,7 +92,8 @@ class Scheduler:
         self.faulted = False  # latched when a raising chunk is contained
         self._tr = tracer if tracer is not None else trace.current()
         self._cond = threading.Condition()
-        self._work: "deque[_WorkItem]" = deque()
+        # unique points awaiting execution, with the registering job's spec
+        self._work: "deque[tuple[JobSpec, JobPoint]]" = deque()
         # fingerprint -> [(job, point index), ...]; list[0] registered it
         self._wanted: dict[str, list[tuple[Job, int]]] = {}
         self._stop = threading.Event()
@@ -135,7 +125,7 @@ class Scheduler:
 
         Cache hits fill the job immediately; fingerprints already owned
         by an unfinished execution attach the job as a follower; the
-        rest become new work items.  Returns the split for telemetry.
+        rest enter the work deque.  Returns the split for telemetry.
         """
         hits = followers = fresh = 0
         with self._cond:
@@ -154,14 +144,7 @@ class Scheduler:
                     followers += 1
                     continue
                 self._wanted[point.fingerprint] = [(job, point.index)]
-                self._work.append(
-                    _WorkItem(
-                        fingerprint=point.fingerprint,
-                        params=point.params,
-                        seed=point.seed,
-                        spec=job.spec,
-                    )
-                )
+                self._work.append((job.spec, point))
                 fresh += 1
             if fresh:
                 self._cond.notify_all()
@@ -170,8 +153,8 @@ class Scheduler:
     def drop_followers(self, job: Job) -> None:
         """Detach a cancelled job from every point it was waiting on.
 
-        Work items left with no followers are skipped (and counted)
-        when the chunk builder reaches them; points other jobs still
+        Points left with no followers are skipped (and counted) when
+        the chunk builder reaches them; points other jobs still
         want keep executing for those jobs.
         """
         with self._cond:
@@ -189,15 +172,15 @@ class Scheduler:
             chunk = self._next_chunk()
             if chunk is None:
                 return
-            spec, items = chunk
+            spec, points = chunk
             try:
-                self._run_chunk(spec, items)
+                self._run_chunk(spec, points)
             except Exception as exc:  # noqa: BLE001 - contained here
-                self.contain(items, exc)
+                self.contain(points, exc)
 
-    def contain(self, items: "Sequence[_WorkItem]", exc: Exception) -> None:
-        """Fail the points a raising chunk still owned (none for a failed
-        ``accepted`` write), latch degraded and faulted, and let the loop
+    def contain(self, points: "Sequence[JobPoint]", exc: Exception) -> None:
+        """Fail the points a raising chunk still owned (none for a write
+        outside a chunk), latch degraded and faulted, and let the loop
         keep draining.  Persistence (maybe what raised) is not touched
         again."""
         error = f"scheduler error: {type(exc).__name__}: {exc}"
@@ -206,34 +189,39 @@ class Scheduler:
         self.degraded = self.faulted = True
         self._tr.count("service.scheduler.errors")
         self._tr.event("service.scheduler.error", error=error)
-        owed = [entry for item in items for entry in self._take(item)]
+        owed = [entry for p in points for entry in self._take(p.fingerprint)]
         for job, index in owed:
             job.mark_degraded()
             job.fail(index, error=error, traceback=formatted, attempts=1)
 
-    def _next_chunk(self) -> "tuple[JobSpec, list[_WorkItem]] | None":
-        """Up to ``batch`` head-of-queue items sharing one spec."""
+    def _next_chunk(self) -> "tuple[JobSpec, list[JobPoint]] | None":
+        """Up to ``batch`` head-of-queue points sharing one spec; the jobs
+        waiting on them are marked running."""
         with self._cond:
             while True:
                 if self._stop.is_set():
                     return None
-                items: list[_WorkItem] = []
+                points: list[JobPoint] = []
                 spec: Optional[JobSpec] = None
-                while self._work and len(items) < self.batch:
-                    item = self._work[0]
-                    if not self._wanted.get(item.fingerprint):
+                while self._work and len(points) < self.batch:
+                    head_spec, point = self._work[0]
+                    wanted = self._wanted.get(point.fingerprint)
+                    if not wanted:
                         # every requester cancelled before execution
                         self._work.popleft()
-                        self._wanted.pop(item.fingerprint, None)
+                        self._wanted.pop(point.fingerprint, None)
                         self._tr.count("service.points.dropped")
                         continue
                     if spec is None:
-                        spec = item.spec
-                    elif item.spec is not spec:
+                        spec = head_spec
+                    elif head_spec is not spec:
                         break  # next job's points: keep chunks per-spec
-                    items.append(self._work.popleft())
-                if items:
-                    return spec, items  # type: ignore[return-value]
+                    self._work.popleft()
+                    points.append(point)
+                    for job, _ in wanted:
+                        job.mark_running()
+                if points:
+                    return spec, points  # type: ignore[return-value]
                 self._cond.wait()
 
     def _check_degraded(self) -> None:
@@ -248,18 +236,15 @@ class Scheduler:
             deadline_exceeded=sup.deadline_exceeded(),
         )
 
-    def _run_chunk(self, spec: JobSpec, items: list[_WorkItem]) -> None:
-        affected = self._affected_jobs(items)
-        for job in affected.values():
-            job.mark_running()
+    def _run_chunk(self, spec: JobSpec, points: list[JobPoint]) -> None:
         self._tr.count("service.chunks")
         if self.persistence:
             self.persistence.record_dispatched(
-                [item.fingerprint for item in items]
+                [point.fingerprint for point in points]
             )
         tasks = [
-            PointTask(index=i, value=item.params, seed=item.seed)
-            for i, item in enumerate(items)
+            PointTask(index=i, value=point.params, seed=point.seed)
+            for i, point in enumerate(points)
         ]
         outcomes = run_points(
             _run_grid_point,
@@ -272,31 +257,26 @@ class Scheduler:
             tracer=self._tr,
         )
         self._check_degraded()
-        for item, outcome in zip(items, outcomes):
+        # the jobs this chunk filled or failed, a twin that attached
+        # while it ran included, in first-touched order
+        touched: dict[Job, None] = {}
+        for point, outcome in zip(points, outcomes):
             with self._cond:
-                if not self._wanted.get(item.fingerprint):
-                    self._wanted.pop(item.fingerprint, None)
+                if not self._wanted.get(point.fingerprint):
+                    self._wanted.pop(point.fingerprint, None)
                     continue  # cancelled mid-chunk; result discarded
             if outcome.ok:
-                followers = self._resolve_ok(item, outcome.value)
+                followers = self._resolve_ok(point, outcome.value)
             else:
                 self._tr.count("service.points.failed")
-                followers = self._take(item)
-                for job, index in followers:
-                    job.fail(
-                        index,
-                        error=outcome.error,
-                        traceback=outcome.traceback,
-                        attempts=outcome.attempts,
-                    )
-            # a twin that attached while the chunk ran is filled here
-            # too, so it joins the completion pass below
-            for job, _ in followers:
-                affected.setdefault(id(job), job)
-        if self.degraded:
-            for job in affected.values():
+                followers = self._fail(
+                    point.fingerprint, outcome.error, outcome.traceback,
+                    outcome.attempts,
+                )
+            touched.update(dict.fromkeys(job for job, _ in followers))
+        for job in touched:
+            if self.degraded:
                 job.mark_degraded()
-        for job in affected.values():
             self._tr.event("service.job.progress", **job.progress())
             if job.done:
                 self._tr.event(f"service.job.{job.state}", job=job.id)
@@ -304,20 +284,26 @@ class Scheduler:
                     # cancellations are journaled by the cancel() path
                     self.persistence.record_completed(job)
 
-    def _take(self, item: _WorkItem) -> list[tuple[Job, int]]:
+    def _take(self, fingerprint: str) -> list[tuple[Job, int]]:
         """Pop every job still waiting on one point."""
         with self._cond:
-            return self._wanted.pop(item.fingerprint, [])
+            return self._wanted.pop(fingerprint, [])
 
-    def _resolve_ok(self, item: _WorkItem, value) -> list[tuple[Job, int]]:
+    def _fail(self, fingerprint: str, error: str, traceback=None,
+              attempts=1) -> list[tuple[Job, int]]:
+        """Fail one point for every job still waiting on it."""
+        followers = self._take(fingerprint)
+        for job, index in followers:
+            job.fail(index, error=error, traceback=traceback,
+                     attempts=attempts)
+        return followers
+
+    def _resolve_ok(self, point: JobPoint, value) -> list[tuple[Job, int]]:
         self._tr.count("service.points.executed")
         try:
-            row = _merge_row(item.params, value, "parameters")
+            row = _merge_row(point.params, value, "parameters")
         except ConfigurationError as exc:
-            followers = self._take(item)
-            for job, index in followers:
-                job.fail(index, error=str(exc), traceback=None, attempts=1)
-            return followers
+            return self._fail(point.fingerprint, str(exc))
         # durable, the put is the result-store append, made before the
         # point is journaled done: a 'point-done' record always names a
         # durable row, and a row whose append raised is never cached
@@ -326,17 +312,17 @@ class Scheduler:
             else self.cache.put
         )
         try:
-            row = put(item.fingerprint, row)
+            row = put(point.fingerprint, row)
         except CheckpointError:
             # row not JSON-normalizable: usable by this job, not storable
             self._tr.count("service.cache.uncacheable")
         else:
             self._tr.count("service.cache.stores")
             if self.persistence:
-                self.persistence.record_point_done(item.fingerprint)
+                self.persistence.record_point_done(point.fingerprint)
         # taken only now: if a write above raised, the followers are
         # still owed and the loop fails them
-        followers = self._take(item)
+        followers = self._take(point.fingerprint)
         for pos, (job, index) in enumerate(followers):
             job.fill(
                 index,
@@ -344,13 +330,3 @@ class Scheduler:
                 source="executed" if pos == 0 else "dedup",
             )
         return followers
-
-    def _affected_jobs(self, items: list[_WorkItem]) -> dict[int, Job]:
-        """Distinct jobs waiting on any item of this chunk, by ``id``, in
-        stable order."""
-        seen: dict[int, Job] = {}
-        with self._cond:
-            for item in items:
-                for job, _ in self._wanted.get(item.fingerprint, ()):
-                    seen.setdefault(id(job), job)
-        return seen

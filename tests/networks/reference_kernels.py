@@ -1,9 +1,10 @@
 """Single-pass reference kernels the block-streamed ones are pinned to.
 
-:func:`~repro.networks.arraygraph.chunked_newman_ziff_giant_sizes` and
-:func:`~repro.networks.arraygraph.chunked_union_find_labels` must match
-these byte for byte at every block size: same union order, same size
-bookkeeping, same roots.  They box the whole edge array at once, so they
+:func:`~repro.networks.arraygraph.chunked_newman_ziff_giant_sizes` must
+match these byte for byte at every block size: same union order, same
+size bookkeeping.  The array graph's component union-find must give
+:func:`union_find_labels`' partition, each component named by its
+smallest node index.  They box the whole edge array at once, so they
 are test oracles only.
 """
 

@@ -38,8 +38,8 @@ from repro.networks.arraygraph import (
     DEFAULT_CHUNK_BITS,
     MAX_CHUNK_BITS,
     MIN_CHUNK_BITS,
+    _component_roots,
     chunked_newman_ziff_giant_sizes,
-    chunked_union_find_labels,
     derive_chunk_elems,
     directed_edge_blocks,
     frontier_slices,
@@ -357,10 +357,12 @@ class TestChunkedKernels:
         mg = to_mmap(er_graph)
         u, v = undirected_edges(ag.indptr, ag.indices)
         ref = union_find_labels(ag.n_nodes, u, v)
-        got = chunked_union_find_labels(
-            mg.indptr, mg.indices, block_elems=block
-        )
-        assert np.array_equal(ref, got)
+        first = np.full(ag.n_nodes, ag.n_nodes, dtype=np.int64)
+        np.minimum.at(first, ref, np.arange(ag.n_nodes, dtype=np.int64))
+        got = _component_roots(mg.indptr, mg.indices, block_elems=block)
+        # the reference's partition, each component named by its
+        # smallest node index, at every block size
+        assert np.array_equal(first[ref], got)
 
     @pytest.mark.parametrize("block", (1, 5, 64, 1 << 18))
     def test_directed_edge_blocks_cover_flat_order(self, ba_graph, block):

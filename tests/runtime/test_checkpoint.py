@@ -272,7 +272,8 @@ class TestRowStoreMatrix:
                     {"line": 2, "reason": "corrupt line quarantined"}
                 ]
                 # the raw line moved to the sidecar ...
-                sidecar = open(store.path + ".corrupt").read()
+                with open(store.path + ".corrupt") as fh:
+                    sidecar = fh.read()
                 assert "not json at all {" in sidecar
         # ... and the healed main file is clean: re-opening is warning-free
         with owner.open(str(tmp_path)) as healed:

@@ -201,6 +201,15 @@ class TestAnalyze:
             ("ValueError: bad", ValueError("bad"), False),
             (None, None, False),
             ("", None, False),
+            # a point's own timeout is not the executor's: with the
+            # exception, or as the bare text of an unpicklable one
+            (
+                "TimeoutError: upstream request timed out after 3s",
+                TimeoutError("upstream request timed out after 3s"),
+                False,
+            ),
+            ("TimeoutError: upstream request timed out after 3s", None,
+             False),
         ],
     )
     def test_is_engine_fault(self, error, exception, expected):
@@ -255,7 +264,35 @@ def _always_oom_worker(value, seed):
     raise MemoryError("engine blew the heap")
 
 
+def _upstream_timeout_worker(value, seed):
+    raise TimeoutError("upstream request timed out after 3s")
+
+
 class TestSupervisedSweep:
+    def test_point_timeout_error_leaves_breakers_closed(self, monkeypatch):
+        # a TimeoutError the point raised is an ordinary failure: retried
+        # in place, never a reason to degrade the run's engines
+        monkeypatch.setenv("REPRO_CSP_ENGINE", "bit")
+        sup = Supervisor(families=("agents", "csp"))
+        with trace.use(trace.Tracer()) as tr, supervisor.use(sup):
+            result = sweep(
+                range(2),
+                _upstream_timeout_worker,
+                seed=7,
+                on_error="keep",
+                retries=1,
+                retry_backoff=0.0,
+            )
+        assert [f.attempts for f in result.failed] == [2, 2]
+        assert all(
+            f.error.startswith("TimeoutError: upstream")
+            for f in result.failed
+        )
+        assert {b.state for b in sup.breakers.values()} == {CLOSED}
+        assert "supervisor.trips" not in tr.counters
+        assert tr.counters["executor.retries"] == 2
+        assert not sup.degraded()
+
     def test_engine_fault_trips_and_rerun_heals(self, monkeypatch):
         monkeypatch.setenv("REPRO_CSP_ENGINE", "bit")
         sup = Supervisor(families=("csp",))

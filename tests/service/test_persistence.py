@@ -10,15 +10,18 @@ skips already-stored points, and keeps final jobs final.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import threading
+import warnings
 
 import numpy as np
 import pytest
 
-from repro.errors import CheckpointError
+from repro.errors import BackpressureError, CheckpointError
 from repro.service import ResilienceService
+from repro.service import api as api_module
 from repro.service.jobs import CANCELLED, DONE, Job, JobSpec
 from repro.service.persistence import (
     JOURNAL_NAME,
@@ -179,6 +182,20 @@ class TestCorruptionMatrix:
             fh.write("\n".join(lines) + "\n")
         with pytest.raises(CheckpointError, match="not a v1 service journal"):
             ServicePersistence(str(tmp_path))
+
+    def test_refused_results_header_leaks_no_handle(self, tmp_path):
+        _, results, _ = self._seeded(tmp_path)
+        lines = _read_lines(results)
+        lines[0] = json.dumps({"kind": "service-results", "version": 99})
+        with open(results, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(CheckpointError, match="service result"):
+                ServicePersistence(str(tmp_path))
+            gc.collect()
+        leaks = [w for w in caught if w.category is ResourceWarning]
+        assert leaks == []
 
 class TestJobRoundTrip:
     def test_importable_job_rebuilds_identically(self):
@@ -370,6 +387,63 @@ class TestServiceRecovery:
             workers=1, service_dir=str(tmp_path)
         ) as svc:
             assert svc.recovery["jobs"] == 0  # nothing re-admitted
+
+    def test_recovery_readmits_past_max_pending(self, tmp_path, monkeypatch):
+        """Backpressure sheds new work only: a restart re-admits every
+        journaled promise, however many exceed ``MAX_PENDING``."""
+        with ResilienceService(
+            workers=1, service_dir=str(tmp_path)
+        ) as svc:
+            jobs = [
+                svc.submit("promise", point_fn, grid={"x": [i]})
+                for i in range(3)
+            ]
+            assert all(job.wait(30) for job in jobs)
+            rows = [job.result().rows for job in jobs]
+        # forget every completion and every stored row
+        journal = tmp_path / JOURNAL_NAME
+        kept = [
+            line
+            for line in _read_lines(journal)
+            if '"accepted"' in line or '"service-journal"' in line
+        ]
+        with open(journal, "w") as fh:
+            fh.write("\n".join(kept) + "\n")
+        results = tmp_path / RESULTS_NAME
+        header = _read_lines(results)[0]
+        with open(results, "w") as fh:
+            fh.write(header + "\n")
+        monkeypatch.setattr(api_module, "MAX_PENDING", 1)
+        with ResilienceService(
+            workers=1, service_dir=str(tmp_path)
+        ) as svc:
+            assert svc.recovery["jobs"] == 3
+            recovered = [svc.job(job.id) for job in jobs]
+            assert all(job.wait(30) for job in recovered)
+        assert [job.state for job in recovered] == [DONE] * 3
+        assert [job.result().rows for job in recovered] == rows
+
+    def test_refused_submission_journals_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(api_module, "MAX_PENDING", 1)
+        _GATE_STARTED.clear()
+        _GATE_RELEASE.clear()
+        try:
+            with ResilienceService(
+                workers=1, service_dir=str(tmp_path)
+            ) as svc:
+                held = svc.submit("held", gated_point_fn, grid={"x": [1]})
+                with pytest.raises(BackpressureError, match="saturated"):
+                    svc.submit("refused", point_fn, grid={"x": [2]})
+                _GATE_RELEASE.set()
+                assert held.wait(30)
+        finally:
+            _GATE_RELEASE.set()
+        accepted = [
+            json.loads(line)["job"]
+            for line in _read_lines(tmp_path / JOURNAL_NAME)
+            if '"accepted"' in line
+        ]
+        assert accepted == [held.id]
 
     def test_cancelled_jobs_stay_cancelled_after_restart(self, tmp_path):
         with ResilienceService(

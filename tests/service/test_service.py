@@ -12,7 +12,7 @@ from repro.errors import BackpressureError, ConfigurationError, ServiceError
 from repro.runtime import supervisor as supervisor_module
 from repro.runtime.supervisor import Supervisor
 from repro.service import CANCELLED, DONE, FAILED, ResilienceService
-from repro.service import queue as queue_module
+from repro.service import api as api_module
 from repro.service.persistence import ServicePersistence
 
 
@@ -37,6 +37,25 @@ def boom(x, seed=None):
 def sleeper(x, seed=None):
     time.sleep(2.0)
     return {"v": x}
+
+
+# holds a job's chunk open until a test releases it
+_STARTED = threading.Event()
+_RELEASE = threading.Event()
+
+
+def held(x, seed=None):
+    _STARTED.set()
+    assert _RELEASE.wait(30), "gate never released"
+    return {"v": x}
+
+
+@pytest.fixture
+def gate():
+    _STARTED.clear()
+    _RELEASE.clear()
+    yield _RELEASE
+    _RELEASE.set()
 
 
 def _closes_within(svc, seconds: float) -> bool:
@@ -174,6 +193,19 @@ class TestCancellation:
             assert probe.wait(30)
             assert probe.result().rows[0]["sq"] == 4
 
+    def test_cancel_mid_chunk_emits_one_cancelled_event(self, gate):
+        with ResilienceService() as svc:
+            job = svc.submit("exp", held, grid={"x": [1, 2]})
+            assert _STARTED.wait(30)  # its chunk is running
+            assert svc.cancel(job.id)
+            gate.set()
+            # the scheduler is serial: once the probe is done, the
+            # cancelled job's chunk has finished too
+            assert svc.submit("probe", square, grid={"x": [2]}).wait(30)
+            kinds = [e["event"] for e in job.events]
+        assert kinds.count("service.job.cancelled") == 1
+        assert "service.job.progress" not in kinds
+
     def test_cancel_unknown_job(self):
         with ResilienceService() as svc:
             with pytest.raises(ServiceError, match="unknown job"):
@@ -186,9 +218,63 @@ class TestCancellation:
         assert job.state == CANCELLED
 
 
+class TestAdmission:
+    def test_admit_and_get(self):
+        with ResilienceService() as svc:
+            job = svc.submit("exp", square, grid=GRID)
+            assert svc.job(job.id) is job
+            with pytest.raises(ServiceError, match="unknown job"):
+                svc.job("nope")
+            assert svc.jobs() == [job]
+
+    def test_saturation_backpressure(self, monkeypatch, gate):
+        monkeypatch.setattr(api_module, "MAX_PENDING", 2)
+        with ResilienceService() as svc:
+            svc.submit("a", held, grid={"x": [1]})
+            svc.submit("b", held, grid={"x": [1]})
+            with pytest.raises(BackpressureError, match="saturated"):
+                svc.submit("c", held, grid={"x": [1]})
+            assert len(svc.jobs()) == 2
+            gate.set()
+
+    def test_finished_jobs_free_admission_slots(self, monkeypatch):
+        monkeypatch.setattr(api_module, "MAX_PENDING", 1)
+        with ResilienceService() as svc:
+            done = svc.submit("a", square, grid={"x": [0]})
+            assert done.wait(30) and done.state == DONE
+            # does not raise: "a" no longer pending
+            assert svc.submit("b", square, grid={"x": [1]}).wait(30)
+
+    def test_degraded_refusal_wins_over_capacity(self, monkeypatch, gate):
+        monkeypatch.setattr(api_module, "MAX_PENDING", 1)
+        sup = Supervisor(families=("agents",))
+        with supervisor_module.use(sup):
+            with ResilienceService() as svc:
+                svc.submit("a", held, grid={"x": [1]})  # saturates
+                sup.trip("agents", "test-induced fault")
+                with pytest.raises(BackpressureError, match="degraded"):
+                    svc.submit("b", square, grid=GRID)
+                gate.set()
+
+
+class TestLedger:
+    def test_unfinished_and_states(self, gate):
+        with ResilienceService() as svc:
+            a = svc.submit("a", held, grid={"x": [1]})
+            b = svc.submit("b", held, grid={"x": [2]})
+            assert svc.status()["pending_jobs"] == 2
+            assert svc.cancel(b.id)
+            gate.set()
+            assert a.wait(30)
+            status = svc.status()
+            assert status["pending_jobs"] == 0
+            assert status["jobs"] == {"done": 1, "cancelled": 1}
+            assert svc.jobs() == [a, b]
+
+
 class TestGracefulDegradation:
     def test_saturation_backpressure(self, monkeypatch):
-        monkeypatch.setattr(queue_module, "MAX_PENDING", 1)
+        monkeypatch.setattr(api_module, "MAX_PENDING", 1)
         with ResilienceService() as svc:
             held = svc.submit("exp", napper, grid={"i": list(range(10))})
             with pytest.raises(BackpressureError, match="saturated"):
@@ -298,6 +384,41 @@ class TestSchedulerFaults:
         with pytest.raises(BackpressureError, match="degraded"):
             svc.submit("exp2", square, grid=GRID)
         assert _closes_within(svc, 10)
+
+    def _assert_faulted(self, svc):
+        assert not svc.status()["serving"]
+        assert svc.status()["degraded"]
+        assert svc.tracer.counters["service.scheduler.errors"] == 1
+        with pytest.raises(BackpressureError, match="degraded"):
+            svc.submit("next", square, grid=GRID)
+        assert _closes_within(svc, 10)
+
+    def test_failed_cancelled_write_degrades(
+        self, tmp_path, monkeypatch, gate
+    ):
+        def no_space(self, *args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(ServicePersistence, "record_cancelled", no_space)
+        svc = ResilienceService(service_dir=str(tmp_path)).start()
+        job = svc.submit("exp", held, grid={"x": [1]})
+        with pytest.raises(OSError, match="No space"):
+            svc.cancel(job.id)
+        gate.set()
+        self._assert_faulted(svc)
+
+    def test_failed_cache_served_completed_write_degrades(
+        self, tmp_path, monkeypatch
+    ):
+        def no_space(self, *args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        svc = ResilienceService(service_dir=str(tmp_path)).start()
+        assert svc.submit("exp", square, grid=GRID).wait(30)
+        monkeypatch.setattr(ServicePersistence, "record_completed", no_space)
+        with pytest.raises(OSError, match="No space"):
+            svc.submit("exp", square, grid=GRID)  # served from the cache
+        self._assert_faulted(svc)
 
 
 class TestObservability:
