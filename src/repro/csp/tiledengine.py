@@ -48,6 +48,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .._arrays import sorted_distinct
 from ..errors import ConfigurationError
 from ..runtime import trace
 from .bitstring import BitString
@@ -162,7 +163,7 @@ def _xor_expand(
             cand = cand[cand < f[:, None]]
         else:
             cand = cand.ravel()
-        cand = np.unique(cand)
+        cand = sorted_distinct(cand)
         cand = cand[~_isin_sorted(cand, settled)]
         if cand.size:
             parts.append(cand)
@@ -170,7 +171,7 @@ def _xor_expand(
         return np.zeros(0, dtype=np.int64)
     if len(parts) == 1:
         return parts[0]
-    return np.unique(np.concatenate(parts))
+    return sorted_distinct(np.concatenate(parts))
 
 
 def implicit_add_bit_levels(
@@ -192,7 +193,7 @@ def implicit_add_bit_levels(
     within ``max_level`` and their exact levels — never a ``(2^n,)``
     array, so K-maintainability levels cost Θ(leveled set).
     """
-    goal = np.unique(np.asarray(goal_indices, dtype=np.int64))
+    goal = sorted_distinct(np.asarray(goal_indices, dtype=np.int64))
     max_level = n if max_level is None else min(max_level, n)
     bits = _flip_masks(n)
     settled = goal
@@ -205,7 +206,7 @@ def implicit_add_bit_levels(
         if not cand.size:
             break
         d += 1
-        settled = np.union1d(settled, cand)
+        settled = sorted_distinct(np.concatenate((settled, cand)))
         states_acc.append(cand)
         levels_acc.append(np.full(cand.size, d, dtype=np.int32))
         frontier = cand
@@ -230,7 +231,7 @@ def implicit_clear_bit_ball(
     """
     if radius < 0:
         raise ConfigurationError(f"radius must be >= 0, got {radius}")
-    member = np.unique(np.asarray(seed_indices, dtype=np.int64))
+    member = sorted_distinct(np.asarray(seed_indices, dtype=np.int64))
     bits = _flip_masks(n)
     frontier = member
     for _ in range(min(radius, n)):
@@ -239,7 +240,7 @@ def implicit_clear_bit_ball(
         cand = _xor_expand(frontier, bits, member, down=True, chunk=chunk)
         if not cand.size:
             break
-        member = np.union1d(member, cand)
+        member = sorted_distinct(np.concatenate((member, cand)))
         frontier = cand
     return member
 
@@ -451,7 +452,9 @@ class TiledBitCSP(PackedStateBridge):
         fit = self.fit_indices
         if fit.size == 0 or masks.size == 0:
             return np.full(masks.shape, -1 if fit.size == 0 else 0, np.int64)
-        queries, inverse = np.unique(masks.ravel(), return_inverse=True)
+        flat = masks.ravel()
+        queries = sorted_distinct(flat)
+        inverse = np.searchsorted(queries, flat)
         if fit.size <= self.DIRECT_FIT_LIMIT:
             qdist = np.empty(queries.size, dtype=np.int64)
             step = max(1, self.block_size // fit.size)
@@ -473,7 +476,7 @@ class TiledBitCSP(PackedStateBridge):
                 if not frontier.size:
                     break
                 d += 1
-                settled = np.union1d(settled, frontier)
+                settled = sorted_distinct(np.concatenate((settled, frontier)))
                 newly = (qdist < 0) & _isin_sorted(queries, frontier)
                 qdist[newly] = d
         return qdist[inverse].reshape(masks.shape)

@@ -59,10 +59,12 @@ import os
 import shutil
 import tempfile
 import weakref
+from itertools import chain
 from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from .._arrays import sorted_distinct
 from ..errors import ConfigurationError
 from ..runtime import trace
 from .graph import Graph
@@ -245,24 +247,31 @@ class ArrayGraph:
 
     @classmethod
     def from_graph(cls, g: "Graph | ArrayGraph") -> "ArrayGraph":
-        """CSR snapshot of a :class:`Graph` (node order = insertion order)."""
+        """CSR snapshot of a :class:`Graph` (node order = insertion order).
+
+        Rows keep each node's set iteration order, read in one pass.
+        When the nodes are exactly the Python ``int``s ``0..n-1`` in
+        insertion order (``bool`` and numpy integers do not qualify) the
+        CSR is identity-labelled, so callers get the identity graph's
+        behaviour: attack orders come back as int64 ndarrays and
+        ``True`` is not a node.  Any other labels are kept in a list.
+        """
         if isinstance(g, ArrayGraph):
             return g
         adj = g._adj  # sibling access: one pass, no per-node frozensets
-        labels = list(adj)
-        index = {lab: i for i, lab in enumerate(labels)}
-        n = len(labels)
-        degs = np.fromiter(
-            (len(adj[lab]) for lab in labels), dtype=np.int64, count=n
-        )
+        n = len(adj)
+        degs = np.fromiter(map(len, adj.values()), dtype=np.int64, count=n)
         # accumulate in int64; __init__ narrows to int32 when it fits
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degs, out=indptr[1:])
-        dst: list[int] = []
-        extend = dst.extend
-        for lab in labels:
-            extend(map(index.__getitem__, adj[lab]))
-        indices = np.asarray(dst, dtype=np.int32)
+        dst = chain.from_iterable(adj.values())
+        labels = list(adj)
+        if labels == list(range(n)) and set(map(type, labels)) <= {int}:
+            labels = None
+        else:
+            dst = map({lab: i for i, lab in enumerate(labels)}.__getitem__,
+                      dst)
+        indices = np.fromiter(dst, dtype=np.int32, count=int(indptr[-1]))
         return cls(indptr, indices, labels)
 
     @classmethod
@@ -302,7 +311,7 @@ class ArrayGraph:
         # canonicalize + dedupe undirected pairs
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         if len(lo):
-            keys = np.unique(lo * n + hi)
+            keys = sorted_distinct(lo * n + hi)
             lo, hi = keys // n, keys % n
         src = np.concatenate([lo, hi])
         dst = np.concatenate([hi, lo])
@@ -512,16 +521,7 @@ class ArrayGraph:
 
     def to_graph(self) -> Graph:
         """Materialize back into a dict-of-sets :class:`Graph`."""
-        labels = self.labels
-        g = Graph(nodes=labels)
-        indptr, indices = self.indptr, self.indices
-        g.add_edges_from(
-            (labels[i], labels[int(j)])
-            for i in range(self.n_nodes)
-            for j in indices[indptr[i]:indptr[i + 1]]
-            if i < j
-        )
-        return g
+        return Graph(nodes=self.labels, edges=self.edges())
 
     # -- queries -----------------------------------------------------------
 
@@ -771,6 +771,9 @@ def as_arraygraph(g: "Graph | ArrayGraph") -> ArrayGraph:
     An :class:`ArrayGraph` (in RAM or mapped) passes through unchanged.
     Benchmarks percolate the same graph under several attacks; the cache
     makes the conversion a once-per-graph cost instead of once-per-curve.
+    A graph over the ints ``0..n-1`` in insertion order (every
+    generator's output) converts to an identity-labelled CSR: see
+    :meth:`ArrayGraph.from_graph` for what callers then see.
     """
     if isinstance(g, ArrayGraph):
         return g
@@ -808,14 +811,6 @@ def gather_rows(
         starts - (cum - counts), counts
     )
     return indices[flat_idx], counts
-
-
-def sorted_distinct(a: np.ndarray) -> np.ndarray:
-    """``np.unique(a)`` for a 1-D int array, by sort: numpy's hash-based
-    integer ``unique`` is ~10x slower at frontier sizes, and its first
-    call imports ``numpy.ma`` (~1 MB of resident memory)."""
-    a = np.sort(a)
-    return a[np.concatenate(([True], a[1:] != a[:-1]))] if a.size else a
 
 
 def directed_edge_blocks(

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..rng import SeedLike
-from .arraygraph import ArrayGraph, gather_rows
+from .arraygraph import ArrayGraph, gather_rows, sorted_distinct
 from .attacks import AttackStrategy
 from .graph import Graph
 
@@ -45,7 +45,7 @@ def _betweenness_array(ag: ArrayGraph, normalized: bool) -> np.ndarray:
         while frontier.size:
             flat, counts = gather_rows(indptr, indices, frontier)
             flat = flat.astype(np.int64)
-            new = np.unique(flat[dist[flat] == -1])
+            new = sorted_distinct(flat[dist[flat] == -1])
             dist[new] = d + 1
             at_next = dist[flat] == d + 1
             np.add.at(

@@ -30,28 +30,23 @@ __all__ = [
 #: cheaper than the graph it generates)
 ER_EXACT_MAX_PAIRS = 1 << 26
 
+#: pairs drawn per window by :func:`erdos_renyi` (512 KiB of uniforms)
+ER_WINDOW_PAIRS = 1 << 16
+
 
 def erdos_renyi(n: int, p: float, seed: SeedLike = None) -> Graph:
-    """G(n, p): each of the n(n−1)/2 possible edges appears with prob. p."""
-    if n < 0:
-        raise ConfigurationError(f"n must be >= 0, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise ConfigurationError(f"p must be in [0, 1], got {p}")
-    rng = make_rng(seed)
+    """G(n, p): each of the n(n−1)/2 possible edges appears with prob. p.
+
+    Built from the exact :func:`erdos_renyi_stream` in windows of
+    :data:`ER_WINDOW_PAIRS` pairs: one uniform per pair, so the edges
+    and the RNG consumption equal a single ``rng.random(n(n−1)/2)``
+    draw, in O(window) memory rather than 8 bytes per pair.
+    """
     g = Graph(nodes=range(n))
-    if n < 2 or p == 0.0:
-        return g
-    # vectorized upper-triangle sampling: one uniform draw per pair (the
-    # same stream as enumerating triu_indices), then only the hits are
-    # decoded from linear index to (i, j) — row-major over the triangle,
-    # so the edge set is identical to the per-pair loop this replaces
-    n_pairs = n * (n - 1) // 2
-    hits = np.flatnonzero(rng.random(n_pairs) < p)
-    if hits.size:
-        lengths = np.arange(n - 1, 0, -1, dtype=np.int64)
-        starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-        i = np.searchsorted(starts, hits, side="right") - 1
-        j = i + 1 + (hits - starts[i])
+    rng = make_rng(seed)
+    for i, j in erdos_renyi_stream(
+        n, p, rng, chunk_pairs=ER_WINDOW_PAIRS, method="exact"
+    ):
         g.add_edges_from(zip(i.tolist(), j.tolist()))
     return g
 
@@ -72,10 +67,9 @@ def erdos_renyi_stream(
 
     ``method="exact"`` draws one uniform per pair in windows — since
     ``Generator.random`` consumes its bit stream call-by-call, the
-    chunked draws reproduce :func:`erdos_renyi`'s single
-    ``rng.random(n_pairs)`` exactly, giving the *identical edge set*
-    for the same seed (pinned in the test suite).  ``method="gap"``
-    samples the geometric gaps between hits (the
+    chunked draws reproduce a single ``rng.random(n_pairs)`` exactly,
+    whatever ``chunk_pairs`` is; :func:`erdos_renyi` is built on it.
+    ``method="gap"`` samples the geometric gaps between hits (the
     :func:`~repro.networks.arraygraph.bernoulli_indices` trick), doing
     O(p·n²) work instead of O(n²) — the only viable path at 10^6+
     nodes; same ensemble, different draw stream.  ``"auto"`` picks
@@ -182,13 +176,9 @@ def barabasi_albert(n: int, m: int, seed: SeedLike = None) -> Graph:
         raise ConfigurationError(f"m must be >= 1, got {m}")
     if n < m + 1:
         raise ConfigurationError(f"n must be >= m+1 = {m + 1}, got {n}")
-    rng = make_rng(seed)
-    g = Graph(nodes=range(n))
     # the attachment draws never read the graph, so edges stream into
-    # one bulk insert in chronological order — identical draws,
-    # identical adjacency
-    g.add_edges_from(_ba_edges(n, m, rng))
-    return g
+    # one bulk insert in chronological order
+    return Graph(nodes=range(n), edges=_ba_edges(n, m, make_rng(seed)))
 
 
 def barabasi_albert_stream(
@@ -235,14 +225,14 @@ def watts_strogatz(n: int, k: int, p: float, seed: SeedLike = None) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise ConfigurationError(f"p must be in [0, 1], got {p}")
     rng = make_rng(seed)
-    g = Graph(nodes=range(n))
-    for u in range(n):
-        for offset in range(1, k // 2 + 1):
-            g.add_edge(u, (u + offset) % n)
+    half = range(1, k // 2 + 1)
+    g = Graph(nodes=range(n), edges=(
+        (u, (u + offset) % n) for u in range(n) for offset in half
+    ))
     if p == 0.0:
         return g
     for u in range(n):
-        for offset in range(1, k // 2 + 1):
+        for offset in half:
             v = (u + offset) % n
             if rng.random() < p and g.has_edge(u, v):
                 candidates = [w for w in range(n) if w != u and not g.has_edge(u, w)]

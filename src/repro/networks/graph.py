@@ -27,17 +27,14 @@ class Graph:
     """A simple undirected graph over integer-friendly hashable nodes."""
 
     def __init__(self, nodes: Iterable[object] = (), edges: Iterable[tuple] = ()):
-        self._adj: Dict[object, Set[object]] = {}
+        self._adj: Dict[object, Set[object]] = {node: set() for node in nodes}
         # per-node frozenset views handed out by neighbors(); invalidated
         # on mutation so hot loops don't rebuild a frozenset per call
         self._frozen: Dict[object, FrozenSet[object]] = {}
         # bumped on every mutation; lets derived structures (the CSR
         # ArrayGraph cache) detect staleness without hashing the graph
         self._version = 0
-        for node in nodes:
-            self.add_node(node)
-        for u, v in edges:
-            self.add_edge(u, v)
+        self.add_edges_from(edges)
 
     # -- mutation ---------------------------------------------------------
 
@@ -53,36 +50,39 @@ class Graph:
         Self-loops are rejected: none of the resilience models use them
         and they silently distort degree-based attack orderings.
         """
-        if u == v:
-            raise ConfigurationError(f"self-loop on node {u!r} is not allowed")
-        self._adj.setdefault(u, set()).add(v)
-        self._adj.setdefault(v, set()).add(u)
-        self._frozen.pop(u, None)
-        self._frozen.pop(v, None)
-        self._version += 1
+        self.add_edges_from(((u, v),))
 
     def add_edges_from(self, edges: Iterable[tuple]) -> None:
-        """Bulk :meth:`add_edge`: one cache invalidation for the batch.
+        """Bulk :meth:`add_edge`: one version bump for the batch.
 
         The generators funnel their (often vectorized) edge draws through
-        this so graph construction isn't dominated by per-edge method and
-        cache-bookkeeping overhead.
+        this, so it allocates a set only for a new endpoint and drops
+        frozen views only while :meth:`neighbors` has cached some.  Each
+        edge inserts ``u`` then ``v``, so dict order and every set's
+        layout depend on the edge order alone.
         """
-        adj = self._adj
-        touched = set()
+        adj, frozen = self._adj, self._frozen
+        # bumped first, so a batch that raises part-way still retires
+        # the CSR cached for the old version
+        self._version += 1
         for u, v in edges:
             if u == v:
                 raise ConfigurationError(
                     f"self-loop on node {u!r} is not allowed"
                 )
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
-            touched.add(u)
-            touched.add(v)
-        if touched:
-            for node in touched:
-                self._frozen.pop(node, None)
-            self._version += 1
+            nbrs = adj.get(u)
+            if nbrs is None:
+                adj[u] = {v}
+            else:
+                nbrs.add(v)
+            nbrs = adj.get(v)
+            if nbrs is None:
+                adj[v] = {u}
+            else:
+                nbrs.add(u)
+            if frozen:
+                frozen.pop(u, None)
+                frozen.pop(v, None)
 
     def remove_node(self, node: object) -> None:
         """Delete a node and its incident edges."""
@@ -172,6 +172,11 @@ class Graph:
         """Whether the undirected edge {u, v} exists."""
         return u in self._adj and v in self._adj[u]
 
+    def check_removal_order(self, order) -> bool:
+        """Whether ``order`` is a permutation of the nodes: right length
+        and right node set (a duplicate shrinks the set)."""
+        return len(order) == len(self._adj) and set(order) == set(self._adj)
+
     # -- structure ---------------------------------------------------------------
 
     def connected_components(self) -> list[FrozenSet[object]]:
@@ -210,13 +215,10 @@ class Graph:
             raise ConfigurationError(
                 f"subgraph requested on unknown nodes: {sorted(map(repr, unknown))[:5]}"
             )
-        g = Graph()
-        for node in keep_set:
-            g.add_node(node)
-        for u, v in self.edges():
-            if u in keep_set and v in keep_set:
-                g.add_edge(u, v)
-        return g
+        return Graph(nodes=keep_set, edges=(
+            (u, v) for u, v in self.edges()
+            if u in keep_set and v in keep_set
+        ))
 
     def shortest_path_length(self, source: object, target: object) -> int | None:
         """BFS hop count from source to target; None when disconnected."""

@@ -21,6 +21,7 @@ from ..rng import SeedLike, make_rng
 from .attacks import AttackStrategy
 from .engine import NetworkEngine, make_network_engine
 from .graph import Graph
+from .percolation import removal_order
 
 __all__ = ["NetworkRecoveryResult", "NetworkRecoverySimulator"]
 
@@ -77,8 +78,8 @@ class NetworkRecoverySimulator:
             )
         rng = make_rng(seed)
         n = self.graph.n_nodes
-        order = self.attack.removal_order(
-            self.engine.ordering_graph(self.graph), rng
+        order = removal_order(
+            self.attack, self.engine.ordering_graph(self.graph), rng
         )
         n_remove = int(round(attack_fraction * n))
         to_remove = order[:n_remove]

@@ -76,21 +76,7 @@ def percolation_curve(
     if resolution is not None and resolution < 2:
         raise ConfigurationError(f"resolution must be >= 2, got {resolution}")
     eng = make_network_engine(engine)
-    order = attack.removal_order(eng.ordering_graph(g), make_rng(seed))
-    # a permutation = right length + right node set (duplicates shrink the
-    # set); compares nodes themselves, not their reprs.  An ArrayGraph
-    # supplies its own validator, vectorized for identity labels — at
-    # 10^6+ nodes the set comparison alone would box hundreds of MB of
-    # ints.
-    check = getattr(g, "check_removal_order", None)
-    if check is not None:
-        is_permutation = bool(check(order))
-    else:
-        is_permutation = len(order) == n and set(order) == set(g.nodes())
-    if not is_permutation:
-        raise ConfigurationError(
-            f"attack {attack.label} did not return a permutation of the nodes"
-        )
+    order = removal_order(attack, eng.ordering_graph(g), make_rng(seed))
     if resolution is not None:
         marks = {int(round(i * n / (resolution - 1))) for i in range(resolution)}
         checkpoints = sorted(marks - {0})
@@ -102,6 +88,17 @@ def percolation_curve(
     return PercolationCurve(
         np.asarray(removed_fraction), np.asarray(giant_fraction)
     )
+
+
+def removal_order(attack: AttackStrategy, g, rng) -> "list | np.ndarray":
+    """``attack``'s removal order on ``g``, checked by ``g``'s own
+    ``check_removal_order`` (vectorized on an identity-labelled CSR)."""
+    order = attack.removal_order(g, rng)
+    if not g.check_removal_order(order):
+        raise ConfigurationError(
+            f"attack {attack.label} did not return a permutation of the nodes"
+        )
+    return order
 
 
 def critical_fraction(curve: PercolationCurve, threshold: float = 0.05) -> float:

@@ -261,18 +261,17 @@ class Scheduler:
         # while it ran included, in first-touched order
         touched: dict[Job, None] = {}
         for point, outcome in zip(points, outcomes):
-            with self._cond:
-                if not self._wanted.get(point.fingerprint):
-                    self._wanted.pop(point.fingerprint, None)
-                    continue  # cancelled mid-chunk; result discarded
             if outcome.ok:
+                # stored even if every requester cancelled mid-chunk: a
+                # row that arrives after a cancel still feeds the cache
                 followers = self._resolve_ok(point, outcome.value)
             else:
-                self._tr.count("service.points.failed")
                 followers = self._fail(
                     point.fingerprint, outcome.error, outcome.traceback,
                     outcome.attempts,
                 )
+                if followers:
+                    self._tr.count("service.points.failed")
             touched.update(dict.fromkeys(job for job, _ in followers))
         for job in touched:
             if self.degraded:

@@ -8,6 +8,8 @@ spreaders (probabilistic cascades, SIS/SIR), whose random streams are
 drawn in frontier batches instead of per-edge.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,24 @@ class TestArrayGraphStructure:
             for cg in (ag, mapped):
                 assert cg.connected_components() == g.connected_components()
                 assert cg.giant_component_size() == g.giant_component_size()
+
+    def test_identity_int_labels_convert_to_identity_csr(self):
+        for g in (Graph(), Graph(nodes=range(3), edges=[(2, 0)]),
+                  erdos_renyi(50, 0.1, seed=2)):
+            ag = as_arraygraph(g)
+            assert ag.identity_labels
+            assert ag.labels == range(g.n_nodes)
+            assert True not in ag
+
+    @pytest.mark.parametrize("nodes", [
+        [False, True], [np.int64(0), np.int64(1)], [1, 0], ["0", "1"],
+        [0, 2],
+    ], ids=["bool", "np.int64", "out-of-order", "str", "gap"])
+    def test_other_labels_stay_labelled(self, nodes):
+        ag = as_arraygraph(Graph(nodes=nodes, edges=[tuple(nodes)]))
+        assert not ag.identity_labels
+        assert [(type(a), a) for a in ag.labels] == \
+            [(type(a), a) for a in nodes]
 
     def test_conversion_cache_invalidated_on_mutation(self):
         g = erdos_renyi(30, 0.1, seed=0)
@@ -195,7 +215,7 @@ class TestExactEquivalence:
     def test_attack_orderings_identical(self):
         for g in _graphs():
             ag = as_arraygraph(g)
-            assert TargetedDegreeAttack().removal_order(ag) == \
+            assert list(TargetedDegreeAttack().removal_order(ag)) == \
                 TargetedDegreeAttack().removal_order(g)
             assert AdaptiveDegreeAttack().removal_order(ag) == \
                 AdaptiveDegreeAttack().removal_order(g)
@@ -349,6 +369,42 @@ class TestDrawStreamPinned:
             PINNED_DRAWS[("cascade", beta)]
 
 
+def _handoff_digest() -> str:
+    """sha256 over 64 seeded ``erdos_renyi(1000, 4/999)`` graphs: each
+    one's CSR, targeted array-engine percolation curve and array-engine
+    SIR run, and the next draw of the RNG threaded through all three."""
+    h = hashlib.sha256()
+    for seed in range(64):
+        rng = np.random.default_rng(seed)
+        g = erdos_renyi(1000, 4 / 999, seed=rng)
+        ag = as_arraygraph(g)
+        h.update(np.asarray(ag.indptr, dtype=np.int64).tobytes())
+        h.update(np.asarray(ag.indices, dtype=np.int64).tobytes())
+        curve = percolation_curve(
+            g, TargetedDegreeAttack(), seed=rng, engine="array"
+        )
+        h.update(curve.removed_fraction.tobytes())
+        h.update(curve.giant_fraction.tobytes())
+        patients = rng.choice(1000, 5, replace=False).tolist()
+        res = SIRModel(g, beta=0.3, gamma=0.2, engine="array").run(
+            patients, max_steps=200, seed=rng
+        )
+        h.update(np.asarray(res.infected_counts, dtype=np.int64).tobytes())
+        h.update(repr(sorted(res.final_infected)).encode())
+        h.update(repr(
+            (res.total_ever_infected, res.steps, rng.random())
+        ).encode())
+    return h.hexdigest()
+
+
+def test_handoff_outputs_pinned():
+    # computed with the labelled conversion and the single-draw
+    # erdos_renyi; the identity handoff must reproduce it byte for byte
+    assert _handoff_digest() == (
+        "2607d421a3a6744a6647f429de0f02ce20dcc4c26ced015722434b2f5bacf5cc"
+    )
+
+
 # -- engine selection -------------------------------------------------------
 
 
@@ -401,6 +457,16 @@ def test_permutation_check_catches_duplicates():
     g = erdos_renyi(10, 0.3, seed=0)
     with pytest.raises(ConfigurationError):
         percolation_curve(g, _EqualReprAttack(), engine="object")
+
+
+@pytest.mark.parametrize("engine", ["object", "array"])
+def test_healing_and_array_percolation_check_permutation(engine):
+    g = erdos_renyi(10, 0.3, seed=0)
+    with pytest.raises(ConfigurationError, match="permutation"):
+        percolation_curve(g, _EqualReprAttack(), engine=engine)
+    sim = NetworkRecoverySimulator(g, _EqualReprAttack(), engine=engine)
+    with pytest.raises(ConfigurationError, match="permutation"):
+        sim.run(0.3, horizon=5)
 
 
 # -- neighbors cache (satellite: hot-path allocation) -----------------------

@@ -17,9 +17,12 @@ addition split differently), on both storages of one CSR: the in-RAM
 * stochastic kernels (SIR, SIS, spread cascades) must be byte-identical
   to the default-block engine on the in-RAM graph, same seed.
 
-The graph API itself is fuzzed too: identity-labelled and labelled
-(string labels, shuffled node order) graphs on both storages must answer
-every query as the object :class:`~repro.networks.graph.Graph` does.
+The ``Graph`` → CSR handoff is fuzzed against a per-node labelled
+reference conversion: same bytes, and the same output from every
+kernel on the identity and the labelled CSR.  The graph API itself is
+fuzzed too: identity-labelled and labelled (string labels, shuffled
+node order) graphs on both storages must answer every query as the
+object :class:`~repro.networks.graph.Graph` does.
 """
 
 from __future__ import annotations
@@ -142,6 +145,55 @@ def test_healing_matches_object(g, data, repairs, horizon):
         assert engine.healing_episode(
             cg, victims, repairs, horizon, shock
         ) == ref
+
+
+# -- the Graph → CSR handoff: identity CSR == the labelled conversion ------
+
+
+def labelled_csr(g: Graph) -> ArrayGraph:
+    """Per-node reference conversion with an explicit label list: each
+    row in its adjacency set's iteration order, mapped through a
+    label → index dict."""
+    labels = list(g.nodes())
+    index = {lab: i for i, lab in enumerate(labels)}
+    rows = [[index[v] for v in g._adj[lab]] for lab in labels]
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    indices = [v for row in rows for v in row]
+    return ArrayGraph(indptr, indices, labels=labels)
+
+
+@FUZZ
+@given(g=graphs(), data=st.data())
+def test_identity_handoff_matches_labelled_csr(g, data):
+    n = g.n_nodes
+    ident, ref = as_arraygraph(g), labelled_csr(g)
+    assert ident.identity_labels and not ref.identity_labels
+    assert ident.indptr.tobytes() == ref.indptr.tobytes()
+    assert ident.indices.tobytes() == ref.indices.tobytes()
+    assert list(ident.degree_removal_order()) == ref.degree_removal_order()
+    assert ident.adaptive_degree_removal_order() == \
+        ref.adaptive_degree_removal_order()
+    order = data.draw(st.permutations(range(n)), label="order")
+    seeds = frozenset(node_subset(data, n, "seeds", min_size=1))
+    immune = frozenset(node_subset(data, n, "immune"))
+    load = {v: float(g.degree(v) + 1) for v in g.nodes()}
+    cap = {v: 1.2 * load[v] + _NUDGE for v in g.nodes()}
+    victims = order[:data.draw(st.integers(0, n), label="n_removed")]
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    eng = ArrayNetworkEngine()
+    runs = (
+        lambda cg, rng: eng.percolation_giant_sizes(
+            cg, order, list(range(1, n + 1))
+        ),
+        lambda cg, rng: eng.sir(cg, 0.4, 0.3, immune, set(seeds), 10, rng),
+        lambda cg, rng: eng.sis(cg, 0.4, 0.3, immune, set(seeds), 10, rng),
+        lambda cg, rng: eng.spread_cascade(cg, 0.5, seeds, rng),
+        lambda cg, rng: eng.load_cascade(cg, load, cap, seeds),
+        lambda cg, rng: eng.healing_episode(cg, victims, 2, 6, 1),
+    )
+    for run in runs:
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert (run(ident, a), a.random()) == (run(ref, b), b.random())
 
 
 # -- the two Newman–Ziff paths --------------------------------------------

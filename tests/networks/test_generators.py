@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.networks.generators import (
+    ER_WINDOW_PAIRS,
     barabasi_albert,
     configuration_star,
     degree_histogram,
@@ -41,6 +44,51 @@ class TestErdosRenyi:
             erdos_renyi(-1, 0.5)
         with pytest.raises(ConfigurationError):
             erdos_renyi(5, 1.5)
+
+
+def _per_edge_reference(n: int, p: float, rng) -> dict:
+    """G(n, p) the long way: one uniform per pair, drawn at once, and
+    each hit added pair by pair to a plain dict of sets."""
+    adj = {v: set() for v in range(n)}
+    if n < 2 or p == 0.0:
+        return adj
+    draws = iter(rng.random(n * (n - 1) // 2).tolist())
+    for i in range(n):
+        for j in range(i + 1, n):
+            if next(draws) < p:
+                adj[i].add(j)
+                adj[j].add(i)
+    return adj
+
+
+class TestErdosRenyiWindows:
+    # 362 and 363 nodes have 65,341 and 65,703 pairs, either side of one
+    # 2^16-pair window; 725 nodes span a little over four windows
+    @pytest.mark.parametrize("n, p", [
+        (0, 0.5), (1, 0.5), (2, 1.0), (40, 0.0), (40, 1.0),
+        (362, 0.01), (363, 0.3), (725, 0.004),
+    ])
+    def test_matches_per_edge_reference(self, n, p):
+        assert ER_WINDOW_PAIRS == 1 << 16
+        rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+        g = erdos_renyi(n, p, seed=rng)
+        ref = _per_edge_reference(n, p, ref_rng)
+        assert list(g.nodes()) == list(ref)
+        # each set's iteration order, not just its contents
+        assert [list(g._adj[v]) for v in ref] == \
+            [list(nbrs) for nbrs in ref.values()]
+        assert rng.random() == ref_rng.random()
+
+    def test_draws_in_window_memory(self):
+        erdos_renyi(50, 0.1, seed=0)  # warm imports and caches
+        tracemalloc.start()
+        try:
+            erdos_renyi(4000, 0.001, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the graph holds ~2 MB; one draw over all ~8·10^6 pairs is 64 MB
+        assert peak < 8 * 2**20
 
 
 class TestBarabasiAlbert:

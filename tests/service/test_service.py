@@ -206,6 +206,30 @@ class TestCancellation:
         assert kinds.count("service.job.cancelled") == 1
         assert "service.job.progress" not in kinds
 
+    @pytest.mark.parametrize("durable", [False, True])
+    def test_point_cancelled_mid_chunk_is_stored(self, gate, tmp_path,
+                                                 durable):
+        service_dir = str(tmp_path) if durable else None
+        with ResilienceService(service_dir=service_dir) as svc:
+            job = svc.submit("exp", held, grid={"x": [1]})
+            assert _STARTED.wait(30)  # its one-point chunk is running
+            assert svc.cancel(job.id)
+            gate.set()
+            fingerprint = job.points[0].fingerprint
+            deadline = time.monotonic() + 30
+            while fingerprint not in svc.cache:
+                assert time.monotonic() < deadline, "row never stored"
+                time.sleep(0.01)
+            resub = svc.submit("exp", held, grid={"x": [1]})
+            assert resub.done and resub.state == DONE
+            assert resub.progress()["cached"] == 1
+            assert resub.result().rows[0]["v"] == 1
+            assert svc.tracer.counters["service.points.executed"] == 1
+        if durable:
+            with open(tmp_path / "journal.jsonl") as fh:
+                records = [json.loads(line).get("record") for line in fh]
+            assert records.count("point-done") == 1
+
     def test_cancel_unknown_job(self):
         with ResilienceService() as svc:
             with pytest.raises(ServiceError, match="unknown job"):

@@ -102,6 +102,70 @@ def test_import_surface():
     assert probe["final"] == flow.final.tolist()
 
 
+# Runs each array path that replaced an integer ``np.unique`` in a fresh
+# interpreter, printing after each whether numpy.ma (which numpy's
+# ``unique`` imports on first call, ~15 ms) has been loaded.
+_MA_PROBE = """
+import json, sys
+
+import numpy as np
+
+from repro.csp.generators import random_clause_csp
+from repro.csp.tiledengine import (
+    compile_tiled, implicit_add_bit_levels, implicit_clear_bit_ball,
+)
+from repro.networks.arraygraph import ArrayGraph
+from repro.networks.attacks import TargetedDegreeAttack
+from repro.networks.centrality import betweenness_centrality
+from repro.networks.epidemics import SIRModel
+from repro.networks.generators import erdos_renyi
+from repro.networks.percolation import percolation_curve
+
+def ran(path):
+    loaded[path] = "numpy.ma" in sys.modules
+
+loaded = {}
+ag = ArrayGraph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4)])
+ran("from_edges")
+betweenness_centrality(ag)
+ran("betweenness")
+g = erdos_renyi(200, 0.02, seed=1)
+percolation_curve(g, TargetedDegreeAttack(), seed=1, engine="array")
+ran("percolation")
+SIRModel(g, 0.3, 0.2, engine="array").run([0, 1], seed=1)
+ran("sir")
+implicit_add_bit_levels(np.array([7, 7, 5]), 3)
+ran("levels")
+implicit_clear_bit_ball(np.array([7, 6]), 3, 2)
+ran("ball")
+masks = np.array([[3, 3], [0, 5]])
+compile_tiled(random_clause_csp(8, 10, seed=1)).min_distances_masks(masks)
+ran("min_distances_sparse")
+compile_tiled(random_clause_csp(17, 3, seed=1)).min_distances_masks(masks)
+ran("min_distances_dense")
+print(json.dumps(loaded))
+"""
+
+
+def test_array_paths_leave_numpy_ma_unloaded():
+    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", _MA_PROBE],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    ).stdout
+    loaded = json.loads(out.splitlines()[-1])
+    assert len(loaded) == 8
+    assert not any(loaded.values()), loaded
+
+
 def test_numpy_satisfies_declared_floor():
     # pyproject declares numpy>=2.0; the 2.0-only APIs we rely on must
     # exist in the running interpreter
