@@ -3,17 +3,27 @@
 :class:`ArraySimulator` is observationally equivalent to
 :class:`~repro.agents.simulation.EvolutionSimulator` — same parameters,
 same :class:`~repro.agents.simulation.SimulationResult`, statistically
-identical dynamics — but stores the whole population as numpy arrays:
-genomes as an ``(N, n)`` uint8 matrix, resources / adaptability / age /
-ids as 1-D arrays.  Every step (adaptation toward the target, income and
-living cost, death, capacity-capped replication with binomial mutation,
-the diversity index via a row-hash ``np.unique``) is a whole-population
-vectorized operation drawing from a single
+identical dynamics — but keeps the whole population in the form each
+step reads: one int64 state matrix with a row per organism, holding the
+genome as ``W = max(1, ceil(n/64))`` packed 64-bit words (the
+:func:`~repro.csp.bitstring.pack_matrix` layout) followed by
+adaptability, age, id and parent id, plus one float array of
+resources.  Mismatch counts are one ``np.bitwise_count`` over the
+genome words XOR the target words; an organism that fixes every
+mismatch takes the target words, and only partially-adapting rows are
+unpacked to draw their per-locus keys.  Death is one gather and birth
+one concatenate per array, mutation is a packed mask XORed in, the
+diversity index sorts the words, and the final
+:class:`~repro.csp.bitstring.BitString` genomes are built straight from
+them.  Every step draws from a single
 :class:`numpy.random.Generator`, which is what makes the paper's
 "various multi-agent simulations while changing the above system
 parameters" sweeps tractable at scale.
 
-Equivalence contract (exercised by ``tests/agents/test_arrayengine.py``):
+Equivalence contract (exercised by ``tests/agents/test_arrayengine.py``;
+``tests/agents/test_packed_engine.py`` also holds this engine
+draw-for-draw to the uint8-matrix reference engine in
+``tests/agents/reference_arrayengine.py``):
 
 * on the deterministic path — no shocks, zero mutation, adaptability
   either 0 or ≥ genome length — both engines agree *exactly* on every
@@ -32,7 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..csp.bitstring import BitString, from_matrix, pack_matrix, to_matrix
+from ..csp.bitstring import BitString, pack_matrix
 from ..errors import ConfigurationError
 from ..rng import SeedLike, make_rng
 from ..runtime import trace
@@ -68,29 +78,38 @@ class ArraySimulator(EvolutionSimulator):
         shocks = shocks or ShockSchedule(period=0, severity=0)
         orgs = population.organisms
         n = env.n
+        lengths = {o.genome.n for o in orgs}
+        if len(lengths) > 1:
+            raise ConfigurationError(
+                f"bit strings have mixed lengths: {sorted(lengths)}"
+            )
+        if lengths - {n}:
+            raise ConfigurationError(
+                f"target length {n} != genome length {lengths.pop()}"
+            )
 
-        if orgs:
-            genomes = to_matrix([o.genome for o in orgs])
-            if genomes.shape[1] != n:
-                raise ConfigurationError(
-                    f"target length {n} != genome length {genomes.shape[1]}"
-                )
-        else:
-            genomes = np.zeros((0, n), dtype=np.uint8)
-        resources = np.asarray([o.resources for o in orgs], dtype=float)
-        adaptability = np.asarray(
-            [o.adaptability for o in orgs], dtype=np.int64
+        # one int64 row per organism: W genome words, then the columns
+        # ADAPT, AGE, ID, PARENT (-1 for a founder without one)
+        W = max(1, -(-n // 64))
+        ADAPT, AGE, ID, PARENT = range(W, W + 4)
+        state = np.empty((len(orgs), W + 4), dtype=np.int64)
+        state[:, :W].view(np.uint64)[:] = _pack_masks(
+            [o.genome.mask for o in orgs], W
         )
-        age = np.asarray([o.age for o in orgs], dtype=np.int64)
-        ids = np.asarray([o.organism_id for o in orgs], dtype=np.int64)
-        parent_ids = np.asarray(
-            [-1 if o.parent_id is None else o.parent_id for o in orgs],
+        state[:, ADAPT:] = np.array(
+            [
+                (o.adaptability, o.age, o.organism_id,
+                 -1 if o.parent_id is None else o.parent_id)
+                for o in orgs
+            ],
             dtype=np.int64,
-        )
-        target = env.target.to_array()
+        ).reshape(-1, 4)
+        resources = np.asarray([o.resources for o in orgs], dtype=float)
+        target_bits = env.target.to_array()
+        target = _pack_masks([env.target.mask], W)[0]
         tolerance = env.tolerance
         parents: dict[int, int | None] | None = (
-            {int(i): None for i in ids} if record_lineage else None
+            dict.fromkeys(state[:, ID].tolist()) if record_lineage else None
         )
         rate = self.mutator.rate
 
@@ -108,25 +127,30 @@ class ArraySimulator(EvolutionSimulator):
                         f"got {shocks.severity}"
                     )
                 flips = rng.choice(n, size=shocks.severity, replace=False)
-                target[flips] ^= 1
+                target_bits[flips] ^= 1
+                target = pack_matrix(target_bits[None])[0]
                 shock_times.append(t)
 
             count = len(resources)
             if count:
                 # adapt: flip up to adaptability mismatched loci, chosen
                 # uniformly without replacement, toward the target
-                mismatch = genomes != target
-                n_mismatched = mismatch.sum(axis=1)
-                n_fix = np.minimum(adaptability, n_mismatched)
+                genomes = state[:, :W].view(np.uint64)
+                flip = genomes ^ target
+                # popcount through uint64: on int64 it counts |x|'s bits
+                n_mismatched = np.bitwise_count(flip).sum(
+                    axis=1, dtype=np.int64
+                )
+                n_fix = np.minimum(state[:, ADAPT], n_mismatched)
                 fixing = n_fix > 0
-                if n > 0 and fixing.any():
-                    # organisms that fix every mismatch need no draw;
-                    # only partially-adapting rows rank random keys
-                    flip = mismatch & fixing[:, None]
-                    partial = np.nonzero(n_fix < n_mismatched)[0]
-                    partial = partial[fixing[partial]]
+                if fixing.any():
+                    # organisms that fix every mismatch take the target
+                    # words with no draw; only partially-adapting rows
+                    # are unpacked to rank random keys per locus
+                    flip[~fixing] = 0
+                    partial = np.flatnonzero(fixing & (n_fix < n_mismatched))
                     if partial.size:
-                        sub = mismatch[partial]
+                        sub = _unpack(flip[partial], n)
                         keys = rng.random(sub.shape)
                         keys[~sub] = 2.0  # matched loci sort last
                         kth = np.take_along_axis(
@@ -134,8 +158,8 @@ class ArraySimulator(EvolutionSimulator):
                             (n_fix[partial] - 1)[:, None],
                             axis=1,
                         )
-                        flip[partial] = sub & (keys <= kth)
-                    genomes = genomes ^ flip.astype(np.uint8)
+                        flip[partial] = pack_matrix(sub & (keys <= kth))
+                    genomes ^= flip
                 distance = n_mismatched - n_fix
                 fitness = (
                     1.0 - distance / n if n else np.ones(count)
@@ -145,56 +169,43 @@ class ArraySimulator(EvolutionSimulator):
                     - self.living_cost
                 )
                 alive = resources > 0.0
-                genomes = genomes[alive]
+                state = state[alive]
                 resources = resources[alive]
-                adaptability = adaptability[alive]
-                age = age[alive] + 1
-                ids = ids[alive]
-                parent_ids = parent_ids[alive]
                 distance = distance[alive]
+                state[:, AGE] += 1
 
                 # replication pass (bounded by capacity, in array order)
                 slots = self.capacity - len(resources)
                 eligible = resources >= self.replication_threshold
                 if slots > 0 and eligible.any():
-                    take = eligible & (np.cumsum(eligible) <= slots)
-                    rep = np.nonzero(take)[0]
-                    if rep.size:
-                        resources[rep] *= 0.5
-                        child_genomes = genomes[rep]
-                        if rate > 0.0 and n > 0:
-                            mutated = (
-                                rng.random((rep.size, n)) < rate
-                            )
-                            child_genomes = child_genomes ^ mutated.astype(
-                                np.uint8
-                            )
-                        child_distance = (child_genomes != target).sum(
-                            axis=1
+                    rep = np.flatnonzero(
+                        eligible & (np.cumsum(eligible) <= slots)
+                    )
+                    resources[rep] *= 0.5
+                    children = state[rep]
+                    child_genomes = children[:, :W].view(np.uint64)
+                    if rate > 0.0 and n > 0:
+                        child_genomes ^= pack_matrix(
+                            rng.random((rep.size, n)) < rate
                         )
-                        child_ids = np.fromiter(
-                            (next(_ids) for _ in range(rep.size)),
-                            dtype=np.int64,
-                            count=rep.size,
-                        )
-                        if parents is not None:
-                            for cid, pid in zip(child_ids, ids[rep]):
-                                parents[int(cid)] = int(pid)
-                        genomes = np.concatenate([genomes, child_genomes])
-                        resources = np.concatenate(
-                            [resources, resources[rep]]
-                        )
-                        adaptability = np.concatenate(
-                            [adaptability, adaptability[rep]]
-                        )
-                        age = np.concatenate(
-                            [age, np.zeros(rep.size, dtype=np.int64)]
-                        )
-                        parent_ids = np.concatenate([parent_ids, ids[rep]])
-                        ids = np.concatenate([ids, child_ids])
-                        distance = np.concatenate(
-                            [distance, child_distance]
-                        )
+                    child_distance = np.bitwise_count(
+                        child_genomes ^ target
+                    ).sum(axis=1, dtype=np.int64)
+                    children[:, PARENT] = children[:, ID]
+                    children[:, ID] = np.fromiter(
+                        (next(_ids) for _ in range(rep.size)),
+                        dtype=np.int64,
+                        count=rep.size,
+                    )
+                    children[:, AGE] = 0
+                    if parents is not None:
+                        parents.update(zip(
+                            children[:, ID].tolist(),
+                            children[:, PARENT].tolist(),
+                        ))
+                    state = np.concatenate([state, children])
+                    resources = np.concatenate([resources, resources[rep]])
+                    distance = np.concatenate([distance, child_distance])
 
             count = len(resources)
             alive_series.append(count)
@@ -206,7 +217,7 @@ class ArraySimulator(EvolutionSimulator):
                 satisfied_series.append(
                     np.count_nonzero(distance <= tolerance) / count
                 )
-                diversity_series.append(_diversity(genomes))
+                diversity_series.append(_diversity(state[:, :W]))
             else:
                 fitness_series.append(0.0)
                 satisfied_series.append(0.0)
@@ -216,20 +227,17 @@ class ArraySimulator(EvolutionSimulator):
         final = Population(
             [
                 Organism(
-                    genome=genome,
-                    resources=float(res),
-                    adaptability=int(adapt),
-                    age=int(a),
-                    organism_id=int(oid),
-                    parent_id=None if pid < 0 else int(pid),
+                    genome=BitString(n, mask),
+                    resources=res,
+                    adaptability=adapt,
+                    age=a,
+                    organism_id=oid,
+                    parent_id=None if pid < 0 else pid,
                 )
-                for genome, res, adapt, a, oid, pid in zip(
-                    from_matrix(genomes),
-                    resources,
-                    adaptability,
-                    age,
-                    ids,
-                    parent_ids,
+                for mask, res, (adapt, a, oid, pid) in zip(
+                    _masks(state[:, :W].view(np.uint64)),
+                    resources.tolist(),
+                    state[:, ADAPT:].tolist(),
                 )
             ]
         )
@@ -245,33 +253,50 @@ class ArraySimulator(EvolutionSimulator):
         )
 
 
-_POW2 = 2.0 ** np.arange(52)
+def _pack_masks(masks: list[int], words: int) -> np.ndarray:
+    """``(len(masks), words)`` little-endian words of integer bit masks:
+    bit ``i`` in word ``i // 64``, the layout of
+    :func:`~repro.csp.bitstring.pack_matrix`."""
+    raw = b"".join(m.to_bytes(8 * words, "little") for m in masks)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(masks), words)
 
 
-def _diversity(genomes: np.ndarray) -> float:
-    """The paper's G over genotype classes via a row-hash ``np.unique``.
+def _masks(words: np.ndarray) -> list[int]:
+    """Inverse of :func:`_pack_masks`: one integer mask per row."""
+    raw = np.ascontiguousarray(words, dtype="<u8").tobytes()
+    step = 8 * words.shape[1]
+    return [
+        int.from_bytes(raw[i : i + step], "little")
+        for i in range(0, len(raw), step)
+    ]
 
-    Each genome row collapses to one scalar hash — an exact power-of-two
-    dot product up to 52 loci (the float64 integer range), packed uint64
-    words beyond — so genotype-class counts come from one sort instead
-    of a Python ``Counter`` over hashed objects.
+
+def _unpack(words: np.ndarray, n: int) -> np.ndarray:
+    """``(k, n)`` boolean loci of ``(k, W)`` genome words."""
+    raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(raw, axis=1, count=n, bitorder="little").view(bool)
+
+
+def _diversity(words: np.ndarray) -> float:
+    """The paper's G over genotype classes: sort the genome words.
+
+    One word per genome sorts as a scalar; wider genomes sort as
+    fixed-size byte rows.  Equal genomes are adjacent either way, so
+    class sizes are the run lengths.
     """
-    count, n = genomes.shape
-    if n == 0:
-        return 1.0 / (count * count)
-    if n <= 52:
-        words = np.sort(genomes @ _POW2[:n])
+    count, width = words.shape
+    if width == 1:
+        keys = np.sort(words[:, 0])
     else:
-        packed = np.ascontiguousarray(pack_matrix(genomes))
-        rows = packed.view(
-            np.dtype((np.void, packed.shape[1] * packed.itemsize))
+        rows = np.ascontiguousarray(words).view(
+            np.dtype((np.void, width * words.itemsize))
         )
-        words = np.sort(rows.ravel())
-    starts = np.concatenate(
-        ([0], np.flatnonzero(words[1:] != words[:-1]) + 1, [count])
-    )
-    counts = np.diff(starts).astype(float)
-    return float(counts.size / np.sum(counts**2))
+        keys = np.sort(rows.ravel())
+    edges = np.ones(count + 1, dtype=bool)
+    edges[1:-1] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(edges)
+    sizes = starts[1:] - starts[:-1]
+    return sizes.size / float(sizes @ sizes)
 
 
 _ENGINES = {"object": EvolutionSimulator, "array": ArraySimulator}

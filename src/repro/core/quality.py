@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .._arrays import sorted_distinct
 from ..errors import AnalysisError, ConfigurationError
 
 __all__ = ["QualityTrace", "FULL_QUALITY", "step_trace", "linear_recovery_trace"]
@@ -131,15 +132,20 @@ class QualityTrace:
         """∫ (100 − Q(t)) dt over [t0, t1] by the trapezoid rule.
 
         This is the paper's resilience loss R; the window defaults to the
-        whole trace.
+        whole trace.  A reversed window or a NaN bound raises
+        :class:`~repro.errors.AnalysisError`.
         """
         t0 = self.t_start if t0 is None else t0
         t1 = self.t_end if t1 is None else t1
+        if np.isnan(t0) or np.isnan(t1):
+            raise AnalysisError(
+                f"integration window [{t0}, {t1}] has a NaN bound"
+            )
         if t1 < t0:
             raise AnalysisError(f"empty integration window [{t0}, {t1}]")
         if t1 == t0:
             return 0.0
-        grid = np.union1d(self.times, np.asarray([t0, t1], dtype=float))
+        grid = sorted_distinct(np.append(self.times, (t0, t1)))
         grid = grid[(grid >= t0) & (grid <= t1)]
         deficit = FULL_QUALITY - np.interp(grid, self.times, self.quality)
         return float(np.trapezoid(deficit, grid))
@@ -164,9 +170,9 @@ class QualityTrace:
             raise ConfigurationError(
                 f"resolution must be >= 2, got {resolution}"
             )
-        grid = np.union1d(
-            self.times, np.linspace(self.t_start, self.t_end, resolution)
-        )
+        grid = sorted_distinct(np.concatenate(
+            (self.times, np.linspace(self.t_start, self.t_end, resolution))
+        ))
         values = np.interp(grid, self.times, self.quality)
         up = values >= threshold
         # trapezoid weight per grid point

@@ -3,87 +3,68 @@ attack/failure percolation, load cascades, and epidemics (paper §4.5,
 §5.1).
 """
 
-from .arraygraph import ArrayGraph, as_arraygraph, derive_chunk_elems
-from .attacks import (
-    AdaptiveDegreeAttack,
-    AttackStrategy,
-    RandomFailure,
-    TargetedDegreeAttack,
-    make_attack,
-)
-from .centrality import BetweennessAttack, betweenness_centrality
-from .cascades import (
-    CascadeResult,
-    LoadCascadeModel,
-    ProbabilisticCascadeModel,
-    modular_graph,
-)
-from .engine import (
-    ArrayNetworkEngine,
-    NetworkEngine,
-    ObjectNetworkEngine,
-    make_network_engine,
-)
-from .epidemics import EpidemicResult, SIRModel, SISModel, immunize
-from .generators import (
-    barabasi_albert,
-    barabasi_albert_stream,
-    configuration_star,
-    degree_histogram,
-    erdos_renyi,
-    erdos_renyi_stream,
-    watts_strogatz,
-)
-from .graph import Graph
-from .healing import NetworkRecoveryResult, NetworkRecoverySimulator
-from .metrics import (
-    assortativity,
-    average_clustering,
-    average_path_length,
-    clustering_coefficient,
-    degree_tail_exponent,
-)
-from .percolation import PercolationCurve, critical_fraction, percolation_curve
+from __future__ import annotations
 
-__all__ = [
-    "ArrayGraph",
-    "as_arraygraph",
-    "AdaptiveDegreeAttack",
-    "AttackStrategy",
-    "RandomFailure",
-    "TargetedDegreeAttack",
-    "make_attack",
-    "ArrayNetworkEngine",
-    "NetworkEngine",
-    "ObjectNetworkEngine",
-    "make_network_engine",
-    "derive_chunk_elems",
-    "BetweennessAttack",
-    "betweenness_centrality",
-    "CascadeResult",
-    "LoadCascadeModel",
-    "ProbabilisticCascadeModel",
-    "modular_graph",
-    "EpidemicResult",
-    "SIRModel",
-    "SISModel",
-    "immunize",
-    "barabasi_albert",
-    "barabasi_albert_stream",
-    "configuration_star",
-    "degree_histogram",
-    "erdos_renyi",
-    "erdos_renyi_stream",
-    "watts_strogatz",
-    "Graph",
-    "NetworkRecoveryResult",
-    "NetworkRecoverySimulator",
-    "assortativity",
-    "average_clustering",
-    "average_path_length",
-    "clustering_coefficient",
-    "degree_tail_exponent",
-    "PercolationCurve",
-    "critical_fraction",
-    "percolation_curve",
-]
+import importlib
+
+# public name -> the submodule defining it; a submodule loads when one of
+# its names is first touched, so importing one module (say
+# ``repro.networks.arraygraph``) loads only what that module imports
+_MODULES = {
+    "ArrayGraph": "arraygraph",
+    "as_arraygraph": "arraygraph",
+    "AdaptiveDegreeAttack": "attacks",
+    "AttackStrategy": "attacks",
+    "RandomFailure": "attacks",
+    "TargetedDegreeAttack": "attacks",
+    "make_attack": "attacks",
+    "ArrayNetworkEngine": "engine",
+    "NetworkEngine": "engine",
+    "ObjectNetworkEngine": "engine",
+    "make_network_engine": "engine",
+    "derive_chunk_elems": "arraygraph",
+    "BetweennessAttack": "centrality",
+    "betweenness_centrality": "centrality",
+    "CascadeResult": "cascades",
+    "LoadCascadeModel": "cascades",
+    "ProbabilisticCascadeModel": "cascades",
+    "modular_graph": "cascades",
+    "EpidemicResult": "epidemics",
+    "SIRModel": "epidemics",
+    "SISModel": "epidemics",
+    "immunize": "epidemics",
+    "barabasi_albert": "generators",
+    "barabasi_albert_stream": "generators",
+    "configuration_star": "generators",
+    "degree_histogram": "generators",
+    "erdos_renyi": "generators",
+    "erdos_renyi_stream": "generators",
+    "watts_strogatz": "generators",
+    "Graph": "graph",
+    "NetworkRecoveryResult": "healing",
+    "NetworkRecoverySimulator": "healing",
+    "assortativity": "metrics",
+    "average_clustering": "metrics",
+    "average_path_length": "metrics",
+    "clustering_coefficient": "metrics",
+    "degree_tail_exponent": "metrics",
+    "PercolationCurve": "percolation",
+    "critical_fraction": "percolation",
+    "percolation_curve": "percolation",
+}
+
+__all__ = list(_MODULES)
+
+
+def __getattr__(name: str):
+    # PEP 562, as in ``repro/__init__.py``
+    module = _MODULES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

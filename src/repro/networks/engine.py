@@ -301,6 +301,11 @@ class ArrayNetworkEngine(NetworkEngine):
     numpy; below it (a 10^3-node, 32-point curve has ~64) the
     per-addition loop runs.  The sizes are the same either way.
 
+    SIS and SIR keep one ``susceptible`` mask up to date across steps,
+    so a gathered neighbour is a candidate by one lookup; SIR also
+    keeps each node's count of susceptible neighbours and gathers only
+    the infected rows that still have one.
+
     The block size comes from the supervisor's ``memory_budget_mb`` via
     :func:`~repro.networks.arraygraph.derive_chunk_elems`, so a budget
     *schedules* smaller blocks instead of refusing (an explicit
@@ -466,17 +471,19 @@ class ArrayNetworkEngine(NetworkEngine):
                   max_steps, rng, recovered_mask):
         """Shared SIS/SIR frontier loop (SIR passes a recovered mask).
 
+        One ``susceptible`` mask is kept up to date across steps: it
+        starts as ``~(infected | immune | recovered)``, new infections
+        clear it, and an SIS recovery sets it back to ``~immune`` (an
+        SIR recovery leaves it clear).
+
         Returns ``(counts, infected_mask, ever, rows_gathered)``.
         """
         block = self._block()
         ever = infected_mask.copy()
         counts = [int(infected_mask.sum())]
-
-        def candidate_mask(flat):
-            m = ~infected_mask[flat] & ~immune_mask[flat]
-            if recovered_mask is not None:
-                m &= ~recovered_mask[flat]
-            return m
+        susceptible = ~(infected_mask | immune_mask)
+        if recovered_mask is not None:
+            susceptible &= ~recovered_mask
 
         # SIR only: live[v] = v's susceptible neighbours, the candidates
         # its row would add.  Every node leaves the susceptibles at most
@@ -504,7 +511,7 @@ class ArrayNetworkEngine(NetworkEngine):
             # masks are mutated only after both draws, so pass 1 and
             # pass 2 of the frontier see identical candidate sets
             new = self._frontier_hits(
-                cg, rows, candidate_mask, beta, rng, block
+                cg, rows, lambda flat: susceptible[flat], beta, rng, block
             )
             recs = bernoulli_indices(rng, infected_idx.size, gamma)
             recovered_now = infected_idx[recs]
@@ -514,7 +521,10 @@ class ArrayNetworkEngine(NetworkEngine):
                 self._leave_susceptibles(
                     cg, live, sorted_distinct(new), block
                 )
+            else:
+                susceptible[recovered_now] = ~immune_mask[recovered_now]
             infected_mask[new] = True
+            susceptible[new] = False
             ever[new] = True
             counts.append(int(infected_mask.sum()))
         return counts, infected_mask, int(ever.sum()), rows_gathered

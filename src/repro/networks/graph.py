@@ -134,14 +134,14 @@ class Graph:
         return iter(self._adj)
 
     def edges(self) -> Iterator[tuple]:
-        """Iterate each undirected edge once."""
-        seen: Set[frozenset] = set()
+        """Iterate each undirected edge once, from its endpoint that
+        comes first in node order."""
+        visited: Set[object] = set()
         for u, neigh in self._adj.items():
             for v in neigh:
-                key = frozenset((u, v))
-                if key not in seen:
-                    seen.add(key)
+                if v not in visited:
                     yield (u, v)
+            visited.add(u)
 
     def neighbors(self, node: object) -> FrozenSet[object]:
         """Adjacent nodes (a cached read-only view, rebuilt on mutation).

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro import _arrays
+from repro.core import quality as quality_mod
 from repro.core.quality import (
     FULL_QUALITY,
     QualityTrace,
@@ -112,6 +116,16 @@ class TestIntegrals:
         with pytest.raises(AnalysisError):
             trace.degradation_integral(5, 3)
 
+    @pytest.mark.parametrize("t0,t1", [
+        (math.nan, 5.0), (2.0, math.nan), (math.nan, math.nan),
+        (None, math.nan), (math.nan, None),
+    ])
+    def test_nan_window_bound_raises(self, t0, t1):
+        # a NaN bound names no window, so it is refused, not integrated
+        trace = step_trace(t0=0, t1=10, depth=50)
+        with pytest.raises(AnalysisError, match="NaN"):
+            trace.degradation_integral(t0, t1)
+
     def test_mean_quality_of_flat_trace(self):
         trace = QualityTrace.from_samples([0, 10], [100, 100])
         assert trace.mean_quality() == pytest.approx(100.0)
@@ -157,3 +171,63 @@ def test_property_degradation_integral_nonnegative(qualities):
     times = list(range(len(qualities)))
     trace = QualityTrace.from_samples(times, qualities)
     assert trace.degradation_integral() >= -1e-9
+
+
+# values that exercise the union's tie rules: duplicates, both zeros
+# and the infinities (trace times and window bounds are never NaN)
+_TIES = st.sampled_from(
+    [0.0, -0.0, 1.0, 1.0, 2.5, -3.0, math.inf, -math.inf, 1e-300]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.lists(_TIES | st.floats(-10, 10), max_size=12),
+       b=st.lists(_TIES | st.floats(-10, 10), max_size=12))
+def test_sorted_distinct_is_union1d(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    ours = _arrays.sorted_distinct(np.concatenate((a, b)))
+    # bytes, so the sign of each zero must match too
+    assert ours.tobytes() == np.union1d(a, b).tobytes()
+
+
+def _same(x, y):
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    times=st.lists(
+        st.floats(-50, 50) | st.sampled_from([0.0, -0.0, math.inf,
+                                              -math.inf]),
+        min_size=2, max_size=10, unique=True,
+    ),
+)
+def test_integrals_match_union1d(data, times):
+    """degradation_integral and availability give np.union1d's values."""
+    times = sorted(times)
+    quality = data.draw(st.lists(st.floats(0, 100), min_size=len(times),
+                                 max_size=len(times)))
+    trace = QualityTrace.from_samples(times, quality)
+    finite = [t for t in times if math.isfinite(t)] or [0.0]
+    window = data.draw(st.lists(
+        st.sampled_from(finite + [math.inf, -0.0]) | st.floats(-60, 60),
+        min_size=2, max_size=2,
+    ))
+    t0, t1 = sorted(window)
+    threshold = data.draw(st.floats(0, 100))
+
+    def run():
+        out = [trace.degradation_integral(), trace.availability(threshold, 7)]
+        out.append(trace.degradation_integral(t0, t1) if t0 < t1 else None)
+        return out
+
+    with np.errstate(all="ignore"):  # infinite spans make NaN grids
+        ours = run()
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(quality_mod, "sorted_distinct", np.unique)
+            theirs = run()
+    assert all(
+        (x is None and y is None) or _same(x, y)
+        for x, y in zip(ours, theirs)
+    ), (ours, theirs)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
+from repro.networks.generators import barabasi_albert, erdos_renyi
 from repro.networks.graph import Graph
 
 
@@ -137,6 +138,49 @@ def test_property_degrees_match_networkx(edges):
     h = to_networkx(g)
     assert g.degrees() == dict(h.degree())
     assert g.n_edges == h.number_of_edges()
+
+
+def frozenset_edges(g: Graph):
+    """Graph.edges deduped the old way: a frozenset per edge seen."""
+    seen = set()
+    for u, neigh in g._adj.items():
+        for v in neigh:
+            key = frozenset((u, v))
+            if key not in seen:
+                seen.add(key)
+                yield (u, v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    edges=st.lists(
+        st.tuples(st.integers(0, 15), st.integers(0, 15)).filter(
+            lambda e: e[0] != e[1]
+        ),
+        max_size=60,
+    ),
+    isolated=st.lists(st.integers(0, 20), max_size=4),
+    removed=st.lists(st.integers(0, 15), max_size=3),
+    as_str=st.booleans(),
+)
+def test_edges_match_frozenset_dedupe(edges, isolated, removed, as_str):
+    label = str if as_str else int
+    g = Graph(edges=[(label(u), label(v)) for u, v in edges],
+              nodes=[label(x) for x in isolated])
+    for x in removed:  # removals reorder nothing but leave gaps
+        if label(x) in g:
+            g.remove_node(label(x))
+    assert list(g.edges()) == list(frozenset_edges(g))
+
+
+@pytest.mark.parametrize("as_str", [False, True])
+def test_edges_match_frozenset_dedupe_on_generated_graphs(as_str):
+    for g in (barabasi_albert(300, 3, seed=1), erdos_renyi(200, 0.05, seed=2)):
+        if as_str:
+            g = Graph(edges=[(f"n{u}", f"n{v}") for u, v in g.edges()])
+        edges = list(g.edges())
+        assert edges == list(frozenset_edges(g))
+        assert len(edges) == g.n_edges
 
 
 class TestNeighborCacheBound:

@@ -102,8 +102,8 @@ def test_import_surface():
     assert probe["final"] == flow.final.tolist()
 
 
-# Runs each array path that replaced an integer ``np.unique`` in a fresh
-# interpreter, printing after each whether numpy.ma (which numpy's
+# Runs each array path kept off ``np.unique`` and ``np.union1d`` in a
+# fresh interpreter, printing after each whether numpy.ma (which numpy's
 # ``unique`` imports on first call, ~15 ms) has been loaded.
 _MA_PROBE = """
 import json, sys
@@ -120,6 +120,11 @@ from repro.networks.centrality import betweenness_centrality
 from repro.networks.epidemics import SIRModel
 from repro.networks.generators import erdos_renyi
 from repro.networks.percolation import percolation_curve
+from repro.agents.arrayengine import ArraySimulator
+from repro.agents.environment import ConstraintEnvironment, ShockSchedule
+from repro.agents.population import seed_population
+from repro.core.quality import QualityTrace
+from repro.core.strategies import StrategyMix
 
 def ran(path):
     loaded[path] = "numpy.ma" in sys.modules
@@ -143,6 +148,17 @@ compile_tiled(random_clause_csp(8, 10, seed=1)).min_distances_masks(masks)
 ran("min_distances_sparse")
 compile_tiled(random_clause_csp(17, 3, seed=1)).min_distances_masks(masks)
 ran("min_distances_dense")
+env = ConstraintEnvironment.random(70, tolerance=5, seed=1)
+pop = seed_population(StrategyMix.uniform(), env, n_agents=20, seed=2)
+ArraySimulator(mutation_rate=0.05).run(
+    pop, env, steps=30, shocks=ShockSchedule(period=5, severity=4), seed=3
+)
+ran("agents")
+trace = QualityTrace.from_samples([0, 1, 2], [100, 50, 100])
+trace.degradation_integral(0.5, 1.5)
+ran("degradation_integral")
+trace.availability(75.0)
+ran("availability")
 print(json.dumps(loaded))
 """
 
@@ -162,8 +178,59 @@ def test_array_paths_leave_numpy_ma_unloaded():
         check=True,
     ).stdout
     loaded = json.loads(out.splitlines()[-1])
-    assert len(loaded) == 8
+    assert len(loaded) == 11
     assert not any(loaded.values()), loaded
+
+
+# A fresh interpreter imports one network module, then lists which
+# network modules that loaded and how the lazy package resolves names.
+_NETWORKS_PROBE = """
+import json, sys
+
+import repro.networks.arraygraph
+
+loaded = sorted(m for m in sys.modules if m.startswith("repro.networks."))
+import repro.networks as nw
+
+listed = dir(nw)
+resolved = [n for n in nw.__all__ if getattr(nw, n, None) is not None]
+star = {}
+exec("from repro.networks import *", star)
+print(json.dumps({
+    "loaded": loaded,
+    "listed": listed,
+    "resolved": resolved,
+    "star": sorted(k for k in star if k != "__builtins__"),
+}))
+"""
+
+
+def test_networks_package_is_lazy():
+    import repro.networks as nw
+
+    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", _NETWORKS_PROBE],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    ).stdout
+    probe = json.loads(out.splitlines()[-1])
+    assert probe["loaded"] == [
+        "repro.networks.arraygraph", "repro.networks.graph",
+    ]
+    assert set(nw.__all__) <= set(probe["listed"])
+    assert probe["resolved"] == nw.__all__
+    assert probe["star"] == sorted(nw.__all__)
+    for name in nw.__all__:
+        owner = importlib.import_module(f"repro.networks.{nw._MODULES[name]}")
+        assert getattr(nw, name) is getattr(owner, name)
 
 
 def test_numpy_satisfies_declared_floor():
