@@ -27,8 +27,9 @@ FULL_QUALITY = 100.0
 class QualityTrace:
     """A sampled quality signal Q(t) on the canonical 0..100 scale.
 
-    ``times`` must be strictly increasing; ``quality`` is sampled at those
-    instants and interpreted by linear interpolation in between.
+    ``times`` must be finite and strictly increasing; ``quality`` is
+    sampled at those instants, lies in [0, 100] (never NaN), and is
+    interpreted by linear interpolation in between.
     """
 
     times: np.ndarray
@@ -47,9 +48,12 @@ class QualityTrace:
             )
         if len(times) < 2:
             raise ConfigurationError("a quality trace needs at least two samples")
+        if not np.all(np.isfinite(times)):
+            raise ConfigurationError("times must be finite")
         if not np.all(np.diff(times) > 0):
             raise ConfigurationError("times must be strictly increasing")
-        if np.any(quality < 0.0) or np.any(quality > FULL_QUALITY):
+        # written so that NaN, which fails every comparison, fails it too
+        if not np.all((quality >= 0.0) & (quality <= FULL_QUALITY)):
             raise ConfigurationError("quality must lie in [0, 100]")
 
     # -- construction helpers ---------------------------------------------

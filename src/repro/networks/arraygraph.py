@@ -41,7 +41,7 @@ both, so the two storages differ only in where the bytes are.
 * **array primitives** — ragged row gathers (:func:`gather_rows`,
   :func:`directed_edge_blocks`) and geometric-gap Bernoulli sampling
   (:func:`bernoulli_indices`) replacing per-edge Python RNG calls.
-* **vectorized attack orderings** — degree ranking via ``np.lexsort``
+* **vectorized attack orderings** — degree ranking by a stable sort
   (exact ``(-degree, repr)`` tie-breaking, matching the object path
   bit-for-bit) and an incremental adaptive-degree order.
 
@@ -698,15 +698,15 @@ class ArrayGraph:
 
         Bit-identical to the object path's
         ``sorted(degrees, key=lambda n: (-degrees[n], repr(n)))``.  For
-        identity labels the decimal-string tie order is computed
-        *numerically* (:func:`_decimal_sort_keys`), so no O(n) array of
-        Python strings is built; the result is an int64 ndarray of node
-        ids.
+        identity labels the decimal-string tie order depends only on n
+        (:func:`_decimal_order`, no O(n) array of Python strings), and
+        one stable sort of the degrees over it ranks the nodes; the
+        result is an int64 ndarray of node ids.
         """
         deg = self.degree_array()
         if self._labels is None:
-            frac, digits = _decimal_sort_keys(self.n_nodes)
-            return np.lexsort((digits, frac, -deg)).astype(np.int64)
+            base = _decimal_order(self.n_nodes)
+            return base[_stable_descending(deg[base])]
         labels = self._labels
         reprs = np.array([repr(lab) for lab in labels])
         return [labels[int(i)] for i in np.lexsort((reprs, -deg))]
@@ -739,23 +739,37 @@ class ArrayGraph:
         return order
 
 
-def _decimal_sort_keys(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Keys ordering ``0..n-1`` like their decimal ``repr`` strings.
+def _decimal_order(n: int) -> np.ndarray:
+    """``0..n-1`` sorted like their decimal ``repr`` strings (int64).
 
-    ``repr(x)`` for non-negative ints sorts lexicographically exactly as
-    ``x / 10^digits(x)`` sorts numerically, with equal keys (one string
-    a prefix of the other, e.g. ``"123"`` vs ``"1230"``) broken by
-    digit count.  Differences between distinct keys are ≥ 10^-10 for
-    n < 2^31, far above float64 rounding, so the order is exact.
+    A number left-aligned to the D digits of ``n - 1`` sorts as its
+    string does, with equal padded values (one string a prefix of the
+    other, e.g. ``"12"`` vs ``"120"``) broken by digit count; the key
+    ``padded · D + digits − 1`` orders both and stays below 10^11 for
+    n < 2^31.  Each digit count is one ascending run of keys, so the
+    stable (merging) sort does little more than merge D runs.
     """
-    x = np.arange(n, dtype=np.int64)
-    digits = np.ones(n, dtype=np.int64)
-    bound = 10
-    while bound <= max(n - 1, 1):
-        digits[x >= bound] += 1
-        bound *= 10
-    frac = x / np.power(10.0, digits)
-    return frac, digits
+    width = len(str(max(n - 1, 0)))
+    key = np.empty(n, dtype=np.int64)
+    lo = 0
+    for digits in range(1, width + 1):
+        hi = min(n, 10 ** digits)
+        key[lo:hi] = np.arange(lo, hi, dtype=np.int64) * (
+            10 ** (width - digits) * width
+        ) + (digits - 1)
+        lo = hi
+    return np.argsort(key, kind="stable")
+
+
+def _stable_descending(values: np.ndarray) -> np.ndarray:
+    """Stable argsort of non-negative ints from largest to smallest; a
+    range under 2^16 sorts as uint16 keys (numpy's radix sort)."""
+    if values.size == 0:
+        return np.empty(0, dtype=np.int64)
+    top = int(values.max())
+    if top < 1 << 16:
+        return np.argsort((top - values).astype(np.uint16), kind="stable")
+    return np.argsort(-values, kind="stable")
 
 
 # -- conversion cache ------------------------------------------------------
@@ -798,19 +812,21 @@ def gather_rows(
 
     The ragged equivalent of ``indices[indptr[r]:indptr[r+1]] for r in
     rows``, built from one ``np.repeat`` and one ``arange`` — the frontier
-    expansion primitive for every BFS-style kernel below.
+    expansion primitive for every BFS-style kernel below.  The flat index
+    is int32 whenever the CSR and the gather fit it (the ``indptr`` rule,
+    :func:`_offset_dtype`), halving its memory traffic.
     """
     rows = np.asarray(rows, dtype=np.int64)
     starts = indptr[rows].astype(np.int64)
-    counts = (indptr[rows + 1] - indptr[rows]).astype(np.int64)
+    counts = indptr[rows + 1] - starts
     total = int(counts.sum())
     if total == 0:
         return np.empty(0, dtype=indices.dtype), counts
+    dtype = _offset_dtype(max(total, len(indices)))
     cum = np.cumsum(counts)
-    flat_idx = np.arange(total, dtype=np.int64) + np.repeat(
-        starts - (cum - counts), counts
-    )
-    return indices[flat_idx], counts
+    flat_idx = np.repeat((starts - (cum - counts)).astype(dtype), counts)
+    flat_idx += np.arange(total, dtype=dtype)
+    return np.asarray(indices).take(flat_idx), counts
 
 
 def directed_edge_blocks(

@@ -284,8 +284,9 @@ class ArrayNetworkEngine(NetworkEngine):
     :class:`~repro.networks.arraygraph.ArrayGraph`.  Every hot loop
     walks the ``indices`` array in fixed-size blocks, so the kernels'
     working memory is O(n + block) whatever the edge count: cascades
-    and SIS/SIR expand their frontiers block by block with a two-pass
-    draw that spends the RNG exactly as one whole-frontier gather would.
+    and SIS expand their frontiers block by block with a two-pass draw
+    that spends the RNG exactly as one whole-frontier gather would; SIR
+    draws first from its counts of candidates, then gathers.
     Every output — deterministic or stochastic — is therefore
     byte-identical across block sizes and across the two storages of
     one CSR.
@@ -302,9 +303,12 @@ class ArrayNetworkEngine(NetworkEngine):
     per-addition loop runs.  The sizes are the same either way.
 
     SIS and SIR keep one ``susceptible`` mask up to date across steps,
-    so a gathered neighbour is a candidate by one lookup; SIR also
-    keeps each node's count of susceptible neighbours and gathers only
-    the infected rows that still have one.
+    so a gathered neighbour is a candidate by one lookup.  SIR also
+    keeps each node's count of susceptible neighbours: a step draws its
+    infections from those counts, then gathers only the rows holding a
+    hit, so its gathers, draws and count upkeep cost O(frontier), not
+    O(n); the one whole-mask pass left per step is the ``flatnonzero``
+    that lists the infected.
 
     The block size comes from the supervisor's ``memory_budget_mb`` via
     :func:`~repro.networks.arraygraph.derive_chunk_elems`, so a budget
@@ -435,14 +439,50 @@ class ArrayNetworkEngine(NetworkEngine):
             out.append(cands[sel - offsets[k]])
         return np.concatenate(out)
 
+    def _live_hits(self, cg, rows, live, susceptible, p, rng, block):
+        """One SIR step's infections, drawn before any row is gathered.
+
+        ``live[rows]`` is each row's exact candidate count, so one
+        :func:`~repro.networks.arraygraph.bernoulli_indices` draw over
+        their total spends the RNG as :meth:`_frontier_hits` would.  A
+        hit's row is found by ``searchsorted`` on the running counts (a
+        row without candidates never holds one) and its rank in that row
+        picks the susceptible neighbour; only the rows holding a hit are
+        gathered, block by block.  Returns the neighbours hit, in
+        frontier order, and the number of rows gathered.
+        """
+        per_row = live[rows]
+        ends = np.cumsum(per_row, dtype=np.int64)
+        hits = bernoulli_indices(rng, int(ends[-1]) if ends.size else 0, p)
+        if hits.size == 0:
+            return hits, 0
+        at = np.searchsorted(ends, hits, side="right")
+        first = np.concatenate(([True], at[1:] != at[:-1]))
+        held = at[first]
+        held_ends = np.cumsum(per_row[held])
+        # a hit's slot among the held rows' candidates: its slot among all
+        # rows' candidates, shifted by the candidates of skipped rows
+        slot = hits + (held_ends - ends[held])[np.cumsum(first) - 1]
+        held_rows = rows[held]
+        out = []
+        for a, b in frontier_slices(cg.indptr, held_rows, block):
+            flat, _ = gather_rows(cg.indptr, cg.indices, held_rows[a:b])
+            cands = flat[susceptible[flat]]
+            base = held_ends[a] - per_row[held[a]]
+            lo, hi = np.searchsorted(slot, (base, held_ends[b - 1]))
+            out.append(cands[slot[lo:hi] - base])
+        return np.concatenate(out).astype(np.int64), held_rows.size
+
     @staticmethod
     def _leave_susceptibles(cg, live, rows, block):
         """Take distinct ``rows`` out of ``live``, the per-node count of
         susceptible neighbours: the CSR is symmetric, so every node loses
-        one per row it appears in."""
+        one per row it appears in.  Index, count and ``live`` share the
+        node-id dtype, numpy's fast path for ``subtract.at``."""
+        one = live.dtype.type(1)
         for a, b in frontier_slices(cg.indptr, rows, block):
             flat, _ = gather_rows(cg.indptr, cg.indices, rows[a:b])
-            np.subtract(live, np.bincount(flat, minlength=len(live)), out=live)
+            np.subtract.at(live, flat, one)
 
     def spread_cascade(self, graph, spread_p, seeds, rng):
         cg = as_arraygraph(graph)
@@ -468,22 +508,22 @@ class ArrayNetworkEngine(NetworkEngine):
         return failed_labels, waves
 
     def _epidemic(self, cg, beta, gamma, immune_mask, infected_mask,
-                  max_steps, rng, recovered_mask):
-        """Shared SIS/SIR frontier loop (SIR passes a recovered mask).
+                  max_steps, rng, sir):
+        """Shared SIS/SIR frontier loop.
 
         One ``susceptible`` mask is kept up to date across steps: it
-        starts as ``~(infected | immune | recovered)``, new infections
-        clear it, and an SIS recovery sets it back to ``~immune`` (an
-        SIR recovery leaves it clear).
+        starts as ``~(infected | immune)``, new infections clear it, and
+        an SIS recovery sets it back to ``~immune`` (an SIR recovery
+        leaves it clear).  Each step reads the infected off their mask
+        with one ``flatnonzero``, whose size is the step's count.
 
-        Returns ``(counts, infected_mask, ever, rows_gathered)``.
+        Returns ``(counts, infected, ever, rows_gathered)``.
         """
         block = self._block()
+        infected = np.flatnonzero(infected_mask)
         ever = infected_mask.copy()
-        counts = [int(infected_mask.sum())]
+        counts = [infected.size]
         susceptible = ~(infected_mask | immune_mask)
-        if recovered_mask is not None:
-            susceptible &= ~recovered_mask
 
         # SIR only: live[v] = v's susceptible neighbours, the candidates
         # its row would add.  Every node leaves the susceptibles at most
@@ -491,46 +531,44 @@ class ArrayNetworkEngine(NetworkEngine):
         # recoveries rejoin them every step, the upkeep costs more than
         # the rows it skips (measured), and every infected row is gathered
         live = None
-        if recovered_mask is not None:
+        if sir:
             live = np.diff(cg.indptr).astype(cg.indices.dtype)
             self._leave_susceptibles(
-                cg, live, np.flatnonzero(infected_mask | immune_mask), block
+                cg, live, np.flatnonzero(~susceptible), block
             )
         rows_gathered = 0
         for _ in range(max_steps):
-            infected_idx = np.flatnonzero(infected_mask)
-            if infected_idx.size == 0:
+            if infected.size == 0:
                 break
-            rows = infected_idx
-            if live is not None:
-                # a row without candidates adds none to the frontier, so
-                # skipping it leaves the candidate sequence — hence the
-                # bernoulli_indices count and the RNG stream — unchanged
-                rows = rows[live[rows] > 0]
-            rows_gathered += rows.size
-            # masks are mutated only after both draws, so pass 1 and
-            # pass 2 of the frontier see identical candidate sets
-            new = self._frontier_hits(
-                cg, rows, lambda flat: susceptible[flat], beta, rng, block
-            )
-            recs = bernoulli_indices(rng, infected_idx.size, gamma)
-            recovered_now = infected_idx[recs]
-            infected_mask[recovered_now] = False
-            if recovered_mask is not None:
-                recovered_mask[recovered_now] = True
-                self._leave_susceptibles(
-                    cg, live, sorted_distinct(new), block
+            # masks are mutated only after both draws, so every block of
+            # the frontier sees the same candidate sets
+            if sir:
+                new, gathered = self._live_hits(
+                    cg, infected, live, susceptible, beta, rng, block
                 )
             else:
-                susceptible[recovered_now] = ~immune_mask[recovered_now]
-            infected_mask[new] = True
+                new = self._frontier_hits(
+                    cg, infected, lambda flat: susceptible[flat], beta,
+                    rng, block,
+                )
+                gathered = infected.size
+            rows_gathered += gathered
+            recovered = infected[bernoulli_indices(rng, infected.size, gamma)]
+            if sir:
+                new = sorted_distinct(new)
+                self._leave_susceptibles(cg, live, new, block)
+            else:
+                susceptible[recovered] = ~immune_mask[recovered]
             susceptible[new] = False
             ever[new] = True
-            counts.append(int(infected_mask.sum()))
-        return counts, infected_mask, int(ever.sum()), rows_gathered
+            infected_mask[recovered] = False
+            infected_mask[new] = True
+            infected = np.flatnonzero(infected_mask)
+            counts.append(infected.size)
+        return counts, infected, int(ever.sum()), rows_gathered
 
     def _run_epidemic(self, graph, beta, gamma, immune, infected,
-                      max_steps, rng, with_recovered):
+                      max_steps, rng, sir):
         cg = as_arraygraph(graph)
         tr = trace.current()
         with tr.timer("net.epidemic.array"):
@@ -541,17 +579,12 @@ class ArrayNetworkEngine(NetworkEngine):
             infected_mask = np.zeros(n, dtype=bool)
             if infected:
                 infected_mask[cg.indices_of(infected)] = True
-            recovered_mask = (
-                np.zeros(n, dtype=bool) if with_recovered else None
-            )
-            counts, infected_mask, ever, rows = self._epidemic(
+            counts, final_idx, ever, rows = self._epidemic(
                 cg, beta, gamma, immune_mask, infected_mask,
-                max_steps, rng, recovered_mask,
+                max_steps, rng, sir,
             )
             labels = cg.labels
-            final = {
-                labels[int(i)] for i in np.flatnonzero(infected_mask)
-            }
+            final = {labels[int(i)] for i in final_idx}
         tr.count("net.epidemic.runs.array")
         tr.count("net.epidemic.steps.array", len(counts) - 1)
         tr.count("net.epidemic.rows.array", rows)
@@ -559,14 +592,12 @@ class ArrayNetworkEngine(NetworkEngine):
 
     def sis(self, graph, beta, gamma, immune, infected, steps, rng):
         return self._run_epidemic(
-            graph, beta, gamma, immune, infected, steps, rng,
-            with_recovered=False,
+            graph, beta, gamma, immune, infected, steps, rng, sir=False,
         )
 
     def sir(self, graph, beta, gamma, immune, infected, max_steps, rng):
         return self._run_epidemic(
-            graph, beta, gamma, immune, infected, max_steps, rng,
-            with_recovered=True,
+            graph, beta, gamma, immune, infected, max_steps, rng, sir=True,
         )
 
     def healing_episode(self, graph, to_remove, repairs_per_step,

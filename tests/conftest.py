@@ -3,8 +3,26 @@
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 import pytest
+
+# Test directories whose code must run free of numpy's RuntimeWarning
+# (NaN, overflow, division by zero): the network kernels and the
+# quality metrics.
+_WARNING_FREE = tuple(Path(__file__).parent / d for d in ("networks", "core"))
+
+
+def pytest_collection_modifyitems(items):
+    """Turn RuntimeWarning into an error in the ``_WARNING_FREE`` tests.
+
+    The mark goes first, so a test's own ``filterwarnings`` mark still
+    overrides it.
+    """
+    mark = pytest.mark.filterwarnings("error::RuntimeWarning")
+    for item in items:
+        if any(d in item.path.parents for d in _WARNING_FREE):
+            item.add_marker(mark, append=False)
 
 
 def _repro_env() -> dict[str, str]:

@@ -35,12 +35,14 @@ from repro.networks import (
     percolation_curve,
     watts_strogatz,
 )
+from repro.networks import arraygraph as arraygraph_mod
 from repro.networks.arraygraph import bernoulli_indices, gather_rows
 from repro.networks.engine import ArrayNetworkEngine
 from repro.networks.epidemics import immunize
 from repro.rng import make_rng
 
 from .reference_kernels import (
+    lexsort_degree_order,
     newman_ziff_giant_sizes,
     undirected_edges,
     union_find_labels,
@@ -186,6 +188,113 @@ class TestKernels:
         assert hits.size == 0 or (0 <= hits[0] and hits[-1] < count)
         assert np.all(np.diff(hits) > 0)
         assert abs(hits.size / count - p) < 5 * np.sqrt(p / count)
+
+
+def _star(leaves: int) -> ArrayGraph:
+    """Hub 0 joined to nodes 1..leaves, then one isolated node, as a raw
+    identity CSR: degrees span the whole range 0..leaves."""
+    indptr = np.concatenate((
+        [0, leaves], np.arange(leaves) + leaves + 1, [2 * leaves],
+    ))
+    indices = np.concatenate((np.arange(1, leaves + 1), np.zeros(leaves)))
+    return ArrayGraph(indptr.astype(np.int64), indices.astype(np.int32))
+
+
+def _gather_int64(indptr, indices, rows):
+    """``gather_rows`` with an int64 flat index throughout."""
+    rows = np.asarray(rows, dtype=np.int64)
+    starts = indptr[rows].astype(np.int64)
+    counts = (indptr[rows + 1] - indptr[rows]).astype(np.int64)
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=indices.dtype), counts
+    cum = np.cumsum(counts)
+    flat_idx = np.arange(total, dtype=np.int64) + np.repeat(
+        starts - (cum - counts), counts
+    )
+    return indices[flat_idx], counts
+
+
+class TestOrderingAndGatherOracles:
+    """Identity degree order against the three-key ``np.lexsort`` it
+    replaced, and ``gather_rows`` against its int64-index form."""
+
+    @pytest.mark.parametrize("g", [
+        Graph(nodes=range(12)),
+        Graph(nodes=range(30), edges=[(i, (i + 1) % 30) for i in range(30)]),
+        Graph(nodes=range(101), edges=[
+            (u, v) for u in range(101) for v in range(u + 1, 101)
+        ]),
+    ], ids=["no-edges", "ring", "complete"])
+    def test_equal_degrees_keep_decimal_order(self, g):
+        ag = as_arraygraph(g)
+        order = ag.degree_removal_order()
+        assert np.array_equal(order, lexsort_degree_order(ag.degree_array()))
+        assert order.tolist() == sorted(range(g.n_nodes), key=repr)
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 11, 100, 101, 1000, 1001])
+    @pytest.mark.parametrize("make", [
+        lambda n: erdos_renyi(n, min(1.0, 3.0 / n), seed=n),
+        lambda n: barabasi_albert(n, 1, seed=n) if n > 1 else Graph([0]),
+    ], ids=["er", "ba"])
+    def test_matches_lexsort_at_decimal_boundaries(self, n, make):
+        g = make(n)
+        ag = as_arraygraph(g)
+        assert ag.identity_labels
+        order = ag.degree_removal_order()
+        assert order.dtype == np.int64
+        assert np.array_equal(order, lexsort_degree_order(ag.degree_array()))
+        degrees = g.degrees()
+        assert order.tolist() == sorted(
+            degrees, key=lambda v: (-degrees[v], repr(v))
+        )
+
+    @pytest.mark.parametrize("leaves", [2**16 - 1, 2**16])
+    def test_hub_degree_at_uint16_limit(self, leaves):
+        # 65,535 is the widest degree range the uint16 keys hold;
+        # one more takes the int64 fallback
+        ag = _star(leaves)
+        order = ag.degree_removal_order()
+        assert order[0] == 0 and order[-1] == leaves + 1
+        assert np.array_equal(order, lexsort_degree_order(ag.degree_array()))
+
+    @pytest.mark.parametrize("top", [0, 1, 255, 2**16 - 1, 2**16, 2**40])
+    def test_stable_descending_matches_lexsort(self, top):
+        rng = make_rng(top)
+        for n in (1, 10, 1000, 12345):
+            values = rng.integers(0, top + 1, size=n)
+            values[rng.permutation(n)[:2]] = (top, 0)[:n]
+            base = arraygraph_mod._decimal_order(n)
+            got = base[arraygraph_mod._stable_descending(values[base])]
+            assert np.array_equal(got, lexsort_degree_order(values))
+
+    def test_decimal_order_matches_repr_sort(self):
+        for n in (0, 1, 9, 10, 11, 99, 100, 101, 1000, 1234, 10001):
+            assert arraygraph_mod._decimal_order(n).tolist() == sorted(
+                range(n), key=repr
+            )
+
+    @pytest.mark.parametrize("capacity", [None, 8])
+    def test_gather_rows_matches_int64_index(self, monkeypatch, capacity):
+        if capacity is not None:  # int64 offsets and an int64 flat index
+            monkeypatch.setattr(
+                arraygraph_mod, "INT32_INDPTR_CAPACITY", capacity
+            )
+        ag = ArrayGraph.from_graph(barabasi_albert(300, 3, seed=2))
+        rng = make_rng(5)
+        for g in (ag, ArrayGraph.from_arrays(ag.indptr, ag.indices)):
+            for rows in (
+                np.arange(g.n_nodes), rng.permutation(g.n_nodes)[:40],
+                rng.integers(0, g.n_nodes, size=500), np.empty(0, np.int64),
+            ):
+                flat, counts = gather_rows(g.indptr, g.indices, rows)
+                want_flat, want_counts = _gather_int64(
+                    np.asarray(g.indptr), np.asarray(g.indices), rows
+                )
+                assert type(flat) is np.ndarray
+                assert flat.dtype == want_flat.dtype
+                assert np.array_equal(flat, want_flat)
+                assert np.array_equal(counts, want_counts)
 
 
 # -- exact equivalence ------------------------------------------------------

@@ -329,8 +329,9 @@ class TestChunkedKernels:
                 ag, TargetedDegreeAttack(), resolution=16, engine=eng
             )
         assert tr.counters["net.nz_edges.array"] == ag.n_edges
-        # SIS gathers every infected row each step; SIR skips the rows
-        # whose neighbours are all infected, recovered or immune
+        # SIS gathers every infected row each step; SIR gathers only the
+        # rows holding a hit, never one whose neighbours are all
+        # infected, recovered or immune
         rows, every_row = {}, {}
         for model in (SISModel, SIRModel):
             tr = trace.Tracer()

@@ -90,6 +90,20 @@ class TestKnockout:
         assert scan.n_viable == 100 - len(essential)
         assert len(essential) <= 50
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data(), n_genes=st.integers(1, 12))
+    def test_scan_matches_per_gene_knockouts(self, data, n_genes):
+        coverage = data.draw(st.lists(
+            st.lists(st.integers(0, n_genes - 1), min_size=1, max_size=4),
+            max_size=8,
+        ))
+        genome = GenomeModel(n_genes=n_genes, coverage=coverage)
+        # the screen as the Keio collection runs it: every single knockout
+        viable = sum(
+            genome.viable(frozenset([g])) for g in range(n_genes)
+        )
+        assert knockout_scan(genome).n_viable == viable
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             GenomeModel(n_genes=2, coverage=((5,),))
