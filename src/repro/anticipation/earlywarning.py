@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._arrays import sorted_distinct
 from ..errors import AnalysisError
 
 __all__ = [
@@ -205,7 +206,7 @@ def detection_roc(
     """
     pos = _check_series(np.asarray(tipping_scores, float), 1)
     neg = _check_series(np.asarray(control_scores, float), 1)
-    thresholds = np.unique(np.concatenate([pos, neg]))
+    thresholds = sorted_distinct(np.concatenate([pos, neg]))
     # sweep from above the max (nothing fires) down (everything fires)
     fprs = [0.0]
     tprs = [0.0]

@@ -15,18 +15,21 @@ both, so the two storages differ only in where the bytes are.
 * **storage** — :meth:`ArrayGraph.from_graph` / :meth:`ArrayGraph.
   from_edges` build in RAM; :meth:`ArrayGraph.from_arrays` copies a CSR
   to mapped files and :meth:`ArrayGraph.from_edge_chunks` builds one
-  out of core by a two-pass spill-to-disk edge sort; forked workers
-  reopen either read-only with :meth:`ArrayGraph.open`.  Graphs built
-  without labels use the identity labels ``0..n-1`` and keep no O(n)
-  label or index side tables.
-* **block-streamed kernels** — reverse Newman–Ziff percolation (the
-  giant-component curve built by *adding* nodes in reverse attack
-  order, each edge unioned once from its later endpoint, the active
-  ones filtered vectorized per block), the component union-find and
-  :func:`frontier_slices` walk ``indices`` in fixed-size blocks
+  out of core by a two-pass spill-to-disk edge sort, and
+  :meth:`ArrayGraph.open` maps a saved one read-only.  Forked workers
+  inherit either storage's arrays through fork.  Graphs built without
+  labels use the identity labels ``0..n-1`` and keep no O(n) label or
+  index side tables.
+* **block-streamed kernels** — every kernel reads the CSR through one
+  stream, :func:`row_blocks`, which gathers a list of rows (or walks
+  every row) in blocks of at most a fixed number of entries
   (:func:`derive_chunk_elems` turns the supervisor's
   ``memory_budget_mb`` into a block size), so O(block + n) bytes are in
-  flight regardless of edge count.  :func:`newman_ziff_giants_at` reads
+  flight regardless of edge count.  Reverse Newman–Ziff percolation
+  builds the giant-component curve by *adding* nodes in reverse attack
+  order, each edge unioned once from its later endpoint (the active
+  ones filtered vectorized per block); the component union-find walks
+  every row once.  :func:`newman_ziff_giants_at` reads
   the giant only at the addition counts a caller asks for and picks one
   of two paths by the edges per requested stop: with at least
   :data:`VECTOR_EDGES_PER_STOP`, :func:`vectorized_newman_ziff_giants_at`
@@ -38,8 +41,7 @@ both, so the two storages differ only in where the bytes are.
   paths — and every block size — give the same sizes as the
   single-pass reference kernels kept in
   ``tests/networks/reference_kernels.py``.
-* **array primitives** — ragged row gathers (:func:`gather_rows`,
-  :func:`directed_edge_blocks`) and geometric-gap Bernoulli sampling
+* **array primitives** — geometric-gap Bernoulli sampling
   (:func:`bernoulli_indices`) replacing per-edge Python RNG calls.
 * **vectorized attack orderings** — degree ranking by a stable sort
   (exact ``(-degree, repr)`` tie-breaking, matching the object path
@@ -81,10 +83,8 @@ __all__ = [
     "bernoulli_indices",
     "chunked_newman_ziff_giant_sizes",
     "derive_chunk_elems",
-    "directed_edge_blocks",
-    "frontier_slices",
-    "gather_rows",
     "newman_ziff_giants_at",
+    "row_blocks",
     "sorted_distinct",
     "vectorized_newman_ziff_giants_at",
 ]
@@ -96,26 +96,27 @@ __all__ = [
 INT32_INDPTR_CAPACITY = int(np.iinfo(np.int32).max)
 
 #: block size used when no memory budget is installed (2^18 = 256K
-#: gathered neighbor slots ≈ 8 MiB in flight with temporaries)
+#: gathered neighbor slots, 6–14 MiB in flight: see ``CHUNK_ELEM_BYTES``)
 DEFAULT_CHUNK_BITS = 18
 #: smallest scheduled block — below 2^12 the per-block Python overhead
 #: dominates the vectorized gathers
 MIN_CHUNK_BITS = 12
 #: largest scheduled block (2^20 slots) — past this the block's own
-#: in-flight footprint (~128 MiB at 2^20, see ``CHUNK_ELEM_BYTES``)
+#: in-flight footprint (~56 MiB at 2^20, see ``CHUNK_ELEM_BYTES``)
 #: approaches the budget the chunking exists to respect, and measured
 #: wall time stops improving (the per-element Python union-find loop
 #: dominates, not the per-block gather overhead)
 MAX_CHUNK_BITS = 20
 
-#: per-slot bytes in flight while one block streams, measured on the
-#: Newman–Ziff kernel at n = 10^6: the int64 gathered neighbor array
-#: (8), its int64 flat-index temporary (8), and — dominating — the
-#: boxed Python ints of the block's ``tolist`` (~28 each plus the list
-#: pointer: node ids exceed the small-int cache, so every slot boxes).
-#: Only the kept (active) neighbors are boxed — about half the slots
-#: on a full curve — so the figure is an upper bound.
-CHUNK_ELEM_BYTES = 128
+#: per-slot bytes in flight while one block streams: the slope of the
+#: tracemalloc peak from 2^16- to 2^20-slot blocks on a mapped 10^6-node
+#: ER graph of mean degree 10 (the O(n) state is the same at both).
+#: The numpy Newman–Ziff path takes 22 B and SIR 21 B; the
+#: per-addition loop, which runs when stops are dense (a curve read
+#: after every removal), takes 53 B, as it boxes the kept neighbours
+#: into Python ints.  The constant covers the loop, so a budget holds
+#: on every path.
+CHUNK_ELEM_BYTES = 56
 
 #: undirected edges per distinct stop from which
 #: :func:`newman_ziff_giants_at` unions each stop interval with numpy
@@ -199,8 +200,8 @@ class ArrayGraph:
     files (then :attr:`path` names their directory; one the graph
     created itself is deleted when the graph is collected).  Opening a
     mapped multi-million-node graph costs two page-table mappings, not
-    its edge count, and forked workers reopen the same files read-only
-    instead of pickling adjacency.
+    its edge count, and forked workers share the mapped pages instead
+    of pickling adjacency.
 
     Labels are the identity ``0..n-1`` exactly when the constructor gets
     none: :attr:`labels` is then a ``range`` and no label list or index
@@ -504,11 +505,12 @@ class ArrayGraph:
 
     def _check_no_parallel_edges(self, block_elems: int = 1 << 20) -> None:
         """One streamed pass rejecting duplicate (u, v) entries per row."""
-        for u, v in directed_edge_blocks(
-            self.indptr, self.indices, block_elems, aligned=True
+        for a, b, v, counts in row_blocks(
+            self.indptr, self.indices, block_elems=block_elems
         ):
-            if len(u) < 2:
+            if len(v) < 2:
                 continue
+            u = np.repeat(np.arange(a, b), counts)
             order = np.lexsort((v, u))
             su, sv = u[order], v[order]
             dup = (su[1:] == su[:-1]) & (sv[1:] == sv[:-1])
@@ -564,9 +566,10 @@ class ArrayGraph:
     def edges(self) -> Iterator[tuple]:
         """Iterate each undirected edge once (by ascending index pair)."""
         labels = self.labels
-        for u, v in directed_edge_blocks(
-            self.indptr, self.indices, 1 << DEFAULT_CHUNK_BITS
+        for lo, hi, v, counts in row_blocks(
+            self.indptr, self.indices, block_elems=1 << DEFAULT_CHUNK_BITS
         ):
+            u = np.repeat(np.arange(lo, hi), counts)
             mask = u < v
             for a, b in zip(u[mask].tolist(), v[mask].tolist()):
                 yield (labels[a], labels[b])
@@ -805,89 +808,57 @@ def as_arraygraph(g: "Graph | ArrayGraph") -> ArrayGraph:
 # -- kernels ---------------------------------------------------------------
 
 
-def gather_rows(
-    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate CSR rows: ``(flat neighbor array, per-row counts)``.
-
-    The ragged equivalent of ``indices[indptr[r]:indptr[r+1]] for r in
-    rows``, built from one ``np.repeat`` and one ``arange`` — the frontier
-    expansion primitive for every BFS-style kernel below.  The flat index
-    is int32 whenever the CSR and the gather fit it (the ``indptr`` rule,
-    :func:`_offset_dtype`), halving its memory traffic.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    starts = indptr[rows].astype(np.int64)
-    counts = indptr[rows + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=indices.dtype), counts
-    dtype = _offset_dtype(max(total, len(indices)))
-    cum = np.cumsum(counts)
-    flat_idx = np.repeat((starts - (cum - counts)).astype(dtype), counts)
-    flat_idx += np.arange(total, dtype=dtype)
-    return np.asarray(indices).take(flat_idx), counts
-
-
-def directed_edge_blocks(
+def row_blocks(
     indptr: np.ndarray,
     indices: np.ndarray,
-    block_elems: int,
-    aligned: bool = False,
-):
-    """Yield ``(u, v)`` int64 blocks of directed CSR entries in flat order.
+    rows: np.ndarray | None = None,
+    block_elems: Optional[int] = None,
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Stream the CSR rows ``rows`` (every row in CSR order when None).
 
-    Concatenated, the blocks reproduce exactly the
-    ``(np.repeat(arange(n), degrees), indices)`` pair of the whole edge
-    list — but only ``block_elems`` entries exist at a time, which is
-    what lets the kernels walk a memory-mapped ``indices`` without ever
-    materializing the full edge list.  With ``aligned=True`` block
-    boundaries snap back to row starts (a row larger than
-    ``block_elems`` streams alone), the mode per-row invariant checks
-    need.
+    Yields ``(a, b, flat, counts)`` for ``rows[a:b]``: ``flat`` is
+    ``indices[indptr[r]:indptr[r+1]]`` of each row, concatenated, and
+    ``counts`` the rows' degrees.  A block ends where the running
+    degree total would pass ``block_elems`` (``searchsorted`` with
+    ``side="right"``, so zero-degree rows join the block before them).
+    It holds at least one row, so a hub larger than the block streams
+    alone; ``block_elems=None`` streams one block.  Each row's offsets
+    are read once.  Given ``rows``, each block is one ``np.repeat`` /
+    ``arange`` gather, its index int32 whenever the CSR and the block
+    fit it (the ``indptr`` rule, :func:`_offset_dtype`); with
+    ``rows=None`` the bounds are ``indptr`` itself and ``flat`` is a slice of
+    ``indices`` (a view: read it, do not write it), so O(block) bytes
+    are in flight.  The one CSR stream under every kernel below and in
+    the network engine.
     """
-    total = len(indices)
-    start = 0
-    while start < total:
-        stop = min(start + int(block_elems), total)
-        if aligned and stop < total:
-            row = int(np.searchsorted(indptr, stop, side="right")) - 1
-            row_start = int(indptr[row])
-            # defer the straddled row to the next block, unless it alone
-            # overflows the block — then stream it whole
-            stop = row_start if row_start > start else int(indptr[row + 1])
-        pos = np.arange(start, stop, dtype=np.int64)
-        u = np.searchsorted(indptr, pos, side="right").astype(np.int64) - 1
-        v = np.asarray(indices[start:stop]).astype(np.int64)
-        yield u, v
-        start = stop
-
-
-def frontier_slices(
-    indptr: np.ndarray, rows: np.ndarray, block_elems: int
-) -> Iterator[tuple[int, int]]:
-    """Split ``rows`` into slices whose total degree fits one block.
-
-    Yields ``(a, b)`` bounds over ``rows`` such that the gathered
-    neighbors of ``rows[a:b]`` hold at most ``block_elems`` entries
-    (always at least one row, so a single hub larger than the block
-    still streams).  The scheduling primitive under every chunked
-    frontier kernel.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    if len(rows) == 0:
-        return
-    deg = (indptr[rows + 1] - indptr[rows]).astype(np.int64)
-    cum = np.cumsum(deg)
-    a = 0
-    base = 0
-    while a < len(rows):
-        b = int(np.searchsorted(cum, base + block_elems, side="right"))
-        if b <= a:
-            b = a + 1  # one oversized row: stream it alone
-        yield a, b
-        base = int(cum[b - 1])
-        a = b
+    if rows is None:
+        starts = None
+        ends = indptr[1:]
+    else:
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = indptr[rows]
+        ends = np.cumsum(indptr[1:][rows] - starts, dtype=np.int64)
+    a = base = 0
+    while a < len(ends):
+        if block_elems is None:
+            b = len(ends)
+        else:
+            b = int(np.searchsorted(ends, base + block_elems, side="right"))
+            b = max(b, a + 1)  # one oversized row: stream it alone
+        top = int(ends[b - 1])
+        prev = np.concatenate(([base], ends[a:b - 1]))
+        counts = ends[a:b] - prev
+        if starts is None:
+            flat = np.asarray(indices[base:top])
+        else:
+            dtype = _offset_dtype(max(top - base, len(indices)))
+            # a row's first entry sits at its block offset prev - base
+            idx = np.repeat((starts[a:b] - (prev - base)).astype(dtype),
+                            counts)
+            idx += np.arange(top - base, dtype=dtype)
+            flat = np.asarray(indices).take(idx)
+        yield a, b, flat, counts
+        a, base = b, top
 
 
 def chunked_newman_ziff_giant_sizes(
@@ -930,9 +901,8 @@ def chunked_newman_ziff_giant_sizes(
     giants = np.empty(len(seq) + 1, dtype=np.int64)
     giants[0] = 0
     unioned = 0
-    for lo, hi in frontier_slices(indptr, seq, block_elems):
+    for lo, hi, flat, counts in row_blocks(indptr, indices, seq, block_elems):
         block_nodes = seq[lo:hi]
-        flat, counts = gather_rows(indptr, indices, block_nodes)
         t = np.repeat(np.arange(lo, hi, dtype=pos.dtype), counts)
         keep = pos[flat] < t
         idx = flat[keep].tolist()
@@ -1039,9 +1009,9 @@ def vectorized_newman_ziff_giants_at(
     """Giant size after ``k`` additions for each ``k`` of the sorted,
     distinct ``marks``, by a vectorized union-find per stop interval.
 
-    The additions stream in the loop's blocks (:func:`frontier_slices`
-    over the addition sequence, :func:`gather_rows`, the same ``pos``
-    mask, so ``net.nz_edges.array`` counts the same kept edges).  The
+    The additions stream in the loop's blocks (:func:`row_blocks` over
+    the addition sequence, the same ``pos`` mask, so
+    ``net.nz_edges.array`` counts the same kept edges).  The
     kept edges up to each mark are unioned at once on an int32
     ``parent`` array: endpoints find their roots by pointer jumping,
     the larger root of each edge hooks to the smaller one, and the
@@ -1065,8 +1035,9 @@ def vectorized_newman_ziff_giants_at(
     unioned = 0
     k = int(np.searchsorted(ends, 0, side="right"))  # ends of 0 stay 0
     last = int(ends[-1]) if len(ends) else 0
-    for lo, hi in frontier_slices(indptr, seq[:last], block_elems):
-        flat, counts = gather_rows(indptr, indices, seq[lo:hi])
+    for lo, hi, flat, counts in row_blocks(
+        indptr, indices, seq[:last], block_elems
+    ):
         t = np.repeat(np.arange(lo, hi, dtype=pos.dtype), counts)
         keep = pos[flat] < t
         t = t[keep]
@@ -1158,7 +1129,8 @@ def _component_roots(
     parent = np.arange(n, dtype=np.int32)
     size = np.ones(n, dtype=np.int32)
     slot = np.empty(n, dtype=np.int32)
-    for u, v in directed_edge_blocks(indptr, indices, block_elems):
+    for a, b, v, counts in row_blocks(indptr, indices, None, block_elems):
+        u = np.repeat(np.arange(a, b, dtype=np.int32), counts)
         keep = u < v
         _union_edges(
             parent, size, slot, _find_roots(parent, u[keep]), v[keep]

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..rng import SeedLike
-from .arraygraph import ArrayGraph, gather_rows, sorted_distinct
+from .arraygraph import ArrayGraph, row_blocks, sorted_distinct
 from .attacks import AttackStrategy
 from .graph import Graph
 
@@ -43,7 +43,7 @@ def _betweenness_array(ag: ArrayGraph, normalized: bool) -> np.ndarray:
         frontier = levels[0]
         d = 0
         while frontier.size:
-            flat, counts = gather_rows(indptr, indices, frontier)
+            [(_, _, flat, counts)] = row_blocks(indptr, indices, frontier)
             flat = flat.astype(np.int64)
             new = sorted_distinct(flat[dist[flat] == -1])
             dist[new] = d + 1
@@ -61,7 +61,7 @@ def _betweenness_array(ag: ArrayGraph, normalized: bool) -> np.ndarray:
             lev = levels[d]
             if lev.size == 0:
                 continue
-            flat, counts = gather_rows(indptr, indices, lev)
+            [(_, _, flat, counts)] = row_blocks(indptr, indices, lev)
             flat = flat.astype(np.int64)
             coef = (1.0 + delta[lev]) / sigma[lev]
             preds = dist[flat] == d - 1

@@ -45,9 +45,8 @@ from .arraygraph import (
     as_arraygraph,
     bernoulli_indices,
     derive_chunk_elems,
-    frontier_slices,
-    gather_rows,
     newman_ziff_giants_at,
+    row_blocks,
     sorted_distinct,
 )
 from .graph import Graph
@@ -282,11 +281,14 @@ class ArrayNetworkEngine(NetworkEngine):
     arrays lie, in RAM or mapped from disk, and a
     :class:`~repro.networks.graph.Graph` through its cached
     :class:`~repro.networks.arraygraph.ArrayGraph`.  Every hot loop
-    walks the ``indices`` array in fixed-size blocks, so the kernels'
-    working memory is O(n + block) whatever the edge count: cascades
-    and SIS expand their frontiers block by block with a two-pass draw
-    that spends the RNG exactly as one whole-frontier gather would; SIR
-    draws first from its counts of candidates, then gathers.
+    reads the CSR through one stream,
+    :func:`~repro.networks.arraygraph.row_blocks`, which gathers the
+    rows it is given in blocks of at most ``block_elems`` entries, so
+    the kernels' working memory is O(n + block) whatever the edge
+    count: cascades and SIS expand their frontiers block by block with
+    a two-pass draw that spends the RNG exactly as one whole-frontier
+    gather would; SIR draws first from its counts of candidates, then
+    gathers.
     Every output — deterministic or stochastic — is therefore
     byte-identical across block sizes and across the two storages of
     one CSR.
@@ -372,9 +374,10 @@ class ArrayNetworkEngine(NetworkEngine):
                 # marked failed first, so no block's shares reach a wave
                 # node: each block reads the loads the wave started with
                 failed[wave] = True
-                for a, b in frontier_slices(indptr, wave, block):
+                for a, b, flat, counts in row_blocks(
+                    indptr, indices, wave, block
+                ):
                     rows = wave[a:b]
-                    flat, counts = gather_rows(indptr, indices, rows)
                     flat = flat.astype(np.int64)
                     live = ~failed[flat]
                     owner_pos = np.repeat(
@@ -409,33 +412,34 @@ class ArrayNetworkEngine(NetworkEngine):
         """
         indptr, indices = cg.indptr, cg.indices
 
-        def candidates(a, b):
-            flat, _ = gather_rows(indptr, indices, rows[a:b])
+        def candidates(flat):
             flat = flat.astype(np.int64)
             return flat[candidate_mask(flat)]
 
-        bounds = list(frontier_slices(indptr, rows, block))
-        counts = np.empty(len(bounds), dtype=np.int64)
+        bounds: list = []
         kept: list = []
         kept_total = 0
-        for k, (a, b) in enumerate(bounds):
-            cands = candidates(a, b)
-            counts[k] = len(cands)
+        for a, b, flat, _ in row_blocks(indptr, indices, rows, block):
+            cands = candidates(flat)
+            bounds.append((a, b, len(cands)))
             if kept_total + len(cands) <= block:
                 kept.append(cands)
                 kept_total += len(cands)
             else:
                 kept.append(None)
-        hits = bernoulli_indices(rng, int(counts.sum()), p)
+        offsets = np.cumsum([0] + [c for _, _, c in bounds])
+        hits = bernoulli_indices(rng, int(offsets[-1]), p)
         if len(hits) == 0:
             return np.empty(0, dtype=np.int64)
         out = []
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        for k, (a, b) in enumerate(bounds):
+        for k, (a, b, _) in enumerate(bounds):
             sel = hits[(hits >= offsets[k]) & (hits < offsets[k + 1])]
             if len(sel) == 0:
                 continue
-            cands = candidates(a, b) if kept[k] is None else kept[k]
+            cands = kept[k]
+            if cands is None:
+                [(_, _, flat, _)] = row_blocks(indptr, indices, rows[a:b])
+                cands = candidates(flat)
             out.append(cands[sel - offsets[k]])
         return np.concatenate(out)
 
@@ -465,8 +469,9 @@ class ArrayNetworkEngine(NetworkEngine):
         slot = hits + (held_ends - ends[held])[np.cumsum(first) - 1]
         held_rows = rows[held]
         out = []
-        for a, b in frontier_slices(cg.indptr, held_rows, block):
-            flat, _ = gather_rows(cg.indptr, cg.indices, held_rows[a:b])
+        for a, b, flat, _ in row_blocks(
+            cg.indptr, cg.indices, held_rows, block
+        ):
             cands = flat[susceptible[flat]]
             base = held_ends[a] - per_row[held[a]]
             lo, hi = np.searchsorted(slot, (base, held_ends[b - 1]))
@@ -480,8 +485,7 @@ class ArrayNetworkEngine(NetworkEngine):
         one per row it appears in.  Index, count and ``live`` share the
         node-id dtype, numpy's fast path for ``subtract.at``."""
         one = live.dtype.type(1)
-        for a, b in frontier_slices(cg.indptr, rows, block):
-            flat, _ = gather_rows(cg.indptr, cg.indices, rows[a:b])
+        for _, _, flat, _ in row_blocks(cg.indptr, cg.indices, rows, block):
             np.subtract.at(live, flat, one)
 
     def spread_cascade(self, graph, spread_p, seeds, rng):

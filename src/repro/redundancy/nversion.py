@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._arrays import sorted_distinct
 from ..errors import ConfigurationError
 from ..rng import SeedLike, make_rng
 
@@ -96,7 +97,7 @@ def simulate_failures(
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
     rng = make_rng(seed)
     designs = np.asarray(computer.designs)
-    unique = np.unique(designs)
+    unique = sorted_distinct(designs)
     failures = 0
     for _ in range(trials):
         flawed = {

@@ -17,12 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.networks.arraygraph import (
-    bernoulli_indices,
-    frontier_slices,
-    gather_rows,
-    sorted_distinct,
-)
+from repro.networks.arraygraph import bernoulli_indices, sorted_distinct
 
 
 def undirected_edges(
@@ -137,43 +132,47 @@ def newman_ziff_giant_sizes(
     return sizes
 
 
-def _leave_by_bincount(cg, live, rows, block) -> None:
+def row_slices(indptr, indices, rows) -> np.ndarray:
+    """``indices[indptr[r]:indptr[r+1]]`` for each of ``rows``, one
+    plain slice per row, concatenated (int64)."""
+    indptr, indices = np.asarray(indptr), np.asarray(indices)
+    parts = [indices[indptr[r]:indptr[r + 1]] for r in rows]
+    return np.concatenate([np.empty(0, np.int64), *parts]).astype(np.int64)
+
+
+def _leave_by_bincount(cg, live, rows) -> None:
     """Take distinct ``rows`` out of the susceptible-neighbour counts."""
-    for a, b in frontier_slices(cg.indptr, rows, block):
-        flat, _ = gather_rows(cg.indptr, cg.indices, rows[a:b])
-        np.subtract(live, np.bincount(flat, minlength=len(live)), out=live)
+    flat = row_slices(cg.indptr, cg.indices, rows)
+    np.subtract(live, np.bincount(flat, minlength=len(live)), out=live)
 
 
-def reference_sir(engine, cg, beta, gamma, immune_mask, infected_mask,
+def reference_sir(cg, beta, gamma, immune_mask, infected_mask,
                   max_steps, rng):
-    """SIR as ``engine`` ran it before drawing ahead of its gathers.
+    """SIR as the array engine ran it before drawing ahead of its gathers.
 
     Every step scans the n-node masks: ``flatnonzero`` for the infected,
-    the two-pass ``engine._frontier_hits`` over each infected row that
-    still has a susceptible neighbour, a ``bincount`` upkeep of those
-    counts and a mask ``sum`` for the count.  Returns ``(counts,
-    final infected indices, ever infected)``.
+    one Bernoulli draw over the susceptible neighbours of each infected
+    row that still has one (in frontier order, gathered row by row), a
+    ``bincount`` upkeep of those counts and a mask ``sum`` for the
+    count.  Returns ``(counts, final infected indices, ever infected)``.
     """
-    block = engine._block()
     infected_mask = infected_mask.copy()
     ever = infected_mask.copy()
     counts = [int(infected_mask.sum())]
     susceptible = ~(infected_mask | immune_mask)
     live = np.diff(cg.indptr).astype(cg.indices.dtype)
-    _leave_by_bincount(
-        cg, live, np.flatnonzero(infected_mask | immune_mask), block
-    )
+    _leave_by_bincount(cg, live, np.flatnonzero(infected_mask | immune_mask))
     for _ in range(max_steps):
         infected_idx = np.flatnonzero(infected_mask)
         if infected_idx.size == 0:
             break
         rows = infected_idx[live[infected_idx] > 0]
-        new = engine._frontier_hits(
-            cg, rows, lambda flat: susceptible[flat], beta, rng, block
-        )
+        flat = row_slices(cg.indptr, cg.indices, rows)
+        cands = flat[susceptible[flat]]
+        new = cands[bernoulli_indices(rng, cands.size, beta)]
         recs = bernoulli_indices(rng, infected_idx.size, gamma)
         infected_mask[infected_idx[recs]] = False
-        _leave_by_bincount(cg, live, sorted_distinct(new), block)
+        _leave_by_bincount(cg, live, sorted_distinct(new))
         infected_mask[new] = True
         susceptible[new] = False
         ever[new] = True

@@ -41,8 +41,6 @@ from repro.networks.arraygraph import (
     _component_roots,
     chunked_newman_ziff_giant_sizes,
     derive_chunk_elems,
-    directed_edge_blocks,
-    frontier_slices,
 )
 from repro.networks.engine import ArrayNetworkEngine
 from repro.networks.generators import (
@@ -364,47 +362,6 @@ class TestChunkedKernels:
         # the reference's partition, each component named by its
         # smallest node index, at every block size
         assert np.array_equal(first[ref], got)
-
-    @pytest.mark.parametrize("block", (1, 5, 64, 1 << 18))
-    def test_directed_edge_blocks_cover_flat_order(self, ba_graph, block):
-        ag = as_arraygraph(ba_graph)
-        rows = np.repeat(
-            np.arange(ag.n_nodes, dtype=np.int64), np.diff(ag.indptr)
-        )
-        cols = ag.indices.astype(np.int64)
-        for aligned in (False, True):
-            blocks = list(
-                directed_edge_blocks(
-                    ag.indptr, ag.indices, block, aligned=aligned
-                )
-            )
-            u = np.concatenate([b[0] for b in blocks])
-            v = np.concatenate([b[1] for b in blocks])
-            assert np.array_equal(u, rows), aligned
-            assert np.array_equal(v, cols), aligned
-            if aligned:
-                # no row straddles a block boundary: each block ends
-                # exactly where its last row's CSR range ends
-                for bu, _ in blocks[:-1]:
-                    last = int(bu[-1])
-                    assert int(np.sum(bu == last)) == int(
-                        ag.indptr[last + 1] - ag.indptr[last]
-                    )
-
-    def test_frontier_slices_respect_budget(self, ba_graph):
-        ag = as_arraygraph(ba_graph)
-        rows = np.random.default_rng(3).permutation(ag.n_nodes)[:100]
-        deg = np.diff(ag.indptr)[rows]
-        slices = list(frontier_slices(ag.indptr, rows, 16))
-        assert [s for s, _ in slices][0] == 0
-        assert slices[-1][1] == len(rows)
-        for a, b in slices:
-            # each slice fits the block unless it is a single hub row
-            assert deg[a:b].sum() <= 16 or b - a == 1
-
-    def test_frontier_slices_empty(self, ba_graph):
-        ag = as_arraygraph(ba_graph)
-        assert list(frontier_slices(ag.indptr, np.empty(0), 16)) == []
 
 
 # -- block sizing ----------------------------------------------------------------

@@ -81,7 +81,7 @@ def test_sir_matches_reference(cg, data, beta, gamma, seed):
             engine = ArrayNetworkEngine(block_elems=block)
             rng = np.random.default_rng(seed)
             counts, final, ever = reference_sir(
-                engine, g, beta, gamma, immune_mask, infected_mask, 30, rng
+                g, beta, gamma, immune_mask, infected_mask, 30, rng
             )
             want = (counts, final.tolist(), ever, rng.random())
             rng = np.random.default_rng(seed)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
@@ -179,12 +180,12 @@ class TestCorruptCheckpoint:
 
     def test_garbles_interior_line_deterministically(self, tmp_path):
         path, fp = self._checkpoint(tmp_path)
-        before = open(path).read().splitlines()
+        before = Path(path).read_text().splitlines()
         struck = corrupt_checkpoint(path, seed=11)
         twin, _ = self._checkpoint(tmp_path, name="twin.jsonl")
         again = corrupt_checkpoint(twin, seed=11)
         assert struck == again  # same seed, same line
-        after = open(path).read().splitlines()
+        after = Path(path).read_text().splitlines()
         assert len(struck) == 1
         lineno = struck[0] - 1
         assert 0 < lineno < len(before) - 1  # never header, never tail

@@ -11,6 +11,7 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -84,7 +85,7 @@ class TestOpenAndRecord:
         with sweep_checkpoint(path, n_points=2, fp=fp) as ckpt:
             assert len(ckpt) == 0
             ckpt.put(0, {"param": 1, "y": np.float64(0.25)})
-        lines = [json.loads(l) for l in open(path)]
+        lines = [json.loads(l) for l in Path(path).read_text().splitlines()]
         assert lines[0]["kind"] == "sweep-checkpoint"
         assert lines[0]["fingerprint"] == fp
         assert lines[1] == {"index": 0, "row": {"param": 1, "y": 0.25}}
@@ -135,9 +136,9 @@ class TestCorruptionMatrix:
 
     def test_truncated_header_raises(self, tmp_path):
         path, fp = self._fresh(tmp_path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         lines[0] = lines[0][: len(lines[0]) // 2]  # torn header
-        open(path, "w").write("\n".join(lines) + "\n")
+        Path(path).write_text("\n".join(lines) + "\n")
         with pytest.raises(CheckpointError, match="header"):
             sweep_checkpoint(path, n_points=3, fp=fp)
 
@@ -150,9 +151,9 @@ class TestCorruptionMatrix:
 
     def test_out_of_range_index_quarantined(self, tmp_path):
         path, fp = self._fresh(tmp_path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         lines[2] = '{"index": 99, "row": {"param": 0}}'
-        open(path, "w").write("\n".join(lines) + "\n")
+        Path(path).write_text("\n".join(lines) + "\n")
         with pytest.warns(RuntimeWarning, match="quarantined"):
             with sweep_checkpoint(path, n_points=3, fp=fp) as ckpt:
                 assert set(_rows(ckpt, range(3))) == {0, 2}

@@ -90,7 +90,8 @@ class TestAppendAndReplay:
         job = _job()
         p.record_accepted(job)
         p.record_completed(job)
-        state = ServicePersistence(str(tmp_path)).load()
+        with ServicePersistence(str(tmp_path)) as reopened:
+            state = reopened.load()
         assert state.incomplete == []
         assert state.max_job_number == 1  # final, but still numbered
         p.close()
@@ -100,7 +101,8 @@ class TestAppendAndReplay:
         job = _job()
         p.record_accepted(job)
         p.record_cancelled(job)
-        state = ServicePersistence(str(tmp_path)).load()
+        with ServicePersistence(str(tmp_path)) as reopened:
+            state = reopened.load()
         assert state.incomplete == []
         p.close()
 
@@ -146,6 +148,7 @@ class TestCorruptionMatrix:
             "torn tail" in w["reason"] for w in state.warnings
         )
         assert state.quarantined == 0
+        p.close()
 
     def test_midfile_garble_quarantined_and_healed(self, tmp_path):
         journal, _, fps = self._seeded(tmp_path)

@@ -121,6 +121,8 @@ from repro.networks.epidemics import SIRModel
 from repro.networks.generators import erdos_renyi
 from repro.networks.percolation import percolation_curve
 from repro.agents.arrayengine import ArraySimulator
+from repro.anticipation.earlywarning import detection_roc
+from repro.redundancy.nversion import RedundantComputer, simulate_failures
 from repro.agents.environment import ConstraintEnvironment, ShockSchedule
 from repro.agents.population import seed_population
 from repro.core.quality import QualityTrace
@@ -159,6 +161,10 @@ trace.degradation_integral(0.5, 1.5)
 ran("degradation_integral")
 trace.availability(75.0)
 ran("availability")
+detection_roc([0.5, 0.2, 0.5], [0.1, 0.2])
+ran("detection_roc")
+simulate_failures(RedundantComputer((0, 1, 0), 0.1, 0.2), 10, seed=1)
+ran("simulate_failures")
 print(json.dumps(loaded))
 """
 
@@ -178,7 +184,7 @@ def test_array_paths_leave_numpy_ma_unloaded():
         check=True,
     ).stdout
     loaded = json.loads(out.splitlines()[-1])
-    assert len(loaded) == 11
+    assert len(loaded) == 13
     assert not any(loaded.values()), loaded
 
 
