@@ -48,9 +48,9 @@ from ..rng import SeedLike, make_rng
 from ..runtime import trace
 from ..runtime.engines import resolve_engine_kind
 from .environment import ConstraintEnvironment, ShockSchedule
-from .organism import Organism, _ids
+from .organism import Organism
 from .population import Population
-from .simulation import EvolutionSimulator, SimulationResult
+from .simulation import EvolutionSimulator, SimulationResult, _next_id
 
 __all__ = ["ArraySimulator", "make_engine"]
 
@@ -112,6 +112,7 @@ class ArraySimulator(EvolutionSimulator):
             dict.fromkeys(state[:, ID].tolist()) if record_lineage else None
         )
         rate = self.mutator.rate
+        next_id = _next_id(state[:, ID].tolist())
 
         alive_series: list[int] = []
         fitness_series: list[float] = []
@@ -192,11 +193,8 @@ class ArraySimulator(EvolutionSimulator):
                         child_genomes ^ target
                     ).sum(axis=1, dtype=np.int64)
                     children[:, PARENT] = children[:, ID]
-                    children[:, ID] = np.fromiter(
-                        (next(_ids) for _ in range(rep.size)),
-                        dtype=np.int64,
-                        count=rep.size,
-                    )
+                    children[:, ID] = np.arange(next_id, next_id + rep.size)
+                    next_id += rep.size
                     children[:, AGE] = 0
                     if parents is not None:
                         parents.update(zip(

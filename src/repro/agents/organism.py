@@ -94,8 +94,14 @@ class Organism:
         flips = [mismatched[int(i)] for i in picks]
         return self.adapted(self.genome.flip(*flips))
 
-    def split(self, mutated_genome: BitString) -> tuple["Organism", "Organism"]:
-        """Self-replicate: halve resources between parent and offspring."""
+    def split(
+        self, mutated_genome: BitString, child_id: int
+    ) -> tuple["Organism", "Organism"]:
+        """Self-replicate: halve resources between parent and offspring.
+
+        ``child_id`` comes from the caller's run, which numbers its
+        offspring (see :meth:`EvolutionSimulator.run`).
+        """
         half = self.resources / 2.0
         parent = replace(self, resources=half)
         child = Organism(
@@ -103,6 +109,7 @@ class Organism:
             resources=half,
             adaptability=self.adaptability,
             age=0,
+            organism_id=child_id,
             parent_id=self.organism_id,
         )
         return parent, child

@@ -127,6 +127,9 @@ def seed_population(
       loci scrambled — standing variation paid for in initial fitness;
     * **adaptability share** buys repair speed: bits-per-step is
       ``1 + round(adaptability × (max_adaptability − 1))``.
+
+    The agents are numbered ``0 .. n_agents - 1``, so a seeded population
+    is the same whatever ran before it in the process.
     """
     if n_agents < 1:
         raise ConfigurationError(f"n_agents must be >= 1, got {n_agents}")
@@ -141,13 +144,13 @@ def seed_population(
     adaptability = 1 + round(mix.adaptability * (max_adaptability - 1))
     scramble = round(mix.diversity * env.n / 4)
     organisms = []
-    for _ in range(n_agents):
+    for agent_id in range(n_agents):
         genome = env.target
         if scramble > 0:
             flips = rng.choice(env.n, size=scramble, replace=False)
             genome = genome.flip(*(int(i) for i in flips))
         organisms.append(
             Organism(genome=genome, resources=resources,
-                     adaptability=adaptability)
+                     adaptability=adaptability, organism_id=agent_id)
         )
     return Population(organisms)

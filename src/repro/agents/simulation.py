@@ -17,6 +17,7 @@ survival statistics come from the same run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 
 import numpy as np
 
@@ -30,6 +31,11 @@ from .organism import Organism
 from .population import Population
 
 __all__ = ["SimulationResult", "EvolutionSimulator"]
+
+
+def _next_id(ids) -> int:
+    """The first offspring id of a run: one past its founders' largest."""
+    return max(ids, default=-1) + 1
 
 
 @dataclass(frozen=True)
@@ -124,6 +130,8 @@ class EvolutionSimulator:
     ) -> SimulationResult:
         """Simulate ``steps`` steps; the input population is not mutated.
 
+        Offspring are numbered from one past the population's largest
+        ``organism_id``, so a run's ids depend only on its inputs.
         ``record_lineage=True`` additionally returns the id → parent-id
         map over every organism ever created (founders map to ``None``);
         it is off by default because the map grows without bound over
@@ -160,6 +168,7 @@ class EvolutionSimulator:
         steps_counter = f"sim.steps.{self.engine_name}"
         rng = make_rng(seed)
         organisms = list(population.organisms)
+        child_ids = count(_next_id(o.organism_id for o in organisms))
         shocks = shocks or ShockSchedule(period=0, severity=0)
         parents: dict[int, int | None] | None = (
             {o.organism_id: None for o in organisms}
@@ -194,7 +203,7 @@ class EvolutionSimulator:
                     and len(organisms) + len(offspring) < self.capacity
                 ):
                     child_genome = self.mutator.mutate(org.genome, rng)
-                    parent, child = org.split(child_genome)
+                    parent, child = org.split(child_genome, next(child_ids))
                     organisms[i] = parent
                     offspring.append(child)
                     if parents is not None:

@@ -332,8 +332,9 @@ def sweep(
     ``values`` may be any iterable — a list, ``range``, numpy array, or
     generator; it is materialized once up front.  ``n_jobs`` > 1 fans
     the points out over a pool of forked worker processes (``-1`` uses
-    every core; ``fn`` reaches the workers through fork, and each row
-    must be picklable to come back).  When ``seed``
+    every core; ``fn`` reaches the workers through fork, each value is
+    pickled to its worker, and each row must be picklable to come
+    back).  When ``seed``
     is given, ``fn`` is called as ``fn(value, child_seed)`` where
     ``child_seed`` is a per-point ``SeedSequence`` spawned from the
     parent — deterministic for a given seed at any worker count.

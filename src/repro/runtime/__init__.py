@@ -8,9 +8,11 @@ harness, organized as the paper's §3.3 MAPE loop:
   circuit breakers over the three engine seams (via the shared
   :mod:`.engines` registry), deterministic degradation to the reference
   object engines, deadline propagation, and a memory-budget guard;
-* fault-tolerant execution — a per-call pool of forked worker
-  processes that retires any worker whose point fails, hangs or dies,
-  with bounded retry and wall-time budgets (:mod:`.executor`);
+* fault-tolerant execution — a per-thread pool of forked worker
+  processes, kept across calls while the run state its workers
+  inherited still holds, that retires any worker whose point fails,
+  hangs or dies, with bounded retry and wall-time budgets
+  (:mod:`.executor`);
 * crash-safe persistence — one row store, in memory or on an atomic
   fsync'd JSONL file with corrupt-line quarantine, for sweep
   checkpoint/resume and the service's results (:mod:`.checkpoint`);

@@ -14,16 +14,33 @@ Two execution paths share the same outcome contract:
 * **in-process** — ``n_jobs == 1`` and no timeout: points run serially
   in the caller's process (closures allowed, zero fork overhead);
 * **worker pool** — parallel or time-budgeted points run in a pool of
-  at most ``min(n_jobs, len(tasks))`` forked worker processes that
-  lives for one :func:`run_points` call.  Tasks, ``worker`` and ``fn``
-  are inherited through fork; only a task index crosses the pipe
-  inward, and the ``("ok", …)`` / ``("err", …)`` result comes back.
-  Points of one call may share a worker process, as they share the
-  caller's process on the inline path.  A worker is retired — and a
-  fresh one forked in its place when work remains — after any non-ok
-  outcome: an exception, an unpicklable result, death, or a timeout.
-  So a hung or crashed point costs one process, never the run, and a
-  retry never runs in the process that failed.
+  at most ``min(n_jobs, len(tasks))`` forked worker processes.
+  ``worker`` and ``fn`` are inherited through fork (closures work);
+  each task's value and seed are pickled inward, and the ``("ok", …)``
+  / ``("err", …)`` result comes back.  An unpicklable task fails only
+  its own point (``task not picklable``), as an unpicklable result
+  does.  A worker is retired — and a fresh one forked in its place
+  when work remains — after any non-ok outcome: an exception, an
+  unpicklable result, death, or a timeout.  So a hung or crashed point
+  costs one process, never the run, and a retry never runs in the
+  process that failed.
+
+The pool outlives one :func:`run_points` call: each thread keeps one,
+whose idle workers wait in ``recv`` (no CPU) for the next call.  A call
+reuses it only while the state its workers inherited at fork is still
+the parent's (:func:`_pool_key`): the same process, ``worker`` and
+``fn`` (by identity), tracer, installed supervisor and its tripped
+breakers, chaos plan, and ``REPRO_*`` environment.  Any difference
+retires the pool and forks a fresh one, so run state still reaches
+workers only by fork.  Points of successive calls with the same key
+may thus share a worker process, as points of one call do (and as they
+share the caller's process on the inline path): a point must not
+depend on parent globals that change between calls outside that key.
+A pool stops when its thread calls :func:`close_pool` (the service's
+scheduler does, on its way out), when the thread's pool is collected,
+and at interpreter exit; a forked child closes every pool pipe end it
+inherited (``os.register_at_fork``), so neither a sibling worker nor a
+child process ever keeps a worker from seeing its parent's EOF.
 
 Fork caveat: a worker inherits only the modules its parent had already
 imported, and ``repro`` imports scipy only inside the seven functions
@@ -32,9 +49,8 @@ that call it (``kendall_trend``, ``ContinuousReplicator.integrate``,
 nversion ``system_failure_probability``,
 ``RaidArray.single_period_loss_probability``).  A point that calls one
 of them imports scipy once per worker (``scipy.stats`` costs about a
-second), and since each :func:`run_points` call forks a fresh pool, the
-cost recurs per call.  Import scipy in the parent before the sweep and
-every worker inherits it.
+second), again whenever the pool is re-forked.  Import scipy in the
+parent before the sweep and every worker inherits it.
 
 The pool loop is *event-driven*: it blocks in
 :func:`multiprocessing.connection.wait` on every busy worker's pipe and
@@ -62,10 +78,15 @@ from __future__ import annotations
 
 import math
 import multiprocessing as mp
+import os
+import sys
+import threading
 import time
 import traceback as tb_module
+import weakref
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -74,7 +95,7 @@ from ..errors import ConfigurationError, ExecutionError
 from . import supervisor as supervisor_module
 from . import trace
 
-__all__ = ["PointOutcome", "PointTask", "run_points"]
+__all__ = ["PointOutcome", "PointTask", "close_pool", "run_points"]
 
 _IDLE_TICK_S = 0.5  # defensive cap on one wait(); sentinel wakeups make
 #                     a full tick rare (it only bounds damage if a pipe
@@ -261,8 +282,6 @@ def _supervise(sup, execute, tasks, timeout, tr) -> list[PointOutcome]:
 
 
 def _workers(n_jobs: int) -> int:
-    import os
-
     if n_jobs == -1:
         return os.cpu_count() or 1
     if n_jobs < 1:
@@ -335,12 +354,21 @@ def _send_guarded(conn, payload) -> "BaseException | None":
         return exc
 
 
+def _send_task(conn, payload) -> bool:
+    """Send one pickled task; False if the worker's end is gone."""
+    try:
+        conn.send_bytes(payload)
+        return True
+    except OSError:
+        return False
+
+
 def _orphaned(exc: "BaseException | None") -> bool:
     """Whether a send failure means the other end is gone (pipe closed)."""
     return isinstance(exc, (OSError, EOFError))
 
 
-def _serve(conn, worker, fn, task: PointTask) -> bool:
+def _serve(conn, worker, fn, value, seed) -> bool:
     """Run one task in a worker and ship (status, payload) to the parent.
 
     Returns True iff an ``ok`` result reached the pipe — the only
@@ -352,7 +380,7 @@ def _serve(conn, worker, fn, task: PointTask) -> bool:
     of an otherwise healthy run.
     """
     try:
-        result = worker(fn, task.value, task.seed)
+        result = worker(fn, value, seed)
     except BaseException as exc:
         formatted = tb_module.format_exc()
         sent = _send_guarded(conn, ("err", _describe(exc), exc, formatted))
@@ -373,28 +401,21 @@ def _serve(conn, worker, fn, task: PointTask) -> bool:
     return sent is None
 
 
-def _worker_main(conn, inherited, worker, fn, tasks) -> None:
-    """Pool worker entry: run task indices from ``conn`` until told to stop.
+def _worker_main(conn, worker, fn) -> None:
+    """Pool worker entry: run tasks from ``conn`` until told to stop.
 
-    ``tasks`` maps each task index to its :class:`PointTask`; it reaches
-    the worker through fork, so only the index crosses the pipe inward.
-    ``inherited`` are the parent-side pipe ends this process got through
-    fork — its own and those of the siblings forked before it.  They are
-    closed first: otherwise a sibling's parent end stays open in this
-    process, and neither the parent's death nor its close ever reaches
-    that sibling as EOF.  The loop ends on the stop message, on EOF (the
-    parent is gone), or after any non-ok outcome (the parent retires
-    this worker).
+    Each task arrives as its ``(value, seed)``; ``worker`` and ``fn``
+    reached this process through fork.  The loop ends on the stop
+    message, on EOF (the parent is gone), or after any non-ok outcome
+    (the parent retires this worker).
     """
-    for end in inherited:
-        end.close()
     try:
         while True:
             try:
-                index = conn.recv()
+                task = conn.recv()
             except (EOFError, OSError):
                 return  # the parent is gone
-            if index is _STOP or not _serve(conn, worker, fn, tasks[index]):
+            if task is _STOP or not _serve(conn, worker, fn, *task):
                 return
     finally:
         try:
@@ -403,7 +424,7 @@ def _worker_main(conn, inherited, worker, fn, tasks) -> None:
             pass
 
 
-@dataclass
+@dataclass(eq=False)
 class _Worker:
     """One pool worker as the parent sees it."""
 
@@ -412,6 +433,103 @@ class _Worker:
     attempt: _Attempt | None = None  # in flight; None while idle
     started: float = 0.0
     deadline: float | None = None
+
+
+class _Pool:
+    """One thread's workers, kept across calls under one :func:`_pool_key`."""
+
+    def __init__(self, key: tuple):
+        self.key = key
+        self.workers: list[_Worker] = []
+        # runs on close_pool(), when the pool is collected (its thread
+        # ended) and at interpreter exit, whichever comes first
+        self.stop = weakref.finalize(self, _stop_workers, self.workers)
+        _pools.add(self)
+
+
+_local = threading.local()  # .pool: the calling thread's _Pool
+_pools: "weakref.WeakSet[_Pool]" = weakref.WeakSet()
+
+
+def _pool_key(worker, fn, tr, sup) -> tuple:
+    """What a worker inherits at fork that a later call must share.
+
+    The first part is compared by identity, the second by value.  A
+    chaos plan can be active only once :mod:`.chaos` is imported.
+    """
+    chaos = sys.modules.get(f"{__package__}.chaos")
+    return (
+        (worker, fn, tr, trace.current(), sup,
+         getattr(chaos, "_active", None)),
+        (os.getpid(),
+         tuple(sup.tripped_families()) if sup else (),
+         sorted(kv for kv in os.environ.items()
+                if kv[0].startswith("REPRO_"))),
+    )
+
+
+def _pool_for(key: tuple) -> _Pool:
+    """The calling thread's pool, re-forked unless its key still holds."""
+    pool = getattr(_local, "pool", None)
+    if pool is not None and not (
+        pool.key[1] == key[1]
+        and all(a is b for a, b in zip(pool.key[0], key[0]))
+    ):
+        pool.stop()
+        pool = None
+    if pool is None:
+        pool = _local.pool = _Pool(key)
+    return pool
+
+
+def close_pool() -> None:
+    """Stop the calling thread's worker pool, if it has one."""
+    pool = getattr(_local, "pool", None)
+    if pool is not None:
+        _local.pool = None
+        pool.stop()
+
+
+def _stop_workers(workers: list[_Worker]) -> None:
+    """Stop a pool: idle workers get the stop message first, so they
+    all exit in parallel; a worker still busy (its caller was
+    interrupted) is reaped.  In a forked child the list is empty
+    (:func:`_forget_pools`): the workers are the parent's."""
+    for w in workers:
+        if w.attempt is None:
+            _send_guarded(w.conn, _STOP)
+        else:
+            _reap(w.process)
+    for w in list(workers):
+        _retire(workers, w)
+
+
+def _forget_pools() -> None:
+    """In a forked child: close every pool pipe end the parent had.
+
+    A sibling's parent end left open here would keep that sibling from
+    ever seeing EOF when the parent closes it or dies.  The workers are
+    the parent's, so they are dropped from this process's bookkeeping
+    too (multiprocessing's included: exit must not signal them).
+    """
+    for pool in _pools:
+        for w in pool.workers:
+            w.conn.close()
+            mp.process._children.discard(w.process)
+        pool.workers.clear()
+
+
+os.register_at_fork(after_in_child=_forget_pools)
+
+
+def _retire(workers: list[_Worker], w: _Worker) -> None:
+    """Drop one worker and wait for it to exit: it exits by itself after
+    a non-ok outcome or the stop message, else it is reaped."""
+    workers.remove(w)
+    w.conn.close()
+    w.process.join(_TERM_GRACE_S)
+    if w.process.is_alive():
+        _reap(w.process)
 
 
 def _reap(proc: mp.process.BaseProcess) -> None:
@@ -535,48 +653,46 @@ def _next_wakeup(
 def _run_isolated(
     worker, fn, tasks, workers, retries, backoff, timeout, tr, sup
 ) -> list[PointOutcome]:
-    """A pool of at most ``min(workers, len(tasks))`` forked workers."""
+    """Run on the thread's pool, grown to ``min(workers, len(tasks))``."""
     ctx = mp.get_context("fork")
-    by_index = {task.index: task for task in tasks}
+    pool = _pool_for(_pool_key(worker, fn, tr, sup))
     slots = min(workers, len(tasks))
     queue: list[_Attempt] = [_Attempt(task) for task in tasks]
-    pool: list[_Worker] = []
     outcomes: dict[int, PointOutcome] = {}
 
     def spawn() -> _Worker:
         parent_end, child_end = ctx.Pipe()
-        inherited = [w.conn for w in pool] + [parent_end]
         proc = ctx.Process(
-            target=_worker_main,
-            args=(child_end, inherited, worker, fn, by_index),
-            daemon=True,
+            target=_worker_main, args=(child_end, worker, fn), daemon=True
         )
+        w = _Worker(process=proc, conn=parent_end)
+        pool.workers.append(w)  # listed first: the child closes its end
         proc.start()
         child_end.close()  # parent keeps only its own end
         tr.count("executor.spawns")
-        w = _Worker(process=proc, conn=parent_end)
-        pool.append(w)
         return w
 
-    def retire(w: _Worker) -> None:
-        """Drop one worker and wait for it to exit: it exits by itself
-        after a non-ok outcome or the stop message, else it is reaped."""
-        pool.remove(w)
-        w.conn.close()
-        w.process.join(_TERM_GRACE_S)
-        if w.process.is_alive():
-            _reap(w.process)
-
     def dispatch(att: _Attempt) -> None:
-        w = next((w for w in pool if w.attempt is None), None)
-        if w is not None and \
-                _send_guarded(w.conn, att.task.index) is not None:
-            retire(w)  # died while idle: not this point's fault
+        try:
+            payload = ForkingPickler.dumps((att.task.value, att.task.seed))
+        except Exception as exc:  # noqa: BLE001 - this point's failure
+            settle(att, PointOutcome(
+                index=att.task.index,
+                ok=False,
+                error=f"task not picklable: {_describe(exc)}",
+                exception=exc,
+                traceback=tb_module.format_exc(),
+                attempts=att.attempt,
+            ))
+            return
+        w = next((w for w in pool.workers if w.attempt is None), None)
+        if w is not None and not _send_task(w.conn, payload):
+            _retire(pool.workers, w)  # died idle: not this point's fault
             w = None
         if w is None:
             w = spawn()
             # a failed send to a fresh worker surfaces as its death
-            _send_guarded(w.conn, att.task.index)
+            _send_task(w.conn, payload)
         now = time.monotonic()
         w.attempt = att
         w.started = now
@@ -598,7 +714,7 @@ def _run_isolated(
         outcomes[att.task.index] = outcome
 
     def busy() -> list[_Worker]:
-        return [w for w in pool if w.attempt is not None]
+        return [w for w in pool.workers if w.attempt is not None]
 
     try:
         while True:
@@ -616,7 +732,7 @@ def _run_isolated(
                     continue
                 att, w.attempt = w.attempt, None
                 if not outcome.ok:
-                    retire(w)
+                    _retire(pool.workers, w)
                 settle(att, outcome)
             running = busy()
             if not (queue or running):
@@ -635,14 +751,10 @@ def _run_isolated(
             else:  # everything is backed off; sleep to eligibility
                 time.sleep(wait_for)
     finally:
-        # stop idle workers first so they all exit in parallel; a
-        # worker still busy here (the caller was interrupted) is reaped
-        for w in pool:
-            if w.attempt is None:
-                _send_guarded(w.conn, _STOP)
-            else:
-                _reap(w.process)
-        for w in list(pool):
-            retire(w)
+        # a worker still busy here (the caller was interrupted) is
+        # reaped; idle workers stay for the next call
+        for w in busy():
+            _reap(w.process)
+            _retire(pool.workers, w)
 
     return [outcomes[task.index] for task in tasks]

@@ -22,10 +22,11 @@ events from the tracer into each job's ``events`` feed.
 Constructor arguments:
 
 =================  =====================================================
-``workers``        worker processes per chunk (default 1 = inline;
-                   ``-1`` = every core).  Under a supervisor with
-                   ``deadline_s`` the clamp time-budgets every chunk,
-                   so even ``workers=1`` forks and rows must pickle
+``workers``        worker processes (default 1 = inline; ``-1`` =
+                   every core), kept from chunk to chunk.  Under a
+                   supervisor with ``deadline_s`` the clamp
+                   time-budgets every chunk, so even ``workers=1``
+                   runs on a forked worker and rows must pickle
 ``batch``          points per scheduler chunk (default 256)
 ``service_dir``    directory for the crash-durable journal + result
                    store (default ``REPRO_SERVICE_DIR``; unset = fully

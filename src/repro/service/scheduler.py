@@ -15,12 +15,15 @@ The scheduler turns accepted jobs into executed points:
 * **execution** — each chunk runs through the event-driven
   :func:`repro.runtime.executor.run_points` loop, sharded over
   ``workers`` processes (``workers == 1`` with no timeout runs inline —
-  zero fork overhead for cheap points).  Under an installed supervisor
+  zero fork overhead for cheap points).  The scheduler thread's worker
+  pool is kept from chunk to chunk while its key holds and is stopped
+  when the loop ends.  Under an installed supervisor
   ``run_points`` gives the chunk the same MAPE pass batch sweeps get:
   engine faults trip breakers, suspect points re-run once on the
   reference engines, and the ``deadline_s`` budget clamps every attempt
-  — so with a deadline every chunk is time-budgeted and forked, even at
-  ``workers == 1``, and its rows must be picklable.
+  — so with a deadline every chunk is time-budgeted and runs on a
+  forked worker, even at ``workers == 1``, and its rows must be
+  picklable.
 * **fan-out** — a completed point's row is put into the cache (a
   :class:`~repro.runtime.checkpoint.RowStore`, normalized like a sweep
   checkpoint row) and fanned out to *every* follower job; a failure
@@ -60,7 +63,7 @@ from ..errors import CheckpointError, ConfigurationError
 from ..runtime import supervisor as supervisor_module
 from ..runtime import trace
 from ..runtime.checkpoint import RowStore
-from ..runtime.executor import PointTask, run_points
+from ..runtime.executor import PointTask, close_pool, run_points
 from .jobs import DONE, FAILED, Job, JobPoint, JobSpec
 
 __all__ = ["Scheduler"]
@@ -168,15 +171,20 @@ class Scheduler:
     # -- the loop ----------------------------------------------------------
 
     def _loop(self) -> None:
-        while True:
-            chunk = self._next_chunk()
-            if chunk is None:
-                return
-            spec, points = chunk
-            try:
-                self._run_chunk(spec, points)
-            except Exception as exc:  # noqa: BLE001 - contained here
-                self.contain(points, exc)
+        try:
+            while True:
+                chunk = self._next_chunk()
+                if chunk is None:
+                    return
+                spec, points = chunk
+                try:
+                    self._run_chunk(spec, points)
+                except Exception as exc:  # noqa: BLE001 - contained here
+                    self.contain(points, exc)
+        finally:
+            # stop this thread's workers before stop() returns, not
+            # whenever the interpreter frees the thread's locals
+            close_pool()
 
     def contain(self, points: "Sequence[JobPoint]", exc: Exception) -> None:
         """Fail the points a raising chunk still owned (none for a write

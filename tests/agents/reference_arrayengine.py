@@ -14,9 +14,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.agents.environment import ConstraintEnvironment, ShockSchedule
-from repro.agents.organism import Organism, _ids
+from repro.agents.organism import Organism
 from repro.agents.population import Population
-from repro.agents.simulation import EvolutionSimulator, SimulationResult
+from repro.agents.simulation import (
+    EvolutionSimulator,
+    SimulationResult,
+    _next_id,
+)
 from repro.csp.bitstring import from_matrix, pack_matrix, to_matrix
 from repro.errors import ConfigurationError
 from repro.rng import SeedLike, make_rng
@@ -68,6 +72,7 @@ class ReferenceArraySimulator(EvolutionSimulator):
         parents: dict[int, int | None] | None = (
             {int(i): None for i in ids} if record_lineage else None
         )
+        next_id = _next_id(ids.tolist())
         rate = self.mutator.rate
 
         alive_series: list[int] = []
@@ -143,11 +148,10 @@ class ReferenceArraySimulator(EvolutionSimulator):
                         child_distance = (child_genomes != target).sum(
                             axis=1
                         )
-                        child_ids = np.fromiter(
-                            (next(_ids) for _ in range(rep.size)),
-                            dtype=np.int64,
-                            count=rep.size,
+                        child_ids = np.arange(
+                            next_id, next_id + rep.size, dtype=np.int64
                         )
+                        next_id += rep.size
                         if parents is not None:
                             for cid, pid in zip(child_ids, ids[rep]):
                                 parents[int(cid)] = int(pid)

@@ -45,9 +45,10 @@ class TestOrganism:
 
     def test_split_halves_resources(self):
         org = Organism(genome=BitString.ones(4), resources=10.0)
-        parent, child = org.split(BitString.zeros(4))
+        parent, child = org.split(BitString.zeros(4), 7)
         assert parent.resources == 5.0
         assert child.resources == 5.0
+        assert child.organism_id == 7
         assert child.parent_id == org.organism_id
         assert child.age == 0
 

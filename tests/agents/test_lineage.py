@@ -55,7 +55,9 @@ class TestClusterSpecies:
 class TestFounder:
     def test_walks_parent_chain(self):
         a = org("0000")
-        pa, child = a.split(BitString.from_string("0001"))
+        pa, child = a.split(
+            BitString.from_string("0001"), a.organism_id + 1
+        )
         parents = {a.organism_id: None, child.organism_id: a.organism_id}
         assert founder_of(child, parents) == a.organism_id
         assert founder_of(a, parents) == a.organism_id

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,7 +69,7 @@ def logged_square(value, seed):
 def _read_calls(path) -> list[int]:
     if not os.path.exists(path):
         return []
-    return [int(line) for line in open(path).read().split()]
+    return [int(line) for line in Path(path).read_text().split()]
 
 
 class TestInputMaterialization:

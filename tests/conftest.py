@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,3 +65,19 @@ def repro_env_guard():
         ),
         pytrace=False,
     )
+
+
+@pytest.fixture(autouse=True)
+def no_worker_pool_across_tests():
+    """Stop the executor's kept worker pool after each test.
+
+    ``run_points`` keeps its forked workers across calls while the state
+    they inherited still matches its key.  Test fixtures (a monkeypatched
+    global, a temporary directory) are outside that key, so a pool that
+    one test forked must not serve the next; and a test that counts
+    processes must not see another test's idle workers.
+    """
+    yield
+    executor = sys.modules.get("repro.runtime.executor")
+    if executor is not None:
+        executor.close_pool()

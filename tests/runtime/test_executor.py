@@ -8,13 +8,15 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 
 import pytest
 
 import repro
 from repro.errors import ConfigurationError, ExecutionError
-from repro.runtime import executor, trace
+from repro.runtime import chaos, executor, supervisor, trace
+from repro.runtime.chaos import ChaosFault, ChaosPlan
 from repro.runtime.executor import (
     PointOutcome,
     PointTask,
@@ -24,6 +26,7 @@ from repro.runtime.executor import (
     _worker_main,
     run_points,
 )
+from repro.runtime.supervisor import Supervisor
 from repro.runtime.trace import Tracer
 
 
@@ -93,6 +96,38 @@ def close_pipe_and_linger(conn):
     time.sleep(120)
 
 
+def worker_main_closing(stray, conn, worker, fn):
+    """``_worker_main`` behind a pipe made outside the pool: close the
+    parent's end inherited through fork first, as a pool worker's is
+    closed at fork, so that the parent's close reaches it as EOF."""
+    stray.close()
+    _worker_main(conn, worker, fn)
+
+
+def worker_pid(value):
+    return os.getpid()
+
+
+def worker_pid_too(value):
+    return os.getpid()
+
+
+def pool_pids(fn=worker_pid, tracer=None) -> set:
+    """The worker pids a 4-point, 2-worker call ran on."""
+    outcomes = run_points(
+        call, fn, tasks_for(range(4)), n_jobs=2, timeout=30.0,
+        tracer=tracer,
+    )
+    assert all(o.ok for o in outcomes)
+    return {o.value for o in outcomes}
+
+
+def send_pool_pids(conn, tracer):
+    """In a forked child: report the pids its own call ran on."""
+    conn.send(pool_pids(tracer=tracer))
+    conn.close()
+
+
 def sleepy(value):
     time.sleep(1.2)
     return value * 2
@@ -136,6 +171,29 @@ KILLED_PARENT = textwrap.dedent("""
     run_points(note_pid_and_sleep, None,
                [PointTask(index=i, value=i) for i in range(4)],
                n_jobs=2, timeout=60.0)
+""")
+
+
+# a parent whose plain os.fork() child exits normally (atexit handlers
+# run there): the parent's idle workers must survive to serve it again
+FORKING_PARENT = textwrap.dedent("""
+    import os, sys
+    from repro.runtime.executor import PointTask, run_points
+
+    def worker_pid(fn, value, seed):
+        return os.getpid()
+
+    def pids():
+        return {o.value for o in run_points(
+            worker_pid, None, [PointTask(index=i, value=i) for i in range(4)],
+            n_jobs=2, timeout=60.0)}
+
+    before = pids()
+    child = os.fork()
+    if child == 0:
+        sys.exit(0)
+    os.waitpid(child, 0)
+    print("reused" if pids() <= before else "re-forked")
 """)
 
 
@@ -299,6 +357,86 @@ class TestWorkerPool:
         assert tr.counters["executor.spawns"] == 2  # retired + replaced
 
 
+class TestKeptPool:
+    """The pool outlives one call while the state its workers inherited
+    at fork is still the parent's; any key change re-forks it."""
+
+    def test_same_key_forks_then_reuses(self):
+        tr = Tracer()
+        first = pool_pids(tracer=tr)
+        assert tr.counters["executor.spawns"] == 2
+        second = pool_pids(tracer=tr)
+        assert tr.counters["executor.spawns"] == 2  # none this time
+        assert second <= first and os.getpid() not in first
+
+    @pytest.mark.parametrize(
+        "change", ["fn", "tracer", "trip", "chaos", "env"]
+    )
+    def test_key_change_reforks(self, change, tmp_path, monkeypatch):
+        tr = Tracer()
+        sup = Supervisor(families=("csp",))
+        plan = ChaosPlan((ChaosFault(kind="raise", point=99),))
+        with supervisor.use(sup):
+            before = pool_pids(tracer=tr)
+            fn, tracer = worker_pid, tr
+            if change == "fn":
+                fn = worker_pid_too
+            elif change == "tracer":
+                tracer = Tracer()
+            elif change == "trip":
+                sup.trip("csp", "test-induced fault")
+            elif change == "env":
+                monkeypatch.setenv("REPRO_TEST_POOL_KEY", "1")
+            if change == "chaos":
+                with chaos.active(plan, str(tmp_path)):
+                    after = pool_pids(fn, tracer)
+            else:
+                after = pool_pids(fn, tracer)
+        assert not after & before
+
+    def test_forked_child_builds_its_own_pool(self):
+        tr = Tracer()
+        before = pool_pids(tracer=tr)
+        ctx = mp.get_context("fork")
+        parent_conn, child_conn = ctx.Pipe()
+        proc = ctx.Process(target=send_pool_pids, args=(child_conn, tr))
+        proc.start()
+        child_conn.close()
+        try:
+            assert parent_conn.poll(60)
+            in_child = parent_conn.recv()
+        finally:
+            proc.join(30)
+            parent_conn.close()
+        assert proc.exitcode == 0
+        assert in_child and not in_child & before
+        assert pool_pids(tracer=tr) <= before  # the parent's still serve
+
+    def test_plain_fork_child_exit_spares_parent_workers(self, tmp_path):
+        script = tmp_path / "parent.py"
+        script.write_text(FORKING_PARENT)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            repro.__file__)))
+        done = subprocess.run(
+            [sys.executable, str(script)], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["reused"]
+        assert done.stderr == ""
+
+    def test_unpicklable_task_fails_only_its_point(self):
+        outcomes = run_points(
+            call, double, tasks_for([1, threading.Lock(), 3]), n_jobs=2,
+            timeout=30.0, tracer=Tracer(),
+        )
+        assert [o.ok for o in outcomes] == [True, False, True]
+        assert [outcomes[0].value, outcomes[2].value] == [2, 6]
+        assert outcomes[1].error.startswith(
+            "task not picklable: TypeError"
+        )
+
+
 class TestPipeHygiene:
     """Every later-forked worker inherits its earlier siblings' parent
     pipe ends; unless it closes them, closing (or losing) the parent end
@@ -440,13 +578,12 @@ class TestOrphanedChild:
         ctx = mp.get_context("fork")
         parent_conn, child_conn = ctx.Pipe()
         proc = ctx.Process(
-            target=_worker_main,
-            args=(child_conn, [parent_conn], call, fn,
-                  {0: PointTask(index=0, value=value)}),
+            target=worker_main_closing,
+            args=(parent_conn, child_conn, call, fn),
         )
         proc.start()
         child_conn.close()
-        parent_conn.send(0)
+        parent_conn.send((value, None))
         # reap the attempt before the worker can report (timeout race)
         parent_conn.close()
         proc.join(30)
@@ -545,12 +682,12 @@ class TestDeadlineResultRace:
         parent_conn, child_conn = ctx.Pipe()
         task = PointTask(index=0, value=21)
         proc = ctx.Process(
-            target=_worker_main,
-            args=(child_conn, [parent_conn], call, double, {0: task}),
+            target=worker_main_closing,
+            args=(parent_conn, child_conn, call, double),
         )
         proc.start()
         child_conn.close()
-        parent_conn.send(0)
+        parent_conn.send((task.value, task.seed))
         assert parent_conn.poll(30)  # the result has arrived …
         now = time.monotonic()
         w = _Worker(

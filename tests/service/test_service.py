@@ -2,6 +2,8 @@
 
 import errno
 import json
+import multiprocessing
+import os
 import threading
 import time
 
@@ -32,6 +34,10 @@ def napper(i, seed=None):
 
 def boom(x, seed=None):
     raise ValueError(f"boom at {x}")
+
+
+def worker_pid(x, seed=None):
+    return {"pid": os.getpid()}
 
 
 def sleeper(x, seed=None):
@@ -354,6 +360,37 @@ class TestGracefulDegradation:
         assert all(
             "supervisor deadline exceeded" in f.error for f in failed
         )
+
+
+class TestWorkerPool:
+    """The scheduler thread keeps its worker pool from chunk to chunk
+    and stops it when the service closes."""
+
+    def test_supervisor_deadline_forks_once_not_per_chunk(self):
+        with supervisor_module.use(Supervisor(deadline_s=60)):
+            with ResilienceService() as svc:
+                jobs = [
+                    svc.submit(
+                        f"exp{k}", square,
+                        grid={"x": [4 * k + i for i in range(4)]},
+                    )
+                    for k in range(3)
+                ]
+                assert all(job.wait(30) for job in jobs)
+                counters = svc.status()["counters"]
+        assert [job.state for job in jobs] == [DONE] * 3
+        assert counters["service.chunks"] == 3
+        assert counters["executor.spawns"] == 1  # was one per chunk
+
+    def test_close_leaves_no_worker_alive(self):
+        svc = ResilienceService(workers=2).start()
+        job = svc.submit("exp", worker_pid, grid=GRID)
+        assert job.wait(30) and job.state == DONE
+        pids = {row["pid"] for row in job.result().rows}
+        svc.close()
+        assert pids and os.getpid() not in pids
+        alive = {p.pid for p in multiprocessing.active_children()}
+        assert not pids & alive
 
 
 class TestSchedulerFaults:
