@@ -2,8 +2,8 @@
 
 :class:`ArraySimulator` is observationally equivalent to
 :class:`~repro.agents.simulation.EvolutionSimulator` — same parameters,
-same :class:`~repro.agents.simulation.SimulationResult`, statistically
-identical dynamics — but keeps the whole population in the form each
+same :class:`~repro.agents.simulation.SimulationResult`, the same
+draws — but keeps the whole population in the form each
 step reads: one int64 state matrix with a row per organism, holding the
 genome as ``W = max(1, ceil(n/64))`` packed 64-bit words (the
 :func:`~repro.csp.bitstring.pack_matrix` layout) followed by
@@ -20,17 +20,13 @@ them.  Every step draws from a single
 "various multi-agent simulations while changing the above system
 parameters" sweeps tractable at scale.
 
-Equivalence contract (exercised by ``tests/agents/test_arrayengine.py``;
-``tests/agents/test_packed_engine.py`` also holds this engine
-draw-for-draw to the uint8-matrix reference engine in
-``tests/agents/reference_arrayengine.py``):
-
-* on the deterministic path — no shocks, zero mutation, adaptability
-  either 0 or ≥ genome length — both engines agree *exactly* on every
-  recorded series;
-* on stochastic paths the random streams differ (the object engine draws
-  per organism, this engine draws per step), so runs agree statistically
-  over seeds rather than bit-for-bit.
+Equivalence contract (``tests/agents/test_arrayengine.py`` and
+``tests/agents/test_packed_engine.py``): both engines draw one stream
+in one order — a shock's loci, then one ``rng.random(n)`` key row per
+partially-adapting organism, then one mutation row per offspring — so a
+seeded run returns the same result on either, byte for byte, and
+leaves the generator at the same draw.  The object engine is this
+engine's exact oracle.
 
 :func:`make_engine` is the shared construction point: benchmarks and
 sweeps build their engine through it so both implementations stay

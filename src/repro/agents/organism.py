@@ -78,7 +78,9 @@ class Organism:
         The organism senses which of its loci are maladapted (a local
         constraint-violation signal, not global knowledge) and fixes a
         random subset of them, at most ``adaptability`` per step — the
-        paper's adaptation-speed dial.
+        paper's adaptation-speed dial.  Only a partial fix draws: one
+        key per locus, fixing the mismatched loci whose key is at most
+        the ``n_fix``-th smallest of theirs.
         """
         if target.n != self.genome.n:
             raise ConfigurationError(
@@ -87,12 +89,14 @@ class Organism:
         mismatched = [
             i for i in range(self.genome.n) if self.genome[i] != target[i]
         ]
-        if not mismatched or self.adaptability == 0:
-            return self
         n_fix = min(self.adaptability, len(mismatched))
-        picks = rng.choice(len(mismatched), size=n_fix, replace=False)
-        flips = [mismatched[int(i)] for i in picks]
-        return self.adapted(self.genome.flip(*flips))
+        if n_fix == 0:
+            return self
+        if n_fix < len(mismatched):
+            keys = rng.random(self.genome.n)
+            kth = np.sort(keys[mismatched])[n_fix - 1]
+            mismatched = [i for i in mismatched if keys[i] <= kth]
+        return self.adapted(self.genome.flip(*mismatched))
 
     def split(
         self, mutated_genome: BitString, child_id: int

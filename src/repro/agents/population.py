@@ -73,10 +73,14 @@ class Population:
         return float(np.mean([o.adaptability for o in self.organisms]))
 
     def mean_fitness(self, env: ConstraintEnvironment) -> float:
-        """Average graded environment fitness (0 when extinct)."""
+        """Average graded environment fitness (0 when extinct), as
+        ``1 − Σdistance / (n·count)``."""
         if not self.organisms:
             return 0.0
-        return float(np.mean([env.fitness(o.genome) for o in self.organisms]))
+        if env.n == 0:
+            return 1.0
+        total = sum(env.distance(o.genome) for o in self.organisms)
+        return 1.0 - total / (env.n * len(self.organisms))
 
     def satisfied_fraction(self, env: ConstraintEnvironment) -> float:
         """Share of organisms satisfying the crisp constraint."""

@@ -39,7 +39,9 @@ class BitFlipMutator:
             raise ConfigurationError(f"mutation rate must be in [0, 1], got {self.rate}")
 
     def mutate(self, genome: BitString, seed: SeedLike = None) -> BitString:
-        """Return a mutated copy of ``genome``."""
+        """Return a mutated copy of ``genome`` (no draw at rate 0)."""
+        if self.rate == 0.0:
+            return genome
         rng = make_rng(seed)
         flips = np.nonzero(rng.random(genome.n) < self.rate)[0]
         if len(flips) == 0:

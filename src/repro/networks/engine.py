@@ -13,22 +13,21 @@ opts in.  :func:`~repro.networks.percolation.percolation_curve`,
 :class:`~repro.networks.healing.NetworkRecoverySimulator` all dispatch
 their hot loops through the resolved engine.
 
-The object engine hosts the original dict-of-sets loops verbatim (same
-RNG draw order, same float accumulation order).  ``"array"`` and
-``"mmap"`` name one engine, :class:`ArrayNetworkEngine`: block-streamed
-CSR kernels that run on the graph's
+The object engine runs dict-of-sets loops, one node at a time.
+``"array"`` and ``"mmap"`` name one engine, :class:`ArrayNetworkEngine`:
+block-streamed CSR kernels that run on the graph's
 :class:`~repro.networks.arraygraph.ArrayGraph` (a
 :class:`~repro.networks.graph.Graph` is converted once and cached),
 whose arrays may sit in RAM or in memory-mapped files; ``"mmap"`` is
 kept only as a name.
-Deterministic quantities (component sizes, percolation curves,
-load-cascade failure sets, healing quality traces) match the object
-engine exactly, while stochastic spreading (probabilistic cascades,
-SIS/SIR) draws its randomness in frontier batches and therefore matches
-the object engine statistically over seeds rather than draw-for-draw —
-the same equivalence contract as the agents array engine — but is
-byte-identical across block sizes and storages.  All engines report
-``net.*`` timers/counters through :mod:`repro.runtime.trace`.
+Every output matches the object engine exactly.  The stochastic
+spreaders (probabilistic cascades, SIS/SIR) share one draw order: the
+frontier in node-index order, each row's candidates in CSR order, one
+:func:`~repro.networks.arraygraph.bernoulli_indices` draw over them,
+then one over the infected for recoveries.  The object engine is thus
+the array engine's exact oracle, and the array engine is byte-identical
+across block sizes and storages.  All engines report ``net.*``
+timers/counters through :mod:`repro.runtime.trace`.
 """
 
 from __future__ import annotations
@@ -113,13 +112,28 @@ class NetworkEngine(ABC):
 
 
 class ObjectNetworkEngine(NetworkEngine):
-    """The reference dict-of-sets implementation (pre-array behavior)."""
+    """The reference dict-of-sets implementation, the exact oracle."""
 
     name = "object"
 
     @staticmethod
     def _graph(g) -> Graph:
         return g.to_graph() if isinstance(g, ArrayGraph) else g
+
+    @staticmethod
+    def _rows(g) -> tuple[dict, dict]:
+        """Each node's neighbours in CSR order, and its row index: a
+        :class:`Graph`'s own sets as ``ArrayGraph.from_graph`` reads
+        them, an :class:`ArrayGraph`'s rows as stored."""
+        if isinstance(g, ArrayGraph):
+            lab, ip, idx = g.labels, g.indptr.tolist(), g.indices.tolist()
+            rows = {
+                lab[i]: [lab[j] for j in idx[ip[i]:ip[i + 1]]]
+                for i in range(g.n_nodes)
+            }
+        else:
+            rows = g._adj  # sibling access, as ArrayGraph.from_graph
+        return rows, dict(zip(rows, range(len(rows))))
 
     def percolation_giant_sizes(self, g, order, checkpoints):
         g = self._graph(g)
@@ -166,7 +180,7 @@ class ObjectNetworkEngine(NetworkEngine):
         return failed, waves
 
     def spread_cascade(self, graph, spread_p, seeds, rng):
-        graph = self._graph(graph)
+        rows, pos = self._rows(graph)
         tr = trace.current()
         with tr.timer("net.cascade.object"):
             failed: set = set(seeds)
@@ -174,71 +188,56 @@ class ObjectNetworkEngine(NetworkEngine):
             waves = 0
             while wave:
                 waves += 1
-                nxt: set = set()
-                for node in wave:
-                    for neighbor in graph.neighbors(node):
-                        if neighbor not in failed and \
-                                rng.random() < spread_p:
-                            nxt.add(neighbor)
-                failed |= nxt
-                wave = nxt
+                cands = [
+                    v for u in sorted(wave, key=pos.__getitem__)
+                    for v in rows[u] if v not in failed
+                ]
+                hits = bernoulli_indices(rng, len(cands), spread_p)
+                wave = {cands[i] for i in hits.tolist()}
+                failed |= wave
         tr.count("net.cascades.object")
         return failed, waves
 
-    def sis(self, graph, beta, gamma, immune, infected, steps, rng):
-        graph = self._graph(graph)
+    def _epidemic(self, graph, beta, gamma, immune, infected, max_steps,
+                  rng, sir):
+        """Shared SIS/SIR loop.  A node is a candidate while neither
+        infected nor ``removed``: the immune, and in SIR the recovered."""
+        rows, pos = self._rows(graph)
         tr = trace.current()
         with tr.timer("net.epidemic.object"):
-            ever = set(infected)
-            counts = [len(infected)]
-            for _ in range(steps):
-                if not infected:
-                    break
-                new_infections: Set[object] = set()
-                for node in infected:
-                    for neighbor in graph.neighbors(node):
-                        if (
-                            neighbor not in infected
-                            and neighbor not in immune
-                            and rng.random() < beta
-                        ):
-                            new_infections.add(neighbor)
-                recoveries = {n for n in infected if rng.random() < gamma}
-                infected = (infected - recoveries) | new_infections
-                ever |= new_infections
-                counts.append(len(infected))
-        tr.count("net.epidemic.runs.object")
-        tr.count("net.epidemic.steps.object", len(counts) - 1)
-        return counts, infected, len(ever)
-
-    def sir(self, graph, beta, gamma, immune, infected, max_steps, rng):
-        graph = self._graph(graph)
-        tr = trace.current()
-        with tr.timer("net.epidemic.object"):
-            recovered: Set[object] = set()
+            removed = set(immune)
             ever = set(infected)
             counts = [len(infected)]
             for _ in range(max_steps):
                 if not infected:
                     break
-                new_infections: Set[object] = set()
-                for node in infected:
-                    for neighbor in graph.neighbors(node):
-                        if (
-                            neighbor not in infected
-                            and neighbor not in recovered
-                            and neighbor not in immune
-                            and rng.random() < beta
-                        ):
-                            new_infections.add(neighbor)
-                recoveries = {n for n in infected if rng.random() < gamma}
-                recovered |= recoveries
-                infected = (infected - recoveries) | new_infections
-                ever |= new_infections
+                frontier = sorted(infected, key=pos.__getitem__)
+                cands = [
+                    v for u in frontier for v in rows[u]
+                    if v not in infected and v not in removed
+                ]
+                hits = bernoulli_indices(rng, len(cands), beta)
+                new = {cands[i] for i in hits.tolist()}
+                recs = bernoulli_indices(rng, len(frontier), gamma)
+                recoveries = {frontier[i] for i in recs.tolist()}
+                if sir:
+                    removed |= recoveries
+                infected = (infected - recoveries) | new
+                ever |= new
                 counts.append(len(infected))
         tr.count("net.epidemic.runs.object")
         tr.count("net.epidemic.steps.object", len(counts) - 1)
         return counts, infected, len(ever)
+
+    def sis(self, graph, beta, gamma, immune, infected, steps, rng):
+        return self._epidemic(
+            graph, beta, gamma, immune, infected, steps, rng, sir=False,
+        )
+
+    def sir(self, graph, beta, gamma, immune, infected, max_steps, rng):
+        return self._epidemic(
+            graph, beta, gamma, immune, infected, max_steps, rng, sir=True,
+        )
 
     def healing_episode(self, graph, to_remove, repairs_per_step,
                         horizon, shock_time):
@@ -657,7 +656,7 @@ def make_network_engine(
     ``'array'`` and ``'mmap'`` both resolve to :class:`ArrayNetworkEngine`
     (the kernels follow the graph's own storage).  ``kind=None`` reads
     the ``REPRO_NETWORK_ENGINE`` environment variable and defaults to
-    ``'object'``, preserving pre-array behavior unless a run opts in; an
+    ``'object'``, the reference loops, unless a run opts in; an
     already-constructed engine passes through unchanged.  Unrecognized
     values — passed directly or set in the environment — raise
     :class:`~repro.errors.EngineError` naming the valid choices

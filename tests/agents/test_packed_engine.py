@@ -1,13 +1,15 @@
-"""The packed-word array engine against its uint8-matrix oracle.
+"""The packed-word array engine against the object engine, its oracle.
 
 :class:`~repro.agents.arrayengine.ArraySimulator` keeps genomes as
-64-bit words; ``reference_arrayengine.ReferenceArraySimulator`` is the
-uint8-matrix engine it replaced.  The two must agree exactly: every
+64-bit words; :class:`~repro.agents.simulation.EvolutionSimulator`
+keeps one :class:`~repro.agents.organism.Organism` per agent and draws
+the same stream per organism.  The two must agree exactly: every
 series, the final population (types included), the lineage map and the
 next draw of the run's generator.  The golden digests were computed
-with the uint8-matrix engine on the benchmark configurations (E19,
-E23, an E25-shaped population and wide genomes), so they also pin the
-engine's output across later changes.
+with an earlier uint8-matrix array engine on the benchmark
+configurations (E19, E23, an E25-shaped population and wide genomes);
+both engines must reproduce them, so they also pin the output across
+later changes.
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ from repro.agents.arrayengine import ArraySimulator
 from repro.agents.environment import ConstraintEnvironment, ShockSchedule
 from repro.agents.organism import Organism
 from repro.agents.population import Population, seed_population
+from repro.agents.simulation import EvolutionSimulator
 from repro.core.strategies import Strategy, StrategyMix
 from repro.csp.bitstring import BitString
 
-from . import reference_arrayengine as reference
-from .reference_arrayengine import ReferenceArraySimulator
+ENGINES = (ArraySimulator, EvolutionSimulator)
 
 
 @contextmanager
@@ -79,7 +81,7 @@ E19_REGIMES = {
 }
 
 
-def e19_cell(regime: str, mix: StrategyMix, record_lineage=False):
+def e19_cell(cls, regime: str, mix: StrategyMix, record_lineage=False):
     """One E19 grid cell: eight seeded runs of 40 agents on 24 loci."""
     shocks, steps = E19_REGIMES[regime]
     for trial in range(8):
@@ -88,14 +90,14 @@ def e19_cell(regime: str, mix: StrategyMix, record_lineage=False):
             mix, env, n_agents=40, budget=400.0, seed=900 + trial
         )
         rng = np.random.default_rng(trial)
-        result = ArraySimulator(**E19_PARAMS).run(
+        result = cls(**E19_PARAMS).run(
             population, env, steps=steps, shocks=shocks, seed=rng,
             record_lineage=record_lineage,
         )
         yield summary(result, rng)
 
 
-def e23_episodes():
+def e23_episodes(cls):
     """E23's species episodes: five genome clusters, no replication."""
     for severity in (4, 8, 12):
         for seed in range(3):
@@ -112,7 +114,7 @@ def e23_episodes():
                     for _ in range(8)
                 ]
             rng = np.random.default_rng(seed)
-            result = ArraySimulator(
+            result = cls(
                 income_rate=1.1, living_cost=1.0,
                 replication_threshold=1e9, capacity=200,
             ).run(
@@ -123,7 +125,7 @@ def e23_episodes():
             yield summary(result, rng)
 
 
-def e25_shaped():
+def e25_shaped(cls):
     """E25's population shape on the engine: 80 all-ones 20-locus
     genomes drifting under 1% mutation, then a shocked environment."""
     for seed in range(3):
@@ -134,7 +136,7 @@ def e25_shaped():
             for _ in range(80)
         ])
         rng = np.random.default_rng(seed)
-        result = ArraySimulator(
+        result = cls(
             income_rate=1.2, living_cost=1.0, replication_threshold=9.0,
             mutation_rate=0.01, capacity=160,
         ).run(population, env, steps=120,
@@ -143,7 +145,7 @@ def e25_shaped():
         yield summary(result, rng)
 
 
-def wide_genomes():
+def wide_genomes(cls):
     """Multi-word genomes, bit 63 included, with lineage on."""
     for n, adapt in ((63, 3), (64, 5), (65, 70), (100, 7), (130, 131)):
         env = ConstraintEnvironment.random(n, tolerance=n // 8, seed=n)
@@ -157,7 +159,7 @@ def wide_genomes():
             for i, o in enumerate(population.organisms)
         ]
         rng = np.random.default_rng(n)
-        result = ArraySimulator(
+        result = cls(
             income_rate=1.4, living_cost=1.0, replication_threshold=5.0,
             mutation_rate=0.02, capacity=70,
         ).run(population, env, steps=60,
@@ -168,19 +170,19 @@ def wide_genomes():
 
 GOLDEN_CASES = {
     "e19-frequent-small-uniform":
-        lambda: e19_cell("frequent-small", StrategyMix.uniform()),
+        lambda cls: e19_cell(cls, "frequent-small", StrategyMix.uniform()),
     "e19-rare-storm-uniform":
-        lambda: e19_cell("rare-storm", StrategyMix.uniform()),
+        lambda cls: e19_cell(cls, "rare-storm", StrategyMix.uniform()),
     "e19-frequent-small-adaptability-lineage":
-        lambda: e19_cell("frequent-small",
-                         StrategyMix.pure(Strategy.ADAPTABILITY),
-                         record_lineage=True),
+        lambda cls: e19_cell(cls, "frequent-small",
+                             StrategyMix.pure(Strategy.ADAPTABILITY),
+                             record_lineage=True),
     "e23-episodes": e23_episodes,
     "e25-shaped": e25_shaped,
     "wide-genomes": wide_genomes,
 }
 
-# computed with the uint8-matrix engine (reference_arrayengine's code).
+# computed with the uint8-matrix array engine this one replaced.
 # Four were re-pinned when organism ids became run-local: seeded
 # founders are 0..n-1 and a run numbers its offspring from one past its
 # founders, where ids used to continue one process-wide count across
@@ -195,25 +197,27 @@ GOLDEN = {
 }
 
 
-def golden_digest(name: str) -> str:
+def golden_digest(name: str, cls) -> str:
     with fresh_ids():
-        return digest(GOLDEN_CASES[name]())
+        return digest(GOLDEN_CASES[name](cls))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_golden_digest(name):
-    assert golden_digest(name) == GOLDEN[name]
+    for cls in ENGINES:
+        assert golden_digest(name, cls) == GOLDEN[name], cls.__name__
 
 
 def test_successive_runs_number_ids_alike():
     """Ids are run-local: a second same-seed cell in the same process,
     with no counter reset, digests like the first."""
-    cell = GOLDEN_CASES["e19-frequent-small-uniform"]
-    assert digest(cell()) == digest(cell()) == GOLDEN[
-        "e19-frequent-small-uniform"]
+    name = "e19-frequent-small-uniform"
+    first, second = (digest(GOLDEN_CASES[name](ArraySimulator))
+                     for _ in range(2))
+    assert first == second == GOLDEN[name]
 
 
-# -- the packed engine against the oracle ---------------------------------
+# -- the packed engine against the object engine ---------------------------
 
 PINNED_N = (0, 1, 63, 64, 65, 128, 129, 130)
 
@@ -261,7 +265,7 @@ def scenarios(draw):
 
 def run_both(case):
     out = []
-    for cls in (ArraySimulator, ReferenceArraySimulator):
+    for cls in ENGINES:
         rng = np.random.default_rng(case["seed"])
         result = cls(**case["params"]).run(
             case["population"], case["env"], steps=case["steps"],

@@ -17,6 +17,11 @@ class TestBitFlipMutator:
         g = BitString.random(32, seed=1)
         assert m.mutate(g, seed=2) == g
 
+    def test_zero_rate_draws_nothing(self):
+        rng, untouched = make_rng(4), make_rng(4)
+        BitFlipMutator(0.0).mutate(BitString.random(32, seed=1), rng)
+        assert rng.random() == untouched.random()
+
     def test_rate_one_flips_everything(self):
         m = BitFlipMutator(1.0)
         g = BitString.zeros(16)

@@ -7,17 +7,16 @@ size bookkeeping.  The array graph's component union-find must give
 smallest node index.  They box the whole edge array at once, so they
 are test oracles only.
 
-:func:`reference_sir` is the SIR loop the array engine ran before it
-drew each step's infections ahead of its row gathers, and
-:func:`lexsort_degree_order` the three-key sort its identity-labelled
-degree order replaced.
+:func:`row_slices` is the per-row gather
+:func:`~repro.networks.arraygraph.row_blocks` must match, and
+:func:`lexsort_degree_order` the three-key sort the identity-labelled
+degree order replaced.  The stochastic spreaders need no reference here:
+the object engine draws in the array engine's order and is their oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.networks.arraygraph import bernoulli_indices, sorted_distinct
 
 
 def undirected_edges(
@@ -138,46 +137,6 @@ def row_slices(indptr, indices, rows) -> np.ndarray:
     indptr, indices = np.asarray(indptr), np.asarray(indices)
     parts = [indices[indptr[r]:indptr[r + 1]] for r in rows]
     return np.concatenate([np.empty(0, np.int64), *parts]).astype(np.int64)
-
-
-def _leave_by_bincount(cg, live, rows) -> None:
-    """Take distinct ``rows`` out of the susceptible-neighbour counts."""
-    flat = row_slices(cg.indptr, cg.indices, rows)
-    np.subtract(live, np.bincount(flat, minlength=len(live)), out=live)
-
-
-def reference_sir(cg, beta, gamma, immune_mask, infected_mask,
-                  max_steps, rng):
-    """SIR as the array engine ran it before drawing ahead of its gathers.
-
-    Every step scans the n-node masks: ``flatnonzero`` for the infected,
-    one Bernoulli draw over the susceptible neighbours of each infected
-    row that still has one (in frontier order, gathered row by row), a
-    ``bincount`` upkeep of those counts and a mask ``sum`` for the
-    count.  Returns ``(counts, final infected indices, ever infected)``.
-    """
-    infected_mask = infected_mask.copy()
-    ever = infected_mask.copy()
-    counts = [int(infected_mask.sum())]
-    susceptible = ~(infected_mask | immune_mask)
-    live = np.diff(cg.indptr).astype(cg.indices.dtype)
-    _leave_by_bincount(cg, live, np.flatnonzero(infected_mask | immune_mask))
-    for _ in range(max_steps):
-        infected_idx = np.flatnonzero(infected_mask)
-        if infected_idx.size == 0:
-            break
-        rows = infected_idx[live[infected_idx] > 0]
-        flat = row_slices(cg.indptr, cg.indices, rows)
-        cands = flat[susceptible[flat]]
-        new = cands[bernoulli_indices(rng, cands.size, beta)]
-        recs = bernoulli_indices(rng, infected_idx.size, gamma)
-        infected_mask[infected_idx[recs]] = False
-        _leave_by_bincount(cg, live, sorted_distinct(new))
-        infected_mask[new] = True
-        susceptible[new] = False
-        ever[new] = True
-        counts.append(int(infected_mask.sum()))
-    return counts, np.flatnonzero(infected_mask), int(ever.sum())
 
 
 def decimal_sort_keys(n: int) -> tuple[np.ndarray, np.ndarray]:
