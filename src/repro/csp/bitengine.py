@@ -40,7 +40,6 @@ from .problem import CSP
 __all__ = [
     "SAT_ROW_BYTES",
     "BitEngineUnsupported",
-    "PackedStateBridge",
     "lower_constraint",
     "lower_csp",
 ]
@@ -198,38 +197,6 @@ def lower_csp(csp: CSP):
         scope_mat[ci, scope_idx] = True
         evaluators.append(lower_constraint(c, scope_idx, val_for_bit))
     return evaluators, scope_mat, val_for_bit
-
-
-class PackedStateBridge:
-    """State ↔ assignment conversions of the packed compiled CSP form.
-
-    Implementors provide ``names`` and ``_val_for_bit``; state ``m``
-    (an integer mask) assigns variable ``i`` the domain value whose
-    ``int()`` is bit ``i`` of ``m`` — the convention of
-    :meth:`CSP.bits_from_assignment`.
-    """
-
-    names: tuple
-    _val_for_bit: list
-
-    def assignment_of(self, mask: int) -> Dict[str, object]:
-        """The assignment dict for state ``mask`` (original domain values)."""
-        return {
-            name: self._val_for_bit[i][(mask >> i) & 1]
-            for i, name in enumerate(self.names)
-        }
-
-    def mask_of(self, assignment) -> int:
-        """Pack a complete assignment into a state mask."""
-        mask = 0
-        for i, name in enumerate(self.names):
-            if name not in assignment:
-                raise ConfigurationError(
-                    f"assignment misses variable {name!r}"
-                )
-            if int(assignment[name]) == 1:
-                mask |= 1 << i
-        return mask
 
 
 def _flip_masks(n: int) -> np.ndarray:

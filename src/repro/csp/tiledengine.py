@@ -55,7 +55,6 @@ from .bitstring import BitString
 from .bitengine import (
     SAT_ROW_BYTES,
     BitEngineUnsupported,
-    PackedStateBridge,
     _flip_masks,
     lower_csp,
 )
@@ -272,7 +271,7 @@ class _LazyView:
         return self._evaluate(np.asarray(masks, dtype=np.int64))
 
 
-class TiledBitCSP(PackedStateBridge):
+class TiledBitCSP:
     """A boolean CSP compiled to block-streamed form.
 
     State ``m`` (an integer mask) assigns variable ``i`` the domain
@@ -498,7 +497,26 @@ class TiledBitCSP(PackedStateBridge):
         )
         return self.min_distances_masks(masks)
 
-    # -- state <-> assignment bridge: see PackedStateBridge ----------------
+    # -- state <-> assignment bridge ---------------------------------------
+
+    def assignment_of(self, mask: int) -> dict[str, object]:
+        """The assignment dict for state ``mask`` (original domain values)."""
+        return {
+            name: self._val_for_bit[i][(mask >> i) & 1]
+            for i, name in enumerate(self.names)
+        }
+
+    def mask_of(self, assignment) -> int:
+        """Pack a complete assignment into a state mask."""
+        mask = 0
+        for i, name in enumerate(self.names):
+            if name not in assignment:
+                raise ConfigurationError(
+                    f"assignment misses variable {name!r}"
+                )
+            if int(assignment[name]) == 1:
+                mask |= 1 << i
+        return mask
 
     def conflicted_variable_order(self, mask: int) -> list[int]:
         """Scope variables of violated constraints, sorted by name.

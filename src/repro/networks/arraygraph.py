@@ -12,14 +12,15 @@ int32 until ``2·m`` outgrows it, then int64 — see
 memory-mapped ``.npy`` files; every query and kernel is the same for
 both, so the two storages differ only in where the bytes are.
 
-* **storage** — :meth:`ArrayGraph.from_graph` / :meth:`ArrayGraph.
-  from_edges` build in RAM; :meth:`ArrayGraph.from_arrays` copies a CSR
-  to mapped files and :meth:`ArrayGraph.from_edge_chunks` builds one
-  out of core by a two-pass spill-to-disk edge sort, and
-  :meth:`ArrayGraph.open` maps a saved one read-only.  Forked workers
-  inherit either storage's arrays through fork.  Graphs built without
-  labels use the identity labels ``0..n-1`` and keep no O(n) label or
-  index side tables.
+* **storage** — one way into each: :meth:`ArrayGraph.from_graph`
+  builds in RAM from a :class:`~repro.networks.graph.Graph`;
+  :meth:`ArrayGraph.from_edge_chunks` builds a mapped graph out of core
+  from an edge stream by a two-pass spill-to-disk edge sort; and the
+  constructor takes CSR arrays as they are, ``np.memmap`` views (say
+  of ``np.load(f, mmap_mode="r")``) included.  Forked workers inherit
+  either storage's arrays through fork.  Graphs built without labels
+  use the identity labels ``0..n-1`` and keep no O(n) label or index
+  side tables.
 * **block-streamed kernels** — every kernel reads the CSR through one
   stream, :func:`row_blocks`, which gathers a list of rows (or walks
   every row) in blocks of at most a fixed number of entries
@@ -56,7 +57,6 @@ the equivalence contract against the object engine is pinned by
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import tempfile
@@ -167,29 +167,6 @@ def _as_stored(a, dtype) -> np.ndarray:
 
 _INDPTR_FILE = "indptr.npy"
 _INDICES_FILE = "indices.npy"
-_META_FILE = "meta.json"
-
-
-def _spill_root() -> str:
-    """Directory new mapped graphs are created under (REPRO_MMAP_DIR)."""
-    return os.environ.get("REPRO_MMAP_DIR") or tempfile.gettempdir()
-
-
-def _write_meta(path: str, n: int, identity_labels: bool) -> None:
-    with open(os.path.join(path, _META_FILE), "w") as fh:
-        json.dump(
-            {"format": 1, "n_nodes": n, "identity_labels": identity_labels},
-            fh,
-        )
-
-
-def _graph_dir(path: str | None) -> tuple[str, bool]:
-    """``(directory, owned)``: a fresh spill directory if ``path`` is None."""
-    owns = path is None
-    if owns:
-        path = tempfile.mkdtemp(prefix="repro-mmapgraph-", dir=_spill_root())
-    os.makedirs(path, exist_ok=True)
-    return path, owns
 
 
 class ArrayGraph:
@@ -197,11 +174,12 @@ class ArrayGraph:
 
     ``indices[indptr[i]:indptr[i+1]]`` are the neighbors of node ``i``.
     The arrays are plain ndarrays or ``np.memmap`` views of ``.npy``
-    files (then :attr:`path` names their directory; one the graph
-    created itself is deleted when the graph is collected).  Opening a
-    mapped multi-million-node graph costs two page-table mappings, not
-    its edge count, and forked workers share the mapped pages instead
-    of pickling adjacency.
+    files, kept as given.  A graph built by :meth:`from_edge_chunks`
+    owns its files: :attr:`path` names their directory, which is
+    deleted when the graph is collected (for any other graph it is
+    ``None``).  Mapping a multi-million-node graph costs two page-table
+    mappings, not its edge count, and forked workers share the mapped
+    pages instead of pickling adjacency.
 
     Labels are the identity ``0..n-1`` exactly when the constructor gets
     none: :attr:`labels` is then a ``range`` and no label list or index
@@ -276,90 +254,10 @@ class ArrayGraph:
         return cls(indptr, indices, labels)
 
     @classmethod
-    def from_edges(
-        cls,
-        nodes: Iterable[object] | int,
-        edges: Iterable[tuple],
-    ) -> "ArrayGraph":
-        """Build from a node list (or count) and an undirected edge list.
-
-        Parallel edges are deduplicated and self-loops rejected, matching
-        :class:`Graph` semantics.
-        """
-        labels = (
-            list(range(nodes)) if isinstance(nodes, int) else list(nodes)
-        )
-        index = {lab: i for i, lab in enumerate(labels)}
-        if len(index) != len(labels):
-            raise ConfigurationError("node labels must be unique")
-        n = len(labels)
-        us, vs = [], []
-        for a, b in edges:
-            try:
-                u, v = index[a], index[b]
-            except KeyError as exc:
-                raise ConfigurationError(
-                    f"edge endpoint {exc.args[0]!r} not in node list"
-                ) from None
-            if u == v:
-                raise ConfigurationError(
-                    f"self-loop on node {a!r} is not allowed"
-                )
-            us.append(u)
-            vs.append(v)
-        u = np.asarray(us, dtype=np.int64)
-        v = np.asarray(vs, dtype=np.int64)
-        # canonicalize + dedupe undirected pairs
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        if len(lo):
-            keys = sorted_distinct(lo * n + hi)
-            lo, hi = keys // n, keys % n
-        src = np.concatenate([lo, hi])
-        dst = np.concatenate([hi, lo])
-        order = np.argsort(src, kind="stable")
-        deg = np.bincount(src, minlength=n)
-        # accumulate in int64; __init__ narrows to int32 when it fits
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(deg, out=indptr[1:])
-        return cls(indptr, dst[order], labels)
-
-    @classmethod
-    def from_arrays(
-        cls,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        labels: Sequence[object] | None = None,
-        path: str | None = None,
-    ) -> "ArrayGraph":
-        """Copy a CSR to memory-mapped files, preserving layout.
-
-        Intra-row neighbor order is copied verbatim, so every kernel
-        sees exactly the byte sequence of the in-RAM graph — the
-        storage-equivalence contract rests on this.  Without ``path`` the
-        files go to a fresh directory the graph owns.
-        """
-        path, owns = _graph_dir(path)
-        for name, src, dtype in (
-            (_INDPTR_FILE, indptr, _offset_dtype(len(indices))),
-            (_INDICES_FILE, indices, np.int32),
-        ):
-            out = np.lib.format.open_memmap(
-                os.path.join(path, name), mode="w+", dtype=dtype,
-                shape=(len(src),),
-            )
-            if len(src):
-                out[:] = src
-                out.flush()
-            del out
-        _write_meta(path, len(indptr) - 1, labels is None)
-        return cls._mapped(path, labels, owns)
-
-    @classmethod
     def from_edge_chunks(
         cls,
         n: int,
         edge_chunks: Iterable[tuple],
-        path: str | None = None,
         *,
         check_duplicates: bool = True,
         spill_chunk: int = 1 << 20,
@@ -386,121 +284,99 @@ class ArrayGraph:
         """
         if n < 0:
             raise ConfigurationError(f"n must be >= 0, got {n}")
-        path, owns = _graph_dir(path)
-        spill_path = os.path.join(path, "edges.spill")
-        deg = np.zeros(n, dtype=np.int64)
-        n_edges = 0
-        # pass 1: count degrees, spill validated chunks
-        with open(spill_path, "wb") as spill:
-            for chunk_u, chunk_v in edge_chunks:
-                u = np.ascontiguousarray(chunk_u, dtype=np.int32)
-                v = np.ascontiguousarray(chunk_v, dtype=np.int32)
-                if u.shape != v.shape or u.ndim != 1:
-                    raise ConfigurationError(
-                        "edge chunks must be matching 1-D arrays"
-                    )
-                if len(u) == 0:
-                    continue
-                if u.min() < 0 or v.min() < 0 or \
-                        u.max() >= n or v.max() >= n:
-                    raise ConfigurationError(
-                        f"edge endpoint out of range for n={n}"
-                    )
-                if np.any(u == v):
-                    bad = int(u[u == v][0])
-                    raise ConfigurationError(
-                        f"self-loop on node {bad!r} is not allowed"
-                    )
-                deg_chunk = np.bincount(u, minlength=n)
-                deg_chunk += np.bincount(v, minlength=n)
-                deg += deg_chunk
-                n_edges += len(u)
-                np.stack([u, v], axis=1).tofile(spill)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(deg, out=indptr[1:])
-        mp = np.lib.format.open_memmap(
-            os.path.join(path, _INDPTR_FILE), mode="w+",
-            dtype=_offset_dtype(2 * n_edges), shape=(n + 1,),
+        # the graph's own directory, deleted when the graph is collected
+        path = tempfile.mkdtemp(
+            prefix="repro-mmapgraph-",
+            dir=os.environ.get("REPRO_MMAP_DIR") or tempfile.gettempdir(),
         )
-        mp[:] = indptr
-        mp.flush()
-        mi = np.lib.format.open_memmap(
-            os.path.join(path, _INDICES_FILE), mode="w+",
-            dtype=np.int32, shape=(2 * n_edges,),
-        )
-        # pass 2: counting-sort scatter of both edge directions
-        cursor = indptr[:-1].copy()
-        with open(spill_path, "rb") as spill:
-            while True:
-                raw = np.fromfile(
-                    spill, dtype=np.int32, count=2 * spill_chunk
-                )
-                if len(raw) == 0:
-                    break
-                pairs = raw.reshape(-1, 2)
-                for src, dst in ((pairs[:, 0], pairs[:, 1]),
-                                 (pairs[:, 1], pairs[:, 0])):
-                    order = np.argsort(src, kind="stable")
-                    src_sorted = src[order].astype(np.int64)
-                    # within-run offset: position among equal sources
-                    run_start = np.r_[
-                        0,
-                        np.flatnonzero(src_sorted[1:] != src_sorted[:-1])
-                        + 1,
-                    ]
-                    occ = np.arange(len(src_sorted), dtype=np.int64) - \
-                        np.repeat(run_start, np.diff(
-                            np.r_[run_start, len(src_sorted)]
-                        ))
-                    mi[cursor[src_sorted] + occ] = dst[order]
-                    np.add.at(
-                        cursor,
-                        src_sorted[run_start],
-                        np.diff(np.r_[run_start, len(src_sorted)]),
+        try:
+            spill_path = os.path.join(path, "edges.spill")
+            deg = np.zeros(n, dtype=np.int64)
+            n_edges = 0
+            # pass 1: count degrees, spill validated chunks
+            with open(spill_path, "wb") as spill:
+                for chunk_u, chunk_v in edge_chunks:
+                    u = np.ascontiguousarray(chunk_u, dtype=np.int32)
+                    v = np.ascontiguousarray(chunk_v, dtype=np.int32)
+                    if u.shape != v.shape or u.ndim != 1:
+                        raise ConfigurationError(
+                            "edge chunks must be matching 1-D arrays"
+                        )
+                    if len(u) == 0:
+                        continue
+                    if u.min() < 0 or v.min() < 0 or \
+                            u.max() >= n or v.max() >= n:
+                        raise ConfigurationError(
+                            f"edge endpoint out of range for n={n}"
+                        )
+                    if np.any(u == v):
+                        bad = int(u[u == v][0])
+                        raise ConfigurationError(
+                            f"self-loop on node {bad!r} is not allowed"
+                        )
+                    deg_chunk = np.bincount(u, minlength=n)
+                    deg_chunk += np.bincount(v, minlength=n)
+                    deg += deg_chunk
+                    n_edges += len(u)
+                    np.stack([u, v], axis=1).tofile(spill)
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(deg, out=indptr[1:])
+            mp = np.lib.format.open_memmap(
+                os.path.join(path, _INDPTR_FILE), mode="w+",
+                dtype=_offset_dtype(2 * n_edges), shape=(n + 1,),
+            )
+            mp[:] = indptr
+            mp.flush()
+            mi = np.lib.format.open_memmap(
+                os.path.join(path, _INDICES_FILE), mode="w+",
+                dtype=np.int32, shape=(2 * n_edges,),
+            )
+            # pass 2: counting-sort scatter of both edge directions
+            cursor = indptr[:-1].copy()
+            with open(spill_path, "rb") as spill:
+                while True:
+                    raw = np.fromfile(
+                        spill, dtype=np.int32, count=2 * spill_chunk
                     )
-        if n_edges:
-            mi.flush()
-        del mp, mi
-        os.remove(spill_path)
-        _write_meta(path, n, True)
-        g = cls._mapped(path, owns=owns)
+                    if len(raw) == 0:
+                        break
+                    pairs = raw.reshape(-1, 2)
+                    for src, dst in ((pairs[:, 0], pairs[:, 1]),
+                                     (pairs[:, 1], pairs[:, 0])):
+                        order = np.argsort(src, kind="stable")
+                        src_sorted = src[order].astype(np.int64)
+                        # within-run offset: position among equal sources
+                        run_start = np.r_[
+                            0,
+                            np.flatnonzero(src_sorted[1:] != src_sorted[:-1])
+                            + 1,
+                        ]
+                        occ = np.arange(len(src_sorted), dtype=np.int64) - \
+                            np.repeat(run_start, np.diff(
+                                np.r_[run_start, len(src_sorted)]
+                            ))
+                        mi[cursor[src_sorted] + occ] = dst[order]
+                        np.add.at(
+                            cursor,
+                            src_sorted[run_start],
+                            np.diff(np.r_[run_start, len(src_sorted)]),
+                        )
+            if n_edges:
+                mi.flush()
+            del mp, mi
+            os.remove(spill_path)
+        except BaseException:
+            # a rejected or interrupted stream leaves no spill behind
+            shutil.rmtree(path, ignore_errors=True)
+            raise
+        g = cls(np.load(os.path.join(path, _INDPTR_FILE), mmap_mode="r"),
+                np.load(os.path.join(path, _INDICES_FILE), mmap_mode="r"))
+        g.path = path
+        g._finalizer = weakref.finalize(
+            g, shutil.rmtree, path, ignore_errors=True
+        )
         if check_duplicates:
             g._check_no_parallel_edges()
-        return g
-
-    @classmethod
-    def open(cls, path: str) -> "ArrayGraph":
-        """Reopen a mapped graph read-only (e.g. from a forked worker).
-
-        Only identity-labelled graphs round-trip through the on-disk
-        format; label vocabularies live in the building process.
-        """
-        meta_path = os.path.join(path, _META_FILE)
-        if not os.path.exists(meta_path):
-            raise ConfigurationError(f"no mmap graph at {path!r}")
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-        if not meta.get("identity_labels", True):
-            raise ConfigurationError(
-                "only identity-labelled mmap graphs can be reopened"
-            )
-        return cls._mapped(path)
-
-    @classmethod
-    def _mapped(cls, path: str, labels: Sequence[object] | None = None,
-                owns: bool = False) -> "ArrayGraph":
-        """The graph whose arrays are the ``.npy`` files under ``path``;
-        an owned ``path`` is deleted when the graph is collected."""
-        g = cls(
-            np.load(os.path.join(path, _INDPTR_FILE), mmap_mode="r"),
-            np.load(os.path.join(path, _INDICES_FILE), mmap_mode="r"),
-            labels,
-        )
-        g.path = path
-        if owns:
-            g._finalizer = weakref.finalize(
-                g, shutil.rmtree, path, ignore_errors=True
-            )
         return g
 
     def _check_no_parallel_edges(self, block_elems: int = 1 << 20) -> None:

@@ -8,12 +8,10 @@ agent, one per trial) without correlated streams.
 
 Child derivation goes through :meth:`numpy.random.SeedSequence.spawn`,
 which extends the parent's spawn key — a construction with no
-birthday-collision risk and provably non-overlapping streams.  (The
-pre-PR-2 implementation seeded children from 63-bit integer draws of the
-parent stream; with many children that risks colliding or correlated
-streams, exactly what diversity/weak-selection experiments are sensitive
-to.  :func:`legacy_spawn` preserves those old streams for reproducing
-results recorded before the fix.)
+birthday-collision risk and provably non-overlapping streams.  (Seeding
+children from 63-bit integer draws of the parent stream, as an early
+version did, risks colliding or correlated streams with many children,
+exactly what diversity/weak-selection experiments are sensitive to.)
 """
 
 from __future__ import annotations
@@ -45,8 +43,8 @@ def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
     family, and successive calls yield fresh, disjoint families); a
     generator carrying no seed sequence — e.g. one wrapped around a
     hand-built bit generator — falls back to spawning from a fresh
-    entropy draw of the parent stream.  Unlike :func:`legacy_spawn`,
-    the spawn-key path does not advance the parent's stream.
+    entropy draw of the parent stream.  The spawn-key path does not
+    advance the parent's stream.
     """
     if n < 0:
         raise ValueError(f"cannot spawn a negative number of generators: {n}")
@@ -60,17 +58,3 @@ def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
         children = np.random.SeedSequence(entropy).spawn(n)
     return [np.random.default_rng(child) for child in children]
 
-
-def legacy_spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Pre-PR-2 child derivation (compat shim; prefer :func:`spawn`).
-
-    Seeds each child from a 63-bit integer draw of the parent stream —
-    kept only so results recorded under the old scheme can be
-    reproduced.  Do not use for new work: integer-draw seeding has a
-    birthday-collision risk across many children and no stream-overlap
-    guarantee.
-    """
-    if n < 0:
-        raise ValueError(f"cannot spawn a negative number of generators: {n}")
-    seeds = rng.integers(0, 2**63 - 1, size=n, dtype=np.int64)
-    return [np.random.default_rng(int(s)) for s in seeds]

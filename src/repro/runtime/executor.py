@@ -72,6 +72,17 @@ points re-run once on the degraded engines.  An engine fault is not
 retried in place while some family can still be degraded: retrying it
 on the same fast engine would only fail again (a hang costs a second
 full timeout).
+
+A supervisor deadline therefore always takes the worker pool, even at
+``n_jobs == 1`` with no timeout: the clamp turns "no timeout" into the
+budget left, and only a forked worker can be pre-empted when a point
+hangs — an inline point that never returns holds the caller past any
+deadline.  Isolation is cheap since the pool is kept across calls:
+about 0.09 ms a point over the inline path (200-call medians of four
+trivial points through a kept one-worker pool).  What it still loses
+is the kernel counters a point records in its worker; they come back
+when workers ship their tracer counters with each result (ROADMAP
+item 5), not through a second, inline path under a deadline.
 """
 
 from __future__ import annotations

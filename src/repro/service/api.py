@@ -84,7 +84,18 @@ MAX_PENDING = 128  # unfinished jobs admitted before backpressure
 
 
 class ResilienceService:
-    """Async job-queue service over the fault-tolerant runtime."""
+    """Async job-queue service over the fault-tolerant runtime.
+
+    Under a supervisor deadline every chunk runs on a forked worker,
+    ``workers=1`` included.  That is deliberate: an inline point that
+    hangs cannot be pre-empted, so only a worker lets the deadline fail
+    the chunk instead of wedging the scheduler.  The worker pool is
+    kept from chunk to chunk, so isolation costs about 0.09 ms a point.
+    The kernel counters a point records in its worker do not reach the
+    service's tracer yet; they come back with the executor's
+    cross-process telemetry (ROADMAP item 5).  See
+    :mod:`repro.runtime.executor`.
+    """
 
     def __init__(
         self,

@@ -41,6 +41,7 @@ from repro.networks.engine import ArrayNetworkEngine
 from repro.networks.epidemics import immunize
 from repro.rng import make_rng
 
+from .mapped import mapped_twin
 from .reference_kernels import (
     lexsort_degree_order,
     newman_ziff_giant_sizes,
@@ -71,13 +72,6 @@ class TestArrayGraphStructure:
             assert {frozenset(e) for e in back.edges()} == \
                 {frozenset(e) for e in g.edges()}
 
-    def test_from_edges_dedupes_and_rejects_self_loops(self):
-        ag = ArrayGraph.from_edges(4, [(0, 1), (1, 0), (0, 1), (2, 3)])
-        assert ag.n_edges == 2
-        assert ag.has_edge(1, 0) and ag.has_edge(3, 2)
-        with pytest.raises(ConfigurationError):
-            ArrayGraph.from_edges(3, [(1, 1)])
-
     def test_degrees_and_neighbors_match(self):
         for g in _graphs():
             ag = as_arraygraph(g)
@@ -90,7 +84,7 @@ class TestArrayGraphStructure:
         # storages of one CSR
         for g in _graphs() + [erdos_renyi(200, 0.01, seed=8)]:
             ag = as_arraygraph(g)
-            mapped = ArrayGraph.from_arrays(ag.indptr, ag.indices, ag.labels)
+            mapped = mapped_twin(ag.indptr, ag.indices, ag.labels)
             for cg in (ag, mapped):
                 assert cg.connected_components() == g.connected_components()
                 assert cg.giant_component_size() == g.giant_component_size()
@@ -282,7 +276,7 @@ class TestOrderingAndGatherOracles:
             if capacity is not None:  # int64 offsets and flat index
                 mp.setattr(arraygraph_mod, "INT32_INDPTR_CAPACITY", capacity)
             ag = ArrayGraph(indptr, indices)
-            for g in (ag, ArrayGraph.from_arrays(indptr, indices)):
+            for g in (ag, mapped_twin(indptr, indices)):
                 assert g.indptr.dtype == (
                     np.int64 if capacity and len(indices) > capacity
                     else np.int32
@@ -641,7 +635,7 @@ class TestIndptrPromotion:
         hub = 0
         leaves = list(range(1, 60))
         edges = [(hub, leaf) for leaf in leaves]  # 2m = 118 > 64
-        ag = ArrayGraph.from_edges(60, edges)
+        ag = ArrayGraph.from_graph(Graph(nodes=range(60), edges=edges))
         assert ag.indptr.dtype == np.int64
         assert ag.indices.dtype == np.int32  # node ids still fit
         assert ag.n_edges == len(leaves)

@@ -7,12 +7,14 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.networks.arraygraph import ArrayGraph, as_arraygraph
+from repro.networks.arraygraph import as_arraygraph
 from repro.networks.attacks import TargetedDegreeAttack
 from repro.networks.centrality import BetweennessAttack, betweenness_centrality
 from repro.networks.generators import barabasi_albert, erdos_renyi
 from repro.networks.graph import Graph
 from repro.networks.percolation import critical_fraction, percolation_curve
+
+from .mapped import mapped_twin
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -60,7 +62,7 @@ class TestBetweennessCentrality:
         # one CSR, two storages: the same vectorized Brandes pass, so
         # the scores agree bit for bit, not just to rounding
         ag = as_arraygraph(barabasi_albert(60, 2, seed=2))
-        mapped = ArrayGraph.from_arrays(ag.indptr, ag.indices, ag.labels)
+        mapped = mapped_twin(ag.indptr, ag.indices, ag.labels)
         assert betweenness_centrality(mapped) == betweenness_centrality(ag)
 
     def test_disconnected_components_handled(self):

@@ -4,8 +4,8 @@ Random small graphs — isolated nodes and empty edge sets included — run
 through :class:`~repro.networks.engine.ArrayNetworkEngine` at block
 sizes from one slot to past ``2m`` (every frontier and Newman–Ziff
 addition split differently), on both storages of one CSR: the in-RAM
-:class:`~repro.networks.arraygraph.ArrayGraph` and its
-:meth:`~repro.networks.arraygraph.ArrayGraph.from_arrays` copy.
+:class:`~repro.networks.arraygraph.ArrayGraph` and its memory-mapped
+twin (``tests/networks/mapped.py``).
 
 * deterministic kernels (percolation sizes, load cascades, healing)
   must equal :class:`~repro.networks.engine.ObjectNetworkEngine`
@@ -49,6 +49,7 @@ from repro.networks.engine import ArrayNetworkEngine, ObjectNetworkEngine
 from repro.networks.generators import erdos_renyi
 from repro.runtime import trace
 
+from .mapped import mapped_twin
 from .reference_kernels import newman_ziff_giant_sizes
 
 BLOCKS = (1, 7, 13, 64, 1 << 18)
@@ -73,7 +74,7 @@ def subjects(g: Graph, data):
     """``(engine, graph)`` for every block size and both storages."""
     ag = as_arraygraph(g)
     assert list(ag.labels) == list(range(ag.n_nodes))
-    mg = ArrayGraph.from_arrays(ag.indptr, ag.indices)
+    mg = mapped_twin(ag.indptr, ag.indices)
     drawn = data.draw(st.integers(1, 2 * ag.n_edges + 2), label="block")
     for block in BLOCKS + (drawn,):
         engine = ArrayNetworkEngine(block_elems=block)
@@ -221,7 +222,7 @@ def test_vectorized_newman_ziff_matches_reference(g, data):
         st.sampled_from(BLOCKS) | st.integers(1, 2 * ag.n_edges + 2),
         label="block",
     )
-    for cg in (ag, ArrayGraph.from_arrays(ag.indptr, ag.indices)):
+    for cg in (ag, mapped_twin(ag.indptr, ag.indices)):
         got = vectorized_newman_ziff_giants_at(
             cg.indptr, cg.indices, order, marks, base, block
         )
@@ -247,7 +248,7 @@ def test_above_threshold_matches_object(dense_graph):
     victims = order[: n // 3]
     for engine, cg in ((ArrayNetworkEngine(), g),
                        (ArrayNetworkEngine(block_elems=999),
-                        ArrayGraph.from_arrays(*_csr(g)))):
+                        mapped_twin(*_csr(g)))):
         assert engine.percolation_giant_sizes(
             cg, order, checkpoints
         ) == ObjectNetworkEngine().percolation_giant_sizes(
@@ -266,7 +267,7 @@ def _csr(g):
 def _ring(n: int, reach: int) -> ArrayGraph:
     """Each node joined to its next ``reach`` nodes: ``n·reach`` edges."""
     edges = [(i, (i + d) % n) for i in range(n) for d in range(1, reach + 1)]
-    return ArrayGraph.from_edges(n, edges)
+    return ArrayGraph.from_graph(Graph(nodes=range(n), edges=edges))
 
 
 @pytest.mark.parametrize("extra_stop,path", [(False, "numpy"), (True, "loop")])
@@ -372,10 +373,10 @@ def storages(g: Graph) -> list:
     """Labelled CSR twins of ``g`` in RAM and mapped, plus identity twins
     when ``g``'s nodes are exactly ``0..n-1`` in order."""
     ag = as_arraygraph(g)
-    out = [ag, ArrayGraph.from_arrays(ag.indptr, ag.indices, ag.labels)]
+    out = [ag, mapped_twin(ag.indptr, ag.indices, ag.labels)]
     if list(g.nodes()) == list(range(g.n_nodes)):
         out += [ArrayGraph(ag.indptr, ag.indices),
-                ArrayGraph.from_arrays(ag.indptr, ag.indices)]
+                mapped_twin(ag.indptr, ag.indices)]
     return out
 
 

@@ -21,6 +21,8 @@ from repro.networks.engine import ArrayNetworkEngine
 from repro.networks.epidemics import SIRModel, SISModel
 from repro.networks.generators import barabasi_albert, erdos_renyi
 
+from .mapped import mapped_twin
+
 
 def _graphs():
     er = as_arraygraph(erdos_renyi(400, 0.015, seed=3))
@@ -34,7 +36,7 @@ GRAPHS = _graphs()
 def _storage(cg, kind):
     if kind == "ram":
         return ArrayGraph(np.array(cg.indptr), np.array(cg.indices))
-    return ArrayGraph.from_arrays(cg.indptr, cg.indices)
+    return mapped_twin(cg.indptr, cg.indices)
 
 
 def _summary(counts, final, ever, rng):

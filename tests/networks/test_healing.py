@@ -14,6 +14,8 @@ from repro.networks.attacks import RandomFailure, TargetedDegreeAttack
 from repro.networks.generators import barabasi_albert
 from repro.networks.healing import NetworkRecoverySimulator
 
+from .mapped import mapped_twin
+
 
 class TestNetworkRecovery:
     def test_no_attack_no_degradation(self):
@@ -75,7 +77,7 @@ class TestNetworkRecovery:
         # result must still hold plain, JSON-serializable labels
         ag = as_arraygraph(barabasi_albert(60, 2, seed=12))
         for g in (ArrayGraph(ag.indptr, ag.indices),
-                  ArrayGraph.from_arrays(ag.indptr, ag.indices)):
+                  mapped_twin(ag.indptr, ag.indices)):
             sim = NetworkRecoverySimulator(
                 g, TargetedDegreeAttack(), engine=engine
             )

@@ -9,8 +9,11 @@ the RNG stream exactly as one whole-frontier gather would (one
 cascades, and epidemics match draw-for-draw on the same graph and seed.
 The chunked union-find kernels are pinned to the single-pass reference
 kernels of ``tests/networks/reference_kernels.py``.  The mapped twin of
-a graph is an :class:`~repro.networks.arraygraph.ArrayGraph` built with
-:meth:`~repro.networks.arraygraph.ArrayGraph.from_arrays`.
+a graph is an :class:`~repro.networks.arraygraph.ArrayGraph` whose
+constructor got ``np.load(f, mmap_mode="r")`` views of its CSR's two
+``.npy`` files (``tests/networks/mapped.py``); a mapped graph built from
+an edge stream comes from
+:meth:`~repro.networks.arraygraph.ArrayGraph.from_edge_chunks`.
 """
 
 import os
@@ -50,6 +53,7 @@ from repro.networks.generators import (
 from repro.rng import make_rng
 from repro.runtime import supervisor, trace
 
+from .mapped import mapped_twin
 from .reference_kernels import (
     newman_ziff_giant_sizes,
     undirected_edges,
@@ -73,8 +77,17 @@ def to_mmap(g) -> ArrayGraph:
     """``g``'s CSR copied verbatim to memory-mapped files."""
     ag = as_arraygraph(g)
     identity = list(ag.labels) == list(range(ag.n_nodes))
-    return ArrayGraph.from_arrays(
+    return mapped_twin(
         ag.indptr, ag.indices, labels=None if identity else ag.labels
+    )
+
+
+def reload(mg: ArrayGraph) -> ArrayGraph:
+    """A mapped graph's ``.npy`` files under ``mg.path``, loaded again
+    with ``mmap_mode="r"`` and passed to the constructor."""
+    return ArrayGraph(
+        *(np.load(os.path.join(mg.path, f), mmap_mode="r")
+          for f in ("indptr.npy", "indices.npy"))
     )
 
 
@@ -83,6 +96,8 @@ def to_mmap(g) -> ArrayGraph:
 
 class TestMmapGraphBuild:
     def test_from_arrays_matches_arraygraph(self, ba_graph):
+        # the mapped twin (the constructor over np.load(..., mmap_mode=
+        # "r") arrays) holds the in-RAM CSR's bytes
         ag = as_arraygraph(ba_graph)
         mg = to_mmap(ba_graph)
         assert np.array_equal(np.asarray(mg.indptr), ag.indptr)
@@ -110,36 +125,19 @@ class TestMmapGraphBuild:
         for node in er_graph.nodes():
             assert mg.neighbors(node) == er_graph.neighbors(node)
 
-    def test_open_round_trip(self):
-        mg = ArrayGraph.from_edge_chunks(
-            6, [(np.array([0, 1, 2]), np.array([1, 2, 3]))]
-        )
-        reopened = ArrayGraph.open(mg.path)
-        assert np.array_equal(
-            np.asarray(mg.indptr), np.asarray(reopened.indptr)
-        )
-        assert np.array_equal(
-            np.asarray(mg.indices), np.asarray(reopened.indices)
-        )
-        assert reopened.giant_component_size() == 4
-
     def test_mapped_arrays_stay_file_backed(self, er_graph):
-        # building, reopening or wrapping mapped arrays never copies
+        # building, reloading or wrapping mapped arrays never copies
         # them into RAM: both stay np.memmap views of the .npy files
         built = ArrayGraph.from_edge_chunks(
             200, erdos_renyi_stream(200, 0.03, seed=8, chunk_pairs=53)
         )
-        reopened = ArrayGraph.open(built.path)
+        reopened = reload(built)
         for g in (built, reopened, to_mmap(er_graph),
                   ArrayGraph(reopened.indptr, reopened.indices)):
             for arr in (g.indptr, g.indices):
                 assert isinstance(arr, np.memmap)
                 assert not arr.flags.owndata
         assert reopened.identity_labels and reopened.labels == range(200)
-
-    def test_open_missing_path_raises(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="no mmap graph"):
-            ArrayGraph.open(str(tmp_path / "nope"))
 
     def test_int64_indptr_round_trip(self, monkeypatch):
         # force promotion past the (monkeypatched) int32 offset capacity
@@ -150,7 +148,8 @@ class TestMmapGraphBuild:
             6, [(np.array([0, 1, 2]), np.array([1, 2, 3]))]
         )
         assert mg.indptr.dtype == np.int64
-        reopened = ArrayGraph.open(mg.path)
+        reopened = reload(mg)
+        assert isinstance(reopened.indptr, np.memmap)
         assert reopened.indptr.dtype == np.int64
         assert reopened.giant_component_size() == 4
         order = reopened.degree_removal_order()
@@ -190,6 +189,22 @@ class TestMmapGraphBuild:
             3, [(np.array([0]), np.array([1]))]
         )
         assert os.path.dirname(mg.path) == str(tmp_path)
+
+    def test_rejected_stream_leaves_no_spill(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_MMAP_DIR", str(tmp_path))
+
+        def broken():
+            yield np.array([0]), np.array([1])
+            raise RuntimeError("stream broke")
+
+        for stream, error in (
+            ([(np.array([2]), np.array([2]))], ConfigurationError),
+            ([(np.array([0]), np.array([5]))], ConfigurationError),
+            (broken(), RuntimeError),
+        ):
+            with pytest.raises(error):
+                ArrayGraph.from_edge_chunks(4, stream)
+        assert os.listdir(tmp_path) == []
 
     def test_spill_cleaned_up_on_gc(self):
         mg = ArrayGraph.from_edge_chunks(
@@ -245,9 +260,6 @@ class TestMmapGraphQueries:
         assert not mg.identity_labels
         assert mg.neighbors("b") == frozenset({"a", "c"})
         assert set(mg.degree_removal_order()) == {"a", "b", "c"}
-        # labelled graphs don't round-trip through the on-disk format
-        with pytest.raises(ConfigurationError, match="identity-labelled"):
-            ArrayGraph.open(mg.path)
 
     def test_components_match_arraygraph(self):
         # 42 components: the mapped twin lists them in the object
@@ -269,9 +281,9 @@ class TestMmapGraphQueries:
 
 def _isolated_graph() -> ArrayGraph:
     """Twelve nodes; 0, 4 and 11 have no edges."""
-    return ArrayGraph.from_edges(
-        12, [(1, 2), (2, 3), (3, 5), (6, 7), (7, 8), (8, 9), (9, 10), (1, 10)]
-    )
+    return ArrayGraph.from_graph(Graph(nodes=range(12), edges=[
+        (1, 2), (2, 3), (3, 5), (6, 7), (7, 8), (8, 9), (9, 10), (1, 10)
+    ]))
 
 
 def _nz_params(cases):
@@ -342,7 +354,9 @@ class TestChunkedKernels:
         assert rows[SISModel] == every_row[SISModel]
         assert 0 < rows[SIRModel] < every_row[SIRModel]
         # a hub whose leaves are all immune has no candidates to gather
-        star = ArrayGraph.from_edges(6, [(0, leaf) for leaf in range(1, 6)])
+        star = ArrayGraph.from_graph(
+            Graph(edges=[(0, leaf) for leaf in range(1, 6)])
+        )
         tr = trace.Tracer()
         with trace.use(tr):
             res = SIRModel(star, beta=0.9, gamma=0.2, immune=range(1, 6),

@@ -24,6 +24,8 @@ from repro.networks.arraygraph import ArrayGraph
 from repro.networks.engine import ArrayNetworkEngine, ObjectNetworkEngine
 from repro.networks.generators import barabasi_albert, erdos_renyi
 
+from .mapped import mapped_twin
+
 BLOCKS = (37, 512, None)
 
 
@@ -56,7 +58,7 @@ def inputs(g):
     cg = as_arraygraph(g)
     yield g
     yield ArrayGraph(np.array(cg.indptr), np.array(cg.indices))
-    yield ArrayGraph.from_arrays(cg.indptr, cg.indices)
+    yield mapped_twin(cg.indptr, cg.indices)
 
 
 def run(engine, kind, g, rates, immune, infected, seed):

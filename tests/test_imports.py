@@ -119,6 +119,7 @@ from repro.networks.attacks import TargetedDegreeAttack
 from repro.networks.centrality import betweenness_centrality
 from repro.networks.epidemics import SIRModel
 from repro.networks.generators import erdos_renyi
+from repro.networks.graph import Graph
 from repro.networks.percolation import percolation_curve
 from repro.agents.arrayengine import ArraySimulator
 from repro.anticipation.earlywarning import detection_roc
@@ -132,8 +133,10 @@ def ran(path):
     loaded[path] = "numpy.ma" in sys.modules
 
 loaded = {}
-ag = ArrayGraph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4)])
-ran("from_edges")
+ag = ArrayGraph.from_graph(
+    Graph(nodes=range(6), edges=[(0, 1), (1, 2), (2, 0), (3, 4)])
+)
+ran("from_graph")
 betweenness_centrality(ag)
 ran("betweenness")
 g = erdos_renyi(200, 0.02, seed=1)

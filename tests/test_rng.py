@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.rng import legacy_spawn, make_rng, spawn
+from repro.rng import make_rng, spawn
 
 
 class TestMakeRng:
@@ -81,28 +81,6 @@ class TestSpawn:
         ]
         for a, b in zip(via_spawn, via_sweep):
             assert np.array_equal(a.random(4), b.random(4))
-
-
-class TestLegacySpawn:
-    def test_reproduces_pre_fix_streams(self):
-        """Compat shim: children seeded from 63-bit draws of the parent
-        stream, exactly as before the SeedSequence fix."""
-        parent = make_rng(1)
-        seeds = make_rng(1).integers(0, 2**63 - 1, size=3, dtype=np.int64)
-        expected = [np.random.default_rng(int(s)) for s in seeds]
-        children = legacy_spawn(parent, 3)
-        for got, want in zip(children, expected):
-            assert np.array_equal(got.random(8), want.random(8))
-
-    def test_advances_parent_stream(self):
-        parent = make_rng(2)
-        untouched = make_rng(2).random(4)
-        legacy_spawn(parent, 3)
-        assert not np.array_equal(parent.random(4), untouched)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            legacy_spawn(make_rng(0), -1)
 
 
 class TestPackageSurface:
