@@ -64,28 +64,21 @@ RESOLUTION = 64
 SEED = 93
 SIR_BETA = 0.2
 SIR_GAMMA = 0.1
-#: target edges per streamed chunk when the gap method is in play
+#: target edges per streamed chunk
 _TARGET_CHUNK_EDGES = 500_000
 
 
 def _edge_stream(n: int, p: float, seed: int):
-    """ER edge chunks sized so gap-mode yields ~5·10^5 edges each.
+    """ER edge chunks of ~5·10^5 edges each.
 
-    The gap method's per-yield cost is O(edges in the chunk), so the
-    default ``chunk_pairs`` (tuned for exact mode) would emit tiny
-    chunks at 10^6+ nodes — scale ``chunk_pairs`` by 1/p instead.
+    A chunk's cost is O(edges in it), so ``chunk_pairs`` scales by 1/p:
+    the default would emit tiny chunks at 10^6+ nodes.
     """
-    from repro.networks.generators import (
-        ER_EXACT_MAX_PAIRS,
-        erdos_renyi_stream,
-    )
+    from repro.networks.generators import erdos_renyi_stream
 
-    n_pairs = n * (n - 1) // 2
-    if n_pairs <= ER_EXACT_MAX_PAIRS:
-        return erdos_renyi_stream(n, p, seed=seed, chunk_pairs=1 << 22)
-    chunk_pairs = max(1 << 22, int(_TARGET_CHUNK_EDGES / p))
     return erdos_renyi_stream(
-        n, p, seed=seed, chunk_pairs=chunk_pairs, method="gap"
+        n, p, seed=seed,
+        chunk_pairs=max(1 << 22, int(_TARGET_CHUNK_EDGES / p)),
     )
 
 

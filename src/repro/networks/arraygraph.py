@@ -271,10 +271,14 @@ class ArrayGraph:
            accumulate — nothing proportional to the edge count stays in
            RAM;
         2. ``indptr`` is the degree cumsum; the spill file is re-read
-           chunkwise and every directed edge is scattered to its row
+           chunkwise and every directed entry is scattered to its row
            via a per-chunk counting sort (stable ``argsort`` by source
-           + within-run offsets), which *is* the edge sort — rows come
-           out grouped, in stream order within each row.
+           + within-run offsets), which *is* the edge sort.  Each row
+           lists the edges it starts (its ``u`` entries) in stream
+           order, then the edges it ends (its ``v`` entries) in stream
+           order: a forward and a reverse cursor per row, the reverse
+           one starting past the row's forward degree, so the CSR does
+           not depend on ``spill_chunk``.
 
         The stream must be duplicate-free (both streaming generators
         are, by construction); ``check_duplicates`` adds one streamed
@@ -292,6 +296,7 @@ class ArrayGraph:
         try:
             spill_path = os.path.join(path, "edges.spill")
             deg = np.zeros(n, dtype=np.int64)
+            fwd_deg = np.zeros(n, dtype=np.int64)
             n_edges = 0
             # pass 1: count degrees, spill validated chunks
             with open(spill_path, "wb") as spill:
@@ -314,9 +319,10 @@ class ArrayGraph:
                         raise ConfigurationError(
                             f"self-loop on node {bad!r} is not allowed"
                         )
-                    deg_chunk = np.bincount(u, minlength=n)
-                    deg_chunk += np.bincount(v, minlength=n)
-                    deg += deg_chunk
+                    fwd_chunk = np.bincount(u, minlength=n)
+                    fwd_deg += fwd_chunk
+                    deg += fwd_chunk
+                    deg += np.bincount(v, minlength=n)
                     n_edges += len(u)
                     np.stack([u, v], axis=1).tofile(spill)
             indptr = np.zeros(n + 1, dtype=np.int64)
@@ -331,8 +337,12 @@ class ArrayGraph:
                 os.path.join(path, _INDICES_FILE), mode="w+",
                 dtype=np.int32, shape=(2 * n_edges,),
             )
-            # pass 2: counting-sort scatter of both edge directions
-            cursor = indptr[:-1].copy()
+            # pass 2: counting-sort scatter of both edge directions, each
+            # through its own cursor (a row's reverse entries start past
+            # its forward degree)
+            fwd_cursor = indptr[:-1].copy()
+            rev_cursor = fwd_cursor + fwd_deg
+            del deg, fwd_deg
             with open(spill_path, "rb") as spill:
                 while True:
                     raw = np.fromfile(
@@ -341,8 +351,10 @@ class ArrayGraph:
                     if len(raw) == 0:
                         break
                     pairs = raw.reshape(-1, 2)
-                    for src, dst in ((pairs[:, 0], pairs[:, 1]),
-                                     (pairs[:, 1], pairs[:, 0])):
+                    for src, dst, cursor in (
+                        (pairs[:, 0], pairs[:, 1], fwd_cursor),
+                        (pairs[:, 1], pairs[:, 0], rev_cursor),
+                    ):
                         order = np.argsort(src, kind="stable")
                         src_sorted = src[order].astype(np.int64)
                         # within-run offset: position among equal sources

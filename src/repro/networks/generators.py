@@ -3,10 +3,14 @@
 Barabási's robust-yet-fragile result (paper §5.1) compares scale-free
 networks (preferential attachment) against homogeneous random graphs.
 All generators are written from scratch over :class:`repro.networks.Graph`
-and cross-validated against networkx in the test suite.
+and cross-validated against networkx in the test suite.  G(n, p) has one
+draw, geometric gaps between hit pairs, behind both the in-RAM
+:func:`erdos_renyi` and the chunked :func:`erdos_renyi_stream`.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -24,39 +28,20 @@ __all__ = [
     "degree_histogram",
 ]
 
-#: pair count above which ``erdos_renyi_stream(method="auto")`` switches
-#: from the exact one-draw-per-pair stream to geometric gap-jumping
-#: (2^26 pairs ≈ 0.5 GB of uniforms — the last size where "exact" is
-#: cheaper than the graph it generates)
-ER_EXACT_MAX_PAIRS = 1 << 26
-
-#: pairs drawn per window by :func:`erdos_renyi` (512 KiB of uniforms)
-ER_WINDOW_PAIRS = 1 << 16
-
-
 def erdos_renyi(n: int, p: float, seed: SeedLike = None) -> Graph:
     """G(n, p): each of the n(n−1)/2 possible edges appears with prob. p.
 
-    Built from the exact :func:`erdos_renyi_stream` in windows of
-    :data:`ER_WINDOW_PAIRS` pairs: one uniform per pair, so the edges
-    and the RNG consumption equal a single ``rng.random(n(n−1)/2)``
-    draw, in O(window) memory rather than 8 bytes per pair.
+    Built from :func:`erdos_renyi_stream`'s geometric gaps, in O(n +
+    edges) time and memory; edges are inserted in ascending pair order.
     """
     g = Graph(nodes=range(n))
-    rng = make_rng(seed)
-    for i, j in erdos_renyi_stream(
-        n, p, rng, chunk_pairs=ER_WINDOW_PAIRS, method="exact"
-    ):
+    for i, j in erdos_renyi_stream(n, p, seed):
         g.add_edges_from(zip(i.tolist(), j.tolist()))
     return g
 
 
 def erdos_renyi_stream(
-    n: int,
-    p: float,
-    seed: SeedLike = None,
-    chunk_pairs: int = 1 << 20,
-    method: str = "auto",
+    n: int, p: float, seed: SeedLike = None, chunk_pairs: int = 1 << 20
 ):
     """G(n, p) as a stream of ``(u, v)`` int32 edge-array chunks.
 
@@ -65,15 +50,15 @@ def erdos_renyi_stream(
     are emitted in ascending linear pair index with ``u < v``, so the
     stream is self-loop- and duplicate-free by construction.
 
-    ``method="exact"`` draws one uniform per pair in windows — since
-    ``Generator.random`` consumes its bit stream call-by-call, the
-    chunked draws reproduce a single ``rng.random(n_pairs)`` exactly,
-    whatever ``chunk_pairs`` is; :func:`erdos_renyi` is built on it.
-    ``method="gap"`` samples the geometric gaps between hits (the
-    :func:`~repro.networks.arraygraph.bernoulli_indices` trick), doing
-    O(p·n²) work instead of O(n²) — the only viable path at 10^6+
-    nodes; same ensemble, different draw stream.  ``"auto"`` picks
-    ``exact`` up to :data:`ER_EXACT_MAX_PAIRS` pairs, ``gap`` beyond.
+    The hits are drawn as geometric gaps between successive hit pairs
+    (Batagelj & Brandes 2005): one ``rng.geometric(p)`` per edge plus a
+    few past the last pair, O(n + p·n²) work instead of one uniform per
+    pair.  Gaps are drawn in batches of about ``chunk_pairs·p`` (at
+    least 1024), capped at the expected remaining hits plus four
+    standard deviations, so a dense graph does not over-draw.  Each gap
+    consumes the generator's stream in order, so the edges do not
+    depend on ``chunk_pairs``; how far the generator advances past the
+    last pair does, and is fixed by this batching.
     """
     if n < 0:
         raise ConfigurationError(f"n must be >= 0, got {n}")
@@ -83,16 +68,10 @@ def erdos_renyi_stream(
         raise ConfigurationError(
             f"chunk_pairs must be >= 1, got {chunk_pairs}"
         )
-    if method not in ("auto", "exact", "gap"):
-        raise ConfigurationError(
-            f"method must be 'auto', 'exact' or 'gap', got {method!r}"
-        )
     if n < 2 or p == 0.0:
         return
     rng = make_rng(seed)
     n_pairs = n * (n - 1) // 2
-    if method == "auto":
-        method = "exact" if n_pairs <= ER_EXACT_MAX_PAIRS else "gap"
     # linear pair index -> (i, j) decode table: row i spans
     # starts[i] .. starts[i] + (n - 1 - i)
     lengths = np.arange(n - 1, 0, -1, dtype=np.int64)
@@ -103,25 +82,23 @@ def erdos_renyi_stream(
         j = i + 1 + (hits - starts[i])
         return i.astype(np.int32), j.astype(np.int32)
 
-    if method == "exact":
-        for lo in range(0, n_pairs, chunk_pairs):
-            width = min(chunk_pairs, n_pairs - lo)
-            hits = np.flatnonzero(rng.random(width) < p) + lo
-            if hits.size:
-                yield decode(hits)
-        return
     if p >= 1.0:
         for lo in range(0, n_pairs, chunk_pairs):
             width = min(chunk_pairs, n_pairs - lo)
             yield decode(np.arange(lo, lo + width, dtype=np.int64))
         return
+    batch = max(1024, int(chunk_pairs * p) + 16)
     pos = -1
-    need = max(1024, int(chunk_pairs * p) + 16)
     while True:
+        mean = (n_pairs - 1 - pos) * p
+        need = min(batch, int(mean + 4.0 * math.sqrt(mean * (1.0 - p))) + 16)
+        # any gap past the last pair ends the stream; clipping it there
+        # keeps the running sum clear of int64 overflow at tiny p
         gaps = rng.geometric(p, size=need)
+        np.minimum(gaps, n_pairs + 1, out=gaps)
         hits = np.cumsum(gaps) + pos
-        if len(hits) == 0 or hits[-1] >= n_pairs:
-            hits = hits[hits < n_pairs]
+        if hits[-1] >= n_pairs:
+            hits = hits[:np.searchsorted(hits, n_pairs)]
             if hits.size:
                 yield decode(hits)
             return

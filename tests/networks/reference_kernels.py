@@ -12,11 +12,35 @@ are test oracles only.
 :func:`lexsort_degree_order` the three-key sort the identity-labelled
 degree order replaced.  The stochastic spreaders need no reference here:
 the object engine draws in the array engine's order and is their oracle.
+
+:func:`per_pair_erdos_renyi` rebuilds the G(n, p) graphs that
+``erdos_renyi`` drew before it drew geometric gaps; golden digests of
+kernels run on those graphs build their inputs with it, so they pin the
+kernels and not the generator.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.networks.graph import Graph
+from repro.rng import make_rng
+
+
+def per_pair_erdos_renyi(n: int, p: float, seed=None) -> Graph:
+    """G(n, p) from one uniform per pair: a single
+    ``rng.random(n(n−1)/2)`` draw over the pairs in ascending (row-major)
+    order, each pair below ``p`` inserted in that order — the graph,
+    set iteration order and RNG consumption of the one-uniform-per-pair
+    ``erdos_renyi``."""
+    g = Graph(nodes=range(n))
+    rng = make_rng(seed)
+    if n < 2 or p == 0.0:
+        return g
+    hits = np.flatnonzero(rng.random(n * (n - 1) // 2) < p)
+    rows, cols = np.triu_indices(n, k=1)
+    g.add_edges_from(zip(rows[hits].tolist(), cols[hits].tolist()))
+    return g
 
 
 def undirected_edges(

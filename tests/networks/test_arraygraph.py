@@ -45,6 +45,7 @@ from .mapped import mapped_twin
 from .reference_kernels import (
     lexsort_degree_order,
     newman_ziff_giant_sizes,
+    per_pair_erdos_renyi,
     row_slices,
     undirected_edges,
     union_find_labels,
@@ -485,13 +486,14 @@ class TestDrawStreamPinned:
 
 
 def _handoff_digest() -> str:
-    """sha256 over 64 seeded ``erdos_renyi(1000, 4/999)`` graphs: each
-    one's CSR, targeted array-engine percolation curve and array-engine
-    SIR run, and the next draw of the RNG threaded through all three."""
+    """sha256 over 64 seeded one-uniform-per-pair G(1000, 4/999)
+    graphs: each one's CSR, targeted array-engine percolation curve and
+    array-engine SIR run, and the next draw of the RNG threaded through
+    all three."""
     h = hashlib.sha256()
     for seed in range(64):
         rng = np.random.default_rng(seed)
-        g = erdos_renyi(1000, 4 / 999, seed=rng)
+        g = per_pair_erdos_renyi(1000, 4 / 999, seed=rng)
         ag = as_arraygraph(g)
         h.update(np.asarray(ag.indptr, dtype=np.int64).tobytes())
         h.update(np.asarray(ag.indices, dtype=np.int64).tobytes())
@@ -513,8 +515,9 @@ def _handoff_digest() -> str:
 
 
 def test_handoff_outputs_pinned():
-    # computed with the labelled conversion and the single-draw
-    # erdos_renyi; the identity handoff must reproduce it byte for byte
+    # computed with the labelled conversion on the single-draw
+    # per-pair graphs; the identity handoff must reproduce it byte for
+    # byte
     assert _handoff_digest() == (
         "2607d421a3a6744a6647f429de0f02ce20dcc4c26ced015722434b2f5bacf5cc"
     )

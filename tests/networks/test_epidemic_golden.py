@@ -19,13 +19,16 @@ import pytest
 from repro.networks.arraygraph import ArrayGraph, as_arraygraph
 from repro.networks.engine import ArrayNetworkEngine
 from repro.networks.epidemics import SIRModel, SISModel
-from repro.networks.generators import barabasi_albert, erdos_renyi
+from repro.networks.generators import barabasi_albert
 
 from .mapped import mapped_twin
+from .reference_kernels import per_pair_erdos_renyi
 
 
 def _graphs():
-    er = as_arraygraph(erdos_renyi(400, 0.015, seed=3))
+    # the ER input is the one-uniform-per-pair graph the digests were
+    # computed on (they pin the engine, not the generator)
+    er = as_arraygraph(per_pair_erdos_renyi(400, 0.015, seed=3))
     ba = as_arraygraph(barabasi_albert(300, 2, seed=4))
     return {"er": er, "ba": ba}
 

@@ -9,11 +9,11 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.networks.generators import (
-    ER_WINDOW_PAIRS,
     barabasi_albert,
     configuration_star,
     degree_histogram,
     erdos_renyi,
+    erdos_renyi_stream,
     watts_strogatz,
 )
 
@@ -47,37 +47,57 @@ class TestErdosRenyi:
 
 
 def _per_edge_reference(n: int, p: float, rng) -> dict:
-    """G(n, p) the long way: one uniform per pair, drawn at once, and
-    each hit added pair by pair to a plain dict of sets."""
+    """G(n, p) the long way: one scalar ``rng.geometric(p)`` gap at a
+    time from before the first pair (every gap 1 at p = 1), each hit
+    pair decoded by walking the rows and added edge by edge to a plain
+    dict of sets."""
     adj = {v: set() for v in range(n)}
-    if n < 2 or p == 0.0:
+    if p == 0.0:
         return adj
-    draws = iter(rng.random(n * (n - 1) // 2).tolist())
-    for i in range(n):
-        for j in range(i + 1, n):
-            if next(draws) < p:
-                adj[i].add(j)
-                adj[j].add(i)
-    return adj
+    n_pairs = n * (n - 1) // 2
+    i, start, pos = 0, 0, -1  # row i holds pairs start .. start+n-2-i
+    while True:
+        pos += 1 if p == 1.0 else int(rng.geometric(p))
+        if pos >= n_pairs:
+            return adj
+        while pos >= start + n - 1 - i:
+            start += n - 1 - i
+            i += 1
+        j = i + 1 + pos - start
+        adj[i].add(j)
+        adj[j].add(i)
+
+
+class _CountingRng(np.random.Generator):
+    """A generator that records the size of each ``geometric`` batch."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.batches = []
+
+    def geometric(self, p, size=None):
+        self.batches.append(size)
+        return super().geometric(p, size)
 
 
 class TestErdosRenyiWindows:
-    # 362 and 363 nodes have 65,341 and 65,703 pairs, either side of one
-    # 2^16-pair window; 725 nodes span a little over four windows
+    """``erdos_renyi`` draws its geometric gaps in capped batches."""
+
+    # one batch of gaps below 2^20 pairs; 2,000 and 2,500 nodes take
+    # two and three (p >= 1/3 is numpy's search method, p < 1/3 its
+    # inversion)
     @pytest.mark.parametrize("n, p", [
         (0, 0.5), (1, 0.5), (2, 1.0), (40, 0.0), (40, 1.0),
-        (362, 0.01), (363, 0.3), (725, 0.004),
+        (362, 0.01), (363, 0.3), (725, 0.004), (2000, 0.003),
+        (2500, 0.002),
     ])
     def test_matches_per_edge_reference(self, n, p):
-        assert ER_WINDOW_PAIRS == 1 << 16
-        rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
-        g = erdos_renyi(n, p, seed=rng)
-        ref = _per_edge_reference(n, p, ref_rng)
+        g = erdos_renyi(n, p, seed=np.random.default_rng(n))
+        ref = _per_edge_reference(n, p, np.random.default_rng(n))
         assert list(g.nodes()) == list(ref)
         # each set's iteration order, not just its contents
         assert [list(g._adj[v]) for v in ref] == \
             [list(nbrs) for nbrs in ref.values()]
-        assert rng.random() == ref_rng.random()
 
     def test_draws_in_window_memory(self):
         erdos_renyi(50, 0.1, seed=0)  # warm imports and caches
@@ -87,8 +107,35 @@ class TestErdosRenyiWindows:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the graph holds ~2 MB; one draw over all ~8·10^6 pairs is 64 MB
+        # the graph holds ~2 MB; one uniform per pair would be 64 MB
+        # for the ~8·10^6 pairs, a gap batch is ~8 KB
         assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("n, p", [(60, 0.9), (300, 0.9), (400, 0.3)])
+    def test_dense_batch_capped_at_expected_hits(self, n, p):
+        # one batch of the expected hits plus four standard deviations
+        # plus 16, not ~chunk_pairs·p gaps for a graph of far fewer pairs
+        rng = _CountingRng(n)
+        edges = sum(len(u) for u, _ in erdos_renyi_stream(n, p, rng))
+        mean = n * (n - 1) // 2 * p
+        assert rng.batches == [int(mean + 4 * np.sqrt(mean * (1 - p))) + 16]
+        assert edges < rng.batches[0]
+
+    def test_sparse_batches_follow_chunk_pairs(self):
+        # p·chunk_pairs + 16 gaps a batch (at least 1,024) until the cap
+        # of the pairs still ahead takes over
+        rng = _CountingRng(5)
+        edges = sum(len(u) for u, _ in erdos_renyi_stream(
+            3000, 0.002, rng, chunk_pairs=2_000_000
+        ))
+        assert rng.batches[0] == 4016
+        assert all(b <= 4016 for b in rng.batches)
+        assert edges < sum(rng.batches) <= edges + 4016
+
+    def test_tiny_p_does_not_overflow(self):
+        # each gap is ~10^300 pairs: clipped at the last pair, their
+        # running sum cannot wrap around int64 into negative pair indices
+        assert list(erdos_renyi_stream(20_000, 1e-300, seed=0)) == []
 
 
 class TestBarabasiAlbert:

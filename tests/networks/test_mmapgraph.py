@@ -16,6 +16,7 @@ an edge stream comes from
 :meth:`~repro.networks.arraygraph.ArrayGraph.from_edge_chunks`.
 """
 
+import math
 import os
 
 import numpy as np
@@ -206,6 +207,41 @@ class TestMmapGraphBuild:
                 ArrayGraph.from_edge_chunks(4, stream)
         assert os.listdir(tmp_path) == []
 
+    def test_row_order_independent_of_spill_chunk(self):
+        # each row lists the edges it starts, then the edges it ends,
+        # each in stream order, whatever size the spill is re-read in
+        edges = [
+            (u, v)
+            for cu, cv in erdos_renyi_stream(2000, 0.004, seed=7)
+            for u, v in zip(cu.tolist(), cv.tolist())
+        ]
+        starts = [[] for _ in range(2000)]
+        ends = [[] for _ in range(2000)]
+        for u, v in edges:
+            starts[u].append(v)
+            ends[v].append(u)
+        ref = np.concatenate([np.asarray(a + b, dtype=np.int32)
+                              for a, b in zip(starts, ends)])
+        built = [
+            ArrayGraph.from_edge_chunks(
+                2000,
+                erdos_renyi_stream(2000, 0.004, seed=7, chunk_pairs=997),
+                **kw,
+            )
+            for kw in ({"spill_chunk": 7}, {"spill_chunk": 500}, {})
+        ]
+        for mg in built:
+            assert np.asarray(mg.indptr).tobytes() == \
+                np.asarray(built[-1].indptr).tobytes()
+            assert np.asarray(mg.indices).tobytes() == ref.tobytes()
+        # the stream [(1, 0), (0, 2)]: row 0 starts (0, 2), ends (1, 0)
+        for spill_chunk in (1, 2):
+            mg = ArrayGraph.from_edge_chunks(
+                3, [(np.array([1, 0]), np.array([0, 2]))],
+                spill_chunk=spill_chunk,
+            )
+            assert mg.indices[:2].tolist() == [2, 1]
+
     def test_spill_cleaned_up_on_gc(self):
         mg = ArrayGraph.from_edge_chunks(
             3, [(np.array([0]), np.array([1]))]
@@ -262,11 +298,11 @@ class TestMmapGraphQueries:
         assert set(mg.degree_removal_order()) == {"a", "b", "c"}
 
     def test_components_match_arraygraph(self):
-        # 42 components: the mapped twin lists them in the object
+        # 33 components: the mapped twin lists them in the object
         # Graph's order, not just as the same sets
         g = erdos_renyi(200, 0.01, seed=8)
         ref = g.connected_components()
-        assert len(ref) == 42
+        assert len(ref) == 33
         ag = as_arraygraph(g)
         for cg in (ag, to_mmap(g)):
             assert cg.connected_components() == ref
@@ -591,55 +627,75 @@ class TestBudgetDegrade:
 
 class TestStreamGenerators:
     def test_er_stream_exact_pinned_to_erdos_renyi(self):
+        # same seed, same gaps: the stream's edges are erdos_renyi's,
+        # in its insertion order
         g = erdos_renyi(80, 0.07, seed=11)
-        got = sorted(
+        got = [
             (int(a), int(b))
-            for cu, cv in erdos_renyi_stream(
-                80, 0.07, seed=11, chunk_pairs=97, method="exact"
-            )
+            for cu, cv in erdos_renyi_stream(80, 0.07, seed=11,
+                                             chunk_pairs=97)
             for a, b in zip(cu, cv)
-        )
+        ]
         assert got == sorted(tuple(sorted(e)) for e in g.edges())
+        assert got == sorted(got)
 
-    @pytest.mark.parametrize("chunk_pairs", (1, 53, 1 << 20))
+    # 600 nodes at p=0.05 hold ~9,000 edges: nine gap batches at
+    # chunk_pairs 1 or 53 (1,024 gaps each), two at 10^5, one above
+    @pytest.mark.parametrize("chunk_pairs", (1, 53, 100_000, 1 << 20))
     def test_er_stream_exact_chunk_invariant(self, chunk_pairs):
         ref = [
-            (c[0].tolist(), c[1].tolist())
-            for c in erdos_renyi_stream(
-                60, 0.1, seed=4, chunk_pairs=10**9, method="exact"
+            e
+            for cu, cv in erdos_renyi_stream(
+                600, 0.05, seed=4, chunk_pairs=10**9
             )
-        ]
-        flat_ref = [
-            e for cu, cv in ref for e in zip(*map(list, (cu, cv)))
+            for e in zip(cu.tolist(), cv.tolist())
         ]
         got = [
             e
             for cu, cv in erdos_renyi_stream(
-                60, 0.1, seed=4, chunk_pairs=chunk_pairs, method="exact"
+                600, 0.05, seed=4, chunk_pairs=chunk_pairs
             )
             for e in zip(cu.tolist(), cv.tolist())
         ]
-        assert got == flat_ref
+        assert got == ref
 
     def test_er_stream_gap_same_ensemble(self):
-        # different draw stream, same distribution: check edge-count
-        # mean over seeds against the binomial expectation
-        n, p = 400, 0.02
-        counts = [
-            sum(
-                len(cu)
-                for cu, _ in erdos_renyi_stream(n, p, seed=s, method="gap")
-            )
-            for s in range(20)
-        ]
-        expect = p * n * (n - 1) / 2
-        assert abs(np.mean(counts) - expect) < 0.05 * expect
+        # the G(n, p) ensemble over seeds: edge counts against the
+        # binomial over n(n-1)/2 pairs, pooled degrees against
+        # Binomial(n-1, p)
+        n, p, seeds = 400, 0.02, 20
+        counts, degrees = [], []
+        for s in range(seeds):
+            deg = np.zeros(n, dtype=np.int64)
+            m = 0
+            for cu, cv in erdos_renyi_stream(n, p, seed=s):
+                deg += np.bincount(cu, minlength=n)
+                deg += np.bincount(cv, minlength=n)
+                m += len(cu)
+            counts.append(m)
+            degrees.append(deg)
+        pairs = n * (n - 1) // 2
+        expect, sd = p * pairs, np.sqrt(pairs * p * (1 - p))
+        # the mean of 20 counts within four standard errors
+        assert abs(np.mean(counts) - expect) < 4 * sd / np.sqrt(seeds)
+        assert 0.5 < np.std(counts) / sd < 1.5
+        pooled = np.concatenate(degrees)
+        k = n - 1
+        assert pooled.mean() == pytest.approx(k * p, rel=0.03)
+        assert pooled.var() == pytest.approx(k * p * (1 - p), rel=0.1)
+        # total-variation distance to the binomial pmf
+        hist = np.bincount(pooled) / len(pooled)
+        ks = np.arange(len(hist))
+        log_pmf = (
+            np.array([math.lgamma(k + 1) - math.lgamma(x + 1)
+                      - math.lgamma(k - x + 1) for x in ks])
+            + ks * np.log(p) + (k - ks) * np.log1p(-p)
+        )
+        assert 0.5 * np.abs(hist - np.exp(log_pmf)).sum() < 0.03
 
     def test_er_stream_gap_valid_edges(self):
         seen = set()
-        for cu, cv in erdos_renyi_stream(
-            50, 0.3, seed=2, chunk_pairs=37, method="gap"
-        ):
+        for cu, cv in erdos_renyi_stream(50, 0.3, seed=2, chunk_pairs=37):
             assert np.all(cu < cv)
             for e in zip(cu.tolist(), cv.tolist()):
                 assert e not in seen
@@ -648,9 +704,7 @@ class TestStreamGenerators:
     def test_er_stream_p_one(self):
         total = sum(
             len(cu)
-            for cu, _ in erdos_renyi_stream(
-                20, 1.0, seed=0, chunk_pairs=7, method="gap"
-            )
+            for cu, _ in erdos_renyi_stream(20, 1.0, seed=0, chunk_pairs=7)
         )
         assert total == 20 * 19 // 2
 
@@ -665,8 +719,8 @@ class TestStreamGenerators:
             list(erdos_renyi_stream(5, 1.5))
         with pytest.raises(ConfigurationError):
             list(erdos_renyi_stream(5, 0.5, chunk_pairs=0))
-        with pytest.raises(ConfigurationError):
-            list(erdos_renyi_stream(5, 0.5, method="bogus"))
+        with pytest.raises(TypeError):
+            list(erdos_renyi_stream(5, 0.5, method="exact"))
 
     def test_ba_stream_pinned_to_barabasi_albert(self):
         g = barabasi_albert(150, 3, seed=9)
