@@ -300,8 +300,8 @@ def make_engine(kind: str | None = None, **params) -> EvolutionSimulator:
     """Build an agent engine: ``'array'`` (vectorized) or ``'object'``.
 
     ``kind=None`` reads the ``REPRO_AGENT_ENGINE`` environment variable
-    and defaults to ``'array'``, so a whole benchmark run can be flipped
-    back to the reference object engine without touching code.  An
+    and defaults to ``'array'``, the fast kind, like every seam; the
+    reference ``'object'`` engine is chosen by name.  An
     unrecognized value — passed directly or set in the environment —
     raises :class:`~repro.errors.EngineError` naming the valid choices
     rather than silently falling back to a default engine (resolution is

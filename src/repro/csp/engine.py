@@ -3,10 +3,10 @@
 The third and final engine seam, mirroring
 :func:`repro.agents.arrayengine.make_engine` and
 :func:`repro.networks.engine.make_network_engine`.
-:func:`make_csp_engine` resolves an engine ``kind`` (``"object"``,
-``"bit"`` or ``"tiled"``) from its argument or the ``REPRO_CSP_ENGINE``
-environment variable, defaulting to ``"object"`` so existing runs are
-bit-for-bit unchanged until a caller opts in.
+:func:`make_csp_engine` resolves an engine ``kind`` (``"tiled"``,
+``"bit"`` or ``"object"``) from its argument or the ``REPRO_CSP_ENGINE``
+environment variable, defaulting to the fast ``"tiled"``; the
+``"object"`` oracle is chosen by name.
 
 The object engine is the original per-assignment ``dict`` machinery,
 untouched.  Both fast kinds, ``bit`` and ``tiled``, name one engine,
@@ -116,11 +116,11 @@ _ENGINES = {
 
 
 def make_csp_engine(kind: "str | CSPEngine | None" = None) -> CSPEngine:
-    """Resolve a CSP engine: ``'object'``, ``'bit'`` or ``'tiled'``.
+    """Resolve a CSP engine: ``'tiled'``, ``'bit'`` or ``'object'``.
 
     ``kind=None`` reads the ``REPRO_CSP_ENGINE`` environment variable
-    and defaults to ``'object'``, preserving pre-bit behavior unless a
-    run opts in; an already-constructed engine passes through unchanged.
+    and defaults to ``'tiled'`` (``'object'``, the reference, by name);
+    an already-constructed engine passes through unchanged.
     Unrecognized values — passed directly or set in the environment —
     raise :class:`~repro.errors.EngineError` naming all three valid
     choices (resolution shared with the other seams via

@@ -11,7 +11,6 @@ targeting.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict
 
 import numpy as np
@@ -26,11 +25,8 @@ __all__ = ["betweenness_centrality", "BetweennessAttack"]
 
 
 def _betweenness_array(ag: ArrayGraph, normalized: bool) -> np.ndarray:
-    """Brandes over CSR: level-synchronous BFS + per-level accumulation.
-
-    Same algorithm as the object path; float sums run in array order
-    instead of dict order, so scores match to rounding, not bit-for-bit.
-    """
+    """Brandes over CSR: level-synchronous BFS + per-level accumulation,
+    in the object path's summation order (see there)."""
     n = ag.n_nodes
     indptr, indices = ag.indptr, ag.indices
     bc = np.zeros(n)
@@ -85,34 +81,39 @@ def betweenness_centrality(g: "Graph | ArrayGraph", normalized: bool = True
     if isinstance(g, ArrayGraph):
         scores = _betweenness_array(g, normalized)
         return {label: float(s) for label, s in zip(g.labels, scores)}
-    nodes = list(g.nodes())
-    betweenness: Dict[object, float] = {v: 0.0 for v in nodes}
+    # one summation order, the CSR's: each level ascending by node
+    # index, each row in the set order ArrayGraph.from_graph reads;
+    # sigma, then delta, accumulated over that flat order
+    rows = g._adj  # sibling access, as ArrayGraph.from_graph
+    nodes = list(rows)
+    pos = dict(zip(nodes, range(len(nodes))))
+    betweenness: Dict[object, float] = dict.fromkeys(nodes, 0.0)
     for source in nodes:
-        # single-source shortest paths (unweighted: BFS)
-        stack: list = []
-        predecessors: Dict[object, list] = {v: [] for v in nodes}
-        sigma: Dict[object, float] = {v: 0.0 for v in nodes}
-        sigma[source] = 1.0
+        # single-source shortest paths (unweighted: BFS), level by level
         distance: Dict[object, int] = {source: 0}
-        queue = deque([source])
-        while queue:
-            v = queue.popleft()
-            stack.append(v)
-            for w in g.neighbors(v):
-                if w not in distance:
-                    distance[w] = distance[v] + 1
-                    queue.append(w)
-                if distance[w] == distance[v] + 1:
-                    sigma[w] += sigma[v]
-                    predecessors[w].append(v)
-        # dependency accumulation, farthest first
-        delta: Dict[object, float] = {v: 0.0 for v in nodes}
-        while stack:
-            w = stack.pop()
-            for v in predecessors[w]:
-                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
-            if w != source:
-                betweenness[w] += delta[w]
+        sigma: Dict[object, float] = {source: 1.0}
+        levels = [[source]]
+        while levels[-1]:
+            d = len(levels)
+            new = []
+            for v in levels[-1]:
+                for w in rows[v]:
+                    if w not in distance:
+                        distance[w] = d
+                        new.append(w)
+                    if distance[w] == d:
+                        sigma[w] = sigma.get(w, 0.0) + sigma[v]
+            levels.append(sorted(new, key=pos.__getitem__))
+        # dependency accumulation, farthest level first
+        delta: Dict[object, float] = {}
+        for d in range(len(levels) - 2, 0, -1):
+            for w in levels[d]:
+                dw = delta.get(w, 0.0)
+                coef = (1.0 + dw) / sigma[w]
+                for v in rows[w]:
+                    if distance[v] == d - 1:
+                        delta[v] = delta.get(v, 0.0) + sigma[v] * coef
+                betweenness[w] += dw
         # undirected: every pair is visited from both endpoints
     for v in betweenness:
         betweenness[v] /= 2.0

@@ -2,10 +2,10 @@
 
 Mirrors :func:`repro.agents.arrayengine.make_engine` for the network
 substrate.  :func:`make_network_engine` resolves an engine ``kind``
-(``"object"``, ``"array"``, or ``"mmap"``) from its argument or the
-``REPRO_NETWORK_ENGINE`` environment variable, defaulting to
-``"object"`` so existing runs are bit-for-bit unchanged until a caller
-opts in.  :func:`~repro.networks.percolation.percolation_curve`,
+(``"array"``, ``"mmap"``, or ``"object"``) from its argument or the
+``REPRO_NETWORK_ENGINE`` environment variable, defaulting to the fast
+``"array"``; the ``"object"`` oracle is chosen by name.
+:func:`~repro.networks.percolation.percolation_curve`,
 :class:`~repro.networks.cascades.LoadCascadeModel` /
 :class:`~repro.networks.cascades.ProbabilisticCascadeModel`,
 :class:`~repro.networks.epidemics.SISModel` /
@@ -651,12 +651,12 @@ _ENGINES = {
 def make_network_engine(
     kind: "str | NetworkEngine | None" = None,
 ) -> NetworkEngine:
-    """Resolve a network engine: ``'object'``, ``'array'``, or ``'mmap'``.
+    """Resolve a network engine: ``'array'``, ``'mmap'``, or ``'object'``.
 
     ``'array'`` and ``'mmap'`` both resolve to :class:`ArrayNetworkEngine`
     (the kernels follow the graph's own storage).  ``kind=None`` reads
     the ``REPRO_NETWORK_ENGINE`` environment variable and defaults to
-    ``'object'``, the reference loops, unless a run opts in; an
+    ``'array'`` (``'object'``, the reference loops, by name); an
     already-constructed engine passes through unchanged.  Unrecognized
     values — passed directly or set in the environment — raise
     :class:`~repro.errors.EngineError` naming the valid choices

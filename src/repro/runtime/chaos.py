@@ -292,7 +292,7 @@ def _drill_worker(value: int, seed) -> dict:
     """One drill point: a small recoverability query under chaos hooks.
 
     Module-level so worker processes can pickle it.  The CSP is boolean
-    (so ``REPRO_CSP_ENGINE=bit`` exercises the fast engine) and the row
+    (so ``REPRO_CSP_ENGINE=tiled`` exercises the fast engine) and the row
     mixes bools, ints, and a seeded float draw — one of each JSON shape
     the baseline comparison must reproduce byte-for-byte.
     """
@@ -327,7 +327,7 @@ def run_drill(
 
     A supervised, checkpointed ``n_points``-point sweep runs under a
     sampled four-fault plan (worker crash, hang, simulated OOM,
-    NaN-poisoned output) with ``REPRO_CSP_ENGINE=bit``; the hang/OOM/NaN
+    NaN-poisoned output) with ``REPRO_CSP_ENGINE=tiled``; the hang/OOM/NaN
     faults trip the csp breaker, the sweep re-runs the suspects on the
     degraded object engine, and every point completes.  The checkpoint
     then gets one mid-file line corrupted and the sweep is resumed —
@@ -358,7 +358,8 @@ def run_drill(
             checkpoint=ckpt_path,
         )
 
-    with _env_pinned({"REPRO_CSP_ENGINE": "bit"}):
+    # pinned because _should_strike reads the caller's REPRO_CSP_ENGINE
+    with _env_pinned({"REPRO_CSP_ENGINE": "tiled"}):
         with active(plan, state_dir), supervisor_module.use(sup), \
                 trace_module.use(tr):
             chaos_result = run()

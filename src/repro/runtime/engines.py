@@ -3,19 +3,22 @@
 The library has exactly three places where a fast, vectorized engine can
 be swapped for the byte-identical reference implementation:
 
-======== ======================== ========================== ====================== ========
-family   seam                     env var                    kinds (default*)       fallback
-======== ======================== ========================== ====================== ========
-agents   ``make_engine``          ``REPRO_AGENT_ENGINE``     object, array*         object
-networks ``make_network_engine``  ``REPRO_NETWORK_ENGINE``   object*, array = mmap  object
-csp      ``make_csp_engine``      ``REPRO_CSP_ENGINE``       object*, bit = tiled   object
-======== ======================== ========================== ====================== ========
+======== ======================== ========================== ======================
+family   seam                     env var                    kinds (default*)
+======== ======================== ========================== ======================
+agents   ``make_engine``          ``REPRO_AGENT_ENGINE``     array*, object
+networks ``make_network_engine``  ``REPRO_NETWORK_ENGINE``   array* = mmap, object
+csp      ``make_csp_engine``      ``REPRO_CSP_ENGINE``       tiled* = bit, object
+======== ======================== ========================== ======================
 
-The networks seam keeps two fast kind names for one engine: ``array``
-and ``mmap`` both resolve to
+One policy holds for every family: with no argument and no environment
+value a seam resolves its canonical fast kind, and ``object`` — the
+exact oracle, and the kind a tripped family degrades to — is chosen by
+name.  The networks seam keeps two fast kind names for one engine:
+``array`` and ``mmap`` both resolve to
 :class:`repro.networks.engine.ArrayNetworkEngine`, whose block-streamed
 kernels run on the graph's own storage (in RAM or memory-mapped).  The
-CSP seam likewise keeps ``bit`` and ``tiled`` as two names for
+CSP seam likewise keeps ``tiled`` and ``bit`` as two names for
 :class:`repro.csp.engine.TiledCSPEngine`, which streams the state space
 in blocks and keeps one table when the space is a single block.
 
@@ -26,9 +29,8 @@ message for empty/unknown values (an :class:`~repro.errors.EngineError`
 naming the valid choices and where the bad value came from).  The
 requested kind then passes through the installed MAPE supervisor
 (:mod:`repro.runtime.supervisor`) — the reason this lives in
-``runtime`` — which degrades a tripped family's fast engine back to its
-reference fallback (``bit``/``tiled → object``, ``array``/``mmap →
-object``) for the remainder of a run.  The environment itself is never
+``runtime`` — which degrades a tripped family's fast engine back to
+``object`` for the remainder of a run.  The environment itself is never
 rewritten: a worker forked by :mod:`repro.runtime.executor` inherits
 the installed supervisor, so it resolves the same degraded kind.  (The
 CSP engine's own ``→ object`` fallback for non-boolean or over-cap CSPs
@@ -59,37 +61,29 @@ class EngineSeam:
 
     family: str  # "agents" / "networks" / "csp"
     env_var: str  # environment variable read when kind is None
-    default: str  # kind used when neither argument nor env is set
-    choices: tuple[str, ...]  # every valid kind
-    fast: tuple[str, ...]  # kinds the supervisor may degrade
-    fallback: str  # the reference kind a tripped family degrades to
+    fast: tuple[str, ...]  # kinds the supervisor may degrade, canonical first
+
+    @property
+    def default(self) -> str:
+        """The kind used when neither argument nor env is set."""
+        return self.fast[0]
+
+    @property
+    def fallback(self) -> str:
+        """The reference kind (the oracle) a tripped family degrades to."""
+        return "object"
+
+    @property
+    def choices(self) -> tuple[str, ...]:
+        """Every valid kind."""
+        return self.fast + ("object",)
 
 
 SEAMS: dict[str, EngineSeam] = {
-    "agents": EngineSeam(
-        family="agents",
-        env_var="REPRO_AGENT_ENGINE",
-        default="array",
-        choices=("array", "object"),
-        fast=("array",),
-        fallback="object",
-    ),
-    "networks": EngineSeam(
-        family="networks",
-        env_var="REPRO_NETWORK_ENGINE",
-        default="object",
-        choices=("array", "mmap", "object"),
-        fast=("array", "mmap"),
-        fallback="object",
-    ),
-    "csp": EngineSeam(
-        family="csp",
-        env_var="REPRO_CSP_ENGINE",
-        default="object",
-        choices=("bit", "object", "tiled"),
-        fast=("bit", "tiled"),
-        fallback="object",
-    ),
+    "agents": EngineSeam("agents", "REPRO_AGENT_ENGINE", ("array",)),
+    "networks": EngineSeam("networks", "REPRO_NETWORK_ENGINE",
+                           ("array", "mmap")),
+    "csp": EngineSeam("csp", "REPRO_CSP_ENGINE", ("tiled", "bit")),
 }
 
 

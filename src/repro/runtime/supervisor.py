@@ -13,10 +13,11 @@ breaker) per engine family and watches the three engine seams through
   whatever its message says (those are the retry budget's job).
 * **plan** — an engine fault trips the breaker of every supervised
   family still resolving to a fast engine (attribution from outside a
-  worker is conservative: correctness over speed).  A tripped family
-  **degrades deterministically** to its reference fallback
-  (``bit``/``tiled`` → ``object``, ``array``/``mmap`` → ``object``)
-  for the remainder of the run —
+  worker is conservative: correctness over speed).  Every seam
+  defaults to its fast kind, so unless the caller pins ``object`` for
+  some families, one engine fault trips every supervised family.  A
+  tripped family **degrades deterministically** to ``object`` for the
+  remainder of the run —
   sound because PRs 1–4 pin the fast engines equivalent to the object
   engines, so rows computed before and after the trip agree with an
   all-object run.
@@ -141,7 +142,7 @@ class Supervisor:
     families:
         The engine families this supervisor watches (default all three:
         ``agents``, ``networks``, ``csp``).  Faults only trip breakers
-        of supervised families.
+        of supervised families: on the fast defaults, all of them.
     deadline_s:
         Optional wall-clock budget for the whole supervised run,
         measured from when the supervisor is installed with

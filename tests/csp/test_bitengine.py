@@ -144,9 +144,9 @@ class TestCompile:
 
 
 class TestEngineSeam:
-    def test_default_is_object(self, monkeypatch):
+    def test_default_is_tiled(self, monkeypatch):
         monkeypatch.delenv("REPRO_CSP_ENGINE", raising=False)
-        assert make_csp_engine().name == "object"
+        assert type(make_csp_engine()) is TiledCSPEngine
 
     def test_env_var_selects_bit(self, monkeypatch):
         monkeypatch.setenv("REPRO_CSP_ENGINE", "bit")
@@ -154,7 +154,7 @@ class TestEngineSeam:
 
     def test_empty_env_var_means_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_CSP_ENGINE", "")
-        assert make_csp_engine().name == "object"
+        assert type(make_csp_engine()) is TiledCSPEngine
 
     def test_unknown_kind_names_choices(self, monkeypatch):
         monkeypatch.delenv("REPRO_CSP_ENGINE", raising=False)

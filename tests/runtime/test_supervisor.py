@@ -105,15 +105,15 @@ class TestDegradation:
 
     def test_record_fault_trips_only_fast_families(self, monkeypatch):
         monkeypatch.setenv("REPRO_CSP_ENGINE", "bit")
-        monkeypatch.setenv("REPRO_AGENT_ENGINE", "object")
-        monkeypatch.delenv("REPRO_NETWORK_ENGINE", raising=False)
+        monkeypatch.delenv("REPRO_AGENT_ENGINE", raising=False)
+        monkeypatch.setenv("REPRO_NETWORK_ENGINE", "object")
         sup = Supervisor()  # all three families
         tripped = sup.record_fault("MemoryError: boom")
-        # csp runs bit (fast) -> tripped; agents pinned object -> spared;
-        # networks defaults to object -> spared
-        assert tripped == ["csp"]
+        # csp runs bit (fast) -> tripped; agents defaults to array (fast)
+        # -> tripped; networks pinned object -> spared
+        assert tripped == ["agents", "csp"]
         assert sup.breakers["csp"].state == OPEN
-        assert sup.breakers["agents"].state == CLOSED
+        assert sup.breakers["agents"].state == OPEN
         assert sup.breakers["networks"].state == CLOSED
 
     def test_uninstalled_supervisor_leaves_process_alone(self, monkeypatch):

@@ -37,6 +37,8 @@ class TestSharedResolution:
     def test_default_when_nothing_set(self, family, monkeypatch):
         monkeypatch.delenv(SEAMS[family].env_var, raising=False)
         assert resolve_engine_kind(family) == SEAMS[family].default
+        # one policy: unset, every seam runs its fast kind
+        assert resolve_engine_kind(family) in SEAMS[family].fast
 
     def test_empty_env_var_means_unset(self, family, monkeypatch):
         monkeypatch.setenv(SEAMS[family].env_var, "")
